@@ -22,7 +22,7 @@ use whyq_matcher::{
     MatchOptions, Matcher, PassSet, QueryProgram,
 };
 use whyq_query::{PatternQuery, Predicate, QueryBuilder};
-use whyq_session::{Database, DatabaseConfig, Executor, ParallelOpts};
+use whyq_session::{Database, DatabaseConfig, ParallelOpts};
 
 /// A string-equality-heavy persona scan over the LDBC person table: every
 /// candidate check is a conjunction of four string equalities plus one on
@@ -126,8 +126,8 @@ fn bench_matcher(c: &mut Criterion) {
             black_box(total)
         });
     });
-    // the pre-facade repeat path: what the deprecated `count_matches` shim
-    // does per call — construct a matcher, compile, plan, search, discard
+    // the pre-facade repeat path: per call construct a matcher, compile,
+    // plan, search, discard
     group.bench_function("compile-repeat/LDBC QUERY 1", |b| {
         b.iter(|| {
             let mut total = 0u64;
@@ -156,53 +156,66 @@ fn bench_matcher(c: &mut Criterion) {
     // so `find-par`/`count-par` divide cleanly against them; the larger
     // graph gives every work unit enough search to amortize worker
     // startup (on the 300-person default the whole count is ~70µs —
-    // thread scheduling noise, not a measurement).
-    let xl = Database::open(ldbc_graph(LdbcConfig {
-        persons: 2000,
-        seed: 42,
-    }))
-    .expect("open");
-    let xl_session = xl.session();
+    // thread scheduling noise, not a measurement). Sharded runs read and
+    // fill the sibling store like serial ones, so the `-par` entries run
+    // on a database with the store off (`sibling_cache_capacity(0)`) to
+    // keep measuring sharded execution rather than a cache replay. Both
+    // XL databases are dropped before the entries below run.
     let q3 = &queries[2];
-    let par4 = ParallelOpts::with_threads(4).min_seeds_per_split(1);
-    let serial1 = ParallelOpts::serial();
-    let prepared3 = xl_session.prepare(q3).expect("valid query");
-    group.bench_function("find-ser/LDBC-XL QUERY 3", |b| {
-        b.iter(|| {
-            black_box(
-                prepared3
-                    .find_par_opts(MatchOptions::default(), &serial1)
-                    .expect("find"),
-            )
+    {
+        let xl_graph = ldbc_graph(LdbcConfig {
+            persons: 2000,
+            seed: 42,
         });
-    });
-    group.bench_function("find-par/LDBC-XL QUERY 3", |b| {
-        b.iter(|| {
-            black_box(
-                prepared3
-                    .find_par_opts(MatchOptions::default(), &par4)
-                    .expect("find"),
-            )
+        let xl = Database::open(xl_graph.clone()).expect("open");
+        let xl_uncached = Database::open_with(
+            xl_graph,
+            DatabaseConfig::default().sibling_cache_capacity(0),
+        )
+        .expect("open");
+        let xl_session = xl.session();
+        let xl_uncached_session = xl_uncached.session();
+        let par4 = ParallelOpts::with_threads(4).min_seeds_per_split(1);
+        let serial1 = ParallelOpts::serial();
+        let prepared3 = xl_session.prepare(q3).expect("valid query");
+        let sharded3 = xl_uncached_session.prepare(q3).expect("valid query");
+        group.bench_function("find-ser/LDBC-XL QUERY 3", |b| {
+            b.iter(|| {
+                black_box(
+                    prepared3
+                        .find_par_opts(MatchOptions::default(), &serial1)
+                        .expect("find"),
+                )
+            });
         });
-    });
-    group.bench_function("count-ser/LDBC-XL QUERY 3", |b| {
-        b.iter(|| {
-            black_box(
-                prepared3
-                    .count_par_opts(MatchOptions::default(), &serial1)
-                    .expect("count"),
-            )
+        group.bench_function("find-par/LDBC-XL QUERY 3", |b| {
+            b.iter(|| {
+                black_box(
+                    sharded3
+                        .find_par_opts(MatchOptions::default(), &par4)
+                        .expect("find"),
+                )
+            });
         });
-    });
-    group.bench_function("count-par/LDBC-XL QUERY 3", |b| {
-        b.iter(|| {
-            black_box(
-                prepared3
-                    .count_par_opts(MatchOptions::default(), &par4)
-                    .expect("count"),
-            )
+        group.bench_function("count-ser/LDBC-XL QUERY 3", |b| {
+            b.iter(|| {
+                black_box(
+                    prepared3
+                        .count_par_opts(MatchOptions::default(), &serial1)
+                        .expect("count"),
+                )
+            });
         });
-    });
+        group.bench_function("count-par/LDBC-XL QUERY 3", |b| {
+            b.iter(|| {
+                black_box(
+                    sharded3
+                        .count_par_opts(MatchOptions::default(), &par4)
+                        .expect("count"),
+                )
+            });
+        });
+    }
 
     group.bench_function("find-limit100/LDBC QUERY 3", |b| {
         b.iter(|| black_box(plain.find(&queries[2], MatchOptions::limited(100))));
@@ -267,19 +280,17 @@ fn bench_matcher(c: &mut Criterion) {
     group.finish();
 }
 
-/// Inter-query parallelism at the engine level: the why-empty relax loop
-/// over a larger LDBC instance, with its sibling-candidate cardinality
-/// probes executed serially vs batched through a 4-thread
-/// `Executor::count_batch` vs serially over the sibling result cache. A
-/// fresh rewriter per iteration — the cardinality cache is rewriter
-/// state, and the sibling probes are exactly what this case measures.
+/// The why-empty relax loop over a larger LDBC instance, with and without
+/// the sibling result store. A fresh rewriter per iteration — the
+/// cardinality cache is rewriter state, and the sibling probes are exactly
+/// what this case measures.
 ///
-/// `sibling-serial` and `sibling-batch` keep their historical meaning by
-/// running on a database with the sibling cache disabled (every probe
-/// re-executes); `sibling-incremental` runs the identical serial loop on
-/// a default database, so every probe whose weakly-connected components
-/// survived the relaxation replays their memoized counts and only the
-/// delta-invalidated components re-execute.
+/// `sibling-serial` keeps its historical meaning by running on a database
+/// with the sibling store off (every probe re-executes);
+/// `sibling-incremental` runs the identical loop on a default database, so
+/// every probe whose weakly-connected components survived the relaxation
+/// replays their memoized counts and only the delta-invalidated components
+/// re-execute.
 fn bench_relax_siblings(c: &mut Criterion) {
     let ldbc = ldbc_graph(LdbcConfig {
         persons: 2000,
@@ -295,31 +306,10 @@ fn bench_relax_siblings(c: &mut Criterion) {
     let mut group = c.benchmark_group("relax");
     group.sample_size(10);
     group.bench_function("sibling-serial", |b| {
-        b.iter(|| {
-            black_box(
-                CoarseRewriter::new(&cold)
-                    .with_executor(Executor::serial())
-                    .rewrite(q, &RelaxConfig::default()),
-            )
-        });
-    });
-    group.bench_function("sibling-batch", |b| {
-        b.iter(|| {
-            black_box(
-                CoarseRewriter::new(&cold)
-                    .with_executor(Executor::new(ParallelOpts::with_threads(4)))
-                    .rewrite(q, &RelaxConfig::default()),
-            )
-        });
+        b.iter(|| black_box(CoarseRewriter::new(&cold).rewrite(q, &RelaxConfig::default())));
     });
     group.bench_function("sibling-incremental", |b| {
-        b.iter(|| {
-            black_box(
-                CoarseRewriter::new(&warm)
-                    .with_executor(Executor::serial())
-                    .rewrite(q, &RelaxConfig::default()),
-            )
-        });
+        b.iter(|| black_box(CoarseRewriter::new(&warm).rewrite(q, &RelaxConfig::default())));
     });
     group.finish();
 }

@@ -43,13 +43,13 @@ pub struct Diagnosis {
 /// — the relax loop's hundreds of sibling candidates pay for compilation
 /// once per distinct signature.
 ///
-/// The explanation generators constructed here inherit the
-/// environment-configured executor (`WHYQ_THREADS`, else the machine's
-/// parallelism — see [`whyq_session::ParallelOpts::from_env`]): the relax
-/// loop batches its sibling cardinality probes and the MCS algorithms
-/// probe sibling traversal paths concurrently, each against its own
-/// session arena. Explanations are identical in serial and parallel mode;
-/// construct the generators directly (`with_executor`) to override.
+/// The MCS generators constructed here inherit the environment-configured
+/// executor (`WHYQ_THREADS`, else the machine's parallelism — see
+/// [`whyq_session::ParallelOpts::from_env`]) and probe sibling traversal
+/// paths concurrently, each against its own session arena; construct them
+/// directly (`with_executor`) to override. The relax loop is serial — its
+/// sibling candidates are served by the database's sibling store instead.
+/// Explanations are identical in serial and parallel mode.
 pub struct WhyEngine<'db> {
     db: &'db Database,
     /// Session reused across every cardinality measurement (its scratch

@@ -8,17 +8,10 @@
 use std::collections::HashMap;
 
 /// Memoization of candidate cardinalities keyed by canonical signature.
-///
-/// Entries inserted by the parallel sibling batcher are marked
-/// *speculative*: the first [`QueryCache::get`] that consumes one counts
-/// it as the miss a serial run would have recorded (and un-marks it), so
-/// the App. B.2 lookup/hit statistics are identical in serial and
-/// parallel mode — speculation changes *when* a cardinality is computed,
-/// never how its first use is accounted.
 #[derive(Debug, Default, Clone)]
 pub struct QueryCache {
-    /// `signature → (cardinality, still-speculative)`.
-    map: HashMap<String, (u64, bool)>,
+    /// `signature → cardinality`.
+    map: HashMap<String, u64>,
     lookups: u64,
     hits: u64,
 }
@@ -42,40 +35,17 @@ impl QueryCache {
         Self::default()
     }
 
-    /// Look up a signature. Consuming a speculative entry for the first
-    /// time counts as the miss serial execution would have recorded.
+    /// Look up a signature.
     pub fn get(&mut self, sig: &str) -> Option<u64> {
         self.lookups += 1;
-        match self.map.get_mut(sig) {
-            Some((c, speculative)) => {
-                if *speculative {
-                    *speculative = false;
-                } else {
-                    self.hits += 1;
-                }
-                Some(*c)
-            }
-            None => None,
-        }
-    }
-
-    /// Look up a signature without touching the lookup/hit counters — used
-    /// by the speculative sibling batcher to decide what is worth probing
-    /// in parallel without distorting the App. B.2 reuse statistics.
-    pub fn peek(&self, sig: &str) -> Option<u64> {
-        self.map.get(sig).map(|&(c, _)| c)
+        let hit = self.map.get(sig).copied();
+        self.hits += u64::from(hit.is_some());
+        hit
     }
 
     /// Store an executed cardinality.
     pub fn insert(&mut self, sig: String, cardinality: u64) {
-        self.map.insert(sig, (cardinality, false));
-    }
-
-    /// Store a cardinality measured *speculatively* (by the parallel
-    /// sibling batcher, ahead of serial execution order). Never overwrites
-    /// an executed entry.
-    pub fn insert_speculative(&mut self, sig: String, cardinality: u64) {
-        self.map.entry(sig).or_insert((cardinality, true));
+        self.map.insert(sig, cardinality);
     }
 
     /// Counter snapshot.

@@ -35,7 +35,7 @@ use std::collections::{BinaryHeap, HashSet};
 use whyq_matcher::{Budget, MatchOptions, Termination};
 use whyq_metrics::syntactic_distance;
 use whyq_query::{analyze_against, signature::signature, GraphMod, PatternQuery, Target};
-use whyq_session::{Database, Executor, Session, WhyqError};
+use whyq_session::{Database, Session, WhyqError};
 
 /// Priority boost for a candidate whose modification discards a constraint
 /// the static analyzer proved conflicting ([`AnalysisReport::conflict_set`]
@@ -124,10 +124,6 @@ pub struct RelaxOutcome {
     pub executed: usize,
     /// Number of generated (not necessarily executed) candidates.
     pub generated: usize,
-    /// Sibling candidates counted *speculatively* by the parallel batcher
-    /// (cardinality-cache warm-ups beyond the serially executed ones; 0 in
-    /// serial mode).
-    pub speculated: usize,
     /// Cache statistics (App. B.2).
     pub cache: CacheStats,
     /// Execution trajectory (§5.5.2 convergence plots).
@@ -192,39 +188,30 @@ impl Ord for Node {
 /// The cardinality cache is rewriter state, not per-run state: interactive
 /// sessions re-enter the search after every rejected proposal and re-derive
 /// many of the same candidates — the re-use the thesis measures in App. B.2.
+///
+/// The search is strictly serial — pop, execute, expand — whatever
+/// `WHYQ_THREADS` says: sibling candidates share most of their weakly
+/// connected components, so the database's sibling store replays those and
+/// only the component a relaxation touched re-executes.
 pub struct CoarseRewriter<'g> {
     db: &'g Database,
     session: Session<'g>,
     stats: Statistics<'g>,
     cache: std::cell::RefCell<QueryCache>,
-    /// Pool for speculative sibling-candidate probes ([`Executor`]); a
-    /// 1-thread executor (the `WHYQ_THREADS=1` / single-core default)
-    /// keeps the loop strictly serial.
-    executor: Executor,
 }
 
 impl<'g> CoarseRewriter<'g> {
     /// Rewriter over `db`. Candidate execution runs through an own
     /// session, so every candidate count benefits from the database's
-    /// configured indexes and shared plan cache (siblings re-derived
-    /// across interactive rounds skip compilation entirely). Parallelism
-    /// of the sibling probes follows the environment
-    /// ([`whyq_session::ParallelOpts::from_env`]); override with
-    /// [`CoarseRewriter::with_executor`].
+    /// configured indexes, shared plan cache and sibling store (siblings
+    /// re-derived across interactive rounds skip compilation entirely).
     pub fn new(db: &'g Database) -> Self {
         CoarseRewriter {
             db,
             session: db.session(),
             stats: Statistics::new(db),
             cache: std::cell::RefCell::new(QueryCache::new()),
-            executor: Executor::from_env(),
         }
-    }
-
-    /// Override the executor used for speculative sibling batches.
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self
     }
 
     /// Access to the statistics provider (for reporting).
@@ -258,7 +245,6 @@ impl<'g> CoarseRewriter<'g> {
         let mut seq = 0u64;
         let mut generated = 0usize;
         let mut executed = 0usize;
-        let mut speculated = 0usize;
         let mut trajectory = Vec::new();
 
         // seed the relaxation frontier from the static analyzer's conflict
@@ -291,18 +277,6 @@ impl<'g> CoarseRewriter<'g> {
         while let Some(node) = frontier.pop() {
             if executed >= config.max_executed || config.budget.poll().is_err() {
                 break;
-            }
-            // Speculative sibling batch (parallel mode only): the
-            // candidates most likely to execute next are this node and the
-            // current top of the frontier — probe the uncached ones
-            // concurrently through [`Executor::count_batch`] and warm the
-            // cardinality cache. This is *pure speculation*: the serial
-            // pop → execute → expand order below is untouched, so the
-            // chosen explanation, the executed count and the trajectory
-            // are bit-identical to serial mode; at worst a few probes are
-            // wasted when an expansion outranks the peeked siblings.
-            if config.use_cache && self.executor.is_parallel() && !frontier.is_empty() {
-                speculated += self.speculate_siblings(&node, &mut frontier, &mut cache, config);
             }
             let sig = signature(&node.query);
             let cached = if config.use_cache {
@@ -344,7 +318,6 @@ impl<'g> CoarseRewriter<'g> {
                     }),
                     executed,
                     generated,
-                    speculated,
                     cache: cache.stats(),
                     trajectory,
                     termination: config.budget.termination(),
@@ -368,65 +341,10 @@ impl<'g> CoarseRewriter<'g> {
             explanation: None,
             executed,
             generated,
-            speculated,
             cache: cache.stats(),
             trajectory,
             termination: config.budget.termination(),
         }
-    }
-
-    /// Probe the cardinalities of `head` and the top of `frontier` in one
-    /// parallel batch, inserting results into the cardinality cache. The
-    /// frontier is restored exactly (nodes are popped to peek and pushed
-    /// back); returns the number of batched probes actually executed.
-    fn speculate_siblings(
-        &self,
-        head: &Node,
-        frontier: &mut BinaryHeap<Node>,
-        cache: &mut QueryCache,
-        config: &RelaxConfig,
-    ) -> usize {
-        let batch = self.executor.threads().saturating_mul(2);
-        let mut peeked: Vec<Node> = Vec::new();
-        while peeked.len() + 1 < batch {
-            match frontier.pop() {
-                Some(n) => peeked.push(n),
-                None => break,
-            }
-        }
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut targets: Vec<(&PatternQuery, String)> = Vec::new();
-        for n in std::iter::once(head).chain(peeked.iter()) {
-            let sig = signature(&n.query);
-            if cache.peek(&sig).is_none() && seen.insert(sig.clone()) {
-                targets.push((&n.query, sig));
-            }
-        }
-        let mut speculated = 0;
-        // a batch of one would just serialize the head's own probe with
-        // extra ceremony — only fan out when there are true siblings
-        if targets.len() >= 2 {
-            let queries: Vec<&PatternQuery> = targets.iter().map(|(q, _)| *q).collect();
-            // the shared budget governs speculative probes too; a tripped
-            // probe comes back `Err(Interrupted)` and is simply not cached
-            let counts = self.executor.count_batch(
-                self.db,
-                &queries,
-                MatchOptions::counting(Some(config.count_limit)).with_budget(config.budget.clone()),
-            );
-            for ((_, sig), c) in targets.into_iter().zip(counts) {
-                if let Ok(c) = c {
-                    // speculative inserts are consumed as the miss serial
-                    // mode would record, keeping App. B.2 stats identical
-                    cache.insert_speculative(sig, c);
-                    speculated += 1;
-                }
-            }
-        }
-        for n in peeked {
-            frontier.push(n);
-        }
-        speculated
     }
 
     /// Interactive session (§5.5.4, App. B.1): deliver explanations, let
@@ -655,35 +573,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_speculation_is_transparent() {
-        use whyq_session::ParallelOpts;
+    fn four_concurrent_rewriters_match_the_serial_run() {
+        // the reference: one rewriter, alone on its own database
+        let reference_db = data();
+        let a = CoarseRewriter::new(&reference_db).rewrite(&failing(), &RelaxConfig::default());
+        // four rewriters racing on one database share its plan cache and
+        // sibling store; whichever of them fills or replays an entry, the
+        // executed sequence, trajectory and explanation are bit-identical
         let db = data();
-        let serial = CoarseRewriter::new(&db).with_executor(Executor::serial());
-        let par =
-            CoarseRewriter::new(&db).with_executor(Executor::new(ParallelOpts::with_threads(4)));
-        let a = serial.rewrite(&failing(), &RelaxConfig::default());
-        let b = par.rewrite(&failing(), &RelaxConfig::default());
-        // the speculative batch only warms the cardinality cache: the
-        // executed sequence, trajectory and chosen explanation are
-        // bit-identical to serial mode
-        assert_eq!(a.executed, b.executed);
-        assert_eq!(a.trajectory, b.trajectory);
-        assert_eq!(
-            a.explanation.as_ref().map(|e| signature(&e.query)),
-            b.explanation.as_ref().map(|e| signature(&e.query))
-        );
-        assert_eq!(
-            a.explanation.unwrap().cardinality,
-            b.explanation.unwrap().cardinality
-        );
-        assert_eq!(a.speculated, 0, "serial mode never speculates");
-        assert!(b.speculated >= 2, "parallel mode batched sibling probes");
-        // speculative warm-ups are accounted as the misses serial mode
-        // would record, so the App. B.2 reuse statistics agree too
-        // (entries may differ: wasted speculations stay cached)
-        assert_eq!(a.cache.lookups, b.cache.lookups);
-        assert_eq!(a.cache.hits, b.cache.hits);
-        assert!(b.cache.entries >= a.cache.entries);
+        let barrier = std::sync::Barrier::new(4);
+        let outcomes: Vec<RelaxOutcome> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let rw = CoarseRewriter::new(&db);
+                        barrier.wait();
+                        rw.rewrite(&failing(), &RelaxConfig::default())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for b in &outcomes {
+            assert_eq!(a.executed, b.executed);
+            assert_eq!(a.generated, b.generated);
+            assert_eq!(a.trajectory, b.trajectory);
+            assert_eq!(a.cache, b.cache);
+            let (x, y) = (
+                a.explanation.as_ref().unwrap(),
+                b.explanation.as_ref().unwrap(),
+            );
+            assert_eq!(signature(&x.query), signature(&y.query));
+            assert_eq!(x.mods, y.mods);
+            assert_eq!(x.cardinality, y.cardinality);
+        }
     }
 
     #[test]

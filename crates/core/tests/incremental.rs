@@ -6,9 +6,9 @@
 //! re-executing. These suites pin the contract that this is *purely* a
 //! performance optimization: explanations, trajectories, `paths_tried`
 //! and `extensions` work measures are bit-identical between a default
-//! database and one opened with `sibling_cache_capacity(0)`, in serial
-//! and 4-thread executor modes, and a mid-run Budget trip never poisons
-//! the cache for later complete runs.
+//! database and one opened with `sibling_cache_capacity(0)` (for the MCS
+//! traversals also under a 4-thread executor), and a mid-run Budget trip
+//! never poisons the cache for later complete runs.
 
 use whyq_core::problem::CardinalityGoal;
 use whyq_core::relax::{CoarseRewriter, RelaxConfig, RelaxOutcome};
@@ -55,44 +55,20 @@ fn assert_same_subgraph(a: &SubgraphExplanation, b: &SubgraphExplanation) {
 }
 
 #[test]
-fn relax_trajectories_are_cache_invariant_serial() {
+fn relax_trajectories_are_cache_invariant() {
     let (inc, off) = db_pair();
     for q in &ldbc_failing_queries() {
-        let on = CoarseRewriter::new(&inc)
-            .with_executor(Executor::serial())
-            .rewrite(q, &RelaxConfig::default());
-        let reference = CoarseRewriter::new(&off)
-            .with_executor(Executor::serial())
-            .rewrite(q, &RelaxConfig::default());
+        let on = CoarseRewriter::new(&inc).rewrite(q, &RelaxConfig::default());
+        let reference = CoarseRewriter::new(&off).rewrite(q, &RelaxConfig::default());
         assert_same_outcome(&on, &reference);
 
         // a second run over the now-warm cache replays instead of
         // re-executing — the outcome must not change
-        let warm = CoarseRewriter::new(&inc)
-            .with_executor(Executor::serial())
-            .rewrite(q, &RelaxConfig::default());
+        let warm = CoarseRewriter::new(&inc).rewrite(q, &RelaxConfig::default());
         assert_same_outcome(&warm, &reference);
     }
     let stats = inc.sibling_stats();
-    assert!(
-        !inc.sibling_cache_enabled() || stats.hits > 0,
-        "warm relax runs should replay: {stats:?}"
-    );
-}
-
-#[test]
-fn relax_trajectories_are_cache_invariant_batched() {
-    let (inc, off) = db_pair();
-    let par = || Executor::new(ParallelOpts::with_threads(4));
-    for q in &ldbc_failing_queries() {
-        let on = CoarseRewriter::new(&inc)
-            .with_executor(par())
-            .rewrite(q, &RelaxConfig::default());
-        let reference = CoarseRewriter::new(&off)
-            .with_executor(par())
-            .rewrite(q, &RelaxConfig::default());
-        assert_same_outcome(&on, &reference);
-    }
+    assert!(stats.hits > 0, "warm relax runs should replay: {stats:?}");
 }
 
 #[test]
@@ -144,9 +120,7 @@ fn budget_tripped_relax_does_not_poison_the_cache() {
         budget: Budget::steps(200),
         ..RelaxConfig::default()
     };
-    let tripped = CoarseRewriter::new(&inc)
-        .with_executor(Executor::serial())
-        .rewrite(q, &starved);
+    let tripped = CoarseRewriter::new(&inc).rewrite(q, &starved);
     assert_ne!(
         tripped.termination,
         Termination::Complete,
@@ -154,12 +128,8 @@ fn budget_tripped_relax_does_not_poison_the_cache() {
         tripped.executed
     );
 
-    let after = CoarseRewriter::new(&inc)
-        .with_executor(Executor::serial())
-        .rewrite(q, &RelaxConfig::default());
-    let reference = CoarseRewriter::new(&off)
-        .with_executor(Executor::serial())
-        .rewrite(q, &RelaxConfig::default());
+    let after = CoarseRewriter::new(&inc).rewrite(q, &RelaxConfig::default());
+    let reference = CoarseRewriter::new(&off).rewrite(q, &RelaxConfig::default());
     assert_same_outcome(&after, &reference);
 }
 

@@ -344,18 +344,6 @@ impl<'g> Matcher<'g> {
         }
     }
 
-    /// Attach an equality index over `attr` (no-op if absent from graph).
-    #[deprecated(
-        since = "0.2.0",
-        note = "configure indexes at open instead: `Database::open_with(g, DatabaseConfig::with_indexes([attr]))` — sessions share the database's prebuilt indexes; see docs/migration.md"
-    )]
-    pub fn with_index(mut self, attr: &str) -> Self {
-        if let Some(idx) = AttrIndex::build(self.g, attr) {
-            self.indexes.push(Arc::new(idx));
-        }
-        self
-    }
-
     /// Append a prebuilt shared index.
     pub fn attach_index(&mut self, idx: Arc<AttrIndex>) {
         self.indexes.push(idx);
@@ -764,40 +752,6 @@ pub(crate) fn intersect_seeds(
     }
 }
 
-/// Enumerate the result graphs of `q` over `g` (convenience wrapper).
-///
-/// Thin compatibility shim over the same engine the `whyq-session` facade
-/// drives: it compiles and plans `q` on every call and cannot use attribute
-/// indexes or the plan cache. Open a `whyq_session::Database`, take a
-/// `Session` and use `session.prepare(&q)?.find()` instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Database::open(g)?` + `session.prepare(&q)?.find()` (or `.stream_opts(MatchOptions::limited(n))` for a limit); this shim recompiles the query on every call and bypasses indexes and the plan cache — see docs/migration.md"
-)]
-pub fn find_matches(g: &PropertyGraph, q: &PatternQuery, limit: Option<usize>) -> Vec<ResultGraph> {
-    Matcher::new(g).find(
-        q,
-        MatchOptions {
-            injective: true,
-            limit,
-            ..Default::default()
-        },
-    )
-}
-
-/// Count the result graphs of `q` over `g` injectively, stopping early at
-/// `limit`.
-///
-/// Thin compatibility shim — see [`find_matches`]; prefer
-/// `session.prepare(&q)?.count()` through the `whyq-session` facade.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Database::open(g)?` + `session.prepare(&q)?.count_opts(MatchOptions::counting(cap))`; this shim recompiles the query on every call and bypasses indexes and the plan cache — see docs/migration.md"
-)]
-pub fn count_matches(g: &PropertyGraph, q: &PatternQuery, limit: Option<u64>) -> u64 {
-    Matcher::new(g).count(q, MatchOptions::counting(limit))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,15 +759,17 @@ mod tests {
     use whyq_graph::Value;
     use whyq_query::{DirectionSet, Predicate, QueryBuilder};
 
-    /// Injective count through a throwaway matcher (what the deprecated
-    /// `count_matches` shim wraps).
-    fn count_matches(g: &PropertyGraph, q: &PatternQuery, limit: Option<u64>) -> u64 {
+    /// Injective count through a throwaway matcher.
+    fn count_injective(g: &PropertyGraph, q: &PatternQuery, limit: Option<u64>) -> u64 {
         Matcher::new(g).count(q, MatchOptions::counting(limit))
     }
 
-    /// Injective find through a throwaway matcher (what the deprecated
-    /// `find_matches` shim wraps).
-    fn find_matches(g: &PropertyGraph, q: &PatternQuery, limit: Option<usize>) -> Vec<ResultGraph> {
+    /// Injective find through a throwaway matcher.
+    fn find_injective(
+        g: &PropertyGraph,
+        q: &PatternQuery,
+        limit: Option<usize>,
+    ) -> Vec<ResultGraph> {
         Matcher::new(g).find(
             q,
             MatchOptions {
@@ -824,8 +780,7 @@ mod tests {
         )
     }
 
-    /// Matcher with a freshly built index over `attr` (the non-deprecated
-    /// spelling of `with_index`).
+    /// Matcher with a freshly built index over `attr`.
     fn indexed<'g>(g: &'g PropertyGraph, attr: &str) -> Matcher<'g> {
         let mut m = Matcher::new(g);
         if let Some(idx) = AttrIndex::build(g, attr) {
@@ -866,9 +821,9 @@ mod tests {
     fn finds_triangle_match() {
         let g = social();
         let q = co_located_friends();
-        let res = find_matches(&g, &q, None);
+        let res = find_injective(&g, &q, None);
         assert_eq!(res.len(), 1);
-        assert_eq!(count_matches(&g, &q, None), 1);
+        assert_eq!(count_injective(&g, &q, None), 1);
     }
 
     #[test]
@@ -885,7 +840,7 @@ mod tests {
                 [Predicate::at_most("since", 2005.0)],
             )
             .build();
-        assert_eq!(count_matches(&g, &q, None), 1);
+        assert_eq!(count_injective(&g, &q, None), 1);
     }
 
     #[test]
@@ -897,25 +852,25 @@ mod tests {
             .vertex("b", [Predicate::eq("name", "Bert")])
             .edge("a", "b", "knows")
             .build();
-        assert_eq!(count_matches(&g, &q_fwd, None), 1);
+        assert_eq!(count_injective(&g, &q_fwd, None), 1);
         let q_bwd = QueryBuilder::new("b")
             .vertex("a", [Predicate::eq("name", "Anna")])
             .vertex("b", [Predicate::eq("name", "Bert")])
             .edge_full("b", "a", "knows", DirectionSet::BACKWARD, [])
             .build();
-        assert_eq!(count_matches(&g, &q_bwd, None), 1);
+        assert_eq!(count_injective(&g, &q_bwd, None), 1);
         let q_wrong = QueryBuilder::new("w")
             .vertex("a", [Predicate::eq("name", "Anna")])
             .vertex("b", [Predicate::eq("name", "Bert")])
             .edge("b", "a", "knows")
             .build();
-        assert_eq!(count_matches(&g, &q_wrong, None), 0);
+        assert_eq!(count_injective(&g, &q_wrong, None), 0);
         let q_both = QueryBuilder::new("bt")
             .vertex("a", [Predicate::eq("name", "Anna")])
             .vertex("b", [Predicate::eq("name", "Bert")])
             .edge_full("b", "a", "knows", DirectionSet::BOTH, [])
             .build();
-        assert_eq!(count_matches(&g, &q_both, None), 1);
+        assert_eq!(count_injective(&g, &q_both, None), 1);
     }
 
     #[test]
@@ -928,7 +883,7 @@ mod tests {
             .vertex("p2", [Predicate::eq("type", "person")])
             .edge("p1", "p2", "knows")
             .build();
-        assert_eq!(count_matches(&g, &q, None), 2); // (a,b), (b,c)
+        assert_eq!(count_injective(&g, &q, None), 2); // (a,b), (b,c)
     }
 
     #[test]
@@ -939,8 +894,8 @@ mod tests {
             .vertex("c", [Predicate::eq("type", "city")])
             .build();
         // 3 persons × 2 cities
-        assert_eq!(count_matches(&g, &q, None), 6);
-        let res = find_matches(&g, &q, None);
+        assert_eq!(count_injective(&g, &q, None), 6);
+        let res = find_injective(&g, &q, None);
         assert_eq!(res.len(), 6);
     }
 
@@ -950,9 +905,9 @@ mod tests {
         let q = QueryBuilder::new("p")
             .vertex("p", [Predicate::eq("type", "person")])
             .build();
-        assert_eq!(count_matches(&g, &q, Some(2)), 2);
-        assert_eq!(find_matches(&g, &q, Some(2)).len(), 2);
-        assert_eq!(count_matches(&g, &q, None), 3);
+        assert_eq!(count_injective(&g, &q, Some(2)), 2);
+        assert_eq!(find_injective(&g, &q, Some(2)).len(), 2);
+        assert_eq!(count_injective(&g, &q, None), 3);
     }
 
     #[test]
@@ -971,8 +926,8 @@ mod tests {
     fn empty_query_has_no_matches() {
         let g = social();
         let q = PatternQuery::new();
-        assert_eq!(count_matches(&g, &q, None), 0);
-        assert!(find_matches(&g, &q, None).is_empty());
+        assert_eq!(count_injective(&g, &q, None), 0);
+        assert!(find_injective(&g, &q, None).is_empty());
     }
 
     #[test]
@@ -1044,7 +999,7 @@ mod tests {
             .edge("p1", "p2", "knows")
             .edge("p2", "p3", "knows")
             .build();
-        assert_eq!(count_matches(&g, &q, None), 0); // injective: needs 3 distinct
+        assert_eq!(count_injective(&g, &q, None), 0); // injective: needs 3 distinct
         let hom = Matcher::new(&g).find(
             &q,
             MatchOptions {
@@ -1068,7 +1023,7 @@ mod tests {
             .vertex("y", [])
             .edge("x", "y", "t")
             .build();
-        assert_eq!(count_matches(&g, &q, None), 2);
+        assert_eq!(count_injective(&g, &q, None), 2);
     }
 
     #[test]
@@ -1086,7 +1041,7 @@ mod tests {
             .edge_full("x", "y", "t", DirectionSet::BOTH, [])
             .build();
         // injective matches: (a,b) via forward, (b,a) via backward
-        assert_eq!(count_matches(&g, &q, None), 2);
+        assert_eq!(count_injective(&g, &q, None), 2);
         let hom = Matcher::new(&g).find(
             &q,
             MatchOptions {
@@ -1113,8 +1068,8 @@ mod tests {
         q.add_edge(e);
         // the type disjunction admits "knows" twice; the edge must still
         // bind once
-        assert_eq!(count_matches(&g, &q, None), 1);
-        assert_eq!(find_matches(&g, &q, None).len(), 1);
+        assert_eq!(count_injective(&g, &q, None), 1);
+        assert_eq!(find_injective(&g, &q, None).len(), 1);
     }
 
     #[test]
@@ -1211,45 +1166,5 @@ mod tests {
             ),
             0
         );
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // this module *is* the deprecation test: the shims
-                     // must keep working until they are removed
-mod deprecated_shim_tests {
-    use super::*;
-    use whyq_graph::Value;
-    use whyq_query::{Predicate, QueryBuilder};
-
-    #[test]
-    fn shims_agree_with_the_matcher_they_wrap() {
-        let mut g = PropertyGraph::new();
-        let a = g.add_vertex([("type", Value::str("person"))]);
-        let b = g.add_vertex([("type", Value::str("person"))]);
-        g.add_edge(a, b, "knows", []);
-        let q = QueryBuilder::new("pair")
-            .vertex("p1", [Predicate::eq("type", "person")])
-            .vertex("p2", [Predicate::eq("type", "person")])
-            .edge("p1", "p2", "knows")
-            .build();
-        let m = Matcher::new(&g);
-        assert_eq!(
-            count_matches(&g, &q, None),
-            m.count(&q, MatchOptions::default())
-        );
-        assert_eq!(
-            find_matches(&g, &q, Some(1)).len(),
-            m.find(&q, MatchOptions::limited(1)).len()
-        );
-        // with_index still builds and uses an index
-        let idx = Matcher::new(&g).with_index("type");
-        assert_eq!(
-            idx.count(&q, MatchOptions::default()),
-            m.count(&q, MatchOptions::default())
-        );
-        // unknown attribute: no-op, not a panic
-        let none = Matcher::new(&g).with_index("nonexistent");
-        assert!(none.indexes().is_empty());
     }
 }

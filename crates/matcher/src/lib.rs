@@ -33,9 +33,6 @@
 //! `whyq_session::Database`, take a `Session` and use
 //! `session.prepare(&q)?` — prepared queries add plan caching, configured
 //! indexes and a `Result`-based error surface on top of the same engine.
-//! The free functions [`find_matches`] / [`count_matches`] and
-//! [`Matcher::with_index`] remain as deprecated shims for incremental
-//! migration.
 //!
 //! Result enumeration comes in two shapes: eager ([`Matcher::find`],
 //! returning a `Vec`) and lazy ([`Matcher::stream`], a suspendable DFS
@@ -49,9 +46,10 @@
 //! [`SeedList`] is independently executable ([`Matcher::find_unit`] /
 //! [`Matcher::count_unit`]) against any matcher's private scratch arena,
 //! and per-component partial bindings are merged by the standalone
-//! cartesian combiner ([`combine`]). The `whyq-session` executor builds
-//! its parallel `find_par`/`count_par` on exactly these pieces — serial
-//! evaluation is the one-unit-per-component special case.
+//! cartesian combiner ([`combine`]). The `whyq-session` component loop
+//! is built on exactly these pieces — serial evaluation is the
+//! one-unit-per-component case, `find_par`/`count_par` shard the large
+//! components.
 //!
 //! The incremental edge-at-a-time growth primitive the why-query algorithms
 //! (DISCOVERMCS, BOUNDEDMCS, change propagation) are built on lives with
@@ -85,8 +83,6 @@ pub mod work;
 pub use budget::{Budget, CancelToken, Termination};
 pub use combine::{combine_components, FactorOdometer};
 pub use derive::derive_sibling;
-#[allow(deprecated)] // compatibility re-exports of the deprecated shims
-pub use engine::{count_matches, find_matches};
 pub use engine::{CompiledQuery, MatchOptions, Matcher};
 pub use index::AttrIndex;
 pub use optimize::{optimize, PassSet};

@@ -3,13 +3,23 @@
 //! the same match sets and the same counts — injectively, homomorphically,
 //! with and without result limits, and with or without an attribute index.
 
-// the deprecated `with_index` shim is part of the surface under test
-#![allow(deprecated)]
-
 use proptest::prelude::*;
+use std::sync::Arc;
 use whyq_graph::{PropertyGraph, Value};
-use whyq_matcher::{count_matches_naive, find_matches_naive, MatchOptions, Matcher, ResultGraph};
+use whyq_matcher::{
+    count_matches_naive, find_matches_naive, AttrIndex, MatchOptions, Matcher, ResultGraph,
+};
 use whyq_query::{DirectionSet, PatternQuery, Predicate, QVid, QueryEdge, QueryVertex};
+
+/// Matcher with a freshly built `"type"` index (none when the attribute
+/// occurs nowhere in the graph).
+fn indexed_by_type(g: &PropertyGraph) -> Matcher<'_> {
+    let mut m = Matcher::new(g);
+    if let Some(idx) = AttrIndex::build(g, "type") {
+        m.attach_index(Arc::new(idx));
+    }
+    m
+}
 
 fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> PropertyGraph {
     let names = ["red", "green", "blue"];
@@ -113,7 +123,7 @@ proptest! {
         prop_assert_eq!(plain.count(&q, opts.clone()), naive_count);
         prop_assert_eq!(canonical(&plain.find(&q, opts.clone())), naive_set.clone());
 
-        let indexed = Matcher::new(&g).with_index("type");
+        let indexed = indexed_by_type(&g);
         prop_assert_eq!(indexed.count(&q, opts.clone()), naive_count);
         prop_assert_eq!(canonical(&indexed.find(&q, opts.clone())), naive_set);
     }
@@ -209,7 +219,7 @@ proptest! {
         prop_assert_eq!(plain.count(&q, opts.clone()), naive_count);
         prop_assert_eq!(canonical(&plain.find(&q, opts.clone())), naive_set.clone());
 
-        let indexed = Matcher::new(&g).with_index("type");
+        let indexed = indexed_by_type(&g);
         prop_assert_eq!(indexed.count(&q, opts.clone()), naive_count);
         prop_assert_eq!(canonical(&indexed.find(&q, opts.clone())), naive_set);
     }

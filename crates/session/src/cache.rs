@@ -53,11 +53,10 @@ pub struct CachedPlan {
     /// first.
     pub report: Arc<AnalysisReport>,
     /// Per-component seed candidate lists (program-indexed), materialized
-    /// lazily by the first parallel execution. Graph and indexes are
-    /// immutable for the database's lifetime, so the lists are computed
-    /// once per cached plan and shared by every session and prepare —
-    /// repeat `find_par`/`count_par` calls pay no bucket copies or
-    /// disjunction-union sorts.
+    /// lazily by the first execution. Graph and indexes are immutable for
+    /// the database's lifetime, so the lists are computed once per cached
+    /// plan and shared by every session and prepare — repeat executions
+    /// pay no bucket copies or disjunction-union sorts.
     pub seed_lists: OnceLock<Vec<SeedList>>,
 }
 

@@ -1,11 +1,12 @@
 //! Parallel execution: a scoped-thread work pool over per-worker sessions.
 //!
 //! The why-query engine's dominant cost is *many independent searches*:
-//! hundreds of sibling cardinality probes in the relax loop and the MCS
-//! traversals (inter-query parallelism), and — for one big query — the
-//! independent seed subranges of each weakly connected component
-//! (intra-query parallelism, the `whyq-matcher` work model). Both shapes
-//! reduce to "run N pure tasks against one shared [`Database`]", which is
+//! the MCS traversals' sibling paths and a server batch's requests
+//! (inter-query parallelism), and — for one big query — the independent
+//! seed subranges of a large weakly connected component (intra-query
+//! parallelism, the `whyq-matcher` work model, used by the session's
+//! component loop when a [`ParallelOpts`] is passed). Both shapes reduce
+//! to "run N pure tasks against one shared [`Database`]", which is
 //! exactly what [`Executor`] provides, with no dependencies beyond
 //! `std::thread::scope`.
 //!
@@ -16,10 +17,11 @@
 //! after open, and the only mutable shared state — the plan cache — is
 //! behind a `Mutex` whose per-signature slots compile at most once (see
 //! [`crate::cache::PlanCache`]). All mutable *search* state lives in
-//! per-worker [`Session`]s: every worker thread creates its own session
-//! (and with it its own matcher scratch arena), so workers never contend
-//! on anything but the plan-cache lock, which is held only for probes and
-//! inserts, never across a compile or a search.
+//! per-worker [`Session`](crate::Session)s: every worker thread creates
+//! its own session (and with it its own matcher scratch arena), so
+//! workers never contend on anything but the plan-cache and sibling-store
+//! locks, which are held only for probes and inserts, never across a
+//! compile or a search.
 //!
 //! ## Determinism
 //!
@@ -29,11 +31,12 @@
 //! on the method); counts and result multisets always equal their serial
 //! counterparts.
 
-use crate::{Database, Governed, Session, WhyqError};
+use crate::{Database, Governed, WhyqError};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use whyq_matcher::{CancelToken, MatchOptions, ResultGraph, Termination};
+use whyq_matcher::{split_ranges, CancelToken, MatchOptions, ResultGraph, Termination};
 use whyq_query::PatternQuery;
 
 /// Render a caught panic payload for [`WhyqError::WorkerPanicked`].
@@ -129,6 +132,22 @@ impl ParallelOpts {
     pub fn effective_threads(&self) -> usize {
         self.threads.max(1)
     }
+
+    /// The split decision for one component of `seeds` seed candidates:
+    /// the seed ranges to shard it into, or `None` when it should run as
+    /// one inline unit — a 1-thread configuration, or fewer than
+    /// `2 × min_seeds_per_split` seeds, the threshold below which thread
+    /// start-up outweighs the search. Shards oversubscribe the pool 4× so
+    /// an unlucky chunk doesn't idle it; each still holds at least
+    /// `min_seeds_per_split` seeds.
+    pub(crate) fn shard_ranges(&self, seeds: usize) -> Option<Vec<Range<usize>>> {
+        let floor = self.min_seeds_per_split.max(1);
+        let threads = self.effective_threads();
+        (threads > 1 && seeds >= floor.saturating_mul(2)).then(|| {
+            let chunks = (seeds / floor).min(threads.saturating_mul(4));
+            split_ranges(seeds, chunks)
+        })
+    }
 }
 
 impl Default for ParallelOpts {
@@ -159,9 +178,7 @@ fn parse_threads(raw: &str) -> Option<usize> {
 /// data would need `'static` task plumbing (or unsafe), while a scoped
 /// spawn costs on the order of ten microseconds per worker. Batches
 /// should therefore carry at least ~100µs of work each — which is what
-/// `min_seeds_per_split` enforces for seed sharding, and why the relax
-/// loop's sibling batcher only fans out when at least two uncached
-/// probes are pending.
+/// `min_seeds_per_split` enforces for seed sharding.
 ///
 /// See the [module docs](self) for the `Database: Send + Sync` contract
 /// and determinism guarantees.
@@ -238,47 +255,6 @@ impl Executor {
         self.dispatch(items.len(), || (), |(), i| f(&items[i]))
     }
 
-    /// Count every query of `queries` against `db` under `opts`, returning
-    /// per-query results in query order. Each worker owns one session, so
-    /// sibling probes share the database's plan cache and indexes but
-    /// never a scratch arena — the batched form of the relax loop's and
-    /// the MCS algorithms' cardinality probes.
-    ///
-    /// Errors are **per-slot**: a query that fails — including by
-    /// panicking its worker, caught and reported as
-    /// [`WhyqError::WorkerPanicked`] in that slot — never poisons its
-    /// siblings' results. Only an executor-level stop (an attached cancel
-    /// token, a panic in worker setup) fails whole slots wholesale.
-    pub fn count_batch(
-        &self,
-        db: &Database,
-        queries: &[&PatternQuery],
-        opts: MatchOptions,
-    ) -> Vec<Result<u64, WhyqError>> {
-        let dispatched = self.dispatch(
-            queries.len(),
-            || db.session(),
-            |session, i| {
-                // per-slot isolation: catch the unwind *inside* the task so
-                // a panicking probe errors its own slot instead of aborting
-                // the batch (the relax loop skips failed siblings)
-                catch_unwind(AssertUnwindSafe(|| {
-                    session.count_opts(queries[i], opts.clone())
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(WhyqError::WorkerPanicked {
-                        message: panic_message(payload.as_ref()),
-                    })
-                })
-            },
-        );
-        match dispatched {
-            Ok(slots) => slots,
-            // an executor-level stop has no per-slot results to salvage
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
-        }
-    }
-
     /// Enumerate every request of `requests` against `db`, returning
     /// per-request **governed** results in request order. Each worker owns
     /// one session, so same-signature requests share the database's plan
@@ -289,10 +265,12 @@ impl Executor {
     /// [`MatchOptions`] (its own [`whyq_matcher::Budget`], its own limit),
     /// so one slow client's deadline never governs its batch siblings.
     ///
-    /// Errors are **per-slot**, exactly as in [`Executor::count_batch`]: a
-    /// request that fails — including by panicking its worker, caught and
-    /// reported as [`WhyqError::WorkerPanicked`] in that slot — never
-    /// poisons its siblings' results. A budget that trips mid-search is
+    /// Errors are **per-slot**: a request that fails — including by
+    /// panicking its worker, caught and reported as
+    /// [`WhyqError::WorkerPanicked`] in that slot — never poisons its
+    /// siblings' results; only an executor-level stop (an attached cancel
+    /// token, a panic in worker setup) fails every slot wholesale. A
+    /// budget that trips mid-search is
     /// *not* an error here: the slot holds the partial results tagged with
     /// their [`Termination`], the degraded-but-servable contract.
     pub fn find_batch(
@@ -323,7 +301,7 @@ impl Executor {
     }
 
     /// Run `task(state, i)` for `i in 0..n` across the pool, where each
-    /// worker initializes its own `state` once (e.g. a [`Session`]) and
+    /// worker initializes its own `state` once (e.g. a [`Session`](crate::Session)) and
     /// reuses it for every task it pulls. Results come back in task order.
     ///
     /// Robustness contract: every task (and every worker's `init`) runs
@@ -427,23 +405,6 @@ impl Executor {
     }
 }
 
-/// A worker-session batch runner used by `find_par`/`count_par`: runs
-/// `task(&session, i)` for `i in 0..n` with one [`Session`] per worker.
-/// Fails with the executor's first error — a worker panic or a cancel —
-/// with the database left fully usable.
-pub(crate) fn run_with_sessions<'db, T, Task>(
-    exec: &Executor,
-    db: &'db Database,
-    n: usize,
-    task: Task,
-) -> Result<Vec<T>, WhyqError>
-where
-    T: Send + Sync,
-    Task: Fn(&Session<'db>, usize) -> T + Sync,
-{
-    exec.dispatch(n, || db.session(), |session, i| task(session, i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,6 +434,21 @@ mod tests {
         for bad in ["", "  ", "-2", "2.5", "four", "8 cores", "0x10"] {
             assert_eq!(parse_threads(bad), None, "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn shard_ranges_respect_threads_and_the_split_floor() {
+        let par = ParallelOpts::with_threads(4).min_seeds_per_split(8);
+        assert_eq!(par.shard_ranges(15), None, "below 2 x floor: inline");
+        let ranges = par.shard_ranges(64).expect("large enough to shard");
+        assert_eq!(ranges.len(), 8, "64 / 8 chunks, under the 4 x 4 cap");
+        assert!(ranges.iter().all(|r| r.len() >= 8));
+        assert_eq!(par.shard_ranges(10_000).map(|r| r.len()), Some(16));
+        assert_eq!(ParallelOpts::serial().shard_ranges(10_000), None);
+        // a zero floor is treated as 1
+        let eager = ParallelOpts::with_threads(2).min_seeds_per_split(0);
+        assert_eq!(eager.shard_ranges(2).map(|r| r.len()), Some(2));
+        assert_eq!(eager.shard_ranges(1), None);
     }
 
     #[test]

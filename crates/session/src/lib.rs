@@ -32,6 +32,20 @@
 //!   [`ResultGraph`]s straight from the suspendable backtracking DFS
 //!   without materializing the result set.
 //!
+//! ## One component loop
+//!
+//! Every eager entry point — `find`/`count` × plain/`_opts`/`_governed`/
+//! `_par`/`_par_opts` — is a few-line wrapper of one private loop that
+//! walks the query's weakly connected components in program order: poll
+//! the budget, look the component up in the database's sibling store
+//! ([`mod@sibling`]), on a miss execute it — inline as one whole-component
+//! [`WorkUnit`], or as seed-range shards across the [`Executor`] when a
+//! [`ParallelOpts`] was passed and *that component's* seed list is large
+//! enough — memoize the result if the budget is still complete, stop at
+//! the first matchless component, cap, and combine. A store opened with
+//! `sibling_cache_capacity(0)` never hits and never inserts; it is the
+//! same loop, not a second path.
+//!
 //! ```
 //! use whyq_graph::{PropertyGraph, Value};
 //! use whyq_query::{Predicate, QueryBuilder};
@@ -78,13 +92,13 @@ pub use executor::{Executor, ParallelOpts, DEFAULT_MIN_SEEDS_PER_SPLIT};
 pub use sibling::SiblingStats;
 
 use cache::CachedPlan;
-use sibling::SiblingCache;
+use sibling::{CompKey, CompValue, SiblingCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use whyq_graph::PropertyGraph;
 use whyq_matcher::{
-    combine_components, split_ranges, AttrIndex, MatchOptions, MatchStream, Matcher, ResultGraph,
-    SeedList, WorkUnit,
+    combine_components, AttrIndex, MatchOptions, MatchStream, Matcher, ResultGraph, SeedList,
+    WorkUnit,
 };
 pub use whyq_matcher::{Budget, CancelToken, Termination};
 use whyq_query::{
@@ -136,11 +150,8 @@ pub struct DatabaseConfig {
     pub plan_cache_capacity: usize,
     /// Capacity (entries) of the sibling result cache that replays
     /// per-component results across relax-loop siblings, and gate for
-    /// sibling-plan derivation. `0` disables the whole sibling layer.
-    /// The `WHYQ_NO_SIBLING_CACHE` environment variable (any non-empty
-    /// value other than `0`, read at [`Database::open_with`]) force-
-    /// disables it regardless of this setting — CI uses it to keep the
-    /// non-incremental paths green.
+    /// sibling-plan derivation. `0` disables the whole sibling layer:
+    /// the store never hits or inserts and no plan is ever derived.
     pub sibling_cache_capacity: usize,
 }
 
@@ -226,8 +237,7 @@ pub struct Database {
     built_attrs: Vec<String>,
     cache: Mutex<PlanCache>,
     /// The sibling result cache + derivation-parent registry (see
-    /// [`mod@sibling`]). Disabled (capacity 0) it costs one branch per
-    /// execution.
+    /// [`mod@sibling`]). At capacity 0 it never hits or inserts.
     siblings: Mutex<SiblingCache>,
     /// Number of plan compilations actually performed — under contention
     /// this stays equal to the number of distinct uncached signatures
@@ -291,17 +301,7 @@ impl Database {
             }
         }
         let cache = Mutex::new(PlanCache::new(config.plan_cache_capacity));
-        // CI and benchmarks force-disable the sibling layer to exercise
-        // the plain execution paths: any non-empty value but "0" wins
-        // over the configured capacity.
-        let env_disabled =
-            std::env::var("WHYQ_NO_SIBLING_CACHE").is_ok_and(|v| !v.is_empty() && v != "0");
-        let sibling_capacity = if env_disabled {
-            0
-        } else {
-            config.sibling_cache_capacity
-        };
-        let siblings = Mutex::new(SiblingCache::new(sibling_capacity));
+        let siblings = Mutex::new(SiblingCache::new(config.sibling_cache_capacity));
         Ok(Database {
             g: graph,
             config,
@@ -363,13 +363,6 @@ impl Database {
     /// derived plans, …). All zero while the layer is disabled.
     pub fn sibling_stats(&self) -> SiblingStats {
         self.lock_siblings().stats()
-    }
-
-    /// True when the sibling layer (result replay across relax siblings
-    /// plus sibling-plan derivation) is active — a nonzero configured
-    /// capacity not overridden by `WHYQ_NO_SIBLING_CACHE`.
-    pub fn sibling_cache_enabled(&self) -> bool {
-        self.lock_siblings().enabled()
     }
 
     /// Invalidate every memoized sibling result in O(1) by bumping the
@@ -461,10 +454,12 @@ impl Database {
             }
         });
         // remember satisfiable queries as derivation parents for future
-        // same-shape siblings (re-registering refreshes recency)
-        if !plan.program.is_empty() && self.sibling_cache_enabled() {
+        // same-shape siblings (re-registering refreshes recency); the
+        // shape hash and the query clone are only paid for a signature
+        // the registry has not seen
+        if !plan.program.is_empty() {
             self.lock_siblings()
-                .register(shape_hash(q), sig, Arc::new(q.clone()));
+                .register(sig, || (shape_hash(q), Arc::new(q.clone())));
         }
         plan
     }
@@ -478,7 +473,7 @@ impl Database {
         &self,
         q: &PatternQuery,
     ) -> Option<(whyq_matcher::compile::Compiled, whyq_matcher::QueryProgram)> {
-        if !self.sibling_cache_enabled() {
+        if self.config.sibling_cache_capacity == 0 {
             return None;
         }
         let parents = self.lock_siblings().parents_for(shape_hash(q));
@@ -723,11 +718,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// never be mistaken for a complete one. Use
     /// [`PreparedQuery::find_governed`] to keep the partial results.
     pub fn find_opts(&self, opts: MatchOptions) -> Result<Vec<ResultGraph>, WhyqError> {
-        let governed = self.find_governed(opts);
-        match governed.termination {
-            Termination::Complete => Ok(governed.value),
-            termination => Err(WhyqError::Interrupted { termination }),
-        }
+        exact(self.find_governed(opts))
     }
 
     /// Enumerate result graphs under `opts`, keeping whatever an
@@ -737,20 +728,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// components of a disconnected query it is a subset of the cartesian
     /// product) — the best-effort shape a serving layer degrades to.
     pub fn find_governed(&self, opts: MatchOptions) -> Governed<Vec<ResultGraph>> {
-        if let Some(governed) = self.find_incremental(&opts) {
-            return governed;
-        }
-        let budget = opts.budget.clone();
-        let value = self.session.matcher.find_compiled(
-            &self.query,
-            &self.plan.compiled,
-            &self.plan.program,
-            opts,
-        );
-        Governed {
-            value,
-            termination: budget.termination(),
-        }
+        self.run::<Rows>(&opts, None).expect(INLINE_NEVER_FAILS)
     }
 
     /// Count result graphs (injective, exact).
@@ -763,11 +741,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// tripped budget is [`WhyqError::Interrupted`], never a silently
     /// low count.
     pub fn count_opts(&self, opts: MatchOptions) -> Result<u64, WhyqError> {
-        let governed = self.count_governed(opts);
-        match governed.termination {
-            Termination::Complete => Ok(governed.value),
-            termination => Err(WhyqError::Interrupted { termination }),
-        }
+        exact(self.count_governed(opts))
     }
 
     /// Count result graphs under `opts`, keeping the partial count of an
@@ -802,204 +776,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// # Ok::<(), whyq_session::WhyqError>(())
     /// ```
     pub fn count_governed(&self, opts: MatchOptions) -> Governed<u64> {
-        if let Some(governed) = self.count_incremental(&opts) {
-            return governed;
-        }
-        let budget = opts.budget.clone();
-        let value = self.session.matcher.count_compiled(
-            &self.query,
-            &self.plan.compiled,
-            &self.plan.program,
-            opts,
-        );
-        Governed {
-            value,
-            termination: budget.termination(),
-        }
-    }
-
-    /// The per-component seed lists and raw component vertex sets, when
-    /// the incremental (sibling-cache) path applies to this query:
-    /// sibling layer enabled, satisfiable program, and a component list
-    /// aligned with the program (one program per weakly-connected
-    /// component, in the same order — guaranteed by the planner, checked
-    /// defensively here).
-    fn incremental_parts(&self) -> Option<(Vec<Vec<whyq_query::QVid>>, &[SeedList])> {
-        let db = self.session.db;
-        if !db.sibling_cache_enabled() {
-            return None;
-        }
-        let program = &self.plan.program;
-        if self.query.num_vertices() == 0 || program.is_empty() {
-            return None;
-        }
-        let comps = self.query.weakly_connected_components();
-        if comps.len() != program.components().len() {
-            return None;
-        }
-        let seed_lists: &[SeedList] = self.plan.seed_lists.get_or_init(|| {
-            let matcher = &self.session.matcher;
-            program
-                .components()
-                .iter()
-                .map(|prog| matcher.seed_list_for(prog))
-                .collect()
-        });
-        Some((comps, seed_lists))
-    }
-
-    /// Incremental counting: replay memoized per-component counts from
-    /// the database's sibling cache and execute only the components the
-    /// sibling's delta invalidated, as whole-component [`WorkUnit`]s.
-    /// Mirrors [`whyq_matcher::Matcher::count_compiled`] exactly —
-    /// program-order evaluation, per-component cap at `opts.limit`,
-    /// early zero on an empty component, saturating product capped at the
-    /// limit — so the value is bit-identical to a full execution.
-    /// Only budget-complete unit results are inserted; replayed units
-    /// consume no budget (the governed value stays a valid lower bound).
-    /// Returns `None` when the sibling layer is disabled and the caller
-    /// should run the plain path.
-    fn count_incremental(&self, opts: &MatchOptions) -> Option<Governed<u64>> {
-        let (comps, seed_lists) = self.incremental_parts()?;
-        let db = self.session.db;
-        let budget = &opts.budget;
-        // mirror the engine: an already-tripped budget refuses up front
-        if budget.poll().is_err() {
-            return Some(Governed {
-                value: 0,
-                termination: budget.termination(),
-            });
-        }
-        let limit = opts.limit.map(|l| l as u64);
-        let mut replayed = 0u64;
-        let mut recomputed = 0u64;
-        let mut counts: Vec<u64> = Vec::with_capacity(comps.len());
-        let mut zero = false;
-        for (i, comp) in comps.iter().enumerate() {
-            let sig = component_signature(&self.query, comp);
-            let cached = db
-                .lock_siblings()
-                .lookup_count(&sig, opts.injective, opts.limit);
-            let c = match cached {
-                Some(c) => {
-                    replayed += 1;
-                    c
-                }
-                None => {
-                    recomputed += 1;
-                    let unit = WorkUnit::whole(i, &seed_lists[i]);
-                    let c = self.session.matcher.count_unit(
-                        &self.query,
-                        &self.plan.compiled,
-                        &self.plan.program,
-                        &unit,
-                        &seed_lists[i],
-                        opts.clone(),
-                    );
-                    // a tripped budget means `c` is a partial prefix —
-                    // caching it would replay a truncated answer as exact
-                    if budget.termination().is_complete() {
-                        db.lock_siblings()
-                            .insert_count(sig, opts.injective, opts.limit, c);
-                    }
-                    c
-                }
-            };
-            if c == 0 {
-                // a matchless component zeroes the product; later
-                // components never run (same as the serial engine)
-                zero = true;
-                break;
-            }
-            counts.push(c);
-        }
-        db.lock_siblings().finish_query(replayed, recomputed);
-        let value = if zero {
-            0
-        } else {
-            let total = counts.into_iter().fold(1u64, u64::saturating_mul);
-            match limit {
-                Some(l) => total.min(l),
-                None => total,
-            }
-        };
-        Some(Governed {
-            value,
-            termination: budget.termination(),
-        })
-    }
-
-    /// Incremental enumeration — the row twin of
-    /// [`PreparedQuery::count_incremental`]: memoized component rows are
-    /// replayed only when the executing program's fingerprint matches the
-    /// one that produced them (derived sibling programs may enumerate in
-    /// a different order than a fresh compile), then merged through the
-    /// same cartesian combiner as a full execution.
-    fn find_incremental(&self, opts: &MatchOptions) -> Option<Governed<Vec<ResultGraph>>> {
-        let (comps, seed_lists) = self.incremental_parts()?;
-        let db = self.session.db;
-        let budget = &opts.budget;
-        if budget.poll().is_err() {
-            return Some(Governed {
-                value: Vec::new(),
-                termination: budget.termination(),
-            });
-        }
-        let cap = opts.limit.unwrap_or(usize::MAX);
-        let mut replayed = 0u64;
-        let mut recomputed = 0u64;
-        let mut per_component: Vec<Vec<ResultGraph>> = Vec::with_capacity(comps.len());
-        let mut empty = false;
-        for (i, comp) in comps.iter().enumerate() {
-            let sig = component_signature(&self.query, comp);
-            let fingerprint = self.plan.program.components()[i].fingerprint();
-            let cached =
-                db.lock_siblings()
-                    .lookup_rows(&sig, opts.injective, opts.limit, fingerprint);
-            let rows = match cached {
-                Some(rows) => {
-                    replayed += 1;
-                    (*rows).clone()
-                }
-                None => {
-                    recomputed += 1;
-                    let unit = WorkUnit::whole(i, &seed_lists[i]);
-                    let rows = self.session.matcher.find_unit(
-                        &self.query,
-                        &self.plan.compiled,
-                        &self.plan.program,
-                        &unit,
-                        &seed_lists[i],
-                        opts.clone(),
-                    );
-                    if budget.termination().is_complete() {
-                        db.lock_siblings().insert_rows(
-                            sig,
-                            opts.injective,
-                            opts.limit,
-                            fingerprint,
-                            Arc::new(rows.clone()),
-                        );
-                    }
-                    rows
-                }
-            };
-            if rows.is_empty() {
-                empty = true;
-                break;
-            }
-            per_component.push(rows);
-        }
-        db.lock_siblings().finish_query(replayed, recomputed);
-        let value = if empty {
-            Vec::new()
-        } else {
-            combine_components(per_component, cap)
-        };
-        Some(Governed {
-            value,
-            termination: budget.termination(),
-        })
+        self.run::<Count>(&opts, None).expect(INLINE_NEVER_FAILS)
     }
 
     /// Enumerate all result graphs (injective) across the threads of the
@@ -1008,71 +785,27 @@ impl<'db> PreparedQuery<'_, 'db> {
         self.find_par_opts(MatchOptions::default(), &ParallelOpts::default())
     }
 
-    /// Enumerate result graphs under `opts` in parallel: each weakly
-    /// connected component's seed set is sharded into [`WorkUnit`]s
-    /// (subranges of at least `par.min_seeds_per_split` seeds), executed
-    /// across up to `par.threads` workers — each owning its own session
-    /// arena — and merged through the matcher's cartesian combiner.
+    /// Enumerate result graphs under `opts` in parallel: every component
+    /// whose seed list holds at least `2 × par.min_seeds_per_split` seeds
+    /// is sharded into seed-range [`WorkUnit`]s executed across up to
+    /// `par.threads` workers — each owning its own session arena — and
+    /// merged in range order; smaller components, and everything under a
+    /// 1-thread configuration, run inline exactly as
+    /// [`PreparedQuery::find_opts`] does. Sharded components read and
+    /// fill the sibling store like inline ones.
     ///
     /// Returns exactly the multiset [`PreparedQuery::find_opts`] returns.
     /// **Result order is unspecified in parallel mode** (the current
     /// implementation happens to preserve serial order, but only the
     /// multiset is contractual); under a `limit`, *which* results survive
-    /// the cap is likewise unspecified. Queries too small to shard — or a
-    /// 1-thread configuration — fall back to the serial path unchanged.
+    /// the cap is likewise unspecified. A worker panic surfaces as
+    /// [`WhyqError::WorkerPanicked`] with the database left usable.
     pub fn find_par_opts(
         &self,
         opts: MatchOptions,
         par: &ParallelOpts,
     ) -> Result<Vec<ResultGraph>, WhyqError> {
-        let Some((units, seed_lists)) = self.shard(par) else {
-            return self.find_opts(opts);
-        };
-        // workers poll the budget's cancel state between units (and the
-        // DFS inside each unit observes it at block granularity)
-        let exec = Executor::new(par.clone());
-        let query = &*self.query;
-        let compiled = &*self.plan.compiled;
-        let program = &*self.plan.program;
-        let outputs = executor::run_with_sessions(&exec, self.session.db, units.len(), {
-            let units = &units;
-            let seed_lists = &seed_lists;
-            let opts = opts.clone();
-            move |session, i| {
-                let unit = &units[i];
-                session.matcher.find_unit(
-                    query,
-                    compiled,
-                    program,
-                    unit,
-                    &seed_lists[unit.component],
-                    opts.clone(),
-                )
-            }
-        })?;
-        match opts.budget.termination() {
-            Termination::Complete => {}
-            termination => return Err(WhyqError::Interrupted { termination }),
-        }
-        let mut per_comp: Vec<Vec<ResultGraph>> = vec![Vec::new(); program.components().len()];
-        for (unit, out) in units.iter().zip(outputs) {
-            per_comp[unit.component].extend(out);
-        }
-        if per_comp.iter().any(Vec::is_empty) {
-            // a component with no partial bindings zeroes the product
-            return Ok(Vec::new());
-        }
-        if let Some(l) = opts.limit {
-            // mirror the serial engine: each component's list is capped
-            // before combination
-            for comp in &mut per_comp {
-                comp.truncate(l);
-            }
-        }
-        Ok(combine_components(
-            per_comp,
-            opts.limit.unwrap_or(usize::MAX),
-        ))
+        self.run::<Rows>(&opts, Some(par)).and_then(exact)
     }
 
     /// Count result graphs (injective, exact) in parallel — see
@@ -1081,107 +814,118 @@ impl<'db> PreparedQuery<'_, 'db> {
         self.count_par_opts(MatchOptions::default(), &ParallelOpts::default())
     }
 
-    /// Count result graphs under `opts` in parallel: per-component seed
-    /// shards are counted across workers, summed per component and
-    /// multiplied — always equal to [`PreparedQuery::count_opts`],
-    /// including under an `opts.limit` cap (both report
-    /// `min(C(Q), limit)`). Falls back to the serial path when the query
-    /// is too small to shard or `par.threads <= 1`.
+    /// Count result graphs under `opts` in parallel — the counting twin
+    /// of [`PreparedQuery::find_par_opts`]: shard counts are summed per
+    /// component and multiplied, always equal to
+    /// [`PreparedQuery::count_opts`], including under an `opts.limit` cap
+    /// (both report `min(C(Q), limit)`).
     pub fn count_par_opts(&self, opts: MatchOptions, par: &ParallelOpts) -> Result<u64, WhyqError> {
-        let Some((units, seed_lists)) = self.shard(par) else {
-            return self.count_opts(opts);
+        self.run::<Count>(&opts, Some(par)).and_then(exact)
+    }
+
+    /// The one execution body behind every eager entry point (see the
+    /// [crate docs](crate#one-component-loop)): components in program
+    /// order, each replayed from the sibling store or executed and — only
+    /// if the budget is still complete, since a tripped unit produced a
+    /// partial prefix — memoized there. Mirrors
+    /// [`whyq_matcher::Matcher::count_compiled`] /
+    /// [`whyq_matcher::Matcher::find_compiled`] exactly: per-component cap
+    /// at `opts.limit`, early zero on a matchless component, capped
+    /// product. Replayed components consume no budget, so a governed
+    /// value stays a valid lower bound. Only sharded dispatch can fail.
+    fn run<K: ResultKind>(
+        &self,
+        opts: &MatchOptions,
+        par: Option<&ParallelOpts>,
+    ) -> Result<Governed<K::Out>, WhyqError> {
+        let db = self.session.db;
+        let budget = &opts.budget;
+        let programs = self.plan.program.components();
+        let done = |value| {
+            Ok(Governed {
+                value,
+                termination: budget.termination(),
+            })
         };
-        let exec = Executor::new(par.clone());
-        let query = &*self.query;
-        let compiled = &*self.plan.compiled;
-        let program = &*self.plan.program;
-        let counts = executor::run_with_sessions(&exec, self.session.db, units.len(), {
-            let units = &units;
-            let seed_lists = &seed_lists;
-            let opts = opts.clone();
-            move |session, i| {
-                let unit = &units[i];
-                session.matcher.count_unit(
-                    query,
-                    compiled,
-                    program,
-                    unit,
-                    &seed_lists[unit.component],
-                    opts.clone(),
-                )
-            }
-        })?;
-        match opts.budget.termination() {
-            Termination::Complete => {}
-            termination => return Err(WhyqError::Interrupted { termination }),
+        if self.query.num_vertices() == 0 || programs.is_empty() {
+            return done(K::Out::default());
         }
-        let mut per_comp = vec![0u64; program.components().len()];
-        for (unit, c) in units.iter().zip(counts) {
-            per_comp[unit.component] = per_comp[unit.component].saturating_add(c);
-        }
-        let limit = opts.limit.map(|l| l as u64);
-        let mut total: u64 = 1;
-        for c in per_comp {
-            if c == 0 {
-                return Ok(0);
+        let comps = self.query.weakly_connected_components();
+        debug_assert_eq!(comps.len(), programs.len(), "one program per component");
+        // materialized once per cached plan (graph and indexes are sealed
+        // for the database's lifetime) and shared across sessions
+        let seed_lists = self.plan.seed_lists.get_or_init(|| {
+            let matcher = &self.session.matcher;
+            programs.iter().map(|p| matcher.seed_list_for(p)).collect()
+        });
+        let (mut replayed, mut recomputed) = (0u64, 0u64);
+        let mut parts = Vec::with_capacity(comps.len());
+        for (i, (comp, prog)) in comps.iter().zip(programs).enumerate() {
+            // an already-tripped budget refuses up front like the engine
+            if budget.poll().is_err() {
+                break;
             }
-            // per-unit counts stop early at the limit, so a component sum
-            // may undershoot its true count but never min(true, limit) —
-            // capping here keeps the product identical to the serial one
-            let c = match limit {
-                Some(l) => c.min(l),
-                None => c,
+            let key = CompKey {
+                sig: component_signature(&self.query, comp),
+                injective: opts.injective,
+                limit: opts.limit,
+                fingerprint: K::fingerprint(prog),
             };
-            total = total.saturating_mul(c);
+            let cached = db.lock_siblings().lookup(&key).and_then(K::from_cached);
+            let part = if let Some(part) = cached {
+                replayed += 1;
+                part
+            } else {
+                recomputed += 1;
+                let part = self.execute::<K>(i, &seed_lists[i], opts, par)?;
+                if budget.termination().is_complete() {
+                    db.lock_siblings().insert(key, K::to_cached(&part));
+                }
+                part
+            };
+            if K::is_empty(&part) {
+                // a matchless component zeroes the product; later
+                // components never run
+                break;
+            }
+            parts.push(part);
         }
-        Ok(match limit {
-            Some(l) => total.min(l),
-            None => total,
+        db.lock_siblings().finish_query(replayed, recomputed);
+        // short of one part per component the loop stopped early: no match
+        done(if parts.len() == comps.len() {
+            K::combine(parts, opts.limit)
+        } else {
+            K::Out::default()
         })
     }
 
-    /// Decompose the query into parallel work units, or `None` when serial
-    /// execution is the right call: a 1-thread configuration, an
-    /// empty/unsatisfiable query, or a single component too small to shard
-    /// (below `min_seeds_per_split`) — the threshold below which thread
-    /// startup would outweigh the search.
-    fn shard(&self, par: &ParallelOpts) -> Option<(Vec<WorkUnit>, &[SeedList])> {
-        let threads = par.effective_threads();
-        if threads <= 1 || self.query.num_vertices() == 0 || self.plan.program.is_empty() {
-            return None;
-        }
-        // materialized once per cached plan (graph and indexes are sealed
-        // for the database's lifetime) and shared across sessions, so
-        // repeat parallel executions pay no bucket copies or union sorts
-        let seed_lists: &[SeedList] = self.plan.seed_lists.get_or_init(|| {
-            let matcher = &self.session.matcher;
-            self.plan
-                .program
-                .components()
-                .iter()
-                .map(|prog| matcher.seed_list_for(prog))
-                .collect()
-        });
-        let floor = par.min_seeds_per_split.max(1);
-        let mut units = Vec::new();
-        for (component, seeds) in seed_lists.iter().enumerate() {
-            if seeds.len() >= floor.saturating_mul(2) {
-                // oversubscribe so an unlucky chunk doesn't idle the pool;
-                // each chunk still holds at least `floor` seeds
-                let chunks = (seeds.len() / floor).min(threads.saturating_mul(4)).max(1);
-                units.extend(
-                    split_ranges(seeds.len(), chunks)
-                        .into_iter()
-                        .map(|range| WorkUnit { component, range }),
-                );
-            } else {
-                units.push(WorkUnit::whole(component, seeds));
-            }
-        }
-        if units.len() <= 1 {
-            return None;
-        }
-        Some((units, seed_lists))
+    /// Execute one component: as seed-range shards across worker sessions
+    /// when `par` was passed and says this component is worth splitting
+    /// ([`ParallelOpts::shard_ranges`]) — merged in range order, which
+    /// reproduces the inline result exactly — else inline as one
+    /// whole-component [`WorkUnit`].
+    fn execute<K: ResultKind>(
+        &self,
+        component: usize,
+        seeds: &SeedList,
+        opts: &MatchOptions,
+        par: Option<&ParallelOpts>,
+    ) -> Result<K::Part, WhyqError> {
+        let (query, plan) = (&*self.query, &*self.plan);
+        let run = |matcher: &Matcher<'_>, range| {
+            let unit = WorkUnit { component, range };
+            K::run_unit(matcher, query, plan, &unit, seeds, opts.clone())
+        };
+        let Some((par, ranges)) = par.and_then(|p| Some((p, p.shard_ranges(seeds.len())?))) else {
+            return Ok(run(&self.session.matcher, 0..seeds.len()));
+        };
+        let db = self.session.db;
+        let shards = Executor::new(par.clone()).dispatch(
+            ranges.len(),
+            || db.session(),
+            |session, j| run(&session.matcher, ranges[j].clone()),
+        )?;
+        Ok(K::merge(shards, opts.limit))
     }
 
     /// Stream result graphs lazily (injective, unlimited): the backtracking
@@ -1228,6 +972,147 @@ impl<'db> PreparedQuery<'_, 'db> {
             Arc::clone(&self.plan.program),
             opts,
         )
+    }
+}
+
+/// Why the serial wrappers may unwrap [`PreparedQuery::run`]: without a
+/// [`ParallelOpts`] every component executes inline on the calling
+/// thread, and only executor dispatch reports errors.
+const INLINE_NEVER_FAILS: &str = "inline execution has no executor to fail";
+
+/// The exact-answer contract of the non-`_governed` entry points: a
+/// tripped budget is an error, never a silently truncated value.
+fn exact<T>(governed: Governed<T>) -> Result<T, WhyqError> {
+    match governed.termination {
+        Termination::Complete => Ok(governed.value),
+        termination => Err(WhyqError::Interrupted { termination }),
+    }
+}
+
+/// `c` capped at `limit`.
+fn capped(c: u64, limit: Option<usize>) -> u64 {
+    limit.map_or(c, |l| c.min(l as u64))
+}
+
+/// What [`PreparedQuery::run`] is generic over: how one result kind
+/// (count | rows) executes a work unit, round-trips through the sibling
+/// store, and merges — shards of one component, then components.
+trait ResultKind {
+    /// One component's output.
+    type Part: Send + Sync;
+    /// The whole query's output; `default()` is "no match".
+    type Out: Default;
+
+    /// Program fingerprint the store keys this kind's entries by: rows
+    /// depend on the enumeration order of the program that produced them
+    /// (a derived sibling program may differ from a fresh compile), counts
+    /// do not.
+    fn fingerprint(prog: &whyq_matcher::vm::Program) -> Option<u64>;
+    fn from_cached(value: CompValue) -> Option<Self::Part>;
+    fn to_cached(part: &Self::Part) -> CompValue;
+    fn run_unit(
+        matcher: &Matcher<'_>,
+        q: &PatternQuery,
+        plan: &CachedPlan,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: MatchOptions,
+    ) -> Self::Part;
+    /// Merge one component's range-ordered shards. Every shard stops at
+    /// `limit` on its own, so re-capping the merge yields exactly what a
+    /// whole-component unit would have.
+    fn merge(shards: Vec<Self::Part>, limit: Option<usize>) -> Self::Part;
+    fn is_empty(part: &Self::Part) -> bool;
+    /// Cartesian combination of all (non-empty) components, capped.
+    fn combine(parts: Vec<Self::Part>, limit: Option<usize>) -> Self::Out;
+}
+
+struct Count;
+
+impl ResultKind for Count {
+    type Part = u64;
+    type Out = u64;
+
+    fn fingerprint(_: &whyq_matcher::vm::Program) -> Option<u64> {
+        None
+    }
+    fn from_cached(value: CompValue) -> Option<u64> {
+        match value {
+            CompValue::Count(c) => Some(c),
+            CompValue::Rows(_) => None,
+        }
+    }
+    fn to_cached(part: &u64) -> CompValue {
+        CompValue::Count(*part)
+    }
+    fn run_unit(
+        matcher: &Matcher<'_>,
+        q: &PatternQuery,
+        plan: &CachedPlan,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: MatchOptions,
+    ) -> u64 {
+        matcher.count_unit(q, &plan.compiled, &plan.program, unit, seeds, opts)
+    }
+    fn merge(shards: Vec<u64>, limit: Option<usize>) -> u64 {
+        capped(shards.into_iter().fold(0, u64::saturating_add), limit)
+    }
+    fn is_empty(part: &u64) -> bool {
+        *part == 0
+    }
+    fn combine(parts: Vec<u64>, limit: Option<usize>) -> u64 {
+        capped(parts.into_iter().fold(1, u64::saturating_mul), limit)
+    }
+}
+
+struct Rows;
+
+/// Take the rows out of a component's shared list: free when the sibling
+/// store did not keep a reference, one clone when it did.
+fn unshare(rows: Arc<Vec<ResultGraph>>) -> Vec<ResultGraph> {
+    Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone())
+}
+
+impl ResultKind for Rows {
+    /// Shared with the sibling store, so neither a hit nor an insertion
+    /// copies rows under the store's lock.
+    type Part = Arc<Vec<ResultGraph>>;
+    type Out = Vec<ResultGraph>;
+
+    fn fingerprint(prog: &whyq_matcher::vm::Program) -> Option<u64> {
+        Some(prog.fingerprint())
+    }
+    fn from_cached(value: CompValue) -> Option<Self::Part> {
+        match value {
+            CompValue::Rows(rows) => Some(rows),
+            CompValue::Count(_) => None,
+        }
+    }
+    fn to_cached(part: &Self::Part) -> CompValue {
+        CompValue::Rows(Arc::clone(part))
+    }
+    fn run_unit(
+        matcher: &Matcher<'_>,
+        q: &PatternQuery,
+        plan: &CachedPlan,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: MatchOptions,
+    ) -> Self::Part {
+        Arc::new(matcher.find_unit(q, &plan.compiled, &plan.program, unit, seeds, opts))
+    }
+    fn merge(shards: Vec<Self::Part>, limit: Option<usize>) -> Self::Part {
+        let mut rows: Vec<ResultGraph> = shards.into_iter().flat_map(unshare).collect();
+        rows.truncate(limit.unwrap_or(usize::MAX));
+        Arc::new(rows)
+    }
+    fn is_empty(part: &Self::Part) -> bool {
+        part.is_empty()
+    }
+    fn combine(parts: Vec<Self::Part>, limit: Option<usize>) -> Vec<ResultGraph> {
+        let rows = parts.into_iter().map(unshare).collect();
+        combine_components(rows, limit.unwrap_or(usize::MAX))
     }
 }
 
@@ -1450,40 +1335,6 @@ mod tests {
         // env-default entry points agree too (whatever the thread count)
         assert_eq!(prepared.find_par().unwrap().len(), serial.len());
         assert_eq!(prepared.count_par().unwrap(), serial.len() as u64);
-    }
-
-    #[test]
-    fn count_batch_reports_per_query_results_in_order() {
-        let db = Database::open(social()).unwrap();
-        let q1 = pair_query();
-        let q2 = QueryBuilder::new("people")
-            .vertex("p", [Predicate::eq("type", "person")])
-            .build();
-        let mut invalid = pair_query();
-        invalid
-            .edge_mut(whyq_query::QEid(0))
-            .unwrap()
-            .directions
-            .remove(whyq_query::Direction::Forward);
-        invalid
-            .edge_mut(whyq_query::QEid(0))
-            .unwrap()
-            .directions
-            .remove(whyq_query::Direction::Backward);
-        for exec in [
-            Executor::serial(),
-            Executor::new(ParallelOpts::with_threads(4)),
-        ] {
-            let out = exec.count_batch(&db, &[&q1, &q2, &invalid, &q1], MatchOptions::default());
-            assert_eq!(out.len(), 4);
-            assert_eq!(*out[0].as_ref().unwrap(), 1);
-            assert_eq!(*out[1].as_ref().unwrap(), 2);
-            assert!(
-                matches!(out[2], Err(WhyqError::InvalidQuery { .. })),
-                "a bad query errors in its own slot without failing the batch"
-            );
-            assert_eq!(*out[3].as_ref().unwrap(), 1);
-        }
     }
 
     #[test]

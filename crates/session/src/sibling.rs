@@ -31,7 +31,7 @@
 //! [`whyq_matcher::Budget`] tripped mid-run produced a *partial* count or
 //! row prefix, and caching it would replay a truncated answer as if it
 //! were exact. Callers enforce this by checking the budget's termination
-//! after computing each unit (see `PreparedQuery::count_governed`).
+//! after computing each component (the session's single component loop).
 //! Replays themselves consume no budget — a governed run that reuses
 //! cached units can therefore legitimately return *more* than an
 //! identically-budgeted cold run; the governed contract (the value is a
@@ -55,16 +55,17 @@ const REGISTRY_CAPACITY: usize = 128;
 /// (derived sibling programs may enumerate rows in a different order
 /// than a fresh compile; counts are order-independent).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CompKey {
-    sig: String,
-    injective: bool,
-    limit: Option<usize>,
+pub(crate) struct CompKey {
+    pub(crate) sig: String,
+    pub(crate) injective: bool,
+    pub(crate) limit: Option<usize>,
     /// `None` for count entries; `Some(program fingerprint)` for rows.
-    fingerprint: Option<u64>,
+    pub(crate) fingerprint: Option<u64>,
 }
 
+/// One component's memoized result.
 #[derive(Debug, Clone)]
-enum CompValue {
+pub(crate) enum CompValue {
     Count(u64),
     Rows(Arc<Vec<ResultGraph>>),
 }
@@ -146,52 +147,9 @@ impl SiblingCache {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Replay a memoized component count, if present and current.
-    pub(crate) fn lookup_count(
-        &mut self,
-        sig: &str,
-        injective: bool,
-        limit: Option<usize>,
-    ) -> Option<u64> {
-        let key = CompKey {
-            sig: sig.to_owned(),
-            injective,
-            limit,
-            fingerprint: None,
-        };
-        match self.lookup(&key)? {
-            CompValue::Count(c) => Some(c),
-            CompValue::Rows(_) => None,
-        }
-    }
-
-    /// Replay memoized component rows, if present, current, and produced
-    /// by a program with the same fingerprint (row order is part of the
-    /// contract).
-    pub(crate) fn lookup_rows(
-        &mut self,
-        sig: &str,
-        injective: bool,
-        limit: Option<usize>,
-        fingerprint: u64,
-    ) -> Option<Arc<Vec<ResultGraph>>> {
-        let key = CompKey {
-            sig: sig.to_owned(),
-            injective,
-            limit,
-            fingerprint: Some(fingerprint),
-        };
-        match self.lookup(&key)? {
-            CompValue::Rows(rows) => Some(rows),
-            CompValue::Count(_) => None,
-        }
-    }
-
-    fn lookup(&mut self, key: &CompKey) -> Option<CompValue> {
+    /// Replay a memoized component result, if present and current. A
+    /// capacity-0 store holds nothing, so it never hits.
+    pub(crate) fn lookup(&mut self, key: &CompKey) -> Option<CompValue> {
         let entry = self.entries.get_mut(key)?;
         if entry.generation != self.generation {
             // stale generation: the entry predates a clear — drop it and
@@ -206,48 +164,10 @@ impl SiblingCache {
         Some(entry.value.clone())
     }
 
-    /// Memoize a *complete* component count. Callers must never insert a
-    /// value computed under a tripped budget.
-    pub(crate) fn insert_count(
-        &mut self,
-        sig: String,
-        injective: bool,
-        limit: Option<usize>,
-        count: u64,
-    ) {
-        self.insert(
-            CompKey {
-                sig,
-                injective,
-                limit,
-                fingerprint: None,
-            },
-            CompValue::Count(count),
-        );
-    }
-
-    /// Memoize *complete* component rows under the producing program's
-    /// fingerprint.
-    pub(crate) fn insert_rows(
-        &mut self,
-        sig: String,
-        injective: bool,
-        limit: Option<usize>,
-        fingerprint: u64,
-        rows: Arc<Vec<ResultGraph>>,
-    ) {
-        self.insert(
-            CompKey {
-                sig,
-                injective,
-                limit,
-                fingerprint: Some(fingerprint),
-            },
-            CompValue::Rows(rows),
-        );
-    }
-
-    fn insert(&mut self, key: CompKey, value: CompValue) {
+    /// Memoize a *complete* component result — callers must never insert
+    /// a value computed under a tripped budget. A capacity-0 store never
+    /// inserts.
+    pub(crate) fn insert(&mut self, key: CompKey, value: CompValue) {
         if self.capacity == 0 {
             return;
         }
@@ -297,11 +217,17 @@ impl SiblingCache {
         self.generation += 1;
     }
 
-    /// Remember `q` (already prepared, satisfiable) as a candidate parent
-    /// for sibling-plan derivation, newest last. Re-registering a known
-    /// signature refreshes its position.
-    pub(crate) fn register(&mut self, shape: u64, sig: String, query: Arc<PatternQuery>) {
-        if !self.enabled() {
+    /// Remember an already prepared, satisfiable query as a candidate
+    /// parent for sibling-plan derivation, newest last. Re-registering a
+    /// known signature only refreshes its position: `entry` (the query's
+    /// shape hash and a shared clone of it) is built for new signatures
+    /// alone, so a plan-cache hit pays neither.
+    pub(crate) fn register(
+        &mut self,
+        sig: String,
+        entry: impl FnOnce() -> (u64, Arc<PatternQuery>),
+    ) {
+        if self.capacity == 0 {
             return;
         }
         if let Some(pos) = self.registry.iter().position(|e| e.sig == sig) {
@@ -309,6 +235,7 @@ impl SiblingCache {
             self.registry.push_back(e);
             return;
         }
+        let (shape, query) = entry();
         self.registry.push_back(RegEntry { shape, sig, query });
         while self.registry.len() > REGISTRY_CAPACITY {
             self.registry.pop_front();
@@ -345,16 +272,42 @@ impl SiblingCache {
 mod tests {
     use super::*;
 
+    fn count_key(sig: &str, injective: bool, limit: Option<usize>) -> CompKey {
+        CompKey {
+            sig: sig.into(),
+            injective,
+            limit,
+            fingerprint: None,
+        }
+    }
+
+    fn rows_key(sig: &str, fingerprint: u64) -> CompKey {
+        CompKey {
+            fingerprint: Some(fingerprint),
+            ..count_key(sig, true, None)
+        }
+    }
+
+    fn lookup_count(c: &mut SiblingCache, sig: &str) -> Option<u64> {
+        match c.lookup(&count_key(sig, true, None))? {
+            CompValue::Count(n) => Some(n),
+            CompValue::Rows(_) => panic!("count key holds rows"),
+        }
+    }
+
+    fn insert_count(c: &mut SiblingCache, sig: &str, n: u64) {
+        c.insert(count_key(sig, true, None), CompValue::Count(n));
+    }
+
     #[test]
     fn count_entries_round_trip_and_track_counters() {
         let mut c = SiblingCache::new(4);
-        assert!(c.enabled());
-        assert_eq!(c.lookup_count("a", true, None), None);
-        c.insert_count("a".into(), true, None, 7);
-        assert_eq!(c.lookup_count("a", true, None), Some(7));
+        assert_eq!(lookup_count(&mut c, "a"), None);
+        insert_count(&mut c, "a", 7);
+        assert_eq!(lookup_count(&mut c, "a"), Some(7));
         // every result-affecting dimension is part of the key
-        assert_eq!(c.lookup_count("a", false, None), None);
-        assert_eq!(c.lookup_count("a", true, Some(3)), None);
+        assert!(c.lookup(&count_key("a", false, None)).is_none());
+        assert!(c.lookup(&count_key("a", true, Some(3))).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.insertions), (1, 1));
     }
@@ -362,58 +315,70 @@ mod tests {
     #[test]
     fn rows_require_matching_fingerprint() {
         let mut c = SiblingCache::new(4);
-        c.insert_rows("a".into(), true, None, 42, Arc::new(Vec::new()));
-        assert!(c.lookup_rows("a", true, None, 42).is_some());
-        assert!(c.lookup_rows("a", true, None, 43).is_none());
+        c.insert(rows_key("a", 42), CompValue::Rows(Arc::new(Vec::new())));
+        assert!(matches!(
+            c.lookup(&rows_key("a", 42)),
+            Some(CompValue::Rows(_))
+        ));
+        assert!(c.lookup(&rows_key("a", 43)).is_none());
         // count lookups never alias row entries
-        assert_eq!(c.lookup_count("a", true, None), None);
+        assert_eq!(lookup_count(&mut c, "a"), None);
     }
 
     #[test]
     fn clear_bumps_generation_and_counts_invalidations() {
         let mut c = SiblingCache::new(4);
-        c.insert_count("a".into(), true, None, 7);
+        insert_count(&mut c, "a", 7);
         c.clear();
-        assert_eq!(c.lookup_count("a", true, None), None);
+        assert_eq!(lookup_count(&mut c, "a"), None);
         assert_eq!(c.stats().invalidations, 1);
         // re-inserting under the new generation works
-        c.insert_count("a".into(), true, None, 7);
-        assert_eq!(c.lookup_count("a", true, None), Some(7));
+        insert_count(&mut c, "a", 7);
+        assert_eq!(lookup_count(&mut c, "a"), Some(7));
     }
 
     #[test]
-    fn capacity_bound_evicts_lru_and_zero_disables() {
+    fn capacity_bound_evicts_lru_and_zero_never_hits_or_inserts() {
         let mut c = SiblingCache::new(2);
-        c.insert_count("a".into(), true, None, 1);
-        c.insert_count("b".into(), true, None, 2);
-        assert_eq!(c.lookup_count("a", true, None), Some(1)); // refresh a
-        c.insert_count("c".into(), true, None, 3);
+        insert_count(&mut c, "a", 1);
+        insert_count(&mut c, "b", 2);
+        assert_eq!(lookup_count(&mut c, "a"), Some(1)); // refresh a
+        insert_count(&mut c, "c", 3);
         assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.lookup_count("b", true, None), None, "LRU victim");
-        assert_eq!(c.lookup_count("a", true, None), Some(1));
+        assert_eq!(lookup_count(&mut c, "b"), None, "LRU victim");
+        assert_eq!(lookup_count(&mut c, "a"), Some(1));
 
         let mut off = SiblingCache::new(0);
-        assert!(!off.enabled());
-        off.insert_count("a".into(), true, None, 1);
-        assert_eq!(off.lookup_count("a", true, None), None);
-        assert_eq!(off.stats().len, 0);
+        insert_count(&mut off, "a", 1);
+        assert_eq!(lookup_count(&mut off, "a"), None);
+        off.register("s".into(), || {
+            panic!("a capacity-0 store registers nothing")
+        });
+        assert!(off.parents_for(1).is_empty());
+        let s = off.stats();
+        assert_eq!((s.len, s.hits, s.insertions), (0, 0, 0));
     }
 
     #[test]
     fn registry_is_shape_filtered_newest_first_and_bounded() {
         let mut c = SiblingCache::new(4);
         let q = Arc::new(PatternQuery::new());
-        c.register(1, "s1".into(), Arc::clone(&q));
-        c.register(2, "s2".into(), Arc::clone(&q));
-        c.register(1, "s3".into(), Arc::clone(&q));
+        let entry = |shape: u64| {
+            let q = Arc::clone(&q);
+            move || (shape, q)
+        };
+        c.register("s1".into(), entry(1));
+        c.register("s2".into(), entry(2));
+        c.register("s3".into(), entry(1));
         let parents: Vec<String> = c.parents_for(1).into_iter().map(|(s, _)| s).collect();
         assert_eq!(parents, ["s3", "s1"]);
-        // re-registering refreshes, not duplicates
-        c.register(1, "s1".into(), Arc::clone(&q));
+        // re-registering refreshes, not duplicates — and never rebuilds
+        // the entry (the clone a plan-cache hit must not pay)
+        c.register("s1".into(), || panic!("known signature: entry not built"));
         let parents: Vec<String> = c.parents_for(1).into_iter().map(|(s, _)| s).collect();
         assert_eq!(parents, ["s1", "s3"]);
         for i in 0..(REGISTRY_CAPACITY + 10) {
-            c.register(9, format!("x{i}"), Arc::clone(&q));
+            c.register(format!("x{i}"), entry(9));
         }
         assert!(c.parents_for(9).len() <= REGISTRY_CAPACITY);
     }

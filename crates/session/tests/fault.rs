@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use whyq_graph::{PropertyGraph, Value};
-use whyq_matcher::fault::{arm, FaultPlan};
+use whyq_matcher::fault::{arm, FaultGuard, FaultPlan};
 use whyq_matcher::{MatchOptions, ResultGraph};
 use whyq_query::{PatternQuery, Predicate, QueryBuilder};
 use whyq_session::{Budget, CancelToken, Database, Executor, ParallelOpts, Termination, WhyqError};
@@ -55,6 +55,13 @@ fn multiset(results: &[ResultGraph]) -> BTreeMap<String, usize> {
         *m.entry(format!("{r:?}")).or_insert(0) += 1;
     }
     m
+}
+
+/// The fault lock held with nothing armed. The recovery half of every test
+/// below dispatches work units and charges budgets too — it must not run
+/// while a concurrently scheduled sibling test has its plan armed.
+fn disarmed() -> FaultGuard {
+    arm(FaultPlan::default())
 }
 
 /// The cross-check suite the acceptance criterion speaks of: every answer
@@ -120,6 +127,7 @@ fn injected_worker_panic_surfaces_and_database_survives() {
 
     // The same database — same plan cache, same prepared query — now
     // answers exactly like a fresh instance, serial and parallel.
+    let _quiet = disarmed();
     assert_eq!(prepared.count().unwrap(), 12 * 11 * 10);
     assert_answers_like_fresh(&db, &[q, path_query(2)]);
     // the plan cache was not poisoned by the unwinding worker
@@ -145,6 +153,7 @@ fn injected_panic_in_count_par_is_isolated_too() {
             .expect_err("panicked count must error");
         assert!(matches!(err, WhyqError::WorkerPanicked { .. }));
     }
+    let _quiet = disarmed();
     assert_eq!(
         db.session()
             .prepare(&q)
@@ -175,17 +184,22 @@ fn executor_stays_usable_after_injected_panic() {
             assert!(matches!(err, WhyqError::WorkerPanicked { .. }));
         }
         // disarmed: the very same executor finishes the batch correctly
+        let _quiet = disarmed();
         let out = exec.map_batch(&items, |&i| i + 1).unwrap();
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
     }
 }
 
 #[test]
-fn count_batch_fails_all_slots_on_executor_level_panic() {
+fn find_batch_fails_all_slots_on_executor_level_panic() {
     let db = Database::open(clique(6)).unwrap();
     let q2 = path_query(2);
     let q3 = path_query(3);
-    let queries = [&q2, &q3, &q2];
+    let requests = [
+        (&q2, MatchOptions::default()),
+        (&q3, MatchOptions::default()),
+        (&q2, MatchOptions::default()),
+    ];
     let exec = Executor::new(ParallelOpts::with_threads(2));
     {
         let _guard = arm(FaultPlan {
@@ -195,15 +209,19 @@ fn count_batch_fails_all_slots_on_executor_level_panic() {
         // the injected panic fires at the dispatch boundary (outside the
         // per-slot isolation), so it is an executor-level stop: every
         // slot reports the same first error
-        let slots = exec.count_batch(&db, &queries, MatchOptions::default());
+        let slots = exec.find_batch(&db, &requests);
         assert_eq!(slots.len(), 3);
         for slot in &slots {
             assert!(matches!(slot, Err(WhyqError::WorkerPanicked { .. })));
         }
     }
-    let slots = exec.count_batch(&db, &queries, MatchOptions::default());
+    let _quiet = disarmed();
+    let slots = exec.find_batch(&db, &requests);
     assert_eq!(
-        slots.into_iter().map(Result::unwrap).collect::<Vec<_>>(),
+        slots
+            .into_iter()
+            .map(|slot| slot.unwrap().value.len())
+            .collect::<Vec<_>>(),
         [6 * 5, 6 * 5 * 4, 6 * 5]
     );
 }
@@ -237,6 +255,7 @@ proptest! {
                 Err(WhyqError::WorkerPanicked { .. })
             ));
         }
+        let _quiet = disarmed();
         assert_answers_like_fresh(&db, &[q, path_query(2)]);
     }
 }
@@ -307,6 +326,7 @@ fn forced_exhaustion_degrades_gracefully_and_clears_on_disarm() {
         );
     }
     // a fresh budget after disarm runs to completion
+    let _quiet = disarmed();
     let governed = session
         .count_governed(&q, MatchOptions::governed(Budget::steps(u64::MAX / 2)))
         .unwrap();

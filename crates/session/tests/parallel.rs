@@ -1,16 +1,24 @@
-//! Property tests of parallel evaluation: `find_par` equals `find` as an
-//! unordered multiset and `count_par` equals `count` — on randomized
-//! graphs and queries (multi-component and empty-component cases
-//! included), for thread counts {1, 2, 8} and adversarial
-//! `min_seeds_per_split` values (0 forces maximal sharding, a huge floor
-//! forces the serial fallback).
+//! Property tests of parallel evaluation: `find_par` equals a full
+//! serial execution as an unordered multiset and `count_par` equals its
+//! count — on randomized graphs and queries (multi-component and
+//! empty-component cases included), for thread counts {1, 2, 8} and
+//! adversarial `min_seeds_per_split` values (0 forces maximal sharding, a
+//! huge floor forces every component inline).
+//!
+//! Serial, cached and sharded execution are one loop in `whyq-session`,
+//! so the comparator is independent of it: the matcher's own whole-query
+//! loop over a fresh `compile_full` ([`Matcher::count`] /
+//! [`Matcher::find`]). Every configuration runs twice on a freshly
+//! invalidated sibling store: the first call executes (sharding the large
+//! components) and fills the store, the second must be all replays —
+//! hits, zero new insertions — with the same answer.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use whyq_graph::{PropertyGraph, Value};
-use whyq_matcher::{MatchOptions, ResultGraph};
+use whyq_matcher::{Budget, MatchOptions, Matcher, ResultGraph};
 use whyq_query::{DirectionSet, PatternQuery, Predicate, QueryEdge, QueryVertex};
-use whyq_session::{Database, ParallelOpts};
+use whyq_session::{Database, ParallelOpts, WhyqError};
 
 fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> PropertyGraph {
     let names = ["red", "green", "blue"];
@@ -88,7 +96,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// For every thread count and split floor, `find_par` returns the
-    /// multiset `find` returns and `count_par` the number `count` returns.
+    /// comparator's multiset and `count_par` its count — executing, then
+    /// replaying from the sibling store it filled.
     #[test]
     fn parallel_equals_serial(
         n in 2usize..7,
@@ -109,27 +118,59 @@ proptest! {
         let q = build_query(qlen, &qtypes, &qetypes, undirected, extra_component, extra_type);
         let opts = MatchOptions { injective, limit: None, ..Default::default() };
 
+        let serial = multiset(&Matcher::new(&g).find(&q, opts.clone()));
+        let serial_count = Matcher::new(&g).count(&q, opts.clone());
+
         let db = Database::open(g).expect("open");
         let session = db.session();
         let prepared = session.prepare(&q).expect("valid query");
-        let serial = prepared.find_opts(opts.clone()).expect("find");
-        let serial_count = prepared.count_opts(opts.clone()).expect("count");
 
         for threads in [1usize, 2, 8] {
             for min_split in [0usize, 1, 3, 1_000_000] {
                 let par = ParallelOpts::with_threads(threads).min_seeds_per_split(min_split);
+                // every configuration starts from an empty store
+                db.clear_sibling_cache();
+
+                let cold = db.sibling_stats();
                 let found = prepared.find_par_opts(opts.clone(), &par).expect("find_par");
                 prop_assert_eq!(
                     multiset(&found),
-                    multiset(&serial),
+                    serial.clone(),
                     "find_par multiset (threads={}, min_split={})", threads, min_split
                 );
+                let filled = db.sibling_stats();
+                prop_assert_eq!(filled.hits, cold.hits, "nothing to replay yet");
+                let again = prepared.find_par_opts(opts.clone(), &par).expect("find_par");
+                prop_assert_eq!(multiset(&again), serial.clone());
+                let replayed = db.sibling_stats();
+                prop_assert_eq!(replayed.insertions, filled.insertions, "second find inserts");
+                prop_assert_eq!(
+                    replayed.hits - filled.hits,
+                    filled.insertions - cold.insertions,
+                    "second find replays exactly what the first inserted"
+                );
+
                 let counted = prepared.count_par_opts(opts.clone(), &par).expect("count_par");
                 prop_assert_eq!(
                     counted, serial_count,
                     "count_par (threads={}, min_split={})", threads, min_split
                 );
+                let filled = db.sibling_stats();
+                prop_assert_eq!(filled.hits, replayed.hits, "counts never replay rows");
+                let recounted = prepared.count_par_opts(opts.clone(), &par).expect("count_par");
+                prop_assert_eq!(recounted, serial_count);
+                let after = db.sibling_stats();
+                prop_assert_eq!(after.insertions, filled.insertions, "second count inserts");
+                prop_assert_eq!(
+                    after.hits - filled.hits,
+                    filled.insertions - replayed.insertions,
+                    "second count replays exactly what the first inserted"
+                );
             }
+        }
+        // a satisfiable query went through the store at all
+        if !prepared.is_unsatisfiable() {
+            prop_assert!(db.sibling_stats().insertions > 0);
         }
     }
 
@@ -152,15 +193,18 @@ proptest! {
         let q = build_query(qlen, &qtypes, &qetypes, false, extra_component, "red");
         let opts = MatchOptions { injective: true, limit: Some(limit), ..Default::default() };
 
+        let all = Matcher::new(&g).find(&q, MatchOptions::default());
+        let serial_count = Matcher::new(&g).count(&q, opts.clone());
+        let universe = multiset(&all);
+
         let db = Database::open(g).expect("open");
         let session = db.session();
         let prepared = session.prepare(&q).expect("valid query");
-        let all = prepared.find().expect("find");
-        let serial_count = prepared.count_opts(opts.clone()).expect("count");
-        let universe = multiset(&all);
 
         for threads in [2usize, 8] {
             let par = ParallelOpts::with_threads(threads).min_seeds_per_split(1);
+            // execute, not replay, under every thread count
+            db.clear_sibling_cache();
             prop_assert_eq!(
                 prepared.count_par_opts(opts.clone(), &par).expect("count_par"),
                 serial_count
@@ -175,4 +219,50 @@ proptest! {
             }
         }
     }
+}
+
+/// A budget that trips inside a *sharded* component: the interrupted run
+/// is an error (never a silently low answer), nothing it computed is
+/// memoized, and a later unconstrained run — sharded or not — matches the
+/// comparator.
+#[test]
+fn tripped_sharded_component_inserts_nothing() {
+    // complete directed graph: a 4-path has 12·11·10·9 injective matches,
+    // and every single seed roots more search than one budget check
+    // interval, so even a one-seed shard observes the starved budget
+    let mut g = PropertyGraph::new();
+    let vs: Vec<_> = (0..12)
+        .map(|_| g.add_vertex([("type", Value::str("red"))]))
+        .collect();
+    for &a in &vs {
+        for &b in &vs {
+            if a != b {
+                g.add_edge(a, b, "link", []);
+            }
+        }
+    }
+    let q = build_query(4, &[0], &[true], false, false, "red");
+    let expected = multiset(&Matcher::new(&g).find(&q, MatchOptions::default()));
+    assert_eq!(expected.len(), 12 * 11 * 10 * 9);
+
+    let db = Database::open(g).expect("open");
+    let session = db.session();
+    let prepared = session.prepare(&q).expect("valid query");
+    // 12 seeds over a floor of 1: the single component shards
+    let par = ParallelOpts::with_threads(4).min_seeds_per_split(1);
+
+    let starved = || MatchOptions::default().with_budget(Budget::steps(20));
+    let err = prepared.count_par_opts(starved(), &par).unwrap_err();
+    assert!(matches!(err, WhyqError::Interrupted { .. }), "{err:?}");
+    let err = prepared.find_par_opts(starved(), &par).unwrap_err();
+    assert!(matches!(err, WhyqError::Interrupted { .. }), "{err:?}");
+    let stats = db.sibling_stats();
+    assert_eq!((stats.insertions, stats.len), (0, 0), "{stats:?}");
+
+    let count = prepared.count_par_opts(MatchOptions::default(), &par);
+    assert_eq!(count.expect("count_par"), 12 * 11 * 10 * 9);
+    let found = prepared.find_par_opts(MatchOptions::default(), &par);
+    assert_eq!(multiset(&found.expect("find_par")), expected);
+    assert_eq!(prepared.count().expect("count"), 12 * 11 * 10 * 9);
+    assert_eq!(db.sibling_stats().insertions, 2, "one count, one row entry");
 }

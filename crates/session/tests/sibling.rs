@@ -1,25 +1,28 @@
-//! Equivalence of the sibling-cache incremental path against full
-//! re-execution.
+//! Equivalence of the session's component loop — sibling store, derived
+//! plans and all — against an independent full execution.
 //!
 //! For randomized graph × query × modification sequences, every query in
-//! the sibling family is executed two ways: through a default database
-//! (sibling cache enabled — plans may be *derived* from a sibling's and
-//! component results replayed from the cache) and through a database with
-//! the sibling layer disabled (`sibling_cache_capacity(0)` — every
-//! execution compiles and runs from scratch). Counts must agree exactly
-//! (with and without limits — counts are enumeration-order independent),
-//! unlimited enumerations must agree as canonical multisets (a derived
-//! plan may enumerate in a different order than a fresh compile), and a
-//! *replayed* execution must be bit-identical to the recomputed one it
-//! replays. The same equivalences are checked through the 4-thread
-//! `Executor` batch entry points (the `WHYQ_THREADS=4` configuration,
-//! pinned explicitly via [`ParallelOpts::with_threads`]) and under
-//! mid-run Budget trips: a tripped partial is a lower bound and is never
-//! cached, so a complete re-run after a trip still matches the oracle.
+//! the sibling family is executed through a default database (plans may
+//! be *derived* from a sibling's and component results replayed from the
+//! sibling store) and compared with the matcher's own whole-query loop
+//! over a fresh `compile_full` ([`Matcher::count`] / [`Matcher::find`]:
+//! no session, no store, no derivation — a `sibling_cache_capacity(0)`
+//! database would be the same loop as the one under test). Counts must
+//! agree exactly (with and without limits — counts are enumeration-order
+//! independent), unlimited enumerations must agree as canonical multisets
+//! (a derived plan may enumerate in a different order than a fresh
+//! compile), and a *replayed* execution must be bit-identical to the
+//! recomputed one it replays. The same equivalences are checked through
+//! the 4-thread `Executor` batch entry points (the `WHYQ_THREADS=4`
+//! configuration, pinned explicitly via [`ParallelOpts::with_threads`]),
+//! on a capacity-0 database (which must never hit, insert or derive) and
+//! under mid-run Budget trips: a tripped partial is a lower bound and is
+//! never cached, so a complete re-run after a trip still matches the
+//! comparator.
 
 use proptest::prelude::*;
 use whyq_graph::{PropertyGraph, Value};
-use whyq_matcher::{Budget, MatchOptions, ResultGraph, Termination};
+use whyq_matcher::{Budget, MatchOptions, Matcher, ResultGraph, Termination};
 use whyq_query::{
     DirectionSet, GraphMod, Interval, PatternQuery, Predicate, QVid, QueryEdge, QueryVertex, Target,
 };
@@ -149,14 +152,14 @@ fn canonical(results: &[ResultGraph]) -> Vec<CanonicalMatch> {
     out
 }
 
-fn open_pair(g: &PropertyGraph) -> (Database, Database) {
-    let inc = Database::open(g.clone()).expect("open");
-    let full = Database::open_with(
-        g.clone(),
-        DatabaseConfig::default().sibling_cache_capacity(0),
+/// The independent comparator: the matcher's own whole-query loop over a
+/// fresh full compile of `q`.
+fn oracle(g: &PropertyGraph, q: &PatternQuery, opts: MatchOptions) -> (u64, Vec<CanonicalMatch>) {
+    let matcher = Matcher::new(g);
+    (
+        matcher.count(q, opts.clone()),
+        canonical(&matcher.find(q, opts)),
     )
-    .expect("open");
-    (inc, full)
 }
 
 proptest! {
@@ -182,35 +185,31 @@ proptest! {
         let g = build_graph(n, &vtypes, &pairs);
         let base = build_query(qlen, &qtypes, &qetypes, undirected);
         let family = sibling_family(&base, &mods);
-        let (inc, full) = open_pair(&g);
+        let inc = Database::open(g.clone()).expect("open");
         let inc_session = inc.session();
-        let full_session = full.session();
 
         for q in &family {
-            let oracle_count = full_session.count_governed(q, MatchOptions::default()).unwrap();
-            let oracle_rows = full_session.find_governed(q, MatchOptions::default()).unwrap();
-            prop_assert_eq!(oracle_count.termination, Termination::Complete);
+            let (oracle_count, oracle_rows) = oracle(&g, q, MatchOptions::default());
 
             // first incremental run (misses fill the cache) …
             let first = inc_session.find_governed(q, MatchOptions::default()).unwrap();
             let count = inc_session.count_governed(q, MatchOptions::default()).unwrap();
-            prop_assert_eq!(count.value, oracle_count.value);
+            prop_assert_eq!(count.value, oracle_count);
             prop_assert_eq!(count.termination, Termination::Complete);
-            prop_assert_eq!(canonical(&first.value), canonical(&oracle_rows.value));
+            prop_assert_eq!(canonical(&first.value), oracle_rows);
 
             // … and the replayed run must be bit-identical to it
             let replay = inc_session.find_governed(q, MatchOptions::default()).unwrap();
             prop_assert_eq!(&replay.value, &first.value);
             let recount = inc_session.count_governed(q, MatchOptions::default()).unwrap();
-            prop_assert_eq!(recount.value, oracle_count.value);
+            prop_assert_eq!(recount.value, oracle_count);
 
             // limited counts are enumeration-order independent, so they
-            // must agree across the two databases even for derived plans
+            // must agree with the comparator even for derived plans
             if let Some(l) = limit {
                 let opts = MatchOptions::limited(l);
                 let a = inc_session.count_governed(q, opts.clone()).unwrap();
-                let b = full_session.count_governed(q, opts).unwrap();
-                prop_assert_eq!(a.value, b.value);
+                prop_assert_eq!(a.value, Matcher::new(&g).count(q, opts));
                 // limited rows: replays must be bit-identical within the
                 // incremental database (same plan, same prefix)
                 let opts = MatchOptions::limited(l);
@@ -222,17 +221,52 @@ proptest! {
         }
         // when any family member was satisfiable the cache participated:
         // its components were inserted on the first run and replayed after
-        // (an all-unsatisfiable family never reaches the engine at all;
-        // under WHYQ_NO_SIBLING_CACHE=1 the layer is off and the whole
-        // suite exercises the plain path instead)
+        // (an all-unsatisfiable family never reaches the engine at all)
         let stats = inc.sibling_stats();
         let any_satisfiable = family
             .iter()
             .any(|q| !inc_session.prepare(q).unwrap().is_unsatisfiable());
-        prop_assert!(
-            !inc.sibling_cache_enabled()
-                || !any_satisfiable
-                || (stats.insertions > 0 && stats.hits > 0)
+        prop_assert!(!any_satisfiable || (stats.insertions > 0 && stats.hits > 0));
+    }
+
+    /// A `sibling_cache_capacity(0)` database runs the very same loop over
+    /// a store that never hits, never inserts and never derives a plan —
+    /// and answers exactly like the comparator.
+    #[test]
+    fn capacity_zero_never_hits_inserts_or_derives(
+        n in 2usize..7,
+        vtypes in prop::collection::vec(0u8..3, 6),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..12),
+        qlen in 1usize..4,
+        qtypes in prop::collection::vec(0u8..3, 4),
+        qetypes in prop::collection::vec(any::<bool>(), 4),
+        mods in prop::collection::vec((any::<u8>(), any::<u8>()), 1..6),
+    ) {
+        let g = build_graph(n, &vtypes, &pairs);
+        let base = build_query(qlen, &qtypes, &qetypes, false);
+        let family = sibling_family(&base, &mods);
+        let off = Database::open_with(
+            g.clone(),
+            DatabaseConfig::default().sibling_cache_capacity(0),
+        )
+        .expect("open");
+        let session = off.session();
+        let par = ParallelOpts::with_threads(4).min_seeds_per_split(1);
+        for q in &family {
+            let (oracle_count, oracle_rows) = oracle(&g, q, MatchOptions::default());
+            let prepared = session.prepare(q).unwrap();
+            // twice: nothing the first run did may change the second
+            for _ in 0..2 {
+                prop_assert_eq!(prepared.count().unwrap(), oracle_count);
+                prop_assert_eq!(&canonical(&prepared.find().unwrap()), &oracle_rows);
+                let sharded = prepared.count_par_opts(MatchOptions::default(), &par).unwrap();
+                prop_assert_eq!(sharded, oracle_count);
+            }
+        }
+        let stats = off.sibling_stats();
+        prop_assert_eq!(
+            (stats.hits, stats.insertions, stats.invalidations, stats.derived_plans, stats.len),
+            (0, 0, 0, 0, 0)
         );
     }
 
@@ -252,19 +286,18 @@ proptest! {
         let g = build_graph(n, &vtypes, &pairs);
         let base = build_query(qlen, &qtypes, &qetypes, false);
         let family = sibling_family(&base, &mods);
-        let refs: Vec<&PatternQuery> = family.iter().collect();
-        let (inc, full) = open_pair(&g);
-        let full_session = full.session();
+        let inc = Database::open(g.clone()).expect("open");
         let executor = Executor::new(ParallelOpts::with_threads(4));
 
-        let batched = executor.count_batch(&inc, &refs, MatchOptions::default());
+        let count_all = || executor.map_batch(&family, |q| inc.session().count(q)).unwrap();
+        let batched = count_all();
         // run the batch twice: the second pass replays what the first
         // inserted, across worker sessions (the cache is database state)
-        let replayed = executor.count_batch(&inc, &refs, MatchOptions::default());
+        let replayed = count_all();
         for ((q, got), again) in family.iter().zip(&batched).zip(&replayed) {
-            let oracle = full_session.count_governed(q, MatchOptions::default()).unwrap();
-            prop_assert_eq!(got.as_ref().unwrap(), &oracle.value);
-            prop_assert_eq!(again.as_ref().unwrap(), &oracle.value);
+            let (oracle_count, _) = oracle(&g, q, MatchOptions::default());
+            prop_assert_eq!(got.as_ref().unwrap(), &oracle_count);
+            prop_assert_eq!(again.as_ref().unwrap(), &oracle_count);
         }
 
         let requests: Vec<(&PatternQuery, MatchOptions)> = family
@@ -274,15 +307,15 @@ proptest! {
         for (q, slot) in family.iter().zip(executor.find_batch(&inc, &requests)) {
             let governed = slot.unwrap();
             prop_assert_eq!(governed.termination, Termination::Complete);
-            let oracle = full_session.find_governed(q, MatchOptions::default()).unwrap();
-            prop_assert_eq!(canonical(&governed.value), canonical(&oracle.value));
+            let (_, oracle_rows) = oracle(&g, q, MatchOptions::default());
+            prop_assert_eq!(canonical(&governed.value), oracle_rows);
         }
     }
 
     /// Mid-run Budget trips: a tripped governed count is a lower bound of
     /// the true count, the tripped partial is never inserted into the
     /// sibling cache, and a subsequent unconstrained run — which would
-    /// replay any poisoned entry — still equals full re-execution.
+    /// replay any poisoned entry — still equals the comparator.
     #[test]
     fn tripped_partials_are_lower_bounds_and_never_cached(
         n in 3usize..7,
@@ -297,45 +330,41 @@ proptest! {
         let g = build_graph(n, &vtypes, &pairs);
         let base = build_query(qlen, &qtypes, &qetypes, false);
         let family = sibling_family(&base, &mods);
-        let (inc, full) = open_pair(&g);
+        let inc = Database::open(g.clone()).expect("open");
         let inc_session = inc.session();
-        let full_session = full.session();
 
         for q in &family {
-            let oracle = full_session.count_governed(q, MatchOptions::default()).unwrap();
+            let (oracle_count, oracle_rows) = oracle(&g, q, MatchOptions::default());
 
-            let before = inc.sibling_stats().insertions;
             let starved = MatchOptions::default().with_budget(Budget::steps(steps));
             let tripped = inc_session.count_governed(q, starved).unwrap();
-            prop_assert!(tripped.value <= oracle.value);
+            prop_assert!(tripped.value <= oracle_count);
             if tripped.termination != Termination::Complete {
                 // only units that ran to completion before the trip may
                 // have been cached; re-running unconstrained must not
                 // replay any truncated component count
                 let after = inc_session.count_governed(q, MatchOptions::default()).unwrap();
-                prop_assert_eq!(after.value, oracle.value);
+                prop_assert_eq!(after.value, oracle_count);
                 prop_assert_eq!(after.termination, Termination::Complete);
             } else {
-                prop_assert_eq!(tripped.value, oracle.value);
-                let _ = before;
+                prop_assert_eq!(tripped.value, oracle_count);
             }
 
             // the row twin under the same starvation
             let starved = MatchOptions::default().with_budget(Budget::steps(steps));
             let rows = inc_session.find_governed(q, starved).unwrap();
-            let oracle_rows = full_session.find_governed(q, MatchOptions::default()).unwrap();
             if rows.termination != Termination::Complete {
                 let complete = inc_session.find_governed(q, MatchOptions::default()).unwrap();
-                prop_assert_eq!(canonical(&complete.value), canonical(&oracle_rows.value));
+                prop_assert_eq!(canonical(&complete.value), oracle_rows);
             } else {
-                prop_assert_eq!(canonical(&rows.value), canonical(&oracle_rows.value));
+                prop_assert_eq!(canonical(&rows.value), oracle_rows);
             }
         }
     }
 }
 
 /// An immediately-tripped budget never touches the cache at all: the
-/// incremental path refuses up front exactly like the engine, and no
+/// component loop refuses up front exactly like the engine, and no
 /// partial (here: empty) unit result is inserted.
 #[test]
 fn pre_tripped_budget_inserts_nothing() {
@@ -363,9 +392,6 @@ fn generation_bump_invalidates_replays() {
     let session = db.session();
     let q = build_query(2, &[0, 1], &[true], false);
 
-    if !db.sibling_cache_enabled() {
-        return; // WHYQ_NO_SIBLING_CACHE=1: nothing to invalidate
-    }
     let first = session.count_governed(&q, MatchOptions::default()).unwrap();
     let replayed = session.count_governed(&q, MatchOptions::default()).unwrap();
     assert_eq!(first.value, replayed.value);

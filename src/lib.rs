@@ -65,15 +65,11 @@ pub use whyq_query as query;
 pub use whyq_server as server;
 pub use whyq_session as session;
 
-/// Convenience imports covering the common API surface.
-///
-/// The deprecated `find_matches`/`count_matches` shims are no longer
-/// re-exported here: the facade (`Database::open` → `session.prepare(&q)`)
-/// is the supported path, and the parallel entry points
+/// Convenience imports covering the common API surface: the facade
+/// (`Database::open` → `session.prepare(&q)`) is the one supported path
+/// to the matcher, and the parallel entry points
 /// (`prepared.find_par()`/`count_par()`, [`whyq_session::Executor`]) only
-/// exist on it. Downstream code still on the shims can import them from
-/// `whyquery::matcher` explicitly (with deprecation warnings) until they
-/// are removed.
+/// exist on it.
 pub mod prelude {
     pub use whyq_core::engine::WhyEngine;
     pub use whyq_core::problem::{CardinalityGoal, WhyProblem};
