@@ -16,7 +16,7 @@ use std::sync::Arc;
 use whyq_core::relax::{CoarseRewriter, RelaxConfig};
 use whyq_core::subgraph::DiscoverMcs;
 use whyq_datagen::{ldbc_failing_queries, ldbc_graph, ldbc_queries, LdbcConfig};
-use whyq_matcher::compile::build_plans_est;
+use whyq_matcher::compile::{build_plans_est, Compiled};
 use whyq_matcher::{
     count_matches_naive, find_matches_naive, lower, optimize, AttrIndex, Budget, CancelToken,
     MatchOptions, Matcher, PassSet, QueryProgram,
@@ -239,40 +239,17 @@ fn bench_matcher(c: &mut Criterion) {
         });
     });
 
-    // the bytecode VM against the retired recursive interpreter (compiled
-    // in via the matcher's `legacy-interp` feature) on identical inputs:
-    // both sides get a precompiled artifact, so the pair isolates pure
-    // execution cost. The committed snapshot pins the VM entry; a VM
-    // dispatch regression (boxed instructions, a per-transition branch
-    // miss) shows up directly against the interpreter twin.
-    let cq3 = plain.compile_full(q3);
-    group.bench_function("vm-vs-interp/vm/LDBC QUERY 3", |b| {
-        b.iter(|| {
-            black_box(plain.count_compiled(
-                q3,
-                &cq3.compiled,
-                &cq3.program,
-                MatchOptions::default(),
-            ))
-        });
-    });
-    let (compiled3, plans3) = plain.compile(q3);
-    group.bench_function("vm-vs-interp/interp/LDBC QUERY 3", |b| {
-        b.iter(|| {
-            black_box(plain.count_compiled_interp(q3, &compiled3, &plans3, MatchOptions::default()))
-        });
-    });
-
     // the added compile-time stages of the VM backend — lower to plan IR,
     // run the full optimizer pipeline, encode to bytecode — measured in
-    // isolation over precomputed compile/plan outputs. This is the exact
-    // delta a plan-cache miss pays versus the retired plans-only pipeline;
-    // it must stay negligible next to a single search (compare against
+    // isolation over precomputed compile/plan outputs. This is the part
+    // of a plan-cache miss that comes after planning; it must stay
+    // negligible next to a single search (compare against
     // `count/LDBC QUERY 3`).
-    let (plans3b, est3) = build_plans_est(&g, q3, &compiled3, &[]);
+    let compiled3 = Compiled::new(&g, q3);
+    let (plans3, est3) = build_plans_est(&g, q3, &compiled3, &[]);
     group.bench_function("lower-optimize-overhead/LDBC QUERY 3", |b| {
         b.iter(|| {
-            let mut ir = lower(&compiled3, &plans3b, &est3);
+            let mut ir = lower(&compiled3, &plans3, &est3);
             optimize(&mut ir, &g, q3, &compiled3, &[], PassSet::default());
             black_box(QueryProgram::from_ir(&ir))
         });

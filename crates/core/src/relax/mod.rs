@@ -76,8 +76,6 @@ pub struct RelaxConfig {
     pub max_executed: usize,
     /// Cap when counting a candidate's results.
     pub count_limit: u64,
-    /// Memoize executed candidates by signature (§5.5 / App. B.2).
-    pub use_cache: bool,
     /// Weight of the learned preference model in the priority (0 = model
     /// ignored).
     pub lambda: f64,
@@ -95,7 +93,6 @@ impl Default for RelaxConfig {
             priority: PriorityFn::Path1PlusInduced,
             max_executed: 200,
             count_limit: 10_000,
-            use_cache: true,
             lambda: 0.0,
             budget: Budget::unlimited(),
         }
@@ -279,18 +276,11 @@ impl<'g> CoarseRewriter<'g> {
                 break;
             }
             let sig = signature(&node.query);
-            let cached = if config.use_cache {
-                cache.get(&sig)
-            } else {
-                None
-            };
-            let cardinality = match cached {
+            let cardinality = match cache.get(&sig) {
                 Some(c) => c,
                 None => match self.session.count_opts(&node.query, counting_opts.clone()) {
                     Ok(c) => {
-                        if config.use_cache {
-                            cache.insert(sig.clone(), c);
-                        }
+                        cache.insert(sig.clone(), c);
                         c
                     }
                     // tripped budget: stop the search without caching the

@@ -370,26 +370,16 @@ impl ComponentPlan {
 }
 
 /// Build greedy, selectivity-ordered plans for every weakly connected
-/// component of `q`.
+/// component of `q`, returned with the per-vertex selectivity estimates
+/// they were planned with (indexed by `QVid` slot).
 ///
 /// The seed of each component is the vertex with the fewest *estimated*
 /// candidate data vertices (see [`estimate_candidates`]); expansion prefers
 /// *closing* edges (both endpoints bound — cheap existence checks) and
 /// otherwise picks the edge whose new endpoint has the lowest estimate.
-pub fn build_plans(
-    g: &PropertyGraph,
-    q: &PatternQuery,
-    compiled: &Compiled,
-    indexes: &[Arc<AttrIndex>],
-) -> Vec<ComponentPlan> {
-    build_plans_est(g, q, compiled, indexes).0
-}
-
-/// [`build_plans`], also returning the per-vertex selectivity estimates it
-/// planned with (indexed by `QVid` slot). The IR lowering
-/// ([`crate::plan_ir::lower`]) annotates its scan nodes with exactly these
-/// estimates, so the optimizer passes reason from the same signal the
-/// planner ordered by — without re-sampling the graph.
+/// The IR lowering ([`crate::plan_ir::lower`]) annotates its scan nodes
+/// with exactly these estimates, so the optimizer passes reason from the
+/// same signal the planner ordered by — without re-sampling the graph.
 pub fn build_plans_est(
     g: &PropertyGraph,
     q: &PatternQuery,
@@ -651,7 +641,7 @@ mod tests {
             .edge("p", "c", "livesIn")
             .build();
         let compiled = Compiled::new(&g, &q);
-        let plans = build_plans(&g, &q, &compiled, &[]);
+        let (plans, _) = build_plans_est(&g, &q, &compiled, &[]);
         assert_eq!(plans.len(), 1);
         // the city vertex (1 candidate) beats the person vertex (2)
         assert_eq!(plans[0].steps[0], Step::Seed { vertex: QVid(1) });
@@ -670,7 +660,7 @@ mod tests {
             .edge("a", "c", "knows")
             .build();
         let compiled = Compiled::new(&g, &q);
-        let plans = build_plans(&g, &q, &compiled, &[]);
+        let (plans, _) = build_plans_est(&g, &q, &compiled, &[]);
         let closes = plans[0]
             .steps
             .iter()
@@ -687,7 +677,7 @@ mod tests {
             .vertex("y", [])
             .build();
         let compiled = Compiled::new(&g, &q);
-        let plans = build_plans(&g, &q, &compiled, &[]);
+        let (plans, _) = build_plans_est(&g, &q, &compiled, &[]);
         assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].steps.len(), 1);
     }

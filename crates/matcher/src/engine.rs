@@ -1,8 +1,9 @@
-//! The backtracking matching engine.
+//! The matching engine: [`Matcher`], its scratch arena and entry points.
 //!
-//! Evaluates the compiled plan of every weakly connected query component by
-//! depth-first search over candidate assignments and combines component
-//! results as a cartesian product (§4.3.3). Counting supports early
+//! Evaluates the bytecode program of every weakly connected query
+//! component on the VM ([`crate::vm`]) — a backtracking depth-first search
+//! over candidate assignments — and combines component results as a
+//! cartesian product (§4.3.3). Counting supports early
 //! termination — the why-query engine only ever needs to know whether a
 //! candidate query crosses a cardinality threshold, not the exact count
 //! beyond it.
@@ -19,25 +20,26 @@
 //! ([`whyq_graph::CsrTopology`]): each expansion scans contiguous
 //! `(edge, endpoint)` column pairs of one per-type run, so the filter loop
 //! touches no [`whyq_graph::EdgeData`] unless the query edge carries
-//! attribute predicates — a self-loop skip rule replaces the sort+dedup
-//! buffer the previous engine allocated per step. A [`ResultGraph`] is
+//! attribute predicates, and a self-loop skip rule makes a sort+dedup
+//! buffer per step unnecessary. A [`ResultGraph`] is
 //! materialized only when a complete match is emitted, and counting skips
 //! even that. All per-search storage lives in one reusable scratch arena
 //! owned by the [`Matcher`], so a matcher that is kept around — as the
 //! why-query relaxation loop does — performs no per-call setup allocations
-//! beyond query compilation.
+//! beyond query compilation and the candidate list of an index-seeded
+//! component ([`crate::work::SeedList`]).
 
 use crate::budget::Budget;
-use crate::compile::{build_plans, Compiled, ComponentPlan};
+use crate::compile::Compiled;
 use crate::index::AttrIndex;
 use crate::optimize::PassSet;
 use crate::result::ResultGraph;
-use crate::vm::QueryProgram;
+use crate::vm::{Program, QueryProgram, SeedSrc, VmCtx, VmState};
 use crate::work::{SeedList, WorkUnit};
 use std::cell::RefCell;
 use std::sync::Arc;
-use whyq_graph::{CsrTopology, PropertyGraph, Value, VertexId};
-use whyq_query::{Interval, PatternQuery, QVid};
+use whyq_graph::{CsrTopology, PropertyGraph, VertexId};
+use whyq_query::{PatternQuery, QVid};
 
 /// Options controlling match semantics.
 ///
@@ -122,8 +124,8 @@ pub struct CompiledQuery {
     pub program: QueryProgram,
 }
 
-/// Reusable per-matcher search storage: binding slots, occupancy stamps
-/// and the seed candidate buffer. Allocated lazily on first use and grown,
+/// Reusable per-matcher search storage: binding slots and occupancy
+/// stamps. Allocated lazily on first use and grown,
 /// never shrunk, across searches. Also used by the suspendable streaming
 /// DFS ([`crate::stream::MatchStream`]), which owns a private arena so a
 /// live stream never contends with the matcher's own searches.
@@ -144,8 +146,6 @@ pub(crate) struct Scratch {
     /// The stamp value marking "used in the current search". Starts at 1 so
     /// freshly zeroed stamp entries are never considered used.
     gen: u32,
-    /// Seed candidates of the component currently being evaluated.
-    pub(crate) seeds: Vec<VertexId>,
     /// VM transitions since the search started; every
     /// [`crate::budget::CHECK_INTERVAL`]-th transition charges the budget.
     /// Reset per search so block boundaries are deterministic.
@@ -212,98 +212,6 @@ impl Scratch {
     }
 }
 
-/// Where a `Seed` step draws its candidates from. On the default path
-/// the optimizer's `seed_select` pass has taken over this role (it also
-/// considers probe intersections); this greedy resolver survives for the
-/// `legacy-interp` oracle.
-#[cfg_attr(not(feature = "legacy-interp"), allow(dead_code))]
-pub(crate) enum SeedSource<'a> {
-    /// Full scan of the vertex arena.
-    Scan,
-    /// One index bucket, streamed directly.
-    Bucket(&'a [VertexId]),
-    /// Several buckets of one index (multi-value disjunction) — needs
-    /// buffering to deduplicate repeated values.
-    Union(&'a AttrIndex, &'a [Value]),
-}
-
-/// Where the candidates of a `Seed` step come from: the bucket of an
-/// equality-shaped predicate on an indexed attribute (an explicit `OneOf`
-/// or a degenerate point `Range` with `lo == hi`, both inclusive — see
-/// `Interval::point_value`), or a full vertex scan. Index probes resolve
-/// string constants through the value dictionary, so a point probe is a
-/// symbol lookup, not a string hash. With several indexed predicates the
-/// *smallest* candidate set wins — the same signal `estimate_candidates`
-/// feeds the planner, so the seed the planner chose for its low estimate
-/// is actually drawn from that small bucket. Kept for the `legacy-interp`
-/// oracle; the VM path resolves seeds from the program's `SeedSpec`.
-#[cfg_attr(not(feature = "legacy-interp"), allow(dead_code))]
-pub(crate) fn seed_source<'m>(
-    g: &PropertyGraph,
-    indexes: &'m [Arc<AttrIndex>],
-    q: &'m PatternQuery,
-    vertex: QVid,
-) -> SeedSource<'m> {
-    let Some(qv) = q.vertex(vertex) else {
-        return SeedSource::Scan;
-    };
-    let mut best: Option<(usize, SeedSource<'m>)> = None;
-    let mut consider = |size: usize, src: SeedSource<'m>| {
-        if best.as_ref().is_none_or(|(s, _)| size < *s) {
-            best = Some((size, src));
-        }
-    };
-    for p in &qv.predicates {
-        let Some(attr) = g.attr_symbol(&p.attr) else {
-            continue;
-        };
-        let Some(idx) = indexes.iter().find(|i| i.attr() == attr) else {
-            continue;
-        };
-        if let Interval::OneOf(vals) = &p.interval {
-            if vals.len() == 1 {
-                let bucket = idx.lookup(g, &vals[0]);
-                consider(bucket.len(), SeedSource::Bucket(bucket));
-            } else {
-                // upper bound: repeated values double-count, which only
-                // makes the union look worse than it is
-                let size = vals.iter().map(|v| idx.lookup(g, v).len()).sum();
-                consider(size, SeedSource::Union(idx, vals));
-            }
-        } else if let Some(pv) = p.interval.point_value() {
-            // point equality: `Value` equates (and the index buckets)
-            // numeric family members, so one canonical probe covers both
-            // Int and Float encodings
-            let bucket = idx.lookup(g, &pv);
-            consider(bucket.len(), SeedSource::Bucket(bucket));
-        }
-    }
-    match best {
-        Some((_, src)) => src,
-        None => SeedSource::Scan,
-    }
-}
-
-/// Materialize the union of a multi-value disjunction's index buckets
-/// into `out` (cleared first), sorted and deduplicated — repeated
-/// disjunction values would repeat their buckets. The single definition
-/// keeps the VM, the streaming evaluator and the parallel work model
-/// ([`Matcher::seed_list_for`]) drawing identical seed candidates in
-/// identical order.
-pub(crate) fn union_seeds(
-    g: &PropertyGraph,
-    idx: &AttrIndex,
-    vals: &[Value],
-    out: &mut Vec<VertexId>,
-) {
-    out.clear();
-    for v in vals {
-        out.extend_from_slice(idx.lookup(g, v));
-    }
-    out.sort_unstable();
-    out.dedup();
-}
-
 /// A reusable matcher bound to one data graph, optionally with vertex
 /// attribute indexes for seeding and selectivity estimation.
 ///
@@ -359,29 +267,6 @@ impl<'g> Matcher<'g> {
         self.g
     }
 
-    /// Compile `q` and build its per-component plans against this
-    /// matcher's graph and indexes. An unsatisfiable query gets no plans —
-    /// executing it answers "no matches" without any scan. The
-    /// `whyq-session` facade calls this once per distinct query signature
-    /// and memoizes the result.
-    pub fn compile(&self, q: &PatternQuery) -> (Compiled, Vec<ComponentPlan>) {
-        let compiled = Compiled::new(self.g, q);
-        // compile-time pruning: an unknown attribute/type or a string
-        // constant absent from the value dictionary proves some element
-        // unmatchable — no plan needed
-        if compiled.unsatisfiable() {
-            return (compiled, Vec::new());
-        }
-        let plans = build_plans(self.g, q, &compiled, &self.indexes);
-        // debug-mode plan verifier: every test and debug build checks the
-        // planner's structural invariants; release builds pay nothing
-        #[cfg(debug_assertions)]
-        if let Err(violation) = crate::verify::verify_plans(q, &compiled, &plans) {
-            panic!("compiled plan violates invariants: {violation}");
-        }
-        (compiled, plans)
-    }
-
     /// Compile `q` all the way to executable bytecode with the default
     /// (full) optimizer pipeline — lower the greedy plans to the IR,
     /// optimize, encode. The `whyq-session` facade calls this once per
@@ -435,7 +320,9 @@ impl<'g> Matcher<'g> {
     /// planning, no lowering. `compiled`/`program` must come from
     /// [`Matcher::compile_full`] (or [`Matcher::compile_with_passes`]) on
     /// a query with the same signature over the same graph and indexes
-    /// (the plan cache of `whyq-session` guarantees this).
+    /// (the plan cache of `whyq-session` guarantees this). Every component
+    /// runs as its whole-range [`WorkUnit`] — the one-unit-per-component
+    /// case of the `whyq-session` component loop.
     pub fn find_compiled(
         &self,
         q: &PatternQuery,
@@ -446,24 +333,13 @@ impl<'g> Matcher<'g> {
         if q.num_vertices() == 0 || program.is_empty() {
             return Vec::new();
         }
-        // an already-tripped (or zero) budget refuses the search up front —
-        // the tick check inside the VM only fires after a full block
-        if opts.budget.poll().is_err() {
-            return Vec::new();
-        }
         let cap = opts.limit.unwrap_or(usize::MAX);
-        let mut st = self.scratch.borrow_mut();
-        st.prepare(self.g, q);
-
-        // evaluate each component's program independently
         let mut per_component: Vec<Vec<ResultGraph>> =
             Vec::with_capacity(program.components().len());
-        for prog in program.components() {
-            let mut results = Vec::new();
-            self.run_component(q, compiled, prog, &opts, &mut st, &mut |s| {
-                results.push(s.to_result());
-                results.len() < cap
-            });
+        for (component, prog) in program.components().iter().enumerate() {
+            let seeds = self.seed_list_for(prog);
+            let unit = WorkUnit::whole(component, &seeds);
+            let results = self.find_unit(q, compiled, program, &unit, &seeds, opts.clone());
             if results.is_empty() {
                 return Vec::new();
             }
@@ -494,133 +370,28 @@ impl<'g> Matcher<'g> {
         if q.num_vertices() == 0 || program.is_empty() {
             return 0;
         }
-        if opts.budget.poll().is_err() {
-            return 0;
-        }
-        let limit = opts.limit.map(|l| l as u64);
-        let mut st = self.scratch.borrow_mut();
-        st.prepare(self.g, q);
-        let mut counts: Vec<u64> = Vec::with_capacity(program.components().len());
-        for prog in program.components() {
-            let mut c: u64 = 0;
-            self.run_component(q, compiled, prog, &opts, &mut st, &mut |_| {
-                c += 1;
-                limit.is_none_or(|l| c < l)
-            });
+        let mut total: u64 = 1;
+        for (component, prog) in program.components().iter().enumerate() {
+            let seeds = self.seed_list_for(prog);
+            let unit = WorkUnit::whole(component, &seeds);
+            let c = self.count_unit(q, compiled, program, &unit, &seeds, opts.clone());
             if c == 0 {
                 return 0;
             }
-            counts.push(c);
+            total = total.saturating_mul(c);
         }
-        let total = counts.into_iter().fold(1u64, u64::saturating_mul);
-        match limit {
-            Some(l) => total.min(l),
+        match opts.limit {
+            Some(l) => total.min(l as u64),
             None => total,
-        }
-    }
-
-    /// Run one component program to completion (or until `emit` declines
-    /// or the budget trips), resolving the program's seed source against
-    /// this matcher's graph and indexes. The scratch arena is left clean.
-    fn run_component(
-        &self,
-        q: &PatternQuery,
-        compiled: &Compiled,
-        prog: &crate::vm::Program,
-        opts: &MatchOptions,
-        st: &mut Scratch,
-        emit: &mut dyn FnMut(&Scratch) -> bool,
-    ) {
-        // union/intersection seeds materialize into the scratch seed
-        // buffer, detached while the program runs and reattached after
-        let mut buf = std::mem::take(&mut st.seeds);
-        let seeds = self.resolve_seeds(prog, &mut buf);
-        let cx = crate::vm::VmCtx {
-            g: self.g,
-            topo: self.topo,
-            q,
-            compiled,
-            prog,
-            injective: opts.injective,
-            budget: &opts.budget,
-            seeds,
-        };
-        let mut vs = crate::vm::VmState::default();
-        crate::vm::run_to_end(&cx, st, &mut vs, emit);
-        // release any registers an early stop left bound
-        crate::vm::unwind(&cx, st, &mut vs);
-        buf.clear();
-        st.seeds = buf;
-    }
-
-    /// Resolve a program's [`SeedSpec`] into a concrete candidate source:
-    /// the dense arena range for a full scan, a borrowed index bucket for
-    /// a point probe, or `buf` filled with the materialized union /
-    /// intersection.
-    fn resolve_seeds<'a>(
-        &'a self,
-        prog: &crate::vm::Program,
-        buf: &'a mut Vec<VertexId>,
-    ) -> crate::vm::SeedSrc<'a> {
-        use crate::plan_ir::SeedSpec;
-        match prog.seed() {
-            SeedSpec::FullScan => crate::vm::SeedSrc::Range {
-                start: 0,
-                end: self.g.num_vertices() as u32,
-            },
-            SeedSpec::Bucket { index, key } => {
-                crate::vm::SeedSrc::Slice(self.indexes[*index].lookup(self.g, key))
-            }
-            SeedSpec::Union { index, keys } => {
-                union_seeds(self.g, &self.indexes[*index], keys, buf);
-                crate::vm::SeedSrc::Slice(buf)
-            }
-            SeedSpec::Intersect { probes } => {
-                intersect_seeds(self.g, &self.indexes, probes, buf);
-                crate::vm::SeedSrc::Slice(buf)
-            }
         }
     }
 
     /// Materialize the seed candidate space of one component program in
     /// engine order: the dense arena for a full scan, a copy of the index
-    /// bucket / union / intersection the optimizer selected — exactly the
-    /// candidates (and order) the serial [`Matcher::find_compiled`] search
-    /// would draw for that component. Any subrange of the list is an
-    /// independently executable [`WorkUnit`].
-    pub fn seed_list_for(&self, prog: &crate::vm::Program) -> SeedList {
-        use crate::plan_ir::SeedSpec;
-        match prog.seed() {
-            SeedSpec::FullScan => SeedList::All(self.g.num_vertices()),
-            SeedSpec::Bucket { index, key } => {
-                SeedList::List(self.indexes[*index].lookup(self.g, key).to_vec())
-            }
-            SeedSpec::Union { index, keys } => {
-                let mut seeds = Vec::new();
-                union_seeds(self.g, &self.indexes[*index], keys, &mut seeds);
-                SeedList::List(seeds)
-            }
-            SeedSpec::Intersect { probes } => {
-                let mut seeds = Vec::new();
-                intersect_seeds(self.g, &self.indexes, probes, &mut seeds);
-                SeedList::List(seeds)
-            }
-        }
-    }
-
-    /// Clamp `unit.range` onto `seeds` and view it as a VM seed source.
-    fn seed_src_for_unit<'a>(seeds: &'a SeedList, unit: &WorkUnit) -> crate::vm::SeedSrc<'a> {
-        match seeds {
-            SeedList::All(n) => crate::vm::SeedSrc::Range {
-                start: unit.range.start.min(*n) as u32,
-                end: unit.range.end.min(*n) as u32,
-            },
-            SeedList::List(v) => {
-                let end = unit.range.end.min(v.len());
-                let start = unit.range.start.min(end);
-                crate::vm::SeedSrc::Slice(&v[start..end])
-            }
-        }
+    /// bucket / union / intersection the optimizer selected. Any subrange
+    /// of the list is an independently executable [`WorkUnit`].
+    pub fn seed_list_for(&self, prog: &Program) -> SeedList {
+        crate::work::resolve_seeds(self.g, &self.indexes, prog)
     }
 
     /// Execute one [`WorkUnit`]: enumerate the partial bindings of
@@ -641,20 +412,17 @@ impl<'g> Matcher<'g> {
         opts: MatchOptions,
     ) -> Vec<ResultGraph> {
         let cap = opts.limit.unwrap_or(usize::MAX);
-        if cap == 0 || opts.budget.poll().is_err() {
+        if cap == 0 {
             return Vec::new();
         }
-        let mut st = self.scratch.borrow_mut();
-        st.prepare(self.g, q);
         let mut results = Vec::new();
+        let prog = &program.components()[unit.component];
         self.run_unit(
             q,
             compiled,
-            program,
-            unit,
-            seeds,
+            prog,
+            seeds.view(&unit.range),
             &opts,
-            &mut st,
             &mut |s| {
                 results.push(s.to_result());
                 results.len() < cap
@@ -675,21 +443,15 @@ impl<'g> Matcher<'g> {
         seeds: &SeedList,
         opts: MatchOptions,
     ) -> u64 {
-        if opts.budget.poll().is_err() {
-            return 0;
-        }
         let limit = opts.limit.map(|l| l as u64);
-        let mut st = self.scratch.borrow_mut();
-        st.prepare(self.g, q);
         let mut c: u64 = 0;
+        let prog = &program.components()[unit.component];
         self.run_unit(
             q,
             compiled,
-            program,
-            unit,
-            seeds,
+            prog,
+            seeds.view(&unit.range),
             &opts,
-            &mut st,
             &mut |_| {
                 c += 1;
                 limit.is_none_or(|l| c < l)
@@ -701,22 +463,26 @@ impl<'g> Matcher<'g> {
         }
     }
 
-    /// Shared [`WorkUnit`] runner: one component program over one clamped
-    /// seed subrange, on this matcher's scratch arena.
-    #[allow(clippy::too_many_arguments)] // internal plumbing, not API
+    /// The one program runner: one component program over one seed
+    /// source, to completion (or until `emit` declines or the budget
+    /// trips), on this matcher's scratch arena — which is left clean.
     fn run_unit(
         &self,
         q: &PatternQuery,
         compiled: &Compiled,
-        program: &QueryProgram,
-        unit: &WorkUnit,
-        seeds: &SeedList,
+        prog: &Program,
+        seeds: SeedSrc<'_>,
         opts: &MatchOptions,
-        st: &mut Scratch,
         emit: &mut dyn FnMut(&Scratch) -> bool,
     ) {
-        let prog = &program.components()[unit.component];
-        let cx = crate::vm::VmCtx {
+        // an already-tripped (or zero) budget refuses the search up front —
+        // the tick check inside the VM only fires after a full block
+        if opts.budget.poll().is_err() {
+            return;
+        }
+        let mut st = self.scratch.borrow_mut();
+        st.prepare(self.g, q);
+        let cx = VmCtx {
             g: self.g,
             topo: self.topo,
             q,
@@ -724,31 +490,12 @@ impl<'g> Matcher<'g> {
             prog,
             injective: opts.injective,
             budget: &opts.budget,
-            seeds: Self::seed_src_for_unit(seeds, unit),
+            seeds,
         };
-        let mut vs = crate::vm::VmState::default();
-        crate::vm::run_to_end(&cx, st, &mut vs, emit);
-        crate::vm::unwind(&cx, st, &mut vs);
-    }
-}
-
-/// Intersect the buckets of several point probes into `out`, preserving
-/// ascending [`VertexId`] order. `probes` must be non-empty; starting from
-/// the (optimizer-sorted) smallest bucket, each further bucket is applied
-/// as a binary-search membership filter — buckets are built by ascending
-/// arena scan, so they are sorted.
-pub(crate) fn intersect_seeds(
-    g: &PropertyGraph,
-    indexes: &[Arc<AttrIndex>],
-    probes: &[(usize, Value)],
-    out: &mut Vec<VertexId>,
-) {
-    out.clear();
-    let (first_idx, first_key) = &probes[0];
-    out.extend_from_slice(indexes[*first_idx].lookup(g, first_key));
-    for (idx, key) in &probes[1..] {
-        let bucket = indexes[*idx].lookup(g, key);
-        out.retain(|v| bucket.binary_search(v).is_ok());
+        let mut vs = VmState::default();
+        crate::vm::run_to_end(&cx, &mut st, &mut vs, emit);
+        // release any registers an early stop left bound
+        crate::vm::unwind(&cx, &mut st, &mut vs);
     }
 }
 

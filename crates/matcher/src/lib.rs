@@ -21,13 +21,16 @@
 //!
 //! [`Matcher`] is the execution core: it owns a reusable scratch arena and
 //! any number of shared attribute indexes ([`AttrIndex`], `Arc`-shared so
-//! one database's indexes serve every session), compiles queries against
-//! the graph's name/value dictionaries ([`compile`]) and runs a
-//! zero-allocation backtracking DFS ([`engine`]). Compilation and planning
-//! are exposed separately ([`Matcher::compile`] +
-//! [`Matcher::find_compiled`] / [`Matcher::count_compiled`] /
-//! [`MatchStream::over`]) so the `whyq-session` facade can memoize plans
-//! by query signature and skip them entirely on repeat queries.
+//! one database's indexes serve every session). A query is compiled
+//! against the graph's name/value dictionaries and planned ([`compile`]),
+//! lowered to the plan IR ([`plan_ir`]), optimized ([`mod@optimize`]) and
+//! encoded into bytecode that one VM executes ([`vm`]) — the only engine;
+//! the brute-force [`mod@reference`] matcher is the single oracle the test
+//! suites compare it with. Compilation is exposed separately
+//! ([`Matcher::compile_full`] + [`Matcher::find_compiled`] /
+//! [`Matcher::count_compiled`] / [`MatchStream::over`]) so the
+//! `whyq-session` facade can memoize programs by query signature and skip
+//! it entirely on repeat queries.
 //!
 //! **Most callers should not drive this crate directly**: open a
 //! `whyq_session::Database`, take a `Session` and use
@@ -35,9 +38,10 @@
 //! indexes and a `Result`-based error surface on top of the same engine.
 //!
 //! Result enumeration comes in two shapes: eager ([`Matcher::find`],
-//! returning a `Vec`) and lazy ([`Matcher::stream`], a suspendable DFS
-//! that yields [`ResultGraph`]s one at a time without materializing the
-//! result set — see [`stream::MatchStream`]).
+//! returning a `Vec`) and lazy ([`Matcher::stream`], the same VM
+//! suspended between results, which yields [`ResultGraph`]s one at a
+//! time without materializing the result set — see
+//! [`stream::MatchStream`]).
 //!
 //! ## Work model
 //!
@@ -46,8 +50,9 @@
 //! [`SeedList`] is independently executable ([`Matcher::find_unit`] /
 //! [`Matcher::count_unit`]) against any matcher's private scratch arena,
 //! and per-component partial bindings are merged by the standalone
-//! cartesian combiner ([`combine`]). The `whyq-session` component loop
-//! is built on exactly these pieces — serial evaluation is the
+//! cartesian combiner ([`combine`]). [`Matcher::find_compiled`] /
+//! [`Matcher::count_compiled`] and the `whyq-session` component loop are
+//! built on exactly these pieces — serial evaluation is the
 //! one-unit-per-component case, `find_par`/`count_par` shard the large
 //! components.
 //!
@@ -69,8 +74,6 @@ pub mod engine;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod index;
-#[cfg(feature = "legacy-interp")]
-pub mod legacy;
 pub mod optimize;
 pub mod plan_ir;
 pub mod reference;

@@ -1,6 +1,6 @@
 //! The explicit plan IR between the greedy planner and the bytecode VM.
 //!
-//! [`crate::compile::build_plans`] produces one [`ComponentPlan`] per
+//! [`crate::compile::build_plans_est`] produces one [`ComponentPlan`] per
 //! weakly connected query component — a list of *what to bind in which
 //! order*. This module lowers those plans into a finer representation in
 //! which every per-candidate test is an explicit node: scans
@@ -14,7 +14,7 @@
 //! scans read the full vertex arena ([`SeedSpec::FullScan`]), expansion
 //! and closing scans walk untyped adjacency, and every predicate —
 //! including trivially true ones — is a standalone `Filter` node. That
-//! gives the optimizer passes of [`crate::optimize`] something meaningful
+//! gives the optimizer passes of [`mod@crate::optimize`] something meaningful
 //! to do (predicate pushdown, dead-bind elimination, index-aware seed
 //! selection), and gives the equivalence test suite a genuinely
 //! *unoptimized* baseline to compare each pass against.

@@ -3,7 +3,7 @@
 //!
 //! This is a faithful retention of the pre-optimization engine: per call it
 //! plans by *exactly counting* candidate vertices with a full vertex scan
-//! per query vertex (the original `build_plans` behavior), and the DFS
+//! per query vertex (the original planner's behavior), and the DFS
 //! clones the whole partial [`ResultGraph`] for every candidate binding,
 //! checking injectivity by linear scans over the partial assignment. It is
 //! kept for three reasons:

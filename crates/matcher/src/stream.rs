@@ -24,25 +24,14 @@
 use crate::budget::{Budget, Termination};
 use crate::combine::FactorOdometer;
 use crate::compile::Compiled;
-use crate::engine::{intersect_seeds, union_seeds, MatchOptions, Matcher, Scratch};
+use crate::engine::{MatchOptions, Matcher, Scratch};
 use crate::index::AttrIndex;
-use crate::plan_ir::SeedSpec;
 use crate::result::ResultGraph;
-use crate::vm::{self, QueryProgram, SeedSrc, VmCtx, VmState};
+use crate::vm::{self, QueryProgram, VmCtx, VmState};
+use crate::work::{resolve_seeds, SeedList};
 use std::sync::Arc;
-use whyq_graph::{CsrTopology, PropertyGraph, VertexId};
+use whyq_graph::{CsrTopology, PropertyGraph};
 use whyq_query::PatternQuery;
-
-/// The seed source of the component currently being advanced, in owned
-/// form (the stream cannot borrow an index bucket across `next()` calls
-/// without freezing `self`, so bucket / union / intersection candidates
-/// are copied into [`MatchStream::seed_buf`] when the component starts).
-enum OwnedSeeds {
-    /// Full scan of the (dense) vertex arena `0..n`.
-    Range(u32),
-    /// Materialized candidates live in `seed_buf`.
-    Buf,
-}
 
 /// Lazy iterator over the result graphs of one compiled query.
 ///
@@ -77,11 +66,9 @@ pub struct MatchStream<'g> {
     scratch: Scratch,
     /// Suspended VM frame stack of the component currently advancing.
     vs: VmState,
-    /// Seed source of that component, resolved by
-    /// [`MatchStream::resolve_seeds_for`].
-    cur_seeds: OwnedSeeds,
-    /// Backing storage for [`OwnedSeeds::Buf`].
-    seed_buf: Vec<VertexId>,
+    /// Seed candidates of that component, owned: the stream cannot
+    /// borrow an index bucket across `next()` calls.
+    cur_seeds: SeedList,
 }
 
 impl<'g> MatchStream<'g> {
@@ -114,8 +101,7 @@ impl<'g> MatchStream<'g> {
             cur0: None,
             scratch: Scratch::default(),
             vs: VmState::default(),
-            cur_seeds: OwnedSeeds::Range(0),
-            seed_buf: Vec::new(),
+            cur_seeds: SeedList::All(0),
         }
     }
 
@@ -153,15 +139,13 @@ impl<'g> MatchStream<'g> {
             factors.push(factor);
         }
         self.odo = FactorOdometer::new(factors);
-        self.vs.reset();
-        self.resolve_seeds_for(0);
+        self.begin_component(0);
     }
 
     /// Run one component's program to completion, collecting at most
     /// `cap` results, and leave the scratch arena clean.
     fn run_component_to_vec(&mut self, comp: usize, cap: usize) -> Vec<ResultGraph> {
-        self.vs.reset();
-        self.resolve_seeds_for(comp);
+        self.begin_component(comp);
         let mut out = Vec::new();
         while let Some(r) = self.next_component_match(comp) {
             out.push(r);
@@ -169,84 +153,44 @@ impl<'g> MatchStream<'g> {
                 break;
             }
         }
-        self.unwind(comp);
+        // the run may have stopped before natural exhaustion: unbind
+        // whatever its frames still hold
+        self.with_vm(comp, vm::unwind);
         out
     }
 
-    /// Resolve component `comp`'s seed source into owned form: full scans
-    /// stay a range; bucket / union / intersection candidates are copied
-    /// into the reusable seed buffer.
-    fn resolve_seeds_for(&mut self, comp: usize) {
-        let program = Arc::clone(&self.program);
-        self.cur_seeds = match program.components()[comp].seed() {
-            SeedSpec::FullScan => OwnedSeeds::Range(self.g.num_vertices() as u32),
-            SeedSpec::Bucket { index, key } => {
-                self.seed_buf.clear();
-                self.seed_buf
-                    .extend_from_slice(self.indexes[*index].lookup(self.g, key));
-                OwnedSeeds::Buf
-            }
-            SeedSpec::Union { index, keys } => {
-                // the shared materializers keep the stream's candidate
-                // order identical to the eager engine's by construction
-                union_seeds(self.g, &self.indexes[*index], keys, &mut self.seed_buf);
-                OwnedSeeds::Buf
-            }
-            SeedSpec::Intersect { probes } => {
-                intersect_seeds(self.g, &self.indexes, probes, &mut self.seed_buf);
-                OwnedSeeds::Buf
-            }
+    /// Park a fresh VM at component `comp`'s seed scan.
+    fn begin_component(&mut self, comp: usize) {
+        self.vs.reset();
+        self.cur_seeds = resolve_seeds(self.g, &self.indexes, &self.program.components()[comp]);
+    }
+
+    /// Run `f` on component `comp`'s VM context over the stream's own
+    /// arena and suspended frame stack.
+    fn with_vm<R>(
+        &mut self,
+        comp: usize,
+        f: impl FnOnce(&VmCtx<'_>, &mut Scratch, &mut VmState) -> R,
+    ) -> R {
+        let cx = VmCtx {
+            g: self.g,
+            topo: self.topo,
+            q: &self.q,
+            compiled: &self.compiled,
+            prog: &self.program.components()[comp],
+            injective: self.injective,
+            budget: &self.budget,
+            seeds: self.cur_seeds.view(&(0..self.cur_seeds.len())),
         };
+        f(&cx, &mut self.scratch, &mut self.vs)
     }
 
     /// Resume component `comp`'s VM until it emits the next full
     /// assignment (returned as a materialized [`ResultGraph`]) or
     /// exhausts / trips its budget.
     fn next_component_match(&mut self, comp: usize) -> Option<ResultGraph> {
-        let program = Arc::clone(&self.program);
-        let q = Arc::clone(&self.q);
-        let compiled = Arc::clone(&self.compiled);
-        let cx = VmCtx {
-            g: self.g,
-            topo: self.topo,
-            q: &q,
-            compiled: &compiled,
-            prog: &program.components()[comp],
-            injective: self.injective,
-            budget: &self.budget,
-            seeds: match self.cur_seeds {
-                OwnedSeeds::Range(n) => SeedSrc::Range { start: 0, end: n },
-                OwnedSeeds::Buf => SeedSrc::Slice(&self.seed_buf),
-            },
-        };
-        if vm::next_match(&cx, &mut self.scratch, &mut self.vs) {
-            Some(self.scratch.to_result())
-        } else {
-            None
-        }
-    }
-
-    /// Abandon component `comp`'s suspended run, unbinding whatever its
-    /// frames still hold — used when a component run stops before natural
-    /// exhaustion.
-    fn unwind(&mut self, comp: usize) {
-        let program = Arc::clone(&self.program);
-        let q = Arc::clone(&self.q);
-        let compiled = Arc::clone(&self.compiled);
-        let cx = VmCtx {
-            g: self.g,
-            topo: self.topo,
-            q: &q,
-            compiled: &compiled,
-            prog: &program.components()[comp],
-            injective: self.injective,
-            budget: &self.budget,
-            seeds: match self.cur_seeds {
-                OwnedSeeds::Range(n) => SeedSrc::Range { start: 0, end: n },
-                OwnedSeeds::Buf => SeedSrc::Slice(&self.seed_buf),
-            },
-        };
-        vm::unwind(&cx, &mut self.scratch, &mut self.vs);
+        self.with_vm(comp, vm::next_match)
+            .then(|| self.scratch.to_result())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Debug-mode plan verifier: structural invariants of compiled plans.
 //!
-//! The planner ([`crate::compile::build_plans`]) is greedy and heuristic;
+//! The planner ([`crate::compile::build_plans_est`]) is greedy and heuristic;
 //! its *ordering* choices are free, but a handful of structural invariants
 //! must hold for the engine's DFS to be sound:
 //!
@@ -16,7 +16,7 @@
 //! * every live query element has a compiled slot.
 //!
 //! [`verify_plans`] checks all of this in `O(plan size)`. It runs
-//! automatically inside [`crate::Matcher::compile`] under
+//! automatically inside [`crate::Matcher::compile_with_passes`] under
 //! `cfg(debug_assertions)` — i.e. in every test and debug build, at zero
 //! release-mode cost — and the CI static-analysis lane drives it over the
 //! whole test corpus.
@@ -553,7 +553,7 @@ fn verify_component_ir(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::build_plans;
+    use crate::compile::build_plans_est;
     use whyq_graph::{PropertyGraph, Value};
     use whyq_query::{Predicate, QueryBuilder};
 
@@ -583,7 +583,7 @@ mod tests {
         let g = graph();
         let q = query();
         let compiled = Compiled::new(&g, &q);
-        let plans = build_plans(&g, &q, &compiled, &[]);
+        let (plans, _) = build_plans_est(&g, &q, &compiled, &[]);
         verify_plans(&q, &compiled, &plans).unwrap();
     }
 
@@ -609,7 +609,7 @@ mod tests {
         let g = graph();
         let q = query();
         let compiled = Compiled::new(&g, &q);
-        let good = build_plans(&g, &q, &compiled, &[]);
+        let (good, _) = build_plans_est(&g, &q, &compiled, &[]);
 
         // drop a step: component not fully bound
         let mut truncated = good.clone();
@@ -633,7 +633,7 @@ mod tests {
         let g = graph();
         let q = query();
         let compiled = Compiled::new(&g, &q);
-        let (plans, est) = crate::compile::build_plans_est(&g, &q, &compiled, &[]);
+        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
         for i in 0..8 {
             let mut ir = crate::plan_ir::lower(&compiled, &plans, &est);
             crate::optimize::optimize(
@@ -653,7 +653,7 @@ mod tests {
         let g = graph();
         let q = query();
         let compiled = Compiled::new(&g, &q);
-        let (plans, est) = crate::compile::build_plans_est(&g, &q, &compiled, &[]);
+        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
         let good = crate::plan_ir::lower(&compiled, &plans, &est);
         verify_ir(&q, &compiled, &good, 0).unwrap();
 

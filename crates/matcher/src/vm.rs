@@ -13,11 +13,10 @@
 //! The *register file* is the existing scratch arena
 //! (`Scratch::vslots`/`eslots` plus the generation-stamped occupancy
 //! arrays): instruction operands are query vertex/edge slot numbers, so
-//! binding a candidate writes the same slots the recursive interpreter
-//! wrote and [`crate::engine::Matcher`]'s result materialization is
-//! unchanged.
+//! binding a candidate writes the slots [`crate::engine::Matcher`]'s
+//! result materialization reads.
 //!
-//! [`next_match`] is the whole engine: a loop over a program counter and
+//! `next_match` is the whole engine: a loop over a program counter and
 //! an explicit frame stack, one frame per active *scan* instruction. A
 //! scan instruction pushes a frame on first entry and advances its
 //! cursor to the next acceptable candidate on re-entry; `Filter` tests
@@ -29,15 +28,14 @@
 //! (`find`/`count`), streamed, governed and [`crate::work::WorkUnit`]
 //! execution all run this one loop.
 //!
-//! Candidate order and filter sequence mirror the retired recursive
-//! engine exactly (occupancy stamps before predicate checks, `EdgeData`
-//! loaded only when a filter needs it, the self-loop and
-//! duplicate-direction skip rules of undirected edges included), so
-//! programs compiled with any optimizer [`crate::optimize::PassSet`]
-//! enumerate the same matches; with identical seed sources they
-//! enumerate them in the same order. The budget is charged every
-//! [`CHECK_INTERVAL`] VM transitions, preserving the governed-prefix
-//! property of the interpreter.
+//! Candidate order and filter sequence are fixed (occupancy stamps
+//! before predicate checks, `EdgeData` loaded only when a filter needs
+//! it, the self-loop and duplicate-direction skip rules of undirected
+//! edges included), so programs compiled with any optimizer
+//! [`crate::optimize::PassSet`] enumerate the same matches; with
+//! identical seed sources they enumerate them in the same order. The
+//! budget is charged every [`CHECK_INTERVAL`] VM transitions, so a
+//! governed run yields a prefix of the ungoverned one.
 //!
 //! Instruction encodings and the compilation scheme are documented in
 //! `docs/plan-ir.md`.
@@ -592,8 +590,7 @@ fn run(
     // No budget tick here: every candidate a scan produces is ticked
     // inside its advance loop, and the O(1) Filter/Bind/Emit steps ride
     // on the tick of the candidate that reached them — charging per
-    // dispatch as well would double-count each transition relative to
-    // the retired interpreter.
+    // dispatch as well would double-count each transition.
     loop {
         match code[pc] {
             Instruction::SeedScan {
@@ -881,9 +878,9 @@ fn advance_seed(
         if !inline_filters(cx, fs, EdgeId(0), dv) {
             continue;
         }
-        // one budget tick per accepted candidate — the DFS-transition
-        // cadence of the retired interpreter (rejected candidates are
-        // plain scan work, charged via the transition that consumed them)
+        // one budget tick per accepted candidate — one per DFS
+        // transition (rejected candidates are plain scan work, charged
+        // via the transition that consumed them)
         if !tick(cx, st) {
             return Adv::Tripped;
         }

@@ -18,8 +18,12 @@
 //! of a component's units in range order reproduces the serial result
 //! order exactly. Parallelism changes *scheduling*, never the multiset.
 
+use crate::index::AttrIndex;
+use crate::plan_ir::SeedSpec;
+use crate::vm::{Program, SeedSrc};
 use std::ops::Range;
-use whyq_graph::VertexId;
+use std::sync::Arc;
+use whyq_graph::{PropertyGraph, VertexId};
 
 /// The materialized seed candidate space of one component's `Seed` step.
 ///
@@ -55,6 +59,60 @@ impl SeedList {
         match self {
             SeedList::All(_) => VertexId(i as u32),
             SeedList::List(v) => v[i],
+        }
+    }
+
+    /// Clamp `range` onto the list and view it as a VM seed source.
+    pub(crate) fn view(&self, range: &Range<usize>) -> SeedSrc<'_> {
+        match self {
+            SeedList::All(n) => SeedSrc::Range {
+                start: range.start.min(*n) as u32,
+                end: range.end.min(*n) as u32,
+            },
+            SeedList::List(v) => {
+                let end = range.end.min(v.len());
+                let start = range.start.min(end);
+                SeedSrc::Slice(&v[start..end])
+            }
+        }
+    }
+}
+
+/// Resolve a component program's [`SeedSpec`] into its candidate list:
+/// the dense arena for a full scan, a copy of the index bucket of a point
+/// probe, the sorted and deduplicated union of a multi-value
+/// disjunction's buckets (repeated values would repeat their buckets), or
+/// the intersection of several point probes. The single definition keeps
+/// eager, streamed and sharded execution drawing identical candidates in
+/// identical order.
+pub(crate) fn resolve_seeds(
+    g: &PropertyGraph,
+    indexes: &[Arc<AttrIndex>],
+    prog: &Program,
+) -> SeedList {
+    match prog.seed() {
+        SeedSpec::FullScan => SeedList::All(g.num_vertices()),
+        SeedSpec::Bucket { index, key } => SeedList::List(indexes[*index].lookup(g, key).to_vec()),
+        SeedSpec::Union { index, keys } => {
+            let mut seeds = Vec::new();
+            for key in keys {
+                seeds.extend_from_slice(indexes[*index].lookup(g, key));
+            }
+            seeds.sort_unstable();
+            seeds.dedup();
+            SeedList::List(seeds)
+        }
+        SeedSpec::Intersect { probes } => {
+            // `probes` is non-empty and optimizer-sorted smallest bucket
+            // first; buckets are built by ascending arena scan, so each
+            // further one is a binary-search membership filter
+            let (first_idx, first_key) = &probes[0];
+            let mut seeds = indexes[*first_idx].lookup(g, first_key).to_vec();
+            for (idx, key) in &probes[1..] {
+                let bucket = indexes[*idx].lookup(g, key);
+                seeds.retain(|v| bucket.binary_search(v).is_ok());
+            }
+            SeedList::List(seeds)
         }
     }
 }

@@ -11,9 +11,14 @@
 //! - the streamed enumeration yields the identical result *list*;
 //! - a step-budgeted (governed) run yields a prefix of the serial list;
 //! - concatenating [`WorkUnit`] executions over every seed split equals
-//!   the serial list (the substrate of `find_par`/`count_par`);
-//! - with `--features legacy-interp`, the retired recursive interpreter
-//!   agrees as a third, independently-implemented oracle.
+//!   the serial list (the substrate of `find_par`/`count_par`).
+//!
+//! The reference is the only oracle, so the generated queries reach every
+//! IR node kind under every subset: chains optionally closed into a cycle
+//! (`CloseRun`, and the standalone `Filter`/`Bind` after it when pushdown
+//! or dead-bind elimination is off), an optional second disconnected
+//! component (cartesian combination, also under `MatchStream`), injective
+//! and homomorphic matching.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -53,43 +58,78 @@ fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> PropertyGrap
     g
 }
 
-fn build_query(
+/// Append one chain component of `len` vertices to `q`; `close` adds an
+/// edge from the last vertex back to the first, which the planner must
+/// bind with a closing scan.
+fn add_chain(
+    q: &mut PatternQuery,
     len: usize,
     types: &[u8],
     etypes: &[bool],
     undirected: bool,
     rank_pred: bool,
-) -> PatternQuery {
+    close: bool,
+) {
     let names = ["red", "green", "blue"];
-    let mut q = PatternQuery::new();
-    let mut prev: Option<QVid> = None;
+    let edge = |q: &mut PatternQuery, i: usize, src: QVid, dst: QVid| {
+        let ty = if etypes[i % etypes.len()] {
+            "link"
+        } else {
+            "flow"
+        };
+        let mut e = QueryEdge::typed(src, dst, ty);
+        if undirected {
+            e.directions = DirectionSet::BOTH;
+        }
+        q.add_edge(e);
+    };
+    let mut chain: Vec<QVid> = Vec::with_capacity(len);
     for i in 0..len {
-        let mut preds = vec![Predicate::eq(
-            "type",
-            names[types[i % types.len()] as usize % 3],
-        )];
+        // a type value past the palette leaves the vertex untyped
+        let mut preds: Vec<Predicate> = names
+            .get(types[i % types.len()] as usize)
+            .map(|name| Predicate::eq("type", *name))
+            .into_iter()
+            .collect();
         if rank_pred && i == 0 {
             // two equality predicates on the same vertex exercise the
             // intersection seed source
             preds.push(Predicate::eq("rank", 0));
         }
         let v = q.add_vertex(QueryVertex::with(preds));
-        if let Some(p) = prev {
-            let mut e = QueryEdge::typed(
-                p,
-                v,
-                if etypes[i % etypes.len()] {
-                    "link"
-                } else {
-                    "flow"
-                },
-            );
-            if undirected {
-                e.directions = DirectionSet::BOTH;
-            }
-            q.add_edge(e);
+        if let Some(&p) = chain.last() {
+            edge(q, i, p, v);
         }
-        prev = Some(v);
+        chain.push(v);
+    }
+    if close && len >= 2 {
+        edge(q, 0, chain[len - 1], chain[0]);
+    }
+}
+
+/// A chain of `len` vertices, optionally closed into a cycle, plus an
+/// optional second disconnected chain of `second_len` vertices.
+fn build_query(
+    len: usize,
+    types: &[u8],
+    etypes: &[bool],
+    undirected: bool,
+    rank_pred: bool,
+    close: bool,
+    second_len: usize,
+) -> PatternQuery {
+    let mut q = PatternQuery::new();
+    add_chain(&mut q, len, types, etypes, undirected, rank_pred, close);
+    if second_len > 0 {
+        add_chain(
+            &mut q,
+            second_len,
+            &types[1..],
+            etypes,
+            undirected,
+            false,
+            false,
+        );
     }
     q
 }
@@ -132,6 +172,7 @@ fn run_units(
     compiled: &Compiled,
     program: &QueryProgram,
     chunks: usize,
+    opts: &MatchOptions,
 ) -> Vec<ResultGraph> {
     let mut per_component = Vec::new();
     for (component, prog) in program.components().iter().enumerate() {
@@ -139,14 +180,7 @@ fn run_units(
         let mut merged = Vec::new();
         for range in whyq_matcher::split_ranges(seeds.len(), chunks) {
             let unit = WorkUnit { component, range };
-            merged.extend(m.find_unit(
-                q,
-                compiled,
-                program,
-                &unit,
-                &seeds,
-                MatchOptions::default(),
-            ));
+            merged.extend(m.find_unit(q, compiled, program, &unit, &seeds, opts.clone()));
         }
         if merged.is_empty() {
             return Vec::new();
@@ -157,27 +191,31 @@ fn run_units(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The full pass power set, each subset verified and result-equivalent
     /// to the reference across serial, streamed, governed and unit modes.
     #[test]
     fn pass_power_set_is_result_equivalent(
-        n in 2usize..6,
+        n in 2usize..8,
         vtypes in prop::collection::vec(0u8..3, 6),
-        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..10),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..20),
         qlen in 1usize..4,
-        qtypes in prop::collection::vec(0u8..3, 4),
+        qtypes in prop::collection::vec(0u8..4, 4),
         qetypes in prop::collection::vec(any::<bool>(), 4),
         undirected in any::<bool>(),
         rank_pred in any::<bool>(),
+        close_cycle in any::<bool>(),
+        second_len in 0usize..3,
+        injective in any::<bool>(),
     ) {
         let g = build_graph(n, &vtypes, &pairs);
-        let q = build_query(qlen, &qtypes, &qetypes, undirected, rank_pred);
+        let q = build_query(qlen, &qtypes, &qetypes, undirected, rank_pred, close_cycle, second_len);
         let indexes = indexes_for(&g);
+        let opts = MatchOptions { injective, ..MatchOptions::default() };
 
-        let naive_count = count_matches_naive(&g, &q, MatchOptions::default());
-        let naive_set = canonical(&find_matches_naive(&g, &q, MatchOptions::default()));
+        let naive_count = count_matches_naive(&g, &q, opts.clone());
+        let naive_set = canonical(&find_matches_naive(&g, &q, opts.clone()));
 
         let mut m = Matcher::new(&g);
         for idx in &indexes {
@@ -202,10 +240,10 @@ proptest! {
             let cq = m.compile_with_passes(&q, passes);
 
             // serial vs reference
-            let serial = m.find_compiled(&q, &cq.compiled, &cq.program, MatchOptions::default());
+            let serial = m.find_compiled(&q, &cq.compiled, &cq.program, opts.clone());
             prop_assert_eq!(canonical(&serial), naive_set.clone(), "subset {}", subset);
             prop_assert_eq!(
-                m.count_compiled(&q, &cq.compiled, &cq.program, MatchOptions::default()),
+                m.count_compiled(&q, &cq.compiled, &cq.program, opts.clone()),
                 naive_count,
                 "subset {}", subset
             );
@@ -217,7 +255,7 @@ proptest! {
                 Arc::new(q.clone()),
                 Arc::new(cq.compiled.clone()),
                 Arc::new(cq.program.clone()),
-                MatchOptions::default(),
+                opts.clone(),
             )
             .collect();
             prop_assert_eq!(&streamed, &serial, "stream diverged for subset {}", subset);
@@ -228,7 +266,7 @@ proptest! {
                 &q,
                 &cq.compiled,
                 &cq.program,
-                MatchOptions::governed(Budget::steps(2048)),
+                opts.clone().with_budget(Budget::steps(2048)),
             );
             prop_assert!(
                 governed.len() <= serial.len()
@@ -238,21 +276,8 @@ proptest! {
 
             // unit protocol: every split concatenates to the serial list
             for chunks in [1usize, 3] {
-                let merged = run_units(&m, &q, &cq.compiled, &cq.program, chunks);
+                let merged = run_units(&m, &q, &cq.compiled, &cq.program, chunks, &opts);
                 prop_assert_eq!(&merged, &serial, "units diverged for subset {}", subset);
-            }
-
-            // the retired interpreter as a third oracle
-            #[cfg(feature = "legacy-interp")]
-            {
-                let (compiled, plans) = m.compile(&q);
-                let interp =
-                    m.find_compiled_interp(&q, &compiled, &plans, MatchOptions::default());
-                prop_assert_eq!(
-                    canonical(&interp),
-                    naive_set.clone(),
-                    "legacy interpreter diverged"
-                );
             }
         }
     }
@@ -269,7 +294,7 @@ proptest! {
         limit in 1usize..4,
     ) {
         let g = build_graph(n, &vtypes, &pairs);
-        let q = build_query(qlen, &qtypes, &[true], false, false);
+        let q = build_query(qlen, &qtypes, &[true], false, false, false, 0);
         let indexes = indexes_for(&g);
         let mut m = Matcher::new(&g);
         for idx in &indexes {

@@ -280,12 +280,19 @@ fn execute(
     // admission control: shed rather than queue past the depth bound.
     // A shed is a *servable degraded answer* (`ROWS 0 shed`), not an
     // error — the why-query contract of tagged partial results extended
-    // to the zero-results case.
-    let depth = shared.stats.queue_depth.load(Ordering::Acquire);
-    if depth >= shared.config.max_queue_depth as u64 {
+    // to the zero-results case. The slot is reserved here (one atomic
+    // update, so a shed costs nothing else); every path below releases it.
+    if !shared
+        .stats
+        .try_enter_queue(shared.config.max_queue_depth as u64)
+    {
         ServerStats::incr(&shared.stats.shed);
         return Ok(render_rows(&[], TermTag::Shed, false));
     }
+    let Some(jobs) = shared.job_sender() else {
+        shared.stats.leave_queue();
+        return Err(ProtocolError::ShuttingDown);
+    };
 
     // one fresh token per request, installed where the reader (CANCEL,
     // disconnect) and the server (drain timeout) can reach it
@@ -298,11 +305,7 @@ fn execute(
     let budget = slo.budget(&token);
     let opts = MatchOptions::limited(shared.config.max_rows + 1).with_budget(budget);
 
-    let Some(jobs) = shared.job_sender() else {
-        return Err(ProtocolError::ShuttingDown);
-    };
     ServerStats::incr(&shared.stats.admitted);
-    shared.stats.enter_queue();
     let (reply_tx, reply_rx) = mpsc::channel();
     let sent = jobs
         .send(BatchJob {

@@ -47,9 +47,15 @@ impl ServerStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bump the gauge; returns the depth *after* the increment.
-    pub(crate) fn enter_queue(&self) -> u64 {
-        self.queue_depth.fetch_add(1, Ordering::AcqRel) + 1
+    /// Admission: reserve a queue slot unless `bound` requests are already
+    /// in flight. Check and increment are one atomic update, so racing
+    /// connections can never push the gauge past `bound`.
+    pub(crate) fn try_enter_queue(&self, bound: u64) -> bool {
+        self.queue_depth
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |depth| {
+                (depth < bound).then_some(depth + 1)
+            })
+            .is_ok()
     }
 
     pub(crate) fn leave_queue(&self) {
@@ -196,7 +202,7 @@ mod tests {
         ServerStats::incr(&stats.admitted);
         ServerStats::incr(&stats.admitted);
         ServerStats::incr(&stats.shed);
-        assert_eq!(stats.enter_queue(), 1);
+        assert!(stats.try_enter_queue(1));
         let snap = stats.snapshot();
         assert_eq!((snap.admitted, snap.shed, snap.queue_depth), (2, 1, 1));
         stats.leave_queue();
@@ -207,5 +213,38 @@ mod tests {
             panic!("STATS payload should parse as a stats reply");
         };
         assert_eq!(StatsSnapshot::from_counters(&counters), snap);
+    }
+
+    #[test]
+    fn racing_admissions_never_exceed_the_bound() {
+        const BOUND: u64 = 3;
+        const THREADS: usize = 16;
+        let stats = ServerStats::default();
+        let barrier = std::sync::Barrier::new(THREADS);
+        for _round in 0..50 {
+            let admitted: usize = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            let won = stats.try_enter_queue(BOUND);
+                            assert!(stats.snapshot().queue_depth <= BOUND);
+                            // nobody leaves until every racer has tried
+                            barrier.wait();
+                            if won {
+                                stats.leave_queue();
+                            }
+                            usize::from(won)
+                        })
+                    })
+                    .collect();
+                racers
+                    .into_iter()
+                    .map(|t| t.join().expect("racer panicked"))
+                    .sum()
+            });
+            assert_eq!(admitted as u64, BOUND);
+            assert_eq!(stats.snapshot().queue_depth, 0);
+        }
     }
 }
