@@ -4,6 +4,7 @@
 //! server_load [--clients N] [--requests N] [--rate-hz F] [--persons N]
 //!             [--seed S] [--queue-depth N] [--batch-window-us U]
 //!             [--max-rows N] [--threads N] [--slo CLASS] [--out FILE]
+//!             [--max-p50-ms M]
 //! ```
 //!
 //! Starts an in-process [`whyq_server::Server`] over a seeded LDBC graph
@@ -15,11 +16,14 @@
 //! process down (the coordinated-omission trap of closed-loop drivers).
 //!
 //! Clients round-robin a small mix of LDBC patterns, so same-signature
-//! arrivals inside one batching window coalesce through a single compiled
-//! plan. The run reports p50/p95/p99 latency plus shed and degraded
-//! counts, and with `--out` writes them as a criterion-shim snapshot (the
-//! committed `BENCH_server.json` baseline; CI gates fresh runs against it
-//! with `bench_compare`).
+//! arrivals that queue behind a busy batcher coalesce through a single
+//! compiled plan. The run reports p50/p95/p99 latency plus shed and
+//! degraded counts, and with `--out` writes them as a criterion-shim
+//! snapshot (the committed `BENCH_server.json` baseline; CI gates fresh
+//! runs against it with `bench_compare`). `--max-p50-ms M` makes the run
+//! itself a gate: the exit code is non-zero when the median exceeds `M`
+//! — CI uses it with one slow client and a 200 ms `--batch-window-us` to
+//! fail a server that waits out its window when nothing else is coming.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -32,7 +36,7 @@ use whyq_server::{Server, ServerConfig};
 use whyq_session::Database;
 
 /// The query mix clients cycle through, chosen so several signatures
-/// recur within a batching window at realistic rates.
+/// recur among concurrent arrivals at realistic rates.
 const PATTERNS: [&str; 4] = [
     "(p:person)-[:knows]->(q:person)",
     "(p:person)-[:isLocatedIn]->(c:city)-[:isPartOf]->(n:country)",
@@ -52,6 +56,7 @@ struct Args {
     threads: usize,
     slo: String,
     out: Option<String>,
+    max_p50_ms: f64,
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -80,6 +85,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         threads: num(argv, "--threads", 0)?,
         slo: flag_value(argv, "--slo").unwrap_or("standard").to_string(),
         out: flag_value(argv, "--out").map(String::from),
+        max_p50_ms: num(argv, "--max-p50-ms", f64::INFINITY)?,
     })
 }
 
@@ -233,6 +239,13 @@ fn run(argv: &[String]) -> Result<(), String> {
         eprintln!("server_load: wrote snapshot to {path}");
     }
     server.shutdown();
+    if p50 > args.max_p50_ms * 1e6 {
+        return Err(format!(
+            "p50 {:.3} ms exceeds --max-p50-ms {}",
+            p50 / 1e6,
+            args.max_p50_ms
+        ));
+    }
     Ok(())
 }
 
@@ -245,7 +258,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: server_load [--clients N] [--requests N] [--rate-hz F] [--persons N]\n\
                  \x20                  [--seed S] [--queue-depth N] [--batch-window-us U]\n\
-                 \x20                  [--max-rows N] [--threads N] [--slo CLASS] [--out FILE]"
+                 \x20                  [--max-rows N] [--threads N] [--slo CLASS] [--out FILE]\n\
+                 \x20                  [--max-p50-ms M]"
             );
             ExitCode::FAILURE
         }

@@ -307,6 +307,8 @@ fn execute(
 
     ServerStats::incr(&shared.stats.admitted);
     let (reply_tx, reply_rx) = mpsc::channel();
+    // in transit from here until the batcher receives the job
+    shared.in_transit.fetch_add(1, Ordering::SeqCst);
     let sent = jobs
         .send(BatchJob {
             query,
@@ -336,6 +338,7 @@ fn execute(
             }
         }
     } else {
+        shared.in_transit.fetch_sub(1, Ordering::SeqCst);
         Err(WhyqError::Interrupted {
             termination: Termination::Cancelled,
         })

@@ -23,7 +23,8 @@
 //!   trips the in-flight request's token out of band, and a dropped
 //!   connection cancels its query within one budget check interval.
 //! * [`batch`](self) — all admitted requests funnel into one batcher
-//!   thread that coalesces a batching window's worth of traffic into one
+//!   thread that dispatches a lone request at once and coalesces the
+//!   requests that queued behind a busy batch into one
 //!   `Executor::find_batch` call; same-signature requests share one
 //!   compiled plan through the database's plan cache.
 //! * [`stats`] — lock-free counters behind the `STATS` command:
@@ -37,7 +38,7 @@
 //! ```text
 //! frame → parse → admission (queue depth < bound? else shed)
 //!       → per-request Budget from the SLO class (+ fresh CancelToken)
-//!       → batch queue → window/size-bounded batch → Executor::find_batch
+//!       → batch queue → all queued (≤ max_batch) → Executor::find_batch
 //!       → rows + termination tag (complete | deadline | budget | cancelled)
 //! ```
 //!
@@ -84,7 +85,7 @@ use protocol::ProtocolError;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -142,9 +143,10 @@ pub struct ServerConfig {
     /// Admission bound: a request arriving while this many admitted
     /// requests are unanswered is shed (`ROWS 0 shed`).
     pub max_queue_depth: usize,
-    /// How long the batcher waits after the first queued request for
-    /// same-window companions. Zero disables waiting (arrivals already
-    /// queued still coalesce).
+    /// Upper bound on how long the batcher holds a batch back for a
+    /// request that has been admitted but has not reached it yet. Not a
+    /// timer: with nothing on its way a batch is dispatched at once.
+    /// Zero means never wait (arrivals already queued still coalesce).
     pub batch_window: Duration,
     /// Hard cap on requests per batch.
     pub max_batch: usize,
@@ -224,6 +226,11 @@ pub(crate) struct Shared {
     /// Connections clone it per request, so dropping this handle (plus
     /// the transient clones) is what lets the batcher exit.
     jobs: Mutex<Option<mpsc::Sender<BatchJob>>>,
+    /// Requests admitted but not yet received by the batcher: counted in
+    /// by the connection worker just before it sends the job, counted out
+    /// by the batcher per job received, which keeps collecting a batch
+    /// only while this is non-zero.
+    pub(crate) in_transit: AtomicUsize,
     conns: Mutex<HashMap<u64, Arc<ConnHandle>>>,
     next_conn_id: AtomicU64,
 }
@@ -301,6 +308,7 @@ impl Server {
             stats: ServerStats::default(),
             state: AtomicU8::new(RUNNING),
             jobs: Mutex::new(Some(jobs_tx)),
+            in_transit: AtomicUsize::new(0),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(1),
         });

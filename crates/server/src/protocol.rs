@@ -141,13 +141,16 @@ impl std::error::Error for ProtocolError {}
 // framing
 // ---------------------------------------------------------------------
 
-/// Write one frame: 4-byte big-endian length + UTF-8 payload.
+/// Write one frame: 4-byte big-endian length + UTF-8 payload, as one
+/// write — one syscall and one segment on an unbuffered `TCP_NODELAY` socket.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     let len = u32::try_from(bytes.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large to encode"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -535,6 +538,52 @@ mod tests {
             Some("QUERY (a)")
         );
         assert!(reader.read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    /// Counts `write` calls and hands its bytes back three at a time.
+    #[derive(Default)]
+    struct Pipe {
+        bytes: Vec<u8>,
+        writes: usize,
+        read_at: usize,
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(3).min(self.bytes.len() - self.read_at);
+            buf[..n].copy_from_slice(&self.bytes[self.read_at..self.read_at + n]);
+            self.read_at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_survives_split_reads() {
+        let mut pipe = Pipe::default();
+        write_frame(&mut pipe, "QUERY (a)-[:knows]->(b)").unwrap();
+        assert_eq!(pipe.writes, 1, "header and payload must leave together");
+        write_frame(&mut pipe, "").unwrap();
+        assert_eq!(pipe.writes, 2);
+        // header and payload both arrive split across reads
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+        assert_eq!(
+            reader.read_frame(&mut pipe).unwrap().as_deref(),
+            Some("QUERY (a)-[:knows]->(b)")
+        );
+        assert_eq!(reader.read_frame(&mut pipe).unwrap().as_deref(), Some(""));
+        assert!(reader.read_frame(&mut pipe).unwrap().is_none());
     }
 
     #[test]

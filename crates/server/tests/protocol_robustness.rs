@@ -1,48 +1,19 @@
 //! Protocol robustness: malformed, truncated, oversized and interleaved
 //! frames must always yield a typed protocol error response — the server
 //! never panics, hangs, or leaks a connection. The fault-injected half
-//! (worker panics under live connections, forced-slow searches for the
-//! dropped-connection drain bound) runs under the `fault-inject` feature.
+//! (worker panics under live connections, forced-slow searches) is
+//! `tests/fault.rs`.
 
+mod common;
+
+use common::{start, wait_for, KNOWS};
 use rand::{RngExt, SeedableRng, StdRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use whyq_graph::{PropertyGraph, Value};
+use std::time::Duration;
 use whyq_server::client::Client;
 use whyq_server::protocol::{Reply, TermTag};
-use whyq_server::{Server, ServerConfig, StatsSnapshot};
-use whyq_session::Database;
-
-fn social() -> PropertyGraph {
-    let mut g = PropertyGraph::new();
-    let a = g.add_vertex([("type", Value::str("person"))]);
-    let b = g.add_vertex([("type", Value::str("person"))]);
-    g.add_edge(a, b, "knows", []);
-    g
-}
-
-const KNOWS: &str = "(p:person)-[:knows]->(q:person)";
-
-fn start(config: ServerConfig) -> (Server, Arc<Database>) {
-    let db = Arc::new(Database::open(social()).unwrap());
-    let server = Server::start(Arc::clone(&db), config).unwrap();
-    (server, db)
-}
-
-fn wait_for(server: &Server, bound: Duration, pred: impl Fn(&StatsSnapshot) -> bool) -> bool {
-    let deadline = Instant::now() + bound;
-    loop {
-        if pred(&server.stats()) {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
+use whyq_server::ServerConfig;
 
 /// Raw frame write: 4-byte big-endian length + payload bytes (which the
 /// tests deliberately fill with garbage).
@@ -218,107 +189,4 @@ fn fuzzed_frames_never_panic_or_hang_the_server() {
         server.stats()
     );
     server.shutdown();
-}
-
-/// The fault-injected half: worker panics under live connections, and a
-/// forced-slow search to pin down the dropped-connection drain bound.
-#[cfg(feature = "fault-inject")]
-mod fault {
-    use super::*;
-    use whyq_matcher::fault::{arm, FaultPlan};
-
-    #[test]
-    fn worker_panic_under_a_live_connection_errors_that_request_only() {
-        let (server, db) = start(ServerConfig::default());
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        {
-            let _guard = arm(FaultPlan {
-                panic_at_unit: Some(0),
-                ..FaultPlan::default()
-            });
-            match client.query(KNOWS, None) {
-                Err(whyq_server::client::ClientError::Server { code, message }) => {
-                    assert_eq!(code, "internal");
-                    assert!(message.contains("panic"), "got {message:?}");
-                }
-                other => panic!("expected ERR internal, got {other:?}"),
-            }
-        } // disarmed
-          // same connection, same database: still serving
-        assert_eq!(client.query(KNOWS, None).unwrap().rows.len(), 1);
-        assert_eq!(db.compile_count(), 1);
-        let stats = server.stats();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.completed, 1);
-        server.shutdown();
-    }
-
-    /// Complete directed graph on `n` same-typed vertices — a directed
-    /// path query has combinatorially many injective matches, so the
-    /// search spans many budget check intervals.
-    fn clique(n: usize) -> PropertyGraph {
-        let mut g = PropertyGraph::new();
-        let vs: Vec<_> = (0..n)
-            .map(|_| g.add_vertex([("type", Value::str("red"))]))
-            .collect();
-        for &a in &vs {
-            for &b in &vs {
-                if a != b {
-                    g.add_edge(a, b, "link", []);
-                }
-            }
-        }
-        g
-    }
-
-    const PATH3: &str = "(v0:red)-[:link]->(v1:red)-[:link]->(v2:red)";
-
-    /// Acceptance criterion: a dropped connection cancels its in-flight
-    /// query and the server drains it within a bounded interval. The
-    /// search is forced slow with a seed-bind delay so the drop
-    /// deterministically lands mid-flight, and the clique workload is
-    /// large enough that at least one budget check runs after the sleep.
-    #[test]
-    fn dropped_connection_cancels_its_in_flight_query_with_bounded_drain() {
-        let db = Arc::new(Database::open(clique(20)).unwrap());
-        let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
-        let _guard = arm(FaultPlan {
-            // the first bound seed sleeps 1 s — plenty of mid-flight time
-            delay_at_seed: Some((0, Duration::from_secs(1))),
-            ..FaultPlan::default()
-        });
-        {
-            let mut client = Client::connect(server.local_addr()).unwrap();
-            // `unlimited`: no deadline/step budget — only cancellation
-            // can stop this request early
-            client
-                .send_only(&format!("QUERY @unlimited {PATH3}"))
-                .unwrap();
-            assert!(
-                wait_for(&server, Duration::from_secs(2), |s| s.queue_depth == 1),
-                "request never reached execution: {:?}",
-                server.stats()
-            );
-        } // connection dropped with the query in flight
-        let dropped_at = Instant::now();
-        assert!(
-            wait_for(&server, Duration::from_secs(3), |s| {
-                s.cancelled == 1 && s.queue_depth == 0 && s.open_connections == 0
-            }),
-            "in-flight query was not drained: {:?}",
-            server.stats()
-        );
-        // bounded drain: the injected sleep is 1 s and cancellation is
-        // observed within one budget check interval after it
-        assert!(
-            dropped_at.elapsed() < Duration::from_secs(3),
-            "drain took {:?}",
-            dropped_at.elapsed()
-        );
-        // the server is unharmed
-        let mut probe = Client::connect(server.local_addr()).unwrap();
-        let reply = probe.query(PATH3, None).unwrap();
-        assert!(!reply.rows.is_empty());
-        server.shutdown();
-    }
 }

@@ -1,48 +1,18 @@
 //! End-to-end serving tests over real TCP: round trips, admission
 //! control, same-signature batching, pipelining order, counters and
-//! graceful shutdown.
+//! graceful shutdown. The test that pins a whole wave into one batch
+//! needs a forced-slow request: `tests/fault.rs`.
 
+mod common;
+
+use common::{start, wait_for, KNOWS};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use whyq_graph::{PropertyGraph, Value};
 use whyq_server::client::Client;
 use whyq_server::protocol::TermTag;
-use whyq_server::{Server, ServerConfig, SloClass, StatsSnapshot};
+use whyq_server::{Server, ServerConfig, SloClass};
 use whyq_session::Database;
-
-/// Two persons who know each other plus a city — one `knows` match.
-fn social() -> PropertyGraph {
-    let mut g = PropertyGraph::new();
-    let a = g.add_vertex([("type", Value::str("person"))]);
-    let b = g.add_vertex([("type", Value::str("person"))]);
-    let city = g.add_vertex([("type", Value::str("city"))]);
-    g.add_edge(a, b, "knows", []);
-    g.add_edge(a, city, "livesIn", []);
-    g.add_edge(b, city, "livesIn", []);
-    g
-}
-
-const KNOWS: &str = "(p:person)-[:knows]->(q:person)";
-
-fn start(config: ServerConfig) -> (Server, Arc<Database>) {
-    let db = Arc::new(Database::open(social()).unwrap());
-    let server = Server::start(Arc::clone(&db), config).unwrap();
-    (server, db)
-}
-
-/// Poll the server counters until `pred` holds or `bound` elapses.
-fn wait_for(server: &Server, bound: Duration, pred: impl Fn(&StatsSnapshot) -> bool) -> bool {
-    let deadline = Instant::now() + bound;
-    loop {
-        if pred(&server.stats()) {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 #[test]
 fn hello_query_prepare_exec_round_trip() {
@@ -121,12 +91,7 @@ fn admission_control_sheds_with_a_termination_tag() {
 #[test]
 fn same_signature_concurrent_clients_share_one_compiled_plan() {
     const CLIENTS: usize = 6;
-    let config = ServerConfig {
-        // a wide window so the barrier-released wave lands in one batch
-        batch_window: Duration::from_millis(50),
-        ..ServerConfig::default()
-    };
-    let (server, db) = start(config);
+    let (server, db) = start(ServerConfig::default());
     let addr = server.local_addr();
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let workers: Vec<_> = (0..CLIENTS)
@@ -144,16 +109,53 @@ fn same_signature_concurrent_clients_share_one_compiled_plan() {
         assert_eq!(reply.termination, TermTag::Complete);
         assert_eq!(reply.rows.len(), 1);
     }
-    // the acceptance criterion: N clients, one compile
+    // the acceptance criterion: N clients, one compile — however the
+    // wave happened to split into batches
     assert_eq!(db.compile_count(), 1);
     let stats = server.stats();
     assert_eq!(
         (stats.admitted, stats.completed),
         (CLIENTS as u64, CLIENTS as u64)
     );
+    server.shutdown();
+}
+
+/// The batch window is an upper bound on waiting for requests that are
+/// on their way, not a timer: a lone connection never pays it. Twenty
+/// sequential round trips against a 200 ms window finish in a fraction of
+/// *one* window (a timer-driven batcher would need four seconds).
+#[test]
+fn an_idle_server_never_waits_out_its_batch_window() {
+    const ROUND_TRIPS: u64 = 20;
+    let window = Duration::from_millis(200);
+    let config = ServerConfig {
+        batch_window: window,
+        ..ServerConfig::default()
+    };
+    let (server, _db) = start(config);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let handle = client.prepare(KNOWS).unwrap();
+    let started = Instant::now();
+    for i in 0..ROUND_TRIPS {
+        let reply = if i % 2 == 0 {
+            client.query(KNOWS, None).unwrap()
+        } else {
+            client.exec(handle, None).unwrap()
+        };
+        assert_eq!(
+            (reply.termination, reply.rows.len()),
+            (TermTag::Complete, 1)
+        );
+    }
+    let elapsed = started.elapsed();
     assert!(
-        stats.batched >= 2,
-        "expected at least one same-signature batch group, stats: {stats:?}"
+        elapsed < window,
+        "{ROUND_TRIPS} round trips took {elapsed:?} against a {window:?} window"
+    );
+    let stats = server.stats();
+    assert_eq!(
+        (stats.admitted, stats.completed, stats.shed),
+        (ROUND_TRIPS, ROUND_TRIPS, 0)
     );
     server.shutdown();
 }
@@ -274,12 +276,8 @@ fn two_towns() -> PropertyGraph {
 fn sibling_signatures_derive_one_plan_and_replay_from_the_sibling_cache() {
     const LIVES_IN_CITY: &str = "(p:person)-[:livesIn]->(c:city)";
     const LIVES_IN_TOWN: &str = "(p:person)-[:livesIn]->(c:town)";
-    let config = ServerConfig {
-        batch_window: Duration::from_millis(50),
-        ..ServerConfig::default()
-    };
     let db = Arc::new(Database::open(two_towns()).unwrap());
-    let server = Server::start(Arc::clone(&db), config).unwrap();
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     // warm the parent plan so the sibling wave below can derive from it
@@ -292,8 +290,8 @@ fn sibling_signatures_derive_one_plan_and_replay_from_the_sibling_cache() {
     assert_eq!(db.compile_count(), 1);
 
     // a concurrent wave mixing the parent signature and its one-constant
-    // sibling: the batcher coalesces the same-signature groups, and the
-    // sibling's plan is patched from the parent instead of compiled
+    // sibling: however it splits into batches, the sibling's plan is
+    // patched from the parent instead of compiled
     const CLIENTS: usize = 4;
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let workers: Vec<_> = (0..CLIENTS)

@@ -6,6 +6,10 @@
 //!       [--max-rows N] [--drain-ms D]
 //! ```
 //!
+//! `--batch-window-us U` (default 500) is the longest the batcher holds a
+//! batch back for a request that is admitted but still on its way to it;
+//! an idle server never waits, and `0` means never wait at all.
+//!
 //! Serves the length-prefixed wire protocol of `docs/wire-protocol.md`
 //! (`HELLO`, `QUERY`/`PREPARE`/`EXEC`, `CANCEL`, `STATS`, `SHUTDOWN`)
 //! over one shared, sealed database. Prints the bound address on stdout
@@ -35,6 +39,11 @@ fn main() -> ExitCode {
             eprintln!(
                 "        [--threads N] [--queue-depth N] [--batch-window-us U] \
                  [--max-rows N] [--drain-ms D]"
+            );
+            eprintln!(
+                "  --batch-window-us U  longest wait for a request already admitted and on \
+                 its way to the batcher\n                       (default 500; an idle server \
+                 never waits; 0 = never wait)"
             );
             ExitCode::FAILURE
         }
