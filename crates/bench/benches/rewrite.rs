@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use whyq_core::fine::{FineConfig, TraverseSearchTree};
+use whyq_core::fine::TraverseSearchTree;
 use whyq_core::problem::CardinalityGoal;
 use whyq_core::relax::priority::PriorityFn;
 use whyq_core::relax::{CoarseRewriter, RelaxConfig};
@@ -32,18 +32,6 @@ fn bench_rewrite(c: &mut Criterion) {
     let c1 = db.session().count(q3).expect("valid query");
     group.bench_function("fine/atmost-half/Q3", |b| {
         b.iter(|| black_box(TraverseSearchTree::new(&db).run(q3, CardinalityGoal::AtMost(c1 / 2))));
-    });
-    group.bench_function("fine/no-prefix-reuse/Q3", |b| {
-        b.iter(|| {
-            black_box(
-                TraverseSearchTree::new(&db)
-                    .with_config(FineConfig {
-                        reuse_prefix: false,
-                        ..FineConfig::default()
-                    })
-                    .run(q3, CardinalityGoal::AtMost(c1 / 2)),
-            )
-        });
     });
     group.finish();
 }

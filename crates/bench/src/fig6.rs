@@ -113,7 +113,7 @@ pub fn topology(db: &Database, tsv: bool) {
     let mut t = Table::new(
         "Fig 6 (topology) — fine-grained rewriting with and without topology ops",
         &[
-            "query", "factor", "topology", "executed", "found", "best dev", "mods", "extends",
+            "query", "factor", "topology", "executed", "found", "best dev", "mods",
         ],
     );
     for q in ldbc_queries() {
@@ -137,7 +137,6 @@ pub fn topology(db: &Database, tsv: bool) {
                     out.explanation
                         .as_ref()
                         .map_or_else(|| "-".into(), |e| e.mods.len().to_string()),
-                    out.extensions,
                 ]);
             }
         }

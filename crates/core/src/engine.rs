@@ -43,13 +43,9 @@ pub struct Diagnosis {
 /// — the relax loop's hundreds of sibling candidates pay for compilation
 /// once per distinct signature.
 ///
-/// The MCS generators constructed here inherit the environment-configured
-/// executor (`WHYQ_THREADS`, else the machine's parallelism — see
-/// [`whyq_session::ParallelOpts::from_env`]) and probe sibling traversal
-/// paths concurrently, each against its own session arena; construct them
-/// directly (`with_executor`) to override. The relax loop is serial — its
-/// sibling candidates are served by the database's sibling store instead.
-/// Explanations are identical in serial and parallel mode.
+/// The MCS generators count every traversed prefix on the engine's own
+/// session, so their prefixes share the plan cache and sibling store with
+/// the rewriters. Everything here runs serially on the calling thread.
 pub struct WhyEngine<'db> {
     db: &'db Database,
     /// Session reused across every cardinality measurement (its scratch

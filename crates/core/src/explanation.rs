@@ -111,8 +111,10 @@ pub struct SubgraphExplanation {
     pub crossing_edge: Option<QEid>,
     /// Number of traversal paths explored.
     pub paths_tried: usize,
-    /// Number of edge-extension operations performed (work measure used by
-    /// the §4.5 evaluation).
+    /// Number of prefix evaluations performed — one governed count per
+    /// traversed prefix, seeds included (work measure used by the §4.5
+    /// evaluation). DISCOVERMCS evaluates the same prefixes the
+    /// edge-at-a-time growth of §4.2 extends, so the numbers match it.
     pub extensions: u64,
     /// How the run ended. [`Termination::Complete`] means the traversal
     /// finished on its own; any other variant marks a *degraded* answer —

@@ -5,26 +5,30 @@
 //! threshold. The TRAVERSESEARCHTREE method constructs a modification tree
 //! at runtime (§6.1.3), expands the node with the smallest cardinality
 //! deviation first (§6.2.1), generates value-level predicate changes and
-//! topology edits (§6.2.2), guarantees change propagation through the
-//! operational pipeline (§6.3.1) and discards non-contributing changes and
-//! their branches (§6.3.2).
+//! topology edits (§6.2.2) and discards non-contributing changes and their
+//! branches (§6.3.2).
+//!
+//! Every child is counted as one session count. The change propagation of
+//! §6.3.1 — re-evaluate only what a changed operator affects — comes from
+//! the session's caches: a child differs from its parent in one element,
+//! so the sibling store replays every query component the change leaves
+//! untouched, and `derive_sibling` patches the cached plan of a
+//! one-constant change instead of recompiling it.
 
 pub mod baselines;
 pub mod generate;
 pub mod mod_tree;
-pub mod ops;
 
 pub use mod_tree::{ModTreeNode, ModificationTree, NodeStatus};
 
 use crate::domains::AttributeDomains;
 use crate::explanation::ModificationExplanation;
 use crate::fine::generate::fine_candidates;
-use crate::fine::ops::{Pipeline, PipelineEvaluator};
 use crate::problem::CardinalityGoal;
 use std::collections::{BinaryHeap, HashSet};
 use whyq_matcher::MatchOptions;
 use whyq_metrics::syntactic_distance;
-use whyq_query::{signature::signature, GraphMod, PatternQuery, Target};
+use whyq_query::{signature::signature, GraphMod, PatternQuery};
 use whyq_session::{Database, Session};
 
 /// Configuration of the fine-grained rewriter.
@@ -34,11 +38,9 @@ pub struct FineConfig {
     pub max_executed: usize,
     /// Allow topology modifications (§6.4.3 ablates this).
     pub allow_topology: bool,
-    /// Reuse pipeline prefixes across predicate-level children (§6.3.1).
-    pub reuse_prefix: bool,
     /// Cap on children generated per expansion.
     pub max_children: usize,
-    /// Cap on counted results / materialized partials.
+    /// Cap on counted results.
     pub count_cap: u64,
     /// Cap on distinct values per attribute in the domain catalog.
     pub domain_cap: usize,
@@ -49,7 +51,6 @@ impl Default for FineConfig {
         FineConfig {
             max_executed: 300,
             allow_topology: true,
-            reuse_prefix: true,
             max_children: 48,
             count_cap: 50_000,
             domain_cap: 256,
@@ -64,8 +65,6 @@ pub struct FineOutcome {
     pub explanation: Option<ModificationExplanation>,
     /// Executed candidate queries.
     pub executed: usize,
-    /// Seed/extension operations performed (work measure, §6.4).
-    pub extensions: u64,
     /// The constructed modification tree.
     pub tree: ModificationTree,
     /// Convergence trajectory: `(executed, best deviation so far)`.
@@ -147,8 +146,6 @@ impl<'g> TraverseSearchTree<'g> {
                 .count_opts(query, MatchOptions::counting(Some(self.config.count_cap)))
                 .expect("fine modification preserves query validity")
         };
-        let evaluator = PipelineEvaluator::new(self.db.graph(), self.config.count_cap as usize);
-        let mut extensions = 0u64;
         let mut executed = 0usize;
         let mut trajectory = Vec::new();
 
@@ -168,7 +165,6 @@ impl<'g> TraverseSearchTree<'g> {
                     syntactic_distance: 0.0,
                 }),
                 executed,
-                extensions,
                 tree,
                 trajectory,
                 best_deviation: 0,
@@ -202,17 +198,6 @@ impl<'g> TraverseSearchTree<'g> {
                     crate::problem::WhyProblem::WhySoMany
                 );
 
-            // change propagation: evaluate the parent pipeline once, then
-            // each predicate-level child re-evaluates only its suffix
-            let pipeline = if self.config.reuse_prefix && node.query.is_connected() {
-                Pipeline::for_query(&node.query)
-            } else {
-                None
-            };
-            let parent_states = pipeline
-                .as_ref()
-                .map(|p| evaluator.eval_full(&node.query, p, &mut extensions));
-
             let mut candidates = fine_candidates(
                 &node.query,
                 &self.domains,
@@ -232,14 +217,7 @@ impl<'g> TraverseSearchTree<'g> {
                 if !visited.insert(sig) {
                     continue;
                 }
-                // measure the child's cardinality
-                let c = match (&pipeline, &parent_states, changed_target(&m)) {
-                    (Some(p), Some(states), Some(target)) if !m.is_topological() => {
-                        let from = p.position_of(&child, target);
-                        evaluator.eval_suffix(&child, p, states, from, &mut extensions)
-                    }
-                    _ => count(&child),
-                };
+                let c = count(&child);
                 executed += 1;
                 let dev = goal.deviation(c);
                 let tree_id = tree.add_child(node.tree_id, m.clone(), c, dev);
@@ -260,7 +238,6 @@ impl<'g> TraverseSearchTree<'g> {
                             cardinality: c,
                         }),
                         executed,
-                        extensions,
                         tree,
                         trajectory,
                         best_deviation: 0,
@@ -290,26 +267,10 @@ impl<'g> TraverseSearchTree<'g> {
         FineOutcome {
             explanation: None,
             executed,
-            extensions,
             tree,
             trajectory,
             best_deviation: best_dev,
         }
-    }
-}
-
-/// The query element a modification touches (None for vertex/edge
-/// insertions, which change the topology anyway).
-fn changed_target(m: &GraphMod) -> Option<Target> {
-    match m {
-        GraphMod::RemovePredicate { target, .. }
-        | GraphMod::InsertPredicate { target, .. }
-        | GraphMod::ReplaceInterval { target, .. } => Some(*target),
-        GraphMod::RemoveType { edge, .. }
-        | GraphMod::InsertType { edge, .. }
-        | GraphMod::RemoveDirection { edge, .. }
-        | GraphMod::InsertDirection { edge, .. } => Some(Target::Edge(*edge)),
-        _ => None,
     }
 }
 
@@ -384,31 +345,6 @@ mod tests {
         // some generated changes (e.g. direction flips on livesIn) change
         // nothing — they must be in the tree as Discarded
         assert!(out.tree.count_status(NodeStatus::Discarded) > 0);
-    }
-
-    #[test]
-    fn prefix_reuse_reduces_extensions() {
-        let db = data();
-        let q = age_query(24.0, 26.0);
-        let goal = CardinalityGoal::AtLeast(7);
-        let with = TraverseSearchTree::new(&db)
-            .with_config(FineConfig {
-                reuse_prefix: true,
-                ..FineConfig::default()
-            })
-            .run(&q, goal);
-        let without = TraverseSearchTree::new(&db)
-            .with_config(FineConfig {
-                reuse_prefix: false,
-                ..FineConfig::default()
-            })
-            .run(&q, goal);
-        // both find a solution; the reuse variant does pipeline work, the
-        // other delegates to the matcher (extensions == 0)
-        assert!(with.explanation.is_some());
-        assert!(without.explanation.is_some());
-        assert!(with.extensions > 0);
-        assert_eq!(without.extensions, 0);
     }
 
     #[test]

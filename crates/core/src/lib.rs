@@ -6,8 +6,8 @@
 //! graphs. Two explanation families are produced:
 //!
 //! * **Subgraph-based explanations** (Ch. 4) — *why did the query fail?*
-//!   The query graph is traversed while intermediate result sets are
-//!   maintained; the largest succeeding subquery (the maximum common
+//!   The query graph is traversed edge by edge while the traversed
+//!   prefix is counted; the largest succeeding subquery (the maximum common
 //!   connected subgraph between query and data) is detected by
 //!   [`subgraph::discover::DiscoverMcs`] (why-empty) and
 //!   [`subgraph::bounded::BoundedMcs`] (why-so-few / why-so-many), and the
@@ -72,7 +72,6 @@ pub mod domains;
 pub mod engine;
 pub mod explanation;
 pub mod fine;
-pub mod grow;
 pub mod problem;
 pub mod relax;
 pub mod stats;

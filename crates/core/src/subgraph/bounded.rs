@@ -16,37 +16,69 @@
 //!   seed vertex exceeds the bound, the MCS is empty — the query is
 //!   under-constrained from the start, which is itself the explanation.
 //!
-//! Intermediate result sets are capped at `max(max_intermediate, t + 1)`
-//! so every bound test below the cap is exact.
+//! Prefixes are counted like DISCOVERMCS's (one governed session count
+//! each), capped at the smallest count that decides the goal: 1, `t + 1`
+//! or `hi + 1`. Every bound test is therefore exact.
 
-use crate::explanation::{DifferentialGraph, SubgraphExplanation};
-use crate::grow::{extend_matches, seed_matches};
+use crate::explanation::SubgraphExplanation;
 use crate::problem::CardinalityGoal;
-use crate::stats::Statistics;
-use crate::subgraph::discover::{assemble_mcs, components_of, paths_for, PrefixOutcome};
+use crate::subgraph::discover::{explain, prefix_count, PrefixOutcome};
 use crate::subgraph::traversal::TraversalPath;
 use crate::subgraph::McsConfig;
-use whyq_matcher::{Budget, MatchOptions};
+use whyq_matcher::Budget;
 use whyq_query::PatternQuery;
-use whyq_session::{Database, Executor, Session, WhyqError};
+use whyq_session::{Database, Session, WhyqError};
 
 /// The BOUNDEDMCS algorithm (§4.2.2).
 pub struct BoundedMcs<'g> {
     db: &'g Database,
     config: McsConfig,
-    executor: Executor,
+}
+
+/// Per-prefix cardinalities of one path: `counts[0]` is the seed count,
+/// `counts[i]` the count after traversing `i` edges, each capped at the
+/// goal's cap. Every prefix after an empty one is empty too, so it is
+/// recorded as 0 without being counted. A budget trip ends the walk,
+/// leaving the counts measured so far.
+fn traverse_counts(
+    session: &Session<'_>,
+    q: &PatternQuery,
+    path: &TraversalPath,
+    cap: u64,
+    budget: &Budget,
+    extensions: &mut u64,
+) -> Result<Vec<u64>, WhyqError> {
+    let mut counts = Vec::new();
+    for n in 0..=path.edges.len() {
+        if counts.last() == Some(&0) {
+            counts.push(0);
+            continue;
+        }
+        *extensions += 1;
+        match prefix_count(session, q, path.start, &path.edges[..n], cap, budget)? {
+            Some(c) => counts.push(c),
+            None => break,
+        }
+    }
+    Ok(counts)
+}
+
+/// The smallest count cap that decides `goal` exactly:
+/// `goal.satisfied(min(c, cap)) == goal.satisfied(c)` for every `c`.
+fn bound_cap(goal: CardinalityGoal) -> u64 {
+    match goal {
+        CardinalityGoal::NonEmpty => 1,
+        CardinalityGoal::AtLeast(t) | CardinalityGoal::AtMost(t) => t.saturating_add(1),
+        CardinalityGoal::Between(_, hi) => hi.saturating_add(1),
+    }
 }
 
 impl<'g> BoundedMcs<'g> {
-    /// BOUNDEDMCS over `db` with default configuration. Sibling traversal
-    /// paths are probed in parallel when the environment enables it
-    /// ([`whyq_session::ParallelOpts::from_env`]); the explanation is
-    /// identical either way.
+    /// BOUNDEDMCS over `db` with default configuration.
     pub fn new(db: &'g Database) -> Self {
         BoundedMcs {
             db,
             config: McsConfig::default(),
-            executor: Executor::from_env(),
         }
     }
 
@@ -56,61 +88,23 @@ impl<'g> BoundedMcs<'g> {
         self
     }
 
-    /// Override the executor used for sibling path probes.
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self
-    }
-
-    /// Walk one path to its end (or until the prefix empties), returning
-    /// the per-prefix cardinalities: `counts[0]` is the seed count,
-    /// `counts[i]` the count after traversing `i` edges. The budget is
-    /// charged before every extension; a trip truncates the walk, leaving
-    /// the counts measured so far.
-    fn traverse_counts(
-        &self,
-        q: &PatternQuery,
-        path: &TraversalPath,
-        cap: usize,
-        budget: &Budget,
-        extensions: &mut u64,
-    ) -> Vec<usize> {
-        let g = self.db.graph();
-        if budget.poll().is_err() {
-            return Vec::new();
-        }
-        let mut partial = seed_matches(g, q, path.start, cap);
-        *extensions += 1;
-        let mut counts = vec![partial.len()];
-        for &e in &path.edges {
-            if partial.is_empty() || budget.charge(partial.len() as u64).is_err() {
-                break;
-            }
-            partial = extend_matches(g, q, &partial, e, cap);
-            *extensions += 1;
-            counts.push(partial.len());
-        }
-        counts
-    }
-
     /// Explain a query whose cardinality violates `goal`.
     ///
     /// When the configured [`McsConfig::budget`](crate::subgraph::McsConfig::budget)
     /// trips mid-run the traversal degrades gracefully: the explanation
     /// assembled from the components finished so far is returned with its
     /// [`termination`](SubgraphExplanation::termination) naming the cause.
-    /// `Err` is reserved for real failures (a panicked parallel worker, an
-    /// invalid query).
+    /// `Err` is reserved for real failures (an invalid query).
     pub fn run(
         &self,
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<SubgraphExplanation, WhyqError> {
-        self.run_impl(q, goal, None)
+        self.run_with(q, goal, &self.db.session())
     }
 
-    /// Like [`BoundedMcs::run`], but measuring the MCS cardinality through
-    /// a caller-provided session (which must belong to the same database) —
+    /// Like [`BoundedMcs::run`], but counting every prefix through a
+    /// caller-provided session (which must belong to the same database) —
     /// the why-engine reuses its long-lived session this way instead of
     /// opening a throwaway one per explanation.
     pub fn run_with(
@@ -119,134 +113,23 @@ impl<'g> BoundedMcs<'g> {
         goal: CardinalityGoal,
         session: &Session<'_>,
     ) -> Result<SubgraphExplanation, WhyqError> {
-        self.run_impl(q, goal, Some(session))
-    }
-
-    fn run_impl(
-        &self,
-        q: &PatternQuery,
-        goal: CardinalityGoal,
-        session: Option<&Session<'_>>,
-    ) -> Result<SubgraphExplanation, WhyqError> {
-        let stats = Statistics::new(self.db);
         let budget = &self.config.budget;
-        let bound_cap = match goal {
-            CardinalityGoal::NonEmpty => 1,
-            CardinalityGoal::AtLeast(t) | CardinalityGoal::AtMost(t) => t as usize + 1,
-            CardinalityGoal::Between(_, hi) => hi as usize + 1,
-        };
-        let cap = self.config.max_intermediate.max(bound_cap);
-        let mut extensions = 0u64;
-        let mut paths_tried = 0usize;
-        let mut outcomes = Vec::new();
-
-        for component in components_of(q, self.config.decompose) {
-            if budget.poll().is_err() {
-                break;
-            }
-            // set-dedup of per-vertex incidence lists: two-endpoint edges
-            // arrive twice, self-loops once — the count compares against
-            // prefix lengths, so it must be exact (see discover.rs)
-            let comp_edge_count = component
-                .iter()
-                .flat_map(|&v| q.incident_edges(v))
-                .collect::<std::collections::BTreeSet<_>>()
-                .len();
-            let paths = paths_for(q, &component, &self.config, &stats);
-            // sibling paths are independent cardinality probes: with a
-            // parallel executor all per-prefix counts are measured
-            // concurrently up front, and the selection loop below replays
-            // them in path order — the bounded MCS it picks is identical
-            // to the serial scan's
-            let precomputed: Option<Vec<(Vec<usize>, u64)>> =
-                if self.executor.is_parallel() && paths.len() > 1 {
-                    Some(self.executor.map_batch(&paths, |path| {
-                        let mut ext = 0u64;
-                        let counts = self.traverse_counts(q, path, cap, budget, &mut ext);
-                        (counts, ext)
-                    })?)
-                } else {
-                    None
-                };
-            let mut best: Option<PrefixOutcome> = None;
-            for (pi, path) in paths.iter().enumerate() {
-                if precomputed.is_none() && budget.poll().is_err() {
-                    break;
-                }
-                paths_tried += 1;
-                let counts = match &precomputed {
-                    Some(all) => {
-                        extensions += all[pi].1;
-                        all[pi].0.clone()
-                    }
-                    None => self.traverse_counts(q, path, cap, budget, &mut extensions),
-                };
-                // longest prefix position with a satisfied cardinality;
-                // position 0 = seed only, position i = i edges traversed
-                let satisfied_len = counts
-                    .iter()
-                    .enumerate()
-                    .rev()
-                    .find(|&(_, &c)| goal.satisfied(c as u64))
-                    .map_or(-1, |(i, _)| i as i64);
-                let outcome = if satisfied_len < 0 {
-                    PrefixOutcome {
-                        start: path.start,
-                        prefix: Vec::new(),
-                        crossing: path.edges.first().copied(),
-                        seed_ok: false,
-                    }
-                } else {
-                    let n = satisfied_len as usize;
-                    PrefixOutcome {
-                        start: path.start,
-                        prefix: path.edges[..n].to_vec(),
-                        crossing: path.edges.get(n).copied(),
-                        seed_ok: true,
-                    }
-                };
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        outcome.prefix.len() > b.prefix.len() || (!b.seed_ok && outcome.seed_ok)
-                    }
-                };
-                if better {
-                    let complete = outcome.prefix.len() == comp_edge_count;
-                    best = Some(outcome);
-                    if complete {
-                        break;
-                    }
-                }
-            }
-            if let Some(b) = best {
-                outcomes.push(b);
-            }
-        }
-
-        let mcs = assemble_mcs(q, &outcomes);
-        let mcs_cardinality = if mcs.num_vertices() == 0 {
-            0
-        } else {
-            // the final count shares the run's budget: a tripped governor
-            // yields the partial count enumerated so far instead of an error
-            let opts = MatchOptions::counting(Some(self.config.cardinality_limit))
-                .with_budget(budget.clone());
-            let count = |s: &Session<'_>| Ok::<u64, WhyqError>(s.count_governed(&mcs, opts)?.value);
-            match session {
-                Some(s) => count(s)?,
-                None => count(&self.db.session())?,
-            }
-        };
-        let crossing_edge = outcomes.iter().find_map(|o| o.crossing);
-        Ok(SubgraphExplanation {
-            differential: DifferentialGraph::between(q, &mcs),
-            mcs,
-            mcs_cardinality,
-            crossing_edge,
-            paths_tried,
-            extensions,
-            termination: budget.termination(),
+        let cap = bound_cap(goal);
+        explain(self.db, session, q, &self.config, |path, extensions| {
+            let counts = traverse_counts(session, q, path, cap, budget, extensions)?;
+            // longest prefix position with a satisfied cardinality;
+            // position 0 = seed only, position i = i edges traversed
+            let satisfied = counts.iter().rposition(|&c| goal.satisfied(c));
+            let len = satisfied.unwrap_or(0);
+            // the edge after it crosses the bound if its prefix was measured
+            // (a budget trip leaves it unmeasured: no crossing edge then)
+            let measured = len + 1 < counts.len();
+            Ok(PrefixOutcome {
+                start: path.start,
+                prefix: path.edges[..len].to_vec(),
+                crossing: path.edges.get(len).copied().filter(|_| measured),
+                seed_ok: satisfied.is_some(),
+            })
         })
     }
 }
@@ -364,31 +247,6 @@ mod tests {
         let discover = crate::subgraph::DiscoverMcs::new(&db).run(&q).unwrap();
         assert_eq!(bounded.mcs.num_edges(), discover.mcs.num_edges());
         assert_eq!(bounded.mcs.num_vertices(), discover.mcs.num_vertices());
-    }
-
-    #[test]
-    fn parallel_path_probes_match_serial() {
-        use whyq_session::{Executor, ParallelOpts};
-        let db = data();
-        let q = star_query();
-        for goal in [
-            CardinalityGoal::AtLeast(5),
-            CardinalityGoal::AtMost(3),
-            CardinalityGoal::NonEmpty,
-        ] {
-            let serial = BoundedMcs::new(&db)
-                .with_executor(Executor::serial())
-                .run(&q, goal)
-                .unwrap();
-            let par = BoundedMcs::new(&db)
-                .with_executor(Executor::new(ParallelOpts::with_threads(4)))
-                .run(&q, goal)
-                .unwrap();
-            assert_eq!(par.mcs.num_edges(), serial.mcs.num_edges(), "{goal:?}");
-            assert_eq!(par.mcs.num_vertices(), serial.mcs.num_vertices());
-            assert_eq!(par.mcs_cardinality, serial.mcs_cardinality);
-            assert_eq!(par.crossing_edge, serial.crossing_edge);
-        }
     }
 
     #[test]

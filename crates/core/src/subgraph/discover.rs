@@ -3,27 +3,30 @@
 //! DISCOVERMCS detects the maximum common connected subgraph (MCS) between
 //! a failed query and the data graph: the largest connected subquery that
 //! still delivers results. It traverses the query edge-by-edge along
-//! traversal paths while maintaining the intermediate result sets of the
-//! traversed prefix; the first edge whose addition empties the results is
+//! traversal paths; the first edge whose addition empties the results is
 //! the *crossing edge*, the traversed prefix is an MCS candidate, and the
 //! maximum over all tried paths is returned. The differential graph
 //! `Q ∖ MCS` — the failed query part — is the explanation (§4.2.3).
+//!
+//! Every prefix (the path's start vertex plus the edges traversed so far)
+//! is one governed count of a subquery on the caller's [`Session`], capped
+//! at 1 since only non-emptiness matters. Prefixes of different paths that
+//! share an edge set share a signature, so the plan cache and the sibling
+//! store answer them after the first evaluation.
 //!
 //! With exhaustive path enumeration the result is exact (every satisfiable
 //! connected subquery is a prefix of some connected order); the single-path
 //! strategies of §4.3.2/§4.4.2 approximate it with one traversal.
 
 use crate::explanation::{DifferentialGraph, SubgraphExplanation};
-use crate::grow::{extend_matches, seed_matches};
 use crate::stats::Statistics;
 use crate::subgraph::traversal::{
     enumerate_paths, selectivity_path, user_centric_path, PathStrategy, TraversalPath,
 };
 use crate::subgraph::McsConfig;
-use whyq_graph::PropertyGraph;
 use whyq_matcher::{Budget, MatchOptions};
 use whyq_query::{PatternQuery, QEid, QVid};
-use whyq_session::{Database, Executor, Session, WhyqError};
+use whyq_session::{Database, Session, WhyqError};
 
 /// Outcome of traversing one component along its best path.
 #[derive(Debug, Clone)]
@@ -34,142 +37,152 @@ pub(crate) struct PrefixOutcome {
     pub seed_ok: bool,
 }
 
-/// Traverse one path, growing the prefix while `satisfied(count)` holds.
-/// (`satisfied` is `Sync` so sibling paths can be traversed concurrently —
-/// see [`best_prefix`].) The budget is polled before every extension; on a
-/// trip the prefix grown so far is returned as-is (with no crossing edge —
-/// an exhausted budget is not a semantic bound violation).
-pub(crate) fn traverse_path(
-    g: &PropertyGraph,
-    q: &PatternQuery,
-    path: &TraversalPath,
-    cap: usize,
-    satisfied: &(dyn Fn(usize) -> bool + Sync),
-    budget: &Budget,
-    extensions: &mut u64,
-) -> PrefixOutcome {
-    if budget.poll().is_err() {
-        return PrefixOutcome {
-            start: path.start,
-            prefix: Vec::new(),
-            crossing: None,
-            seed_ok: false,
-        };
-    }
-    let mut partial = seed_matches(g, q, path.start, cap);
-    *extensions += 1;
-    if !satisfied(partial.len()) {
-        return PrefixOutcome {
-            start: path.start,
-            prefix: Vec::new(),
-            crossing: None,
-            seed_ok: false,
-        };
-    }
-    let mut prefix = Vec::new();
-    for &e in &path.edges {
-        if budget.charge(partial.len() as u64).is_err() {
-            break;
+/// Put `start` back into `sub` when no kept edge brought it along (an
+/// edgeless seed).
+fn restore_start(q: &PatternQuery, sub: &mut PatternQuery, start: QVid) {
+    if sub.vertex(start).is_none() {
+        if let Some(v) = q.vertex(start) {
+            sub.restore_vertex(start, v.clone());
         }
-        let next = extend_matches(g, q, &partial, e, cap);
-        *extensions += 1;
-        if !satisfied(next.len()) {
-            return PrefixOutcome {
-                start: path.start,
-                prefix,
-                crossing: Some(e),
-                seed_ok: true,
-            };
-        }
-        partial = next;
-        prefix.push(e);
-    }
-    PrefixOutcome {
-        start: path.start,
-        prefix,
-        crossing: None,
-        seed_ok: true,
     }
 }
 
-/// Best prefix over a set of paths for one component: the longest prefix
-/// wins; exploration stops early once a path covers every component edge.
-/// Sibling paths are independent probes, so with a parallel `executor`
-/// they are all traversed concurrently ([`Executor::map_batch`]) and the
-/// fold then replays them in path order *with the same early break* — the
-/// selected prefix and the reported `paths_tried`/`extensions` statistics
-/// are identical to the serial scan's (ties break on the earlier path
-/// either way, and a later path can never beat a complete one).
-///
-/// `Err` is reserved for a panicked parallel worker; a tripped budget just
-/// ends the scan early with the best prefix found so far.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn best_prefix(
-    g: &PropertyGraph,
+/// Cardinality of the prefix subquery `start` + `prefix` of `q`: one
+/// governed count on `session`, capped at `cap` and charged to the run's
+/// `budget`. `None` when the budget tripped — the count is then only a
+/// lower bound, so the caller ends the path instead of reading it as a
+/// bound violation.
+pub(crate) fn prefix_count(
+    session: &Session<'_>,
     q: &PatternQuery,
-    paths: &[TraversalPath],
-    component_edges: usize,
-    cap: usize,
-    satisfied: &(dyn Fn(usize) -> bool + Sync),
+    start: QVid,
+    prefix: &[QEid],
+    cap: u64,
+    budget: &Budget,
+) -> Result<Option<u64>, WhyqError> {
+    let mut sub = q.edge_subquery(prefix);
+    restore_start(q, &mut sub, start);
+    let opts = MatchOptions::counting(Some(cap)).with_budget(budget.clone());
+    let counted = session.count_governed(&sub, opts)?;
+    Ok(counted.termination.is_complete().then_some(counted.value))
+}
+
+/// Traverse one path, growing the prefix while it still has a match. A
+/// budget trip returns the prefix grown so far with no crossing edge — an
+/// exhausted budget is not a semantic bound violation.
+fn traverse_path(
+    session: &Session<'_>,
+    q: &PatternQuery,
+    path: &TraversalPath,
     budget: &Budget,
     extensions: &mut u64,
-    paths_tried: &mut usize,
-    executor: &Executor,
 ) -> Result<PrefixOutcome, WhyqError> {
-    let mut best: Option<PrefixOutcome> = None;
-    let select = |best: &mut Option<PrefixOutcome>, outcome: PrefixOutcome| -> bool {
-        let better = match &*best {
-            None => true,
-            Some(b) => outcome.prefix.len() > b.prefix.len() || (!b.seed_ok && outcome.seed_ok),
-        };
-        if better {
-            let complete = outcome.prefix.len() == component_edges;
-            *best = Some(outcome);
-            complete
-        } else {
-            false
-        }
-    };
-    if executor.is_parallel() && paths.len() > 1 {
-        let results = executor.map_batch(paths, |path| {
-            let mut ext = 0u64;
-            let outcome = traverse_path(g, q, path, cap, satisfied, budget, &mut ext);
-            (outcome, ext)
-        })?;
-        // replay with the serial early-break so the reported
-        // `paths_tried`/`extensions` statistics are bit-identical to
-        // serial mode (the paths computed past the break are the wasted
-        // speculation, not a measurement)
-        for (outcome, ext) in results {
-            *paths_tried += 1;
-            *extensions += ext;
-            if select(&mut best, outcome) {
-                break;
-            }
-        }
-    } else {
-        for path in paths {
-            if budget.poll().is_err() {
-                break;
-            }
-            *paths_tried += 1;
-            let outcome = traverse_path(g, q, path, cap, satisfied, budget, extensions);
-            if select(&mut best, outcome) {
-                break;
-            }
-        }
-    }
-    Ok(best.unwrap_or(PrefixOutcome {
-        start: QVid(0),
+    let mut outcome = PrefixOutcome {
+        start: path.start,
         prefix: Vec::new(),
         crossing: None,
         seed_ok: false,
-    }))
+    };
+    *extensions += 1;
+    if prefix_count(session, q, path.start, &[], 1, budget)?.unwrap_or(0) == 0 {
+        return Ok(outcome);
+    }
+    outcome.seed_ok = true;
+    for &e in &path.edges {
+        outcome.prefix.push(e);
+        *extensions += 1;
+        match prefix_count(session, q, path.start, &outcome.prefix, 1, budget)? {
+            Some(n) if n > 0 => continue,
+            Some(_) => outcome.crossing = Some(e),
+            None => {}
+        }
+        outcome.prefix.pop();
+        break;
+    }
+    Ok(outcome)
+}
+
+/// One MCS search, shared by DISCOVERMCS and BOUNDEDMCS: per component
+/// (§4.3.1), the best prefix over its paths, each traversed by `traverse`
+/// (which adds its prefix evaluations to the counter it is handed) — the
+/// longest prefix wins, ties break on the earlier path, and a component's
+/// exploration stops once a path covers every component edge or the budget
+/// trips. The winners are assembled into the MCS and its explanation.
+pub(crate) fn explain(
+    db: &Database,
+    session: &Session<'_>,
+    q: &PatternQuery,
+    config: &McsConfig,
+    mut traverse: impl FnMut(&TraversalPath, &mut u64) -> Result<PrefixOutcome, WhyqError>,
+) -> Result<SubgraphExplanation, WhyqError> {
+    let stats = Statistics::new(db);
+    let budget = &config.budget;
+    let mut extensions = 0u64;
+    let mut paths_tried = 0usize;
+    let mut outcomes = Vec::new();
+    for component in components_of(q, config.decompose) {
+        if budget.poll().is_err() {
+            break;
+        }
+        let component_edges = component_edge_count(q, &component);
+        let mut best: Option<PrefixOutcome> = None;
+        for path in paths_for(q, &component, config, &stats) {
+            if budget.poll().is_err() {
+                break;
+            }
+            paths_tried += 1;
+            let outcome = traverse(&path, &mut extensions)?;
+            // a longer prefix, or the first matching seed after
+            // non-matching ones
+            let better = best.as_ref().is_none_or(|b| {
+                outcome.prefix.len() > b.prefix.len() || (!b.seed_ok && outcome.seed_ok)
+            });
+            if better {
+                let complete = outcome.prefix.len() == component_edges;
+                best = Some(outcome);
+                if complete {
+                    break;
+                }
+            }
+        }
+        outcomes.extend(best);
+    }
+    let mcs = assemble_mcs(q, &outcomes);
+    // the final count shares the run's budget: a tripped governor yields
+    // the partial count enumerated so far instead of an error
+    let mcs_cardinality = if mcs.num_vertices() == 0 {
+        0
+    } else {
+        let opts =
+            MatchOptions::counting(Some(config.cardinality_limit)).with_budget(budget.clone());
+        session.count_governed(&mcs, opts)?.value
+    };
+    Ok(SubgraphExplanation {
+        mcs_cardinality,
+        differential: DifferentialGraph::between(q, &mcs),
+        mcs,
+        crossing_edge: outcomes.iter().find_map(|o| o.crossing),
+        paths_tried,
+        extensions,
+        termination: budget.termination(),
+    })
+}
+
+/// Number of distinct query edges incident to `component`. `incident_edges`
+/// yields each edge once per *vertex* it touches (a self-loop once), so
+/// the set dedups the edges shared by two component endpoints — the count
+/// compares against prefix lengths and must be exact.
+fn component_edge_count(q: &PatternQuery, component: &[QVid]) -> usize {
+    component
+        .iter()
+        .flat_map(|&v| q.incident_edges(v))
+        .collect::<std::collections::BTreeSet<QEid>>()
+        .len()
 }
 
 /// Components to traverse: per-WCC when decomposition is on (§4.3.1),
 /// otherwise the whole live vertex set at once.
-pub(crate) fn components_of(q: &PatternQuery, decompose: bool) -> Vec<Vec<QVid>> {
+fn components_of(q: &PatternQuery, decompose: bool) -> Vec<Vec<QVid>> {
     if decompose {
         q.weakly_connected_components()
     } else {
@@ -183,7 +196,7 @@ pub(crate) fn components_of(q: &PatternQuery, decompose: bool) -> Vec<Vec<QVid>>
 }
 
 /// Paths for one component per the configured strategy.
-pub(crate) fn paths_for(
+fn paths_for(
     q: &PatternQuery,
     component: &[QVid],
     config: &McsConfig,
@@ -199,19 +212,15 @@ pub(crate) fn paths_for(
 }
 
 /// Assemble the MCS query from per-component outcomes, preserving ids.
-pub(crate) fn assemble_mcs(q: &PatternQuery, outcomes: &[PrefixOutcome]) -> PatternQuery {
+fn assemble_mcs(q: &PatternQuery, outcomes: &[PrefixOutcome]) -> PatternQuery {
     let all_edges: Vec<QEid> = outcomes
         .iter()
         .flat_map(|o| o.prefix.iter().copied())
         .collect();
     let mut mcs = q.edge_subquery(&all_edges);
-    for o in outcomes {
-        // an edgeless but matching seed still belongs to the MCS
-        if o.seed_ok && mcs.vertex(o.start).is_none() {
-            if let Some(v) = q.vertex(o.start) {
-                mcs.restore_vertex(o.start, v.clone());
-            }
-        }
+    // an edgeless but matching seed still belongs to the MCS
+    for o in outcomes.iter().filter(|o| o.seed_ok) {
+        restore_start(q, &mut mcs, o.start);
     }
     mcs
 }
@@ -220,19 +229,14 @@ pub(crate) fn assemble_mcs(q: &PatternQuery, outcomes: &[PrefixOutcome]) -> Patt
 pub struct DiscoverMcs<'g> {
     db: &'g Database,
     config: McsConfig,
-    executor: Executor,
 }
 
 impl<'g> DiscoverMcs<'g> {
-    /// DISCOVERMCS over `db` with default configuration. Sibling traversal
-    /// paths are probed in parallel when the environment enables it
-    /// ([`whyq_session::ParallelOpts::from_env`]); the explanation is
-    /// identical either way.
+    /// DISCOVERMCS over `db` with default configuration.
     pub fn new(db: &'g Database) -> Self {
         DiscoverMcs {
             db,
             config: McsConfig::default(),
-            executor: Executor::from_env(),
         }
     }
 
@@ -242,26 +246,19 @@ impl<'g> DiscoverMcs<'g> {
         self
     }
 
-    /// Override the executor used for sibling path probes.
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// Explain a why-empty query: detect the MCS and the differential graph.
     ///
     /// When the configured [`McsConfig::budget`] trips mid-run the
     /// traversal degrades gracefully: the explanation assembled from the
     /// components finished so far is returned with its
     /// [`termination`](SubgraphExplanation::termination) naming the cause.
-    /// `Err` is reserved for real failures (a panicked parallel worker, an
-    /// invalid query).
+    /// `Err` is reserved for real failures (an invalid query).
     pub fn run(&self, q: &PatternQuery) -> Result<SubgraphExplanation, WhyqError> {
-        self.run_impl(q, None)
+        self.run_with(q, &self.db.session())
     }
 
-    /// Like [`DiscoverMcs::run`], but measuring the MCS cardinality through
-    /// a caller-provided session (which must belong to the same database) —
+    /// Like [`DiscoverMcs::run`], but counting every prefix through a
+    /// caller-provided session (which must belong to the same database) —
     /// the why-engine reuses its long-lived session this way instead of
     /// opening a throwaway one per explanation.
     pub fn run_with(
@@ -269,71 +266,9 @@ impl<'g> DiscoverMcs<'g> {
         q: &PatternQuery,
         session: &Session<'_>,
     ) -> Result<SubgraphExplanation, WhyqError> {
-        self.run_impl(q, Some(session))
-    }
-
-    fn run_impl(
-        &self,
-        q: &PatternQuery,
-        session: Option<&Session<'_>>,
-    ) -> Result<SubgraphExplanation, WhyqError> {
-        let g = self.db.graph();
-        let stats = Statistics::new(self.db);
         let budget = &self.config.budget;
-        let satisfied = |n: usize| n > 0;
-        let mut extensions = 0u64;
-        let mut paths_tried = 0usize;
-        let mut outcomes = Vec::new();
-        for component in components_of(q, self.config.decompose) {
-            if budget.poll().is_err() {
-                break;
-            }
-            // `incident_edges` yields each edge once per *vertex* it
-            // touches (a self-loop included once, not twice); the set
-            // dedups the edges shared by two component endpoints so the
-            // component edge count stays exact
-            let comp_edges: std::collections::BTreeSet<QEid> = component
-                .iter()
-                .flat_map(|&v| q.incident_edges(v))
-                .collect();
-            let paths = paths_for(q, &component, &self.config, &stats);
-            let outcome = best_prefix(
-                g,
-                q,
-                &paths,
-                comp_edges.len(),
-                self.config.max_intermediate,
-                &satisfied,
-                budget,
-                &mut extensions,
-                &mut paths_tried,
-                &self.executor,
-            )?;
-            outcomes.push(outcome);
-        }
-        let mcs = assemble_mcs(q, &outcomes);
-        let mcs_cardinality = if mcs.num_vertices() == 0 {
-            0
-        } else {
-            // the final count shares the run's budget: a tripped governor
-            // yields the partial count enumerated so far instead of an error
-            let opts = MatchOptions::counting(Some(self.config.cardinality_limit))
-                .with_budget(budget.clone());
-            let count = |s: &Session<'_>| Ok::<u64, WhyqError>(s.count_governed(&mcs, opts)?.value);
-            match session {
-                Some(s) => count(s)?,
-                None => count(&self.db.session())?,
-            }
-        };
-        let crossing_edge = outcomes.iter().find_map(|o| o.crossing);
-        Ok(SubgraphExplanation {
-            differential: DifferentialGraph::between(q, &mcs),
-            mcs,
-            mcs_cardinality,
-            crossing_edge,
-            paths_tried,
-            extensions,
-            termination: budget.termination(),
+        explain(self.db, session, q, &self.config, |path, extensions| {
+            traverse_path(session, q, path, budget, extensions)
         })
     }
 }
@@ -341,7 +276,7 @@ impl<'g> DiscoverMcs<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whyq_graph::Value;
+    use whyq_graph::{PropertyGraph, Value};
     use whyq_query::{Predicate, QueryBuilder};
 
     /// Data: Anna works at TUD (since 2003), TUD located in Dresden.
@@ -373,6 +308,69 @@ mod tests {
             .edge("p", "u", "workAt")
             .edge("u", "c", "locatedIn")
             .build()
+    }
+
+    /// Three persons (a knows b knows c); a and b live in the one city.
+    fn social() -> Database {
+        let mut g = PropertyGraph::new();
+        let a = g.add_vertex([("type", Value::str("person"))]);
+        let b = g.add_vertex([("type", Value::str("person"))]);
+        let c = g.add_vertex([("type", Value::str("person"))]);
+        let city = g.add_vertex([("type", Value::str("city"))]);
+        g.add_edge(a, b, "knows", []);
+        g.add_edge(b, c, "knows", []);
+        g.add_edge(a, city, "livesIn", []);
+        g.add_edge(b, city, "livesIn", []);
+        Database::open(g).expect("open")
+    }
+
+    fn count(db: &Database, q: &PatternQuery, prefix: &[QEid], cap: u64) -> Option<u64> {
+        let session = db.session();
+        prefix_count(&session, q, QVid(0), prefix, cap, &Budget::unlimited()).unwrap()
+    }
+
+    #[test]
+    fn prefix_counts_follow_the_traversal() {
+        let db = social();
+        let q = QueryBuilder::new("tri")
+            .vertex("p1", [Predicate::eq("type", "person")])
+            .vertex("p2", [Predicate::eq("type", "person")])
+            .vertex("c", [Predicate::eq("type", "city")])
+            .edge("p1", "p2", "knows")
+            .edge("p1", "c", "livesIn")
+            .edge("p2", "c", "livesIn")
+            .build();
+        let (knows, lives1, lives2) = (QEid(0), QEid(1), QEid(2));
+        assert_eq!(count(&db, &q, &[], u64::MAX), Some(3));
+        assert_eq!(count(&db, &q, &[knows], u64::MAX), Some(2)); // a->b, b->c
+        assert_eq!(count(&db, &q, &[knows, lives1], u64::MAX), Some(2));
+        let full = count(&db, &q, &[knows, lives1, lives2], u64::MAX);
+        assert_eq!(full, Some(db.session().count(&q).unwrap()));
+        assert_eq!(full, Some(1));
+    }
+
+    #[test]
+    fn prefix_count_respects_its_cap() {
+        let db = social();
+        let q = QueryBuilder::new("p")
+            .vertex("p1", [Predicate::eq("type", "person")])
+            .build();
+        assert_eq!(count(&db, &q, &[], 2), Some(2));
+    }
+
+    #[test]
+    fn self_loop_prefix_requires_data_self_loop() {
+        let mut g = PropertyGraph::new();
+        let a = g.add_vertex([]);
+        let b = g.add_vertex([]);
+        g.add_edge(a, b, "t", []);
+        g.add_edge(b, b, "t", []);
+        let db = Database::open(g).expect("open");
+        let mut q = PatternQuery::new();
+        let v = q.add_vertex(whyq_query::QueryVertex::any());
+        let e = q.add_edge(whyq_query::QueryEdge::typed(v, v, "t"));
+        assert_eq!(count(&db, &q, &[], u64::MAX), Some(2));
+        assert_eq!(count(&db, &q, &[e], u64::MAX), Some(1));
     }
 
     #[test]
@@ -435,29 +433,6 @@ mod tests {
         assert!(single.extensions <= exhaustive.extensions);
         // on this simple query the approximation is exact
         assert_eq!(single.mcs.num_edges(), exhaustive.mcs.num_edges());
-    }
-
-    #[test]
-    fn parallel_path_probes_match_serial() {
-        use whyq_session::ParallelOpts;
-        let db = data();
-        let q = failing_query();
-        let serial = DiscoverMcs::new(&db)
-            .with_executor(Executor::serial())
-            .run(&q)
-            .unwrap();
-        let par = DiscoverMcs::new(&db)
-            .with_executor(Executor::new(ParallelOpts::with_threads(4)))
-            .run(&q)
-            .unwrap();
-        assert_eq!(par.mcs.num_edges(), serial.mcs.num_edges());
-        assert_eq!(par.mcs.num_vertices(), serial.mcs.num_vertices());
-        assert_eq!(par.mcs_cardinality, serial.mcs_cardinality);
-        assert_eq!(par.crossing_edge, serial.crossing_edge);
-        // the parallel fold replays the serial early-break, so even the
-        // reported measurement statistics are machine-independent
-        assert_eq!(par.paths_tried, serial.paths_tried);
-        assert_eq!(par.extensions, serial.extensions);
     }
 
     #[test]

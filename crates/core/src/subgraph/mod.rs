@@ -1,11 +1,16 @@
 //! Subgraph-based explanations (Ch. 4).
 //!
 //! *Why did the query deliver an unexpected number of answers?* — answered
-//! in terms of the query's own topology: traverse the query graph while
-//! maintaining the intermediate results of the traversed subquery, find the
+//! in terms of the query's own topology: traverse the query graph edge by
+//! edge while counting the results of the traversed subquery, find the
 //! largest subquery that still behaves as expected (the **maximum common
 //! connected subgraph** between query and data, §4.1.1) and report the rest
 //! as the **differential graph** (§4.1.2).
+//!
+//! Both algorithms count each traversed prefix as one governed subquery
+//! count on a [`whyq_session::Session`] — the same engine, caches and
+//! injectivity semantics as every other query — capped at the smallest
+//! count that decides the goal.
 //!
 //! * [`discover::DiscoverMcs`] — the DISCOVERMCS algorithm for why-empty
 //!   queries (§4.2.1);
@@ -35,15 +40,14 @@ pub struct McsConfig {
     pub strategy: PathStrategy,
     /// Process weakly connected query components separately (§4.3.1).
     pub decompose: bool,
-    /// Cap on intermediate result-set sizes during traversal.
-    pub max_intermediate: usize,
     /// Cap on the number of traversal paths tried per component in
     /// exhaustive mode.
     pub max_paths: usize,
     /// Cap used when counting the cardinality of the final MCS.
     pub cardinality_limit: u64,
     /// Resource governor of the run: deadline, step budget and external
-    /// cancellation. On a trip the traversal stops where it stands and
+    /// cancellation, charged in VM ticks by every prefix count (like any
+    /// other governed run). On a trip the traversal stops where it stands and
     /// the explanation assembled from the components finished so far is
     /// returned, tagged with the budget's
     /// [`Termination`](whyq_matcher::Termination) — a degraded answer, not
@@ -57,7 +61,6 @@ impl Default for McsConfig {
         McsConfig {
             strategy: PathStrategy::Exhaustive,
             decompose: true,
-            max_intermediate: 10_000,
             max_paths: 64,
             cardinality_limit: 100_000,
             budget: Budget::unlimited(),

@@ -6,17 +6,18 @@
 //! re-executing. These suites pin the contract that this is *purely* a
 //! performance optimization: explanations, trajectories, `paths_tried`
 //! and `extensions` work measures are bit-identical between a default
-//! database and one opened with `sibling_cache_capacity(0)` (for the MCS
-//! traversals also under a 4-thread executor), and a mid-run Budget trip
-//! never poisons the cache for later complete runs.
+//! database and one opened with `sibling_cache_capacity(0)`, and a mid-run
+//! Budget trip never poisons the cache for later complete runs.
 
 use whyq_core::problem::CardinalityGoal;
 use whyq_core::relax::{CoarseRewriter, RelaxConfig, RelaxOutcome};
 use whyq_core::subgraph::{BoundedMcs, DiscoverMcs, McsConfig};
 use whyq_core::SubgraphExplanation;
 use whyq_datagen::{ldbc_failing_queries, ldbc_graph, ldbc_queries, LdbcConfig};
+use whyq_matcher::budget::CHECK_INTERVAL;
 use whyq_matcher::{Budget, Termination};
-use whyq_session::{Database, DatabaseConfig, Executor, ParallelOpts};
+use whyq_query::QueryBuilder;
+use whyq_session::{Database, DatabaseConfig};
 
 /// The same graph opened twice: sibling cache on (default) and off.
 fn db_pair() -> (Database, Database) {
@@ -74,20 +75,14 @@ fn relax_trajectories_are_cache_invariant() {
 #[test]
 fn discover_mcs_is_cache_invariant() {
     let (inc, off) = db_pair();
-    let par = || Executor::new(ParallelOpts::with_threads(4));
     for q in &ldbc_failing_queries() {
         let on = DiscoverMcs::new(&inc).run(q).expect("discover");
         let reference = DiscoverMcs::new(&off).run(q).expect("discover");
         assert_same_subgraph(&on, &reference);
 
-        // warm replay and the 4-thread cardinality probes agree too
+        // a warm replay agrees too
         let warm = DiscoverMcs::new(&inc).run(q).expect("discover");
         assert_same_subgraph(&warm, &reference);
-        let threaded = DiscoverMcs::new(&inc)
-            .with_executor(par())
-            .run(q)
-            .expect("discover");
-        assert_same_subgraph(&threaded, &reference);
     }
 }
 
@@ -135,22 +130,41 @@ fn budget_tripped_relax_does_not_poison_the_cache() {
 
 /// The MCS twin: a budget trip mid-traversal leaves no truncated
 /// cardinalities behind for the complete re-run to replay.
+///
+/// The VM ticks once per accepted candidate and charges the budget every
+/// [`CHECK_INTERVAL`] ticks, so a zero-step budget trips the first prefix
+/// count that reaches `CHECK_INTERVAL` candidates. Every path of
+/// `(a)-[:knows]->(b)` starts at an unconstrained seed with more than
+/// `CHECK_INTERVAL` matches (asserted below), which BOUNDEDMCS counts up
+/// to the goal's cap `CHECK_INTERVAL + 1`: the trip is certain, and the
+/// truncated seed count it leaves behind would fail the goal the full
+/// count meets.
 #[test]
 fn budget_tripped_mcs_does_not_poison_the_cache() {
     let (inc, off) = db_pair();
-    let q = &ldbc_failing_queries()[0];
+    let q = QueryBuilder::new("any knows")
+        .vertex("a", [])
+        .vertex("b", [])
+        .edge("a", "b", "knows")
+        .build();
+    let interval = u64::from(CHECK_INTERVAL);
+    let seed = QueryBuilder::new("any").vertex("a", []).build();
+    assert!(off.session().count(&seed).unwrap() > interval);
+    let goal = CardinalityGoal::AtLeast(interval);
 
     let starved = McsConfig {
-        budget: Budget::steps(50),
+        budget: Budget::steps(0),
         ..McsConfig::default()
     };
-    let tripped = DiscoverMcs::new(&inc)
+    let tripped = BoundedMcs::new(&inc)
         .with_config(starved)
-        .run(q)
-        .expect("discover");
+        .run(&q, goal)
+        .expect("bounded");
     assert_ne!(tripped.termination, Termination::Complete);
 
-    let after = DiscoverMcs::new(&inc).run(q).expect("discover");
-    let reference = DiscoverMcs::new(&off).run(q).expect("discover");
+    let after = BoundedMcs::new(&inc).run(&q, goal).expect("bounded");
+    let reference = BoundedMcs::new(&off).run(&q, goal).expect("bounded");
+    assert_eq!(reference.termination, Termination::Complete);
+    assert_eq!(reference.mcs.num_vertices(), 1);
     assert_same_subgraph(&after, &reference);
 }

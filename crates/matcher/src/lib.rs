@@ -56,10 +56,9 @@
 //! one-unit-per-component case, `find_par`/`count_par` shard the large
 //! components.
 //!
-//! The incremental edge-at-a-time growth primitive the why-query algorithms
-//! (DISCOVERMCS, BOUNDEDMCS, change propagation) are built on lives with
-//! those algorithms in `whyq_core::grow`; it reuses this crate's
-//! per-element predicate compilation ([`compile`]).
+//! The why-query algorithms (DISCOVERMCS, BOUNDEDMCS, the fine rewriter)
+//! run on this engine too: each traversed prefix is one governed count of
+//! a subquery through a `whyq_session::Session`.
 
 // The whole workspace is unsafe-free (audited 2026-08): lock it in.
 #![forbid(unsafe_code)]

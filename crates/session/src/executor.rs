@@ -1,11 +1,10 @@
 //! Parallel execution: a scoped-thread work pool over per-worker sessions.
 //!
-//! The why-query engine's dominant cost is *many independent searches*:
-//! the MCS traversals' sibling paths and a server batch's requests
-//! (inter-query parallelism), and — for one big query — the independent
-//! seed subranges of a large weakly connected component (intra-query
-//! parallelism, the `whyq-matcher` work model, used by the session's
-//! component loop when a [`ParallelOpts`] is passed). Both shapes reduce
+//! Two workloads run in parallel: the requests of a server batch
+//! (inter-query parallelism, [`Executor::find_batch`]) and, for one big
+//! query, the independent seed subranges of a large weakly connected
+//! component (intra-query parallelism, the `whyq-matcher` work model, used
+//! by the session's component loop when a [`ParallelOpts`] is passed). Both shapes reduce
 //! to "run N pure tasks against one shared [`Database`]", which is
 //! exactly what [`Executor`] provides, with no dependencies beyond
 //! `std::thread::scope`.
@@ -236,25 +235,6 @@ impl Executor {
         self.threads() > 1
     }
 
-    /// Run `f` over every item of `items`, returning results in item
-    /// order. Tasks are pure functions of their item — `f` is shared by
-    /// reference across workers, so it must be `Sync` and should not
-    /// depend on execution order.
-    ///
-    /// A panicking task does not take the process (or the caller) down:
-    /// the unwind is caught at the unit boundary and surfaced as
-    /// [`WhyqError::WorkerPanicked`] — first error wins, remaining units
-    /// are abandoned. An attached cancel token likewise fails the batch
-    /// with [`WhyqError::Interrupted`].
-    pub fn map_batch<I, T, F>(&self, items: &[I], f: F) -> Result<Vec<T>, WhyqError>
-    where
-        I: Sync,
-        T: Send + Sync,
-        F: Fn(&I) -> T + Sync,
-    {
-        self.dispatch(items.len(), || (), |(), i| f(&items[i]))
-    }
-
     /// Enumerate every request of `requests` against `db`, returning
     /// per-request **governed** results in request order. Each worker owns
     /// one session, so same-signature requests share the database's plan
@@ -410,17 +390,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_batch_preserves_order() {
+    fn find_batch_preserves_order() {
+        use whyq_graph::{PropertyGraph, Value};
+        use whyq_query::{Predicate, QVid, QueryBuilder};
+        let mut g = PropertyGraph::new();
+        let vs: Vec<_> = (0..100)
+            .map(|i| g.add_vertex([("x", Value::Int(i))]))
+            .collect();
+        let db = Database::open(g).unwrap();
+        // request i matches exactly vertex i
+        let queries: Vec<PatternQuery> = (0..100i64)
+            .map(|i| {
+                QueryBuilder::new("x")
+                    .vertex("v", [Predicate::eq("x", i)])
+                    .build()
+            })
+            .collect();
+        let requests: Vec<_> = queries
+            .iter()
+            .map(|q| (q, MatchOptions::default()))
+            .collect();
         for threads in [1usize, 2, 8] {
             let exec = Executor::new(ParallelOpts::with_threads(threads));
-            let items: Vec<usize> = (0..100).collect();
-            let out = exec.map_batch(&items, |&i| i * 2).unwrap();
-            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+            let bound: Vec<_> = exec
+                .find_batch(&db, &requests)
+                .into_iter()
+                .map(|slot| slot.unwrap().value[0].vertex(QVid(0)).unwrap())
+                .collect();
+            assert_eq!(bound, vs, "{threads} threads");
         }
-        assert!(Executor::serial()
-            .map_batch(&Vec::<u8>::new(), |_| 0)
-            .unwrap()
-            .is_empty());
+        assert!(Executor::serial().find_batch(&db, &[]).is_empty());
     }
 
     #[test]

@@ -168,25 +168,29 @@ fn injected_panic_in_count_par_is_isolated_too() {
 fn executor_stays_usable_after_injected_panic() {
     // Both the serial inline path and the scoped-thread pool route every
     // unit through the same catch_unwind boundary.
+    let db = Database::open(clique(5)).unwrap();
+    let q = path_query(2);
+    let requests: Vec<_> = (0..16).map(|_| (&q, MatchOptions::default())).collect();
     for exec in [
         Executor::serial(),
         Executor::new(ParallelOpts::with_threads(4)),
     ] {
-        let items: Vec<usize> = (0..16).collect();
         {
             let _guard = arm(FaultPlan {
                 panic_at_unit: Some(3),
                 ..FaultPlan::default()
             });
-            let err = exec
-                .map_batch(&items, |&i| i + 1)
-                .expect_err("unit 3 panics");
-            assert!(matches!(err, WhyqError::WorkerPanicked { .. }));
+            for slot in exec.find_batch(&db, &requests) {
+                assert!(matches!(slot, Err(WhyqError::WorkerPanicked { .. })));
+            }
         }
         // disarmed: the very same executor finishes the batch correctly
         let _quiet = disarmed();
-        let out = exec.map_batch(&items, |&i| i + 1).unwrap();
-        assert_eq!(out, (1..=16).collect::<Vec<_>>());
+        let out = exec.find_batch(&db, &requests);
+        assert_eq!(out.len(), 16);
+        for slot in out {
+            assert_eq!(slot.unwrap().value.len(), 5 * 4);
+        }
     }
 }
 

@@ -270,9 +270,9 @@ proptest! {
         );
     }
 
-    /// The 4-thread executor path (the `WHYQ_THREADS=4` configuration):
-    /// batched counts and governed finds over the whole sibling family
-    /// agree with serial full re-execution.
+    /// Four threads at once: counts from four worker sessions and a
+    /// 4-thread executor batch of governed finds over the whole sibling
+    /// family agree with serial full re-execution.
     #[test]
     fn incremental_equals_full_reexecution_batched(
         n in 2usize..6,
@@ -289,15 +289,39 @@ proptest! {
         let inc = Database::open(g.clone()).expect("open");
         let executor = Executor::new(ParallelOpts::with_threads(4));
 
-        let count_all = || executor.map_batch(&family, |q| inc.session().count(q)).unwrap();
+        // four worker threads, one session each, counting interleaved
+        // slices of the family
+        let count_all = || {
+            let mut counts = vec![0u64; family.len()];
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4)
+                    .map(|w| {
+                        let (inc, family) = (&inc, &family);
+                        scope.spawn(move || {
+                            let session = inc.session();
+                            (w..family.len())
+                                .step_by(4)
+                                .map(|i| (i, session.count(&family[i]).unwrap()))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for worker in workers {
+                    for (i, c) in worker.join().unwrap() {
+                        counts[i] = c;
+                    }
+                }
+            });
+            counts
+        };
         let batched = count_all();
         // run the batch twice: the second pass replays what the first
         // inserted, across worker sessions (the cache is database state)
         let replayed = count_all();
         for ((q, got), again) in family.iter().zip(&batched).zip(&replayed) {
             let (oracle_count, _) = oracle(&g, q, MatchOptions::default());
-            prop_assert_eq!(got.as_ref().unwrap(), &oracle_count);
-            prop_assert_eq!(again.as_ref().unwrap(), &oracle_count);
+            prop_assert_eq!(*got, oracle_count);
+            prop_assert_eq!(*again, oracle_count);
         }
 
         let requests: Vec<(&PatternQuery, MatchOptions)> = family

@@ -4,7 +4,7 @@
 
 use whyquery::core::fine::{FineConfig, TraverseSearchTree};
 use whyquery::core::relax::{CoarseRewriter, RelaxConfig};
-use whyquery::core::subgraph::{DiscoverMcs, McsConfig};
+use whyquery::core::subgraph::{BoundedMcs, DiscoverMcs, McsConfig};
 use whyquery::graph::io;
 use whyquery::prelude::*;
 use whyquery::query::{parse_query, QEid, QVid, QueryEdge, QueryVertex};
@@ -167,19 +167,42 @@ fn disconnected_query_with_failing_and_succeeding_components() {
     assert!(expl.mcs.vertex(QVid(1)).is_none());
 }
 
+/// 10,001 `a` and 10,001 `b` vertices; only the last `a` has a `t` edge,
+/// to the last `b`. No seed cap may hide it.
+fn one_edge_after_many_seeds() -> (Database, PatternQuery) {
+    let mut g = PropertyGraph::new();
+    let n = 10_001;
+    let a: Vec<_> = (0..n)
+        .map(|_| g.add_vertex([("type", Value::str("a"))]))
+        .collect();
+    let b: Vec<_> = (0..n)
+        .map(|_| g.add_vertex([("type", Value::str("b"))]))
+        .collect();
+    g.add_edge(a[n - 1], b[n - 1], "t", []);
+    let q = parse_query("(x:a)-[:t]->(y:b)-[:t]->(z:c)").unwrap();
+    (Database::open(g).expect("open"), q)
+}
+
 #[test]
-fn mcs_with_tiny_intermediate_cap_still_terminates() {
-    let db = tiny_graph();
-    let q = parse_query("(a:thing)-[:rel]->(b:thing)").unwrap();
-    let expl = DiscoverMcs::new(&db)
-        .with_config(McsConfig {
-            max_intermediate: 1,
-            ..McsConfig::default()
-        })
-        .run(&q)
+fn mcs_prefix_counts_are_exact_past_ten_thousand_seeds() {
+    let (db, q) = one_edge_after_many_seeds();
+    let expl = DiscoverMcs::new(&db).run(&q).unwrap();
+    assert_eq!(expl.mcs.num_edges(), 1);
+    assert!(expl.mcs.edge(QEid(0)).is_some());
+    assert_eq!(expl.mcs_cardinality, 1);
+    assert_eq!(expl.crossing_edge, Some(QEid(1)));
+}
+
+#[test]
+fn bounded_mcs_prefix_counts_are_exact_past_ten_thousand_seeds() {
+    let (db, q) = one_edge_after_many_seeds();
+    let expl = BoundedMcs::new(&db)
+        .run(&q, CardinalityGoal::AtLeast(1))
         .unwrap();
-    // with cap 1 the traversal still finds the full (1-match) query
-    assert!(expl.differential.is_empty());
+    assert_eq!(expl.mcs.num_edges(), 1);
+    assert!(expl.mcs.edge(QEid(0)).is_some());
+    assert_eq!(expl.mcs_cardinality, 1);
+    assert_eq!(expl.crossing_edge, Some(QEid(1)));
 }
 
 #[test]

@@ -3,13 +3,29 @@
 //! soundness — checked over randomly generated small graphs and queries.
 
 use proptest::prelude::*;
-use whyquery::core::subgraph::{DiscoverMcs, McsConfig, PathStrategy};
+use whyquery::core::subgraph::{BoundedMcs, DiscoverMcs, McsConfig, PathStrategy};
 use whyquery::core::DifferentialGraph;
+use whyquery::matcher::count_matches_naive;
 use whyquery::prelude::*;
 use whyquery::query::{QEid, QVid, QueryEdge, QueryVertex};
 
 mod common;
 use common::count_matches;
+
+/// Oracle count: the naive reference matcher, no limit.
+fn oracle(db: &Database, q: &PatternQuery) -> u64 {
+    count_matches_naive(db.graph(), q, MatchOptions::default())
+}
+
+/// A cardinality goal out of `NonEmpty | AtLeast | AtMost | Between`.
+fn build_goal(kind: u8, k: u64, width: u64) -> CardinalityGoal {
+    match kind % 4 {
+        0 => CardinalityGoal::NonEmpty,
+        1 => CardinalityGoal::AtLeast(k),
+        2 => CardinalityGoal::AtMost(k),
+        _ => CardinalityGoal::Between(k, k + width),
+    }
+}
 
 /// Build a small random data graph: `n` vertices with a type out of three,
 /// edges from the pair list, one edge type out of two.
@@ -142,15 +158,53 @@ proptest! {
         qlen in 2usize..4,
         qtypes in prop::collection::vec(0u8..3, 5),
         qetypes in prop::collection::vec(any::<bool>(), 5),
+        goal_kind in 0u8..3,
+        k in 0u64..6,
     ) {
         let db = build_graph(n, &vtypes, &pairs);
         let q = build_query(qlen, &qtypes, &qetypes);
         let engine = WhyEngine::new(&db);
-        let goal = CardinalityGoal::NonEmpty;
+        // NonEmpty reaches the coarse rewriter, the thresholds
+        // TRAVERSESEARCHTREE
+        let goal = build_goal(goal_kind, k, 0);
         if let Some(rw) = engine.rewrite(&q, goal).expect("valid query") {
-            let c = count_matches(&db, &rw.query, None);
+            let c = oracle(&db, &rw.query);
             prop_assert_eq!(c, rw.cardinality);
             prop_assert!(goal.satisfied(c));
+        }
+    }
+
+    /// A non-empty bounded MCS meets its goal by the oracle's count; a
+    /// reported crossing edge added to the MCS violates it.
+    #[test]
+    fn bounded_mcs_meets_its_goal(
+        n in 3usize..8,
+        vtypes in prop::collection::vec(0u8..3, 8),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 2..12),
+        qlen in 2usize..5,
+        qtypes in prop::collection::vec(0u8..3, 5),
+        qetypes in prop::collection::vec(any::<bool>(), 5),
+        goal_kind in 1u8..4,
+        k in 0u64..6,
+        width in 0u64..4,
+    ) {
+        let db = build_graph(n, &vtypes, &pairs);
+        let q = build_query(qlen, &qtypes, &qetypes);
+        let goal = build_goal(goal_kind, k, width);
+        let expl = BoundedMcs::new(&db).run(&q, goal).unwrap();
+        if expl.mcs.num_vertices() > 0 {
+            prop_assert!(goal.satisfied(oracle(&db, &expl.mcs)), "{goal:?}");
+        }
+        if let Some(e) = expl.crossing_edge {
+            let mut edges: Vec<QEid> = expl.mcs.edge_ids().collect();
+            edges.push(e);
+            let mut grown = q.edge_subquery(&edges);
+            for v in expl.mcs.vertex_ids() {
+                if grown.vertex(v).is_none() {
+                    grown.restore_vertex(v, expl.mcs.vertex(v).unwrap().clone());
+                }
+            }
+            prop_assert!(!goal.satisfied(oracle(&db, &grown)), "{goal:?} crossing {e:?}");
         }
     }
 
