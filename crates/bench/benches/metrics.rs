@@ -2,8 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use whyq_core::domains::AttributeDomains;
 use whyq_datagen::{ldbc_graph, ldbc_queries, random_explanations, LdbcConfig, MutationConfig};
+use whyq_graph::domains::AttributeDomains;
 use whyq_matcher::{MatchOptions, Matcher};
 use whyq_metrics::{hungarian, result_set_distance, syntactic_distance};
 

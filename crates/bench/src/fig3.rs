@@ -12,8 +12,8 @@
 use crate::cells;
 use crate::util::{count, find};
 use crate::util::{series_summary, Table, CARDINALITY_FACTORS};
-use whyq_core::domains::AttributeDomains;
 use whyq_datagen::{ldbc_queries, random_explanations, MutationConfig};
+use whyq_graph::domains::AttributeDomains;
 use whyq_matcher::ResultGraph;
 use whyq_metrics::{result_set_distance, syntactic_distance};
 use whyq_query::PatternQuery;

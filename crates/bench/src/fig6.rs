@@ -9,7 +9,6 @@
 use crate::cells;
 use crate::util::count;
 use crate::util::{timed, Table, CARDINALITY_FACTORS};
-use whyq_core::domains::AttributeDomains;
 use whyq_core::fine::baselines::{exhaustive_bfs, random_walk};
 use whyq_core::fine::{FineConfig, TraverseSearchTree};
 use whyq_core::problem::CardinalityGoal;
@@ -42,7 +41,6 @@ pub fn baselines(db: &Database, tsv: bool) {
             "query", "factor", "goal", "method", "executed", "found", "best dev", "ms",
         ],
     );
-    let domains = AttributeDomains::build(db.graph(), 256);
     for q in ldbc_queries() {
         let c1 = count(db, &q, None);
         for (factor, goal) in goals_for(c1) {
@@ -63,18 +61,7 @@ pub fn baselines(db: &Database, tsv: bool) {
                 format!("{ms:.1}"),
             ]);
             // random walk
-            let (rw, ms) = timed(|| {
-                random_walk(
-                    db,
-                    &q,
-                    goal,
-                    BUDGET,
-                    11,
-                    &domains,
-                    50_000,
-                    &Budget::unlimited(),
-                )
-            });
+            let (rw, ms) = timed(|| random_walk(db, &q, goal, BUDGET, 11, &Budget::unlimited()));
             t.row(cells![
                 q.name.clone().unwrap_or_default(),
                 factor,
@@ -86,9 +73,7 @@ pub fn baselines(db: &Database, tsv: bool) {
                 format!("{ms:.1}"),
             ]);
             // exhaustive BFS
-            let (bfs, ms) = timed(|| {
-                exhaustive_bfs(db, &q, goal, BUDGET, &domains, 50_000, &Budget::unlimited())
-            });
+            let (bfs, ms) = timed(|| exhaustive_bfs(db, &q, goal, BUDGET, &Budget::unlimited()));
             t.row(cells![
                 q.name.clone().unwrap_or_default(),
                 factor,
@@ -124,7 +109,6 @@ pub fn topology(db: &Database, tsv: bool) {
                     .with_config(FineConfig {
                         max_executed: BUDGET,
                         allow_topology: allow,
-                        ..FineConfig::default()
                     })
                     .run(&q, goal);
                 t.row(cells![

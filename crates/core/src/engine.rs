@@ -21,12 +21,16 @@ use whyq_matcher::MatchOptions;
 use whyq_query::PatternQuery;
 use whyq_session::{Database, Session, WhyqError};
 
+/// Cap used when measuring cardinalities.
+const COUNT_CAP: u64 = 1_000_000;
+
 /// A complete diagnosis: classification plus both explanation kinds.
 #[derive(Debug, Clone)]
 pub struct Diagnosis {
     /// The classified problem.
     pub problem: WhyProblem,
-    /// Measured (capped) cardinality of the original query.
+    /// Measured cardinality of the original query, capped at
+    /// `max(1,000,000, goal.decisive_cap())`.
     pub cardinality: u64,
     /// Subgraph-based explanation (absent when the goal is satisfied).
     pub subgraph: Option<SubgraphExplanation>,
@@ -43,17 +47,18 @@ pub struct Diagnosis {
 /// — the relax loop's hundreds of sibling candidates pay for compilation
 /// once per distinct signature.
 ///
-/// The MCS generators count every traversed prefix on the engine's own
-/// session, so their prefixes share the plan cache and sibling store with
-/// the rewriters. Everything here runs serially on the calling thread.
+/// Classification counts at `max(1,000,000, goal.decisive_cap())`, so
+/// every goal is judged exactly. The MCS generators count every traversed
+/// prefix on the engine's own session, so their prefixes share the plan
+/// cache and sibling store with the rewriters; the fine rewriter borrows
+/// [`Database::domains`]. Everything here runs serially on the calling
+/// thread.
 pub struct WhyEngine<'db> {
     db: &'db Database,
     /// Session reused across every cardinality measurement (its scratch
     /// arena is built exactly once; indexes come from the database
     /// configuration instead of a hard-coded attribute).
     session: Session<'db>,
-    /// Cap used when measuring cardinalities.
-    pub count_cap: u64,
     /// Configuration of the subgraph-based algorithms.
     pub mcs_config: McsConfig,
     /// Configuration of the coarse (why-empty) rewriter.
@@ -68,7 +73,6 @@ impl<'db> WhyEngine<'db> {
         WhyEngine {
             db,
             session: db.session(),
-            count_cap: 1_000_000,
             mcs_config: McsConfig::default(),
             relax_config: RelaxConfig::default(),
             fine_config: FineConfig::default(),
@@ -85,10 +89,10 @@ impl<'db> WhyEngine<'db> {
         self.db.graph()
     }
 
-    /// Measured (capped) cardinality of a query.
+    /// Measured cardinality of a query, capped at 1,000,000.
     pub fn cardinality(&self, q: &PatternQuery) -> Result<u64, WhyqError> {
-        self.session
-            .count_opts(q, MatchOptions::counting(Some(self.count_cap)))
+        // `NonEmpty`'s decisive cap is 1, so this counts at `COUNT_CAP`
+        self.measure(q, CardinalityGoal::NonEmpty)
     }
 
     /// Classify the why-problem of `q` under `goal`.
@@ -97,7 +101,14 @@ impl<'db> WhyEngine<'db> {
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<WhyProblem, WhyqError> {
-        Ok(goal.classify(self.cardinality(q)?))
+        Ok(goal.classify(self.measure(q, goal)?))
+    }
+
+    /// Cardinality of `q` capped where it still decides `goal`.
+    fn measure(&self, q: &PatternQuery, goal: CardinalityGoal) -> Result<u64, WhyqError> {
+        let cap = COUNT_CAP.max(goal.decisive_cap());
+        self.session
+            .count_opts(q, MatchOptions::counting(Some(cap)))
     }
 
     /// Subgraph-based explanation for an empty result (DISCOVERMCS).
@@ -119,12 +130,8 @@ impl<'db> WhyEngine<'db> {
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<SubgraphExplanation, WhyqError> {
-        match self.classify(q, goal)? {
-            WhyProblem::WhyEmpty => self.why_empty(q),
-            _ => BoundedMcs::new(self.db)
-                .with_config(self.mcs_config.clone())
-                .run_with(q, goal, &self.session),
-        }
+        let problem = self.classify(q, goal)?;
+        self.subgraph_for(q, goal, problem)
     }
 
     /// Modification-based explanation: rewrite `q` so it satisfies `goal`.
@@ -133,7 +140,58 @@ impl<'db> WhyEngine<'db> {
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<Option<ModificationExplanation>, WhyqError> {
-        Ok(match self.classify(q, goal)? {
+        let problem = self.classify(q, goal)?;
+        self.rewrite_for(q, goal, problem)
+    }
+
+    /// Full diagnosis: count `q` once, classify it, then produce both
+    /// explanation kinds for that one classification.
+    pub fn diagnose(
+        &self,
+        q: &PatternQuery,
+        goal: CardinalityGoal,
+    ) -> Result<Diagnosis, WhyqError> {
+        let cardinality = self.measure(q, goal)?;
+        let problem = goal.classify(cardinality);
+        if problem == WhyProblem::Satisfied {
+            return Ok(Diagnosis {
+                problem,
+                cardinality,
+                subgraph: None,
+                rewrite: None,
+            });
+        }
+        Ok(Diagnosis {
+            problem,
+            cardinality,
+            subgraph: Some(self.subgraph_for(q, goal, problem)?),
+            rewrite: self.rewrite_for(q, goal, problem)?,
+        })
+    }
+
+    /// [`WhyEngine::subgraph_explanation`] for an already classified `q`.
+    fn subgraph_for(
+        &self,
+        q: &PatternQuery,
+        goal: CardinalityGoal,
+        problem: WhyProblem,
+    ) -> Result<SubgraphExplanation, WhyqError> {
+        match problem {
+            WhyProblem::WhyEmpty => self.why_empty(q),
+            _ => BoundedMcs::new(self.db)
+                .with_config(self.mcs_config.clone())
+                .run_with(q, goal, &self.session),
+        }
+    }
+
+    /// [`WhyEngine::rewrite`] for an already classified `q`.
+    fn rewrite_for(
+        &self,
+        q: &PatternQuery,
+        goal: CardinalityGoal,
+        problem: WhyProblem,
+    ) -> Result<Option<ModificationExplanation>, WhyqError> {
+        Ok(match problem {
             WhyProblem::Satisfied => None,
             WhyProblem::WhyEmpty if matches!(goal, CardinalityGoal::NonEmpty) => {
                 CoarseRewriter::new(self.db)
@@ -148,30 +206,6 @@ impl<'db> WhyEngine<'db> {
                     .run(q, goal)
                     .explanation
             }
-        })
-    }
-
-    /// Full diagnosis: classify, then produce both explanation kinds.
-    pub fn diagnose(
-        &self,
-        q: &PatternQuery,
-        goal: CardinalityGoal,
-    ) -> Result<Diagnosis, WhyqError> {
-        let cardinality = self.cardinality(q)?;
-        let problem = goal.classify(cardinality);
-        if problem == WhyProblem::Satisfied {
-            return Ok(Diagnosis {
-                problem,
-                cardinality,
-                subgraph: None,
-                rewrite: None,
-            });
-        }
-        Ok(Diagnosis {
-            problem,
-            cardinality,
-            subgraph: Some(self.subgraph_explanation(q, goal)?),
-            rewrite: self.rewrite(q, goal)?,
         })
     }
 }
@@ -271,6 +305,58 @@ mod tests {
             .rewrite(&q, CardinalityGoal::NonEmpty)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn diagnose_counts_the_query_once() {
+        let probes = |db: &Database| {
+            let s = db.cache_stats();
+            s.hits + s.misses
+        };
+        let goals = [
+            CardinalityGoal::NonEmpty,
+            CardinalityGoal::AtMost(3),
+            CardinalityGoal::AtLeast(5),
+        ];
+        let qs = [
+            QueryBuilder::new("berlin")
+                .vertex("p", [Predicate::eq("type", "person")])
+                .vertex(
+                    "c",
+                    [
+                        Predicate::eq("type", "city"),
+                        Predicate::eq("name", "Berlin"),
+                    ],
+                )
+                .edge("p", "c", "livesIn")
+                .build(),
+            QueryBuilder::new("all")
+                .vertex("p", [Predicate::eq("type", "person")])
+                .vertex("c", [Predicate::eq("type", "city")])
+                .edge("p", "c", "livesIn")
+                .build(),
+            QueryBuilder::new("narrow")
+                .vertex(
+                    "p",
+                    [
+                        Predicate::eq("type", "person"),
+                        Predicate::between("age", 20.0, 21.0),
+                    ],
+                )
+                .vertex("c", [Predicate::eq("type", "city")])
+                .edge("p", "c", "livesIn")
+                .build(),
+        ];
+        for (q, goal) in qs.iter().zip(goals) {
+            let (whole, parts) = (data(), data());
+            WhyEngine::new(&whole).diagnose(q, goal).unwrap();
+            let engine = WhyEngine::new(&parts);
+            engine.cardinality(q).unwrap();
+            engine.subgraph_explanation(q, goal).unwrap();
+            engine.rewrite(q, goal).unwrap();
+            // the two classifications of the separate calls are not repeated
+            assert_eq!(probes(&whole), probes(&parts) - 2, "{goal:?}");
+        }
     }
 
     #[test]

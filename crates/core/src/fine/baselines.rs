@@ -8,9 +8,13 @@
 //!   without any cardinality guidance (a SEAVE-style level-wise search);
 //! * predicate-only search — TRAVERSESEARCHTREE with
 //!   [`crate::fine::FineConfig::allow_topology`] `= false` (§6.4.3).
+//!
+//! Both baselines search the space TRAVERSESEARCHTREE searches: they draw
+//! candidates from the same [`Database::domains`] catalog and count them
+//! at the same cap, `max(50,000, goal.decisive_cap())`.
 
-use crate::domains::AttributeDomains;
 use crate::explanation::ModificationExplanation;
+use crate::fine::count_cap;
 use crate::fine::generate::fine_candidates;
 use crate::problem::CardinalityGoal;
 use rand::rngs::StdRng;
@@ -64,22 +68,20 @@ pub struct BaselineOutcome {
 /// `governor` bounds the *sampling attempts* (one step charged per
 /// attempt) and carries any deadline or cancellation; pass
 /// [`Budget::unlimited`] to get the default attempt budget.
-#[allow(clippy::too_many_arguments)]
 pub fn random_walk(
     db: &Database,
     q: &PatternQuery,
     goal: CardinalityGoal,
     budget: usize,
     seed: u64,
-    domains: &AttributeDomains,
-    count_cap: u64,
     governor: &Budget,
 ) -> BaselineOutcome {
     let governor = effective_governor(governor);
     let session = db.session();
+    let cap = count_cap(goal);
     let count = |query: &PatternQuery| {
         session
-            .count_opts(query, MatchOptions::counting(Some(count_cap)))
+            .count_opts(query, MatchOptions::counting(Some(cap)))
             .expect("baseline modification preserves query validity")
     };
     let mut rng = StdRng::seed_from_u64(seed);
@@ -122,7 +124,7 @@ pub fn random_walk(
                 goal.classify(current_c),
                 crate::problem::WhyProblem::WhySoMany
             );
-        let candidates = fine_candidates(&current, domains, need_more, true);
+        let candidates = fine_candidates(&current, db.domains(), need_more, true);
         if candidates.is_empty() {
             break;
         }
@@ -186,14 +188,13 @@ pub fn exhaustive_bfs(
     q: &PatternQuery,
     goal: CardinalityGoal,
     budget: usize,
-    domains: &AttributeDomains,
-    count_cap: u64,
     governor: &Budget,
 ) -> BaselineOutcome {
     let session = db.session();
+    let cap = count_cap(goal);
     let count = |query: &PatternQuery| {
         session
-            .count_opts(query, MatchOptions::counting(Some(count_cap)))
+            .count_opts(query, MatchOptions::counting(Some(cap)))
             .expect("baseline modification preserves query validity")
     };
     let mut executed = 0usize;
@@ -230,7 +231,7 @@ pub fn exhaustive_bfs(
         }
         let need_more =
             node_c == 0 || !matches!(goal.classify(node_c), crate::problem::WhyProblem::WhySoMany);
-        for m in fine_candidates(&node, domains, need_more, true) {
+        for m in fine_candidates(&node, db.domains(), need_more, true) {
             if executed >= budget {
                 break;
             }
@@ -315,15 +316,12 @@ mod tests {
     #[test]
     fn random_walk_eventually_finds_solution() {
         let db = data();
-        let domains = AttributeDomains::build(db.graph(), 100);
         let out = random_walk(
             &db,
             &narrow_query(),
             CardinalityGoal::AtLeast(7),
             500,
             42,
-            &domains,
-            10_000,
             &Budget::unlimited(),
         );
         assert!(out.explanation.is_some());
@@ -332,15 +330,12 @@ mod tests {
     #[test]
     fn random_walk_is_deterministic_per_seed() {
         let db = data();
-        let domains = AttributeDomains::build(db.graph(), 100);
         let a = random_walk(
             &db,
             &narrow_query(),
             CardinalityGoal::AtLeast(7),
             200,
             7,
-            &domains,
-            10_000,
             &Budget::unlimited(),
         );
         let b = random_walk(
@@ -349,8 +344,6 @@ mod tests {
             CardinalityGoal::AtLeast(7),
             200,
             7,
-            &domains,
-            10_000,
             &Budget::unlimited(),
         );
         assert_eq!(a.executed, b.executed);
@@ -360,14 +353,11 @@ mod tests {
     #[test]
     fn bfs_finds_solution_with_enough_budget() {
         let db = data();
-        let domains = AttributeDomains::build(db.graph(), 100);
         let out = exhaustive_bfs(
             &db,
             &narrow_query(),
             CardinalityGoal::AtLeast(7),
             2000,
-            &domains,
-            10_000,
             &Budget::unlimited(),
         );
         assert!(out.explanation.is_some());
@@ -377,7 +367,6 @@ mod tests {
     fn cancelled_governor_stops_the_walk_tagged() {
         use whyq_matcher::CancelToken;
         let db = data();
-        let domains = AttributeDomains::build(db.graph(), 100);
         let token = CancelToken::new();
         token.cancel();
         let out = random_walk(
@@ -386,8 +375,6 @@ mod tests {
             CardinalityGoal::AtLeast(7),
             500,
             42,
-            &domains,
-            10_000,
             &Budget::cancelled_by(&token),
         );
         assert!(out.explanation.is_none());
@@ -399,14 +386,11 @@ mod tests {
     #[test]
     fn trajectories_are_monotone() {
         let db = data();
-        let domains = AttributeDomains::build(db.graph(), 100);
         let out = exhaustive_bfs(
             &db,
             &narrow_query(),
             CardinalityGoal::AtLeast(1000),
             50,
-            &domains,
-            10_000,
             &Budget::unlimited(),
         );
         for w in out.trajectory.windows(2) {

@@ -7,7 +7,7 @@
 //! operations when enabled. The direction (relax vs concretize) follows the
 //! sign of the current cardinality deviation — holistic support in action.
 
-use crate::domains::AttributeDomains;
+use whyq_graph::domains::{AttrDomain, AttributeDomains};
 use whyq_query::{Direction, DirectionSet, GraphMod, Interval, PatternQuery, Predicate, Target};
 
 /// Candidate modifications for a node needing **more** results
@@ -162,7 +162,7 @@ fn concretizations(q: &PatternQuery, domains: &AttributeDomains, topology: bool)
 fn widen_interval(
     target: Target,
     p: &Predicate,
-    domain: Option<&crate::domains::AttrDomain>,
+    domain: Option<&AttrDomain>,
     out: &mut Vec<GraphMod>,
 ) {
     match &p.interval {
@@ -188,7 +188,7 @@ fn widen_interval(
             }
         }
         Interval::Range { .. } => {
-            let step = domain.map_or(1.0, super::super::domains::AttrDomain::range_step);
+            let step = domain.map_or(1.0, AttrDomain::range_step);
             let mut widened = p.interval.clone();
             if widened.widen(step) {
                 out.push(GraphMod::ReplaceInterval {
@@ -232,7 +232,7 @@ fn narrow_interval(target: Target, p: &Predicate, out: &mut Vec<GraphMod>) {
     }
 }
 
-fn anchor_predicates(attr: &str, domain: Option<&crate::domains::AttrDomain>) -> Vec<Predicate> {
+fn anchor_predicates(attr: &str, domain: Option<&AttrDomain>) -> Vec<Predicate> {
     let Some(domain) = domain else {
         return Vec::new();
     };

@@ -14,6 +14,10 @@
 //! so the sibling store replays every query component the change leaves
 //! untouched, and `derive_sibling` patches the cached plan of a
 //! one-constant change instead of recompiling it.
+//!
+//! Value-level changes draw neighbouring values from [`Database::domains`].
+//! Children are counted at `max(50,000, goal.decisive_cap())`, so a count
+//! cap never hides whether a child meets the goal.
 
 pub mod baselines;
 pub mod generate;
@@ -21,7 +25,6 @@ pub mod mod_tree;
 
 pub use mod_tree::{ModTreeNode, ModificationTree, NodeStatus};
 
-use crate::domains::AttributeDomains;
 use crate::explanation::ModificationExplanation;
 use crate::fine::generate::fine_candidates;
 use crate::problem::CardinalityGoal;
@@ -31,6 +34,15 @@ use whyq_metrics::syntactic_distance;
 use whyq_query::{signature::signature, GraphMod, PatternQuery};
 use whyq_session::{Database, Session};
 
+/// Cap on children generated per expansion.
+const MAX_CHILDREN: usize = 48;
+
+/// Cap on counted results of the fine rewriter and its baselines: 50,000,
+/// raised to `goal`'s decisive cap when that is larger.
+pub(crate) fn count_cap(goal: CardinalityGoal) -> u64 {
+    goal.decisive_cap().max(50_000)
+}
+
 /// Configuration of the fine-grained rewriter.
 #[derive(Debug, Clone)]
 pub struct FineConfig {
@@ -38,12 +50,6 @@ pub struct FineConfig {
     pub max_executed: usize,
     /// Allow topology modifications (§6.4.3 ablates this).
     pub allow_topology: bool,
-    /// Cap on children generated per expansion.
-    pub max_children: usize,
-    /// Cap on counted results.
-    pub count_cap: u64,
-    /// Cap on distinct values per attribute in the domain catalog.
-    pub domain_cap: usize,
 }
 
 impl Default for FineConfig {
@@ -51,9 +57,6 @@ impl Default for FineConfig {
         FineConfig {
             max_executed: 300,
             allow_topology: true,
-            max_children: 48,
-            count_cap: 50_000,
-            domain_cap: 256,
         }
     }
 }
@@ -109,41 +112,31 @@ impl Ord for FrontierNode {
 pub struct TraverseSearchTree<'g> {
     db: &'g Database,
     session: Session<'g>,
-    domains: AttributeDomains,
     config: FineConfig,
 }
 
 impl<'g> TraverseSearchTree<'g> {
     /// Rewriter over `db` with default configuration.
     pub fn new(db: &'g Database) -> Self {
-        let config = FineConfig::default();
         TraverseSearchTree {
             db,
             session: db.session(),
-            domains: AttributeDomains::build(db.graph(), config.domain_cap),
-            config,
+            config: FineConfig::default(),
         }
     }
 
     /// Override the configuration.
     pub fn with_config(mut self, config: FineConfig) -> Self {
-        if config.domain_cap != self.config.domain_cap {
-            self.domains = AttributeDomains::build(self.db.graph(), config.domain_cap);
-        }
         self.config = config;
         self
     }
 
-    /// The domain catalog (for tests and harnesses).
-    pub fn domains(&self) -> &AttributeDomains {
-        &self.domains
-    }
-
     /// Modify `q` until its cardinality satisfies `goal`.
     pub fn run(&self, q: &PatternQuery, goal: CardinalityGoal) -> FineOutcome {
+        let cap = count_cap(goal);
         let count = |query: &PatternQuery| {
             self.session
-                .count_opts(query, MatchOptions::counting(Some(self.config.count_cap)))
+                .count_opts(query, MatchOptions::counting(Some(cap)))
                 .expect("fine modification preserves query validity")
         };
         let mut executed = 0usize;
@@ -200,11 +193,11 @@ impl<'g> TraverseSearchTree<'g> {
 
             let mut candidates = fine_candidates(
                 &node.query,
-                &self.domains,
+                self.db.domains(),
                 need_more,
                 self.config.allow_topology,
             );
-            candidates.truncate(self.config.max_children);
+            candidates.truncate(MAX_CHILDREN);
 
             for m in candidates {
                 if executed >= self.config.max_executed {

@@ -91,6 +91,18 @@ impl CardinalityGoal {
         }
     }
 
+    /// The smallest count cap that decides the goal exactly: 1, `t + 1` or
+    /// `hi + 1`, so `satisfied(min(c, cap)) == satisfied(c)` and
+    /// `classify(min(c, cap)) == classify(c)` for every `c`. A count
+    /// capped below it can misjudge the goal.
+    pub(crate) fn decisive_cap(&self) -> u64 {
+        match *self {
+            CardinalityGoal::NonEmpty => 1,
+            CardinalityGoal::AtLeast(t) | CardinalityGoal::AtMost(t) => t.saturating_add(1),
+            CardinalityGoal::Between(_, hi) => hi.saturating_add(1),
+        }
+    }
+
     /// A representative threshold (used by reports and by BOUNDEDMCS).
     pub fn threshold(&self) -> u64 {
         match *self {

@@ -46,6 +46,9 @@ use whyq_session::{Database, Session, WhyqError};
 /// conflict-targeting candidates the underlying score still tie-breaks.
 const CONFLICT_BONUS: f64 = 1e9;
 
+/// Cap when counting a candidate's results.
+const COUNT_LIMIT: u64 = 10_000;
+
 /// Does applying `m` discard a constraint named in `conflicts`?
 fn targets_conflict(m: &GraphMod, conflicts: &[(Target, Option<String>)]) -> bool {
     match m {
@@ -74,8 +77,6 @@ pub struct RelaxConfig {
     pub priority: PriorityFn,
     /// Budget: maximum number of *executed* candidate queries.
     pub max_executed: usize,
-    /// Cap when counting a candidate's results.
-    pub count_limit: u64,
     /// Weight of the learned preference model in the priority (0 = model
     /// ignored).
     pub lambda: f64,
@@ -92,7 +93,6 @@ impl Default for RelaxConfig {
         RelaxConfig {
             priority: PriorityFn::Path1PlusInduced,
             max_executed: 200,
-            count_limit: 10_000,
             lambda: 0.0,
             budget: Budget::unlimited(),
         }
@@ -104,7 +104,7 @@ impl Default for RelaxConfig {
 pub struct TrajectoryPoint {
     /// 1-based execution index.
     pub executed: usize,
-    /// Result cardinality of the candidate (capped at `count_limit`).
+    /// Result cardinality of the candidate (capped at 10,000).
     pub cardinality: u64,
     /// Syntactic distance of the candidate to the original query.
     pub syntactic: f64,
@@ -269,7 +269,7 @@ impl<'g> CoarseRewriter<'g> {
         // and cancellation checks happen *inside* the matcher DFS, so even
         // one pathological candidate cannot overshoot the deadline
         let counting_opts =
-            MatchOptions::counting(Some(config.count_limit)).with_budget(config.budget.clone());
+            MatchOptions::counting(Some(COUNT_LIMIT)).with_budget(config.budget.clone());
 
         while let Some(node) = frontier.pop() {
             if executed >= config.max_executed || config.budget.poll().is_err() {

@@ -17,8 +17,10 @@
 //!   under-constrained from the start, which is itself the explanation.
 //!
 //! Prefixes are counted like DISCOVERMCS's (one governed session count
-//! each), capped at the smallest count that decides the goal: 1, `t + 1`
-//! or `hi + 1`. Every bound test is therefore exact.
+//! each), capped at the goal's decisive cap — the smallest count that
+//! decides it: 1, `t + 1` or `hi + 1`. Every bound test is therefore
+//! exact. The engine's classification and the fine rewriter never cap
+//! below the same value.
 
 use crate::explanation::SubgraphExplanation;
 use crate::problem::CardinalityGoal;
@@ -63,16 +65,6 @@ fn traverse_counts(
     Ok(counts)
 }
 
-/// The smallest count cap that decides `goal` exactly:
-/// `goal.satisfied(min(c, cap)) == goal.satisfied(c)` for every `c`.
-fn bound_cap(goal: CardinalityGoal) -> u64 {
-    match goal {
-        CardinalityGoal::NonEmpty => 1,
-        CardinalityGoal::AtLeast(t) | CardinalityGoal::AtMost(t) => t.saturating_add(1),
-        CardinalityGoal::Between(_, hi) => hi.saturating_add(1),
-    }
-}
-
 impl<'g> BoundedMcs<'g> {
     /// BOUNDEDMCS over `db` with default configuration.
     pub fn new(db: &'g Database) -> Self {
@@ -114,7 +106,7 @@ impl<'g> BoundedMcs<'g> {
         session: &Session<'_>,
     ) -> Result<SubgraphExplanation, WhyqError> {
         let budget = &self.config.budget;
-        let cap = bound_cap(goal);
+        let cap = goal.decisive_cap();
         explain(self.db, session, q, &self.config, |path, extensions| {
             let counts = traverse_counts(session, q, path, cap, budget, extensions)?;
             // longest prefix position with a satisfied cardinality;

@@ -28,6 +28,9 @@ use whyq_matcher::{Budget, MatchOptions};
 use whyq_query::{PatternQuery, QEid, QVid};
 use whyq_session::{Database, Session, WhyqError};
 
+/// Cap used when counting the cardinality of the final MCS.
+const MCS_CARDINALITY_CAP: u64 = 100_000;
+
 /// Outcome of traversing one component along its best path.
 #[derive(Debug, Clone)]
 pub(crate) struct PrefixOutcome {
@@ -153,8 +156,7 @@ pub(crate) fn explain(
     let mcs_cardinality = if mcs.num_vertices() == 0 {
         0
     } else {
-        let opts =
-            MatchOptions::counting(Some(config.cardinality_limit)).with_budget(budget.clone());
+        let opts = MatchOptions::counting(Some(MCS_CARDINALITY_CAP)).with_budget(budget.clone());
         session.count_governed(&mcs, opts)?.value
     };
     Ok(SubgraphExplanation {

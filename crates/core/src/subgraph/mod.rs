@@ -43,8 +43,6 @@ pub struct McsConfig {
     /// Cap on the number of traversal paths tried per component in
     /// exhaustive mode.
     pub max_paths: usize,
-    /// Cap used when counting the cardinality of the final MCS.
-    pub cardinality_limit: u64,
     /// Resource governor of the run: deadline, step budget and external
     /// cancellation, charged in VM ticks by every prefix count (like any
     /// other governed run). On a trip the traversal stops where it stands and
@@ -62,7 +60,6 @@ impl Default for McsConfig {
             strategy: PathStrategy::Exhaustive,
             decompose: true,
             max_paths: 64,
-            cardinality_limit: 100_000,
             budget: Budget::unlimited(),
         }
     }

@@ -11,8 +11,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
-use whyq_core::domains::AttributeDomains;
 use whyq_core::fine::generate::fine_candidates;
+use whyq_graph::domains::AttributeDomains;
 use whyq_query::{signature::signature, GraphMod, PatternQuery};
 
 /// Pool-generation configuration.

@@ -7,6 +7,10 @@
 //! sorted) and, for numeric attributes, the observed range; plus the edge
 //! types occurring in the graph.
 //!
+//! A database owns one catalog (`whyq_session::Database::domains`, built
+//! on first use) that the why-engine's rewriters borrow; callers without a
+//! database build their own with [`AttributeDomains::build`].
+//!
 //! The catalog clones values straight out of the graph, so string entries
 //! stay **dictionary-encoded** (`Value::Sym` — the clone is an `Arc`
 //! refcount bump, not a string copy). That matters downstream: every
@@ -14,11 +18,11 @@
 //! the matcher's compiler recognizes as symbols of the same graph, keeping
 //! the whole relax loop's predicate evaluation on the integer fast path.
 
+use crate::{PropertyGraph, Value};
 use std::collections::HashMap;
-use whyq_graph::{PropertyGraph, Value};
 
 /// Per-attribute domain information.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttrDomain {
     /// Distinct values in sorted order (capped at construction).
     pub values: Vec<Value>,
@@ -73,7 +77,7 @@ impl AttrDomain {
 }
 
 /// Domain catalog of a data graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributeDomains {
     vertex_attrs: HashMap<String, AttrDomain>,
     edge_attrs: HashMap<String, AttrDomain>,

@@ -94,7 +94,8 @@ pub use sibling::SiblingStats;
 use cache::CachedPlan;
 use sibling::{CompKey, CompValue, SiblingCache};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use whyq_graph::domains::AttributeDomains;
 use whyq_graph::PropertyGraph;
 use whyq_matcher::{
     combine_components, AttrIndex, MatchOptions, MatchStream, Matcher, ResultGraph, SeedList,
@@ -219,8 +220,12 @@ impl DatabaseConfig {
     }
 }
 
+/// Distinct values per attribute kept by [`Database::domains`].
+const DOMAIN_CAP: usize = 256;
+
 /// An immutable, sealed property graph plus everything derived from it:
-/// configured attribute indexes and the shared plan cache.
+/// configured attribute indexes, the attribute-domain catalog and the
+/// shared plan cache.
 ///
 /// A `Database` owns its graph. Sealing happens once at open — every
 /// session reads the same compact CSR topology — and because the graph can
@@ -235,6 +240,8 @@ pub struct Database {
     /// Names of the attributes an index was actually built for (strict
     /// mode makes this equal to `config.index_attrs`).
     built_attrs: Vec<String>,
+    /// Built on the first [`Database::domains`] call.
+    domains: OnceLock<AttributeDomains>,
     cache: Mutex<PlanCache>,
     /// The sibling result cache + derivation-parent registry (see
     /// [`mod@sibling`]). At capacity 0 it never hits or inserts.
@@ -307,6 +314,7 @@ impl Database {
             config,
             indexes,
             built_attrs,
+            domains: OnceLock::new(),
             cache,
             siblings,
             compiles: AtomicU64::new(0),
@@ -331,6 +339,14 @@ impl Database {
     /// Names of the attributes an index was actually built over.
     pub fn index_attrs(&self) -> &[String] {
         &self.built_attrs
+    }
+
+    /// The graph's attribute-domain catalog, built on the first call and
+    /// shared by every later one: callers that never rewrite a query never
+    /// pay for it.
+    pub fn domains(&self) -> &AttributeDomains {
+        self.domains
+            .get_or_init(|| AttributeDomains::build(&self.g, DOMAIN_CAP))
     }
 
     /// A new session: a cheap handle owning its own scratch arena and
@@ -374,7 +390,8 @@ impl Database {
     }
 
     /// Close the database, handing the graph back (e.g. to mutate and
-    /// reopen). All plans ever cached die with the database.
+    /// reopen). All plans ever cached, and the domain catalog, die with
+    /// the database.
     pub fn close(self) -> PropertyGraph {
         self.g
     }

@@ -6,6 +6,7 @@ use whyquery::core::fine::{FineConfig, TraverseSearchTree};
 use whyquery::core::relax::{CoarseRewriter, RelaxConfig};
 use whyquery::core::subgraph::{BoundedMcs, DiscoverMcs, McsConfig};
 use whyquery::graph::io;
+use whyquery::matcher::count_matches_naive;
 use whyquery::prelude::*;
 use whyquery::query::{parse_query, QEid, QVid, QueryEdge, QueryVertex};
 
@@ -102,6 +103,42 @@ fn huge_thresholds_do_not_overflow() {
         })
         .run(&q, CardinalityGoal::AtLeast(u64::MAX));
     assert!(out.explanation.is_none());
+}
+
+/// `n` vertices of type `a`; the disconnected query `(x:a), (y:a)` has
+/// `n * n` matches.
+fn cross_product(n: usize) -> (Database, PatternQuery) {
+    let mut g = PropertyGraph::new();
+    for _ in 0..n {
+        g.add_vertex([("type", Value::str("a"))]);
+    }
+    let q = parse_query("(x:a); (y:a)").unwrap();
+    (Database::open(g).expect("open"), q)
+}
+
+#[test]
+fn rewrite_meets_a_goal_above_the_fine_count_cap() {
+    let (db, q) = cross_product(300);
+    let goal = CardinalityGoal::AtMost(60_000);
+    let d = WhyEngine::new(&db).diagnose(&q, goal).unwrap();
+    assert_eq!(d.problem, WhyProblem::WhySoMany);
+    if let Some(rw) = d.rewrite {
+        let oracle = count_matches_naive(db.graph(), &rw.query, MatchOptions::default());
+        assert!(
+            goal.satisfied(oracle),
+            "{} mods, {oracle} matches",
+            rw.mods.len()
+        );
+    }
+}
+
+#[test]
+fn classification_is_exact_above_the_engine_count_cap() {
+    let (db, q) = cross_product(1_001);
+    let problem = WhyEngine::new(&db)
+        .classify(&q, CardinalityGoal::AtMost(1_000_001))
+        .unwrap();
+    assert_eq!(problem, WhyProblem::WhySoMany);
 }
 
 #[test]
