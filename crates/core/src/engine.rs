@@ -140,8 +140,8 @@ impl<'db> WhyEngine<'db> {
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<Option<ModificationExplanation>, WhyqError> {
-        let problem = self.classify(q, goal)?;
-        self.rewrite_for(q, goal, problem)
+        let cardinality = self.measure(q, goal)?;
+        self.rewrite_for(q, goal, cardinality)
     }
 
     /// Full diagnosis: count `q` once, classify it, then produce both
@@ -165,7 +165,7 @@ impl<'db> WhyEngine<'db> {
             problem,
             cardinality,
             subgraph: Some(self.subgraph_for(q, goal, problem)?),
-            rewrite: self.rewrite_for(q, goal, problem)?,
+            rewrite: self.rewrite_for(q, goal, cardinality)?,
         })
     }
 
@@ -184,14 +184,16 @@ impl<'db> WhyEngine<'db> {
         }
     }
 
-    /// [`WhyEngine::rewrite`] for an already classified `q`.
+    /// [`WhyEngine::rewrite`] for a `q` already measured at `cardinality`;
+    /// the fine rewriter takes that count as its root instead of counting
+    /// `q` again.
     fn rewrite_for(
         &self,
         q: &PatternQuery,
         goal: CardinalityGoal,
-        problem: WhyProblem,
+        cardinality: u64,
     ) -> Result<Option<ModificationExplanation>, WhyqError> {
-        Ok(match problem {
+        Ok(match goal.classify(cardinality) {
             WhyProblem::Satisfied => None,
             WhyProblem::WhyEmpty if matches!(goal, CardinalityGoal::NonEmpty) => {
                 CoarseRewriter::new(self.db)
@@ -203,7 +205,7 @@ impl<'db> WhyEngine<'db> {
             _ => {
                 TraverseSearchTree::new(self.db)
                     .with_config(self.fine_config.clone())
-                    .run(q, goal)
+                    .run_measured(q, goal, cardinality)
                     .explanation
             }
         })
@@ -357,6 +359,28 @@ mod tests {
             // the two classifications of the separate calls are not repeated
             assert_eq!(probes(&whole), probes(&parts) - 2, "{goal:?}");
         }
+    }
+
+    #[test]
+    fn diagnose_hands_its_count_to_the_fine_rewriter() {
+        let probes = |db: &Database| {
+            let s = db.cache_stats();
+            s.hits + s.misses
+        };
+        let q = QueryBuilder::new("all")
+            .vertex("p", [Predicate::eq("type", "person")])
+            .vertex("c", [Predicate::eq("type", "city")])
+            .edge("p", "c", "livesIn")
+            .build();
+        let goal = CardinalityGoal::AtMost(3);
+        let (whole, parts) = (data(), data());
+        let d = WhyEngine::new(&whole).diagnose(&q, goal).unwrap();
+        assert_eq!(d.problem, WhyProblem::WhySoMany);
+        WhyEngine::new(&parts).cardinality(&q).unwrap();
+        BoundedMcs::new(&parts).run(&q, goal).unwrap();
+        TraverseSearchTree::new(&parts).run(&q, goal);
+        // the fine rewriter does not count the root a second time
+        assert_eq!(probes(&whole), probes(&parts) - 1);
     }
 
     #[test]

@@ -133,17 +133,23 @@ impl<'g> TraverseSearchTree<'g> {
 
     /// Modify `q` until its cardinality satisfies `goal`.
     pub fn run(&self, q: &PatternQuery, goal: CardinalityGoal) -> FineOutcome {
-        let cap = count_cap(goal);
-        let count = |query: &PatternQuery| {
-            self.session
-                .count_opts(query, MatchOptions::counting(Some(cap)))
-                .expect("fine modification preserves query validity")
-        };
-        let mut executed = 0usize;
+        self.run_measured(q, goal, self.count(q, goal))
+    }
+
+    /// [`TraverseSearchTree::run`] for a query the caller already counted
+    /// at a cap of at least [`count_cap`]`(goal)`. Capping `measured` at
+    /// [`count_cap`]`(goal)` gives exactly the root count `run` takes, so
+    /// the search is the same; `executed` still counts the root.
+    pub(crate) fn run_measured(
+        &self,
+        q: &PatternQuery,
+        goal: CardinalityGoal,
+        measured: u64,
+    ) -> FineOutcome {
+        let c0 = measured.min(count_cap(goal));
+        let mut executed = 1usize;
         let mut trajectory = Vec::new();
 
-        let c0 = count(q);
-        executed += 1;
         let dev0 = goal.deviation(c0);
         let mut tree = ModificationTree::with_root(c0, dev0);
         let mut best_dev = dev0;
@@ -210,7 +216,7 @@ impl<'g> TraverseSearchTree<'g> {
                 if !visited.insert(sig) {
                     continue;
                 }
-                let c = count(&child);
+                let c = self.count(&child, goal);
                 executed += 1;
                 let dev = goal.deviation(c);
                 let tree_id = tree.add_child(node.tree_id, m.clone(), c, dev);
@@ -264,6 +270,13 @@ impl<'g> TraverseSearchTree<'g> {
             trajectory,
             best_deviation: best_dev,
         }
+    }
+
+    /// Cardinality of `query`, capped at [`count_cap`]`(goal)`.
+    fn count(&self, query: &PatternQuery, goal: CardinalityGoal) -> u64 {
+        self.session
+            .count_opts(query, MatchOptions::counting(Some(count_cap(goal))))
+            .expect("fine modification preserves query validity")
     }
 }
 

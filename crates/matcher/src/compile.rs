@@ -378,8 +378,8 @@ impl ComponentPlan {
 /// *closing* edges (both endpoints bound — cheap existence checks) and
 /// otherwise picks the edge whose new endpoint has the lowest estimate.
 /// The IR lowering ([`crate::plan_ir::lower`]) annotates its scan nodes
-/// with exactly these estimates, so the optimizer passes reason from the
-/// same signal the planner ordered by — without re-sampling the graph.
+/// with exactly these estimates, so seed selection reasons from the same
+/// signal the planner ordered by — without re-sampling the graph.
 pub fn build_plans_est(
     g: &PropertyGraph,
     q: &PatternQuery,

@@ -11,17 +11,21 @@
 //! the one affected component yields a plan that is result-equivalent to
 //! a fresh compile.
 //!
-//! Soundness rests on two invariants of the PR 8 pipeline:
+//! Soundness rests on two invariants of [`crate::plan_ir::lower`] and
+//! the optimizer:
 //!
-//! - **Filters are never elided by seed selection.** Every program runs
-//!   the full predicate chain for every element it binds, so a seed
-//!   source that *over*-approximates the changed interval's candidates
-//!   (up to `FullScan`) changes cost, never results.
-//! - **Derivation is refused when the parent plan might not test the
-//!   changed attribute.** The parent's compiled element must carry a
-//!   resolved predicate on the changed attribute; the analyzer only ever
-//!   *merges or drops* predicates it proves redundant, so a present
-//!   predicate guarantees the program emits the element's filter.
+//! - **An element with a resolved predicate always gets its inline
+//!   test.** `lower` emits `VertexPreds` for every vertex that compiled
+//!   to at least one predicate and `EdgeAttrs` for every edge with an
+//!   attribute predicate. Derivation is refused unless the parent's
+//!   compiled element carries a resolved predicate on the changed
+//!   attribute (the analyzer only ever *merges or drops* predicates it
+//!   proves redundant), so the parent program tests that element, and
+//!   the test reads the patched [`Compiled`] table at run time.
+//! - **Seed selection never drops a test.** The seed scan runs its
+//!   `VertexPreds` filter whatever its source, so a seed source that
+//!   *over*-approximates the changed interval's candidates (up to
+//!   `FullScan`) changes cost, never results.
 //!
 //! Row *order* of a derived program can differ from a fresh compile of
 //! the same query (the optimizer might have chosen a different seed); the

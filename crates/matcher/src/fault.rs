@@ -53,7 +53,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // An injected panic may unwind a thread while a *caller* of this
     // module holds no lock, but never while these locks are held; recover
     // from poison regardless so one failing test cannot wedge the rest.
-    m.lock().unwrap_or_else(|p| p.into_inner())
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn current_plan() -> Option<FaultPlan> {

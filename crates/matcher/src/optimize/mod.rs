@@ -1,38 +1,21 @@
-//! Optimizer passes over the plan IR.
+//! The optimizer over the plan IR.
 //!
-//! Three independent, individually toggleable passes run in a fixed order
-//! over the naive lowering of [`crate::plan_ir::lower`]:
+//! [`crate::plan_ir::lower`] already emits the form the VM runs — one
+//! scan per plan step, its tests inline — so one pass is left:
+//! [`seed_select`], index-aware seed selection. It replaces a seed scan's
+//! full-arena source with the cheapest option the attached attribute
+//! indexes support — a single bucket, a union of buckets, or the
+//! intersection of several point probes — going beyond the planner's
+//! greedy estimate-only choice.
 //!
-//! 1. [`pushdown`] — predicate pushdown: fuse the standalone
-//!    [`crate::plan_ir::IrNode::Filter`] nodes following each scan into
-//!    the scan's own filter list, and turn `EdgeType` filters into typed
-//!    CSR run selection (`typed: true`), so the VM's scan loop walks only
-//!    the admissible per-type adjacency runs instead of filtering after
-//!    the fact.
-//! 2. [`dead_bind`] — dead-bind elimination: drop trivially true filters
-//!    (vertex tests with no compiled predicates, edge-attribute tests on
-//!    edges that never need edge data) and fuse a
-//!    [`crate::plan_ir::IrNode::Bind`] that immediately follows its scan
-//!    into the scan itself (`bind: true`), removing a dispatch round-trip
-//!    per accepted candidate.
-//! 3. [`seed_select`] — index-aware seed selection: replace a seed scan's
-//!    candidate source with the cheapest option the attached attribute
-//!    indexes support — a single bucket, a union of buckets, or the
-//!    intersection of several point probes — going beyond the planner's
-//!    greedy estimate-only choice.
-//!
-//! Passes only rewrite *how* candidates are produced and tested, never
-//! the binding order or the set of predicates that ultimately gate a
-//! binding, so every subset of passes is result-equivalent (enforced by
-//! `tests/optimizer_props.rs` over the pass power set). Each enabled pass
-//! is re-verified with [`crate::verify::verify_ir`] in debug builds.
+//! The pass rewrites only *where* seed candidates come from, never the
+//! binding order or the tests that gate a binding, so both settings of
+//! [`PassSet::seed_select`] are result-equivalent (enforced by
+//! `tests/optimizer_props.rs`). [`optimize`] re-verifies its output with
+//! [`crate::verify::verify_ir`] in debug builds.
 
-mod dead_bind;
-mod pushdown;
 mod seed_select;
 
-pub use dead_bind::dead_bind;
-pub use pushdown::pushdown;
 pub use seed_select::seed_select;
 
 use crate::compile::Compiled;
@@ -41,14 +24,10 @@ use crate::plan_ir::PlanIr;
 use whyq_graph::PropertyGraph;
 use whyq_query::PatternQuery;
 
-/// Which optimizer passes to run. [`Default`] enables all of them; the
-/// equivalence suite toggles each independently.
+/// Which optimizer passes to run. [`Default`] enables seed selection; the
+/// tests switch it off to reach full-scan seeding of an indexed vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassSet {
-    /// Fuse filters into scans and select typed CSR runs.
-    pub pushdown: bool,
-    /// Drop trivially true filters and fuse binds into scans.
-    pub dead_bind: bool,
     /// Replace seed full-scans with index bucket / union / intersection
     /// sources.
     pub seed_select: bool,
@@ -56,40 +35,15 @@ pub struct PassSet {
 
 impl Default for PassSet {
     fn default() -> Self {
-        PassSet {
-            pushdown: true,
-            dead_bind: true,
-            seed_select: true,
-        }
+        PassSet { seed_select: true }
     }
 }
 
-impl PassSet {
-    /// No passes at all: the naive lowering runs as-is.
-    pub const NONE: PassSet = PassSet {
-        pushdown: false,
-        dead_bind: false,
-        seed_select: false,
-    };
-
-    /// The `i`-th subset of the pass power set (bit 0 = pushdown, bit 1 =
-    /// dead_bind, bit 2 = seed_select); `i < 8`. Used by the pass-matrix
-    /// property tests to enumerate every combination.
-    pub fn subset(i: u8) -> PassSet {
-        PassSet {
-            pushdown: i & 1 != 0,
-            dead_bind: i & 2 != 0,
-            seed_select: i & 4 != 0,
-        }
-    }
-}
-
-/// Run the enabled passes over `ir` in their fixed order.
+/// Run the enabled passes over `ir`.
 ///
-/// In debug builds the IR is re-verified with
-/// [`crate::verify::verify_ir`] after every enabled pass; a pass that
-/// breaks an invariant is a bug, so this panics rather than returning an
-/// error.
+/// In debug builds the result is verified with
+/// [`crate::verify::verify_ir`]; a violation is a bug in the lowering or
+/// a pass, so this panics rather than returning an error.
 pub fn optimize(
     ir: &mut PlanIr,
     g: &PropertyGraph,
@@ -98,23 +52,12 @@ pub fn optimize(
     indexes: &[std::sync::Arc<AttrIndex>],
     passes: PassSet,
 ) {
-    let check = |ir: &PlanIr, pass: &str| {
-        if cfg!(debug_assertions) {
-            if let Err(e) = crate::verify::verify_ir(q, compiled, ir, indexes.len()) {
-                panic!("optimizer pass `{pass}` broke the IR: {e}");
-            }
-        }
-    };
-    if passes.pushdown {
-        pushdown(ir);
-        check(ir, "pushdown");
-    }
-    if passes.dead_bind {
-        dead_bind(ir, compiled);
-        check(ir, "dead_bind");
-    }
     if passes.seed_select {
         seed_select(ir, g, q, indexes);
-        check(ir, "seed_select");
+    }
+    if cfg!(debug_assertions) {
+        if let Err(e) = crate::verify::verify_ir(q, compiled, ir, indexes.len()) {
+            panic!("optimized IR violates invariants: {e}");
+        }
     }
 }

@@ -2,27 +2,26 @@
 //!
 //! [`crate::compile::build_plans_est`] produces one [`ComponentPlan`] per
 //! weakly connected query component — a list of *what to bind in which
-//! order*. This module lowers those plans into a finer representation in
-//! which every per-candidate test is an explicit node: scans
-//! ([`IrNode::SeedScan`], [`IrNode::ExpandRun`], [`IrNode::CloseRun`])
-//! produce candidate elements, [`IrNode::Filter`] nodes test them,
-//! [`IrNode::Bind`] nodes commit them to the register file (the scratch
-//! slot arrays) and a final [`IrNode::Emit`] yields the complete
-//! assignment.
+//! order*. This module lowers each plan step into exactly one scan node
+//! ([`IrNode::SeedScan`], [`IrNode::ExpandRun`], [`IrNode::CloseRun`]) that
+//! produces candidate elements, tests them against its inline
+//! [`FilterTest`] list and commits each accepted candidate to the register
+//! file (the scratch slot arrays) itself; a final [`IrNode::Emit`] yields
+//! the complete assignment. The IR is therefore already in the form the
+//! VM runs: one instruction per plan step, plus `Emit`.
 //!
-//! The naive lowering produced by [`lower`] is deliberately literal: seed
-//! scans read the full vertex arena ([`SeedSpec::FullScan`]), expansion
-//! and closing scans walk untyped adjacency, and every predicate —
-//! including trivially true ones — is a standalone `Filter` node. That
-//! gives the optimizer passes of [`mod@crate::optimize`] something meaningful
-//! to do (predicate pushdown, dead-bind elimination, index-aware seed
-//! selection), and gives the equivalence test suite a genuinely
-//! *unoptimized* baseline to compare each pass against.
+//! [`lower`] emits only the tests that can reject a candidate (a vertex's
+//! compiled predicates when it has any, an edge's attribute predicates
+//! when it has any); an edge's type disjunction is not a test at all —
+//! the VM walks only the admissible per-type CSR runs of an edge whose
+//! compiled form has one. Seed scans start from [`SeedSpec::FullScan`];
+//! the one optimizer pass, [`crate::optimize::seed_select`], swaps in a
+//! cheaper index-backed source.
 //!
-//! Every scan node carries the selectivity estimate the planner ordered
-//! by ([`crate::compile::estimate_candidates`], threaded through
+//! Seed and expansion scans carry the selectivity estimate the planner
+//! ordered by ([`crate::compile::estimate_candidates`], threaded through
 //! [`crate::compile::build_plans_est`]); the seed-selection pass refines
-//! these when it finds a cheaper candidate source.
+//! the seed's when it finds a cheaper candidate source.
 //!
 //! Structural invariants of the IR are specified and enforced by
 //! [`crate::verify::verify_ir`]; the instruction encoding the IR compiles
@@ -71,47 +70,22 @@ pub enum SeedSpec {
     },
 }
 
-/// One predicate test applied to the current scan candidate.
+/// One predicate test a scan applies to its current candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterTest {
     /// All compiled predicates of a query vertex against the candidate
     /// vertex.
     VertexPreds(QVid),
-    /// The compiled type disjunction of a query edge against the candidate
-    /// edge's type (only emitted for typed edges scanned untyped — the
-    /// pushdown pass turns it into per-type CSR run selection instead).
-    EdgeType(QEid),
     /// The compiled attribute predicates of a query edge against the
     /// candidate edge's attributes.
     EdgeAttrs(QEid),
 }
 
-/// What a [`IrNode::Bind`] node commits to the register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BindTarget {
-    /// The seed vertex of the component.
-    Seed {
-        /// Query vertex bound by the seed scan.
-        vertex: QVid,
-    },
-    /// An expansion's edge and newly reached vertex.
-    Expansion {
-        /// Query edge bound by the expansion.
-        edge: QEid,
-        /// Query vertex the expansion reaches.
-        to: QVid,
-    },
-    /// A closing edge (both endpoints already bound).
-    Closure {
-        /// Query edge bound by the close.
-        edge: QEid,
-    },
-}
-
 /// One node of a component's lowered plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IrNode {
-    /// Produce seed candidates for the component's first vertex.
+    /// Produce seed candidates for the component's first vertex and bind
+    /// each accepted one.
     SeedScan {
         /// Query vertex the scan produces candidates for.
         vertex: QVid,
@@ -119,15 +93,11 @@ pub enum IrNode {
         spec: SeedSpec,
         /// Planner selectivity estimate for `vertex`.
         est: u64,
-        /// Filters fused into the scan loop (pushdown pass), applied in
-        /// order before the candidate is accepted.
+        /// Tests applied in order before a candidate is accepted.
         filters: Vec<FilterTest>,
-        /// When true the scan binds accepted candidates itself (dead-bind
-        /// pass); otherwise a separate [`IrNode::Bind`] follows.
-        bind: bool,
     },
     /// Traverse a query edge from the bound `from` endpoint, producing
-    /// `(edge, to)` candidate pairs.
+    /// and binding `(edge, to)` candidate pairs.
     ExpandRun {
         /// Query edge being traversed.
         edge: QEid,
@@ -135,41 +105,18 @@ pub enum IrNode {
         from: QVid,
         /// Endpoint the traversal reaches.
         to: QVid,
-        /// When true, the scan walks only the CSR per-type runs admitted
-        /// by the compiled type disjunction (pushdown pass); when false it
-        /// walks the full adjacency and relies on an
-        /// [`FilterTest::EdgeType`] filter.
-        typed: bool,
         /// Planner selectivity estimate for `to`.
         est: u64,
-        /// Filters fused into the scan loop, applied in order.
+        /// Tests applied in order before a candidate is accepted.
         filters: Vec<FilterTest>,
-        /// When true the scan binds accepted candidates itself.
-        bind: bool,
     },
     /// Bind a query edge whose endpoints are both already bound,
     /// producing candidate edges between the two mapped data vertices.
     CloseRun {
         /// Query edge being closed.
         edge: QEid,
-        /// Per-type CSR runs (pushdown) vs. full adjacency + type filter.
-        typed: bool,
-        /// Filters fused into the scan loop, applied in order.
+        /// Tests applied in order before a candidate is accepted.
         filters: Vec<FilterTest>,
-        /// When true the scan binds accepted candidates itself.
-        bind: bool,
-    },
-    /// Test the current scan candidate; on failure the owning scan
-    /// advances to its next candidate.
-    Filter {
-        /// The predicate test to apply.
-        test: FilterTest,
-    },
-    /// Commit the current scan candidate to the register file (checking
-    /// occupancy first in injective mode).
-    Bind {
-        /// What to bind.
-        target: BindTarget,
     },
     /// Yield the complete component assignment. Always the last node.
     Emit,
@@ -178,8 +125,8 @@ pub enum IrNode {
 /// The lowered plan of one weakly connected query component.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentIr {
-    /// Nodes in execution order; the first is always a
-    /// [`IrNode::SeedScan`], the last an [`IrNode::Emit`].
+    /// Nodes in execution order: one scan per plan step, the first a
+    /// [`IrNode::SeedScan`], then [`IrNode::Emit`].
     pub nodes: Vec<IrNode>,
     /// The component's seed vertex (copied out of the first node for
     /// cheap access).
@@ -195,98 +142,58 @@ pub struct PlanIr {
     pub components: Vec<ComponentIr>,
 }
 
-/// Lower `plans` into the naive (unoptimized) IR.
+/// Lower `plans` into the IR the VM runs.
 ///
-/// Each [`Step`] becomes one scan node followed by its standalone filter
-/// and bind nodes, in the engine's canonical test order (edge type, edge
-/// attributes, vertex predicates); `est` are the planner's selectivity
+/// Each [`Step`] becomes one scan node whose inline tests follow the
+/// engine's canonical order — edge attributes, then vertex predicates —
+/// and appear only when they can reject a candidate: `EdgeAttrs` when the
+/// compiled edge needs edge data, `VertexPreds` when the vertex compiled
+/// to at least one predicate. `est` are the planner's selectivity
 /// estimates from [`crate::compile::build_plans_est`], indexed by `QVid`
 /// slot. The result always passes [`crate::verify::verify_ir`].
 pub fn lower(compiled: &Compiled, plans: &[ComponentPlan], est: &[u64]) -> PlanIr {
     let est_of = |v: QVid| est.get(v.0 as usize).copied().unwrap_or(0);
-    let mut components = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let mut nodes = Vec::new();
-        for step in &plan.steps {
-            match *step {
-                Step::Seed { vertex } => {
-                    nodes.push(IrNode::SeedScan {
+    let vertex_test =
+        |v: QVid| (!compiled.vertex(v).preds.is_empty()).then_some(FilterTest::VertexPreds(v));
+    let edge_test = |e: QEid| {
+        compiled
+            .edge(e)
+            .needs_edge_data()
+            .then_some(FilterTest::EdgeAttrs(e))
+    };
+    let components = plans
+        .iter()
+        .map(|plan| {
+            let mut nodes = Vec::with_capacity(plan.steps.len() + 1);
+            for step in &plan.steps {
+                nodes.push(match *step {
+                    Step::Seed { vertex } => IrNode::SeedScan {
                         vertex,
                         spec: SeedSpec::FullScan,
                         est: est_of(vertex),
-                        filters: Vec::new(),
-                        bind: false,
-                    });
-                    nodes.push(IrNode::Filter {
-                        test: FilterTest::VertexPreds(vertex),
-                    });
-                    nodes.push(IrNode::Bind {
-                        target: BindTarget::Seed { vertex },
-                    });
-                }
-                Step::ExpandNew { edge, from, to } => {
-                    nodes.push(IrNode::ExpandRun {
+                        filters: vertex_test(vertex).into_iter().collect(),
+                    },
+                    Step::ExpandNew { edge, from, to } => IrNode::ExpandRun {
                         edge,
                         from,
                         to,
-                        typed: false,
                         est: est_of(to),
-                        filters: Vec::new(),
-                        bind: false,
-                    });
-                    if compiled.edge(edge).types.is_some() {
-                        nodes.push(IrNode::Filter {
-                            test: FilterTest::EdgeType(edge),
-                        });
-                    }
-                    nodes.push(IrNode::Filter {
-                        test: FilterTest::EdgeAttrs(edge),
-                    });
-                    nodes.push(IrNode::Filter {
-                        test: FilterTest::VertexPreds(to),
-                    });
-                    nodes.push(IrNode::Bind {
-                        target: BindTarget::Expansion { edge, to },
-                    });
-                }
-                Step::Close { edge } => {
-                    nodes.push(IrNode::CloseRun {
+                        filters: edge_test(edge).into_iter().chain(vertex_test(to)).collect(),
+                    },
+                    Step::Close { edge } => IrNode::CloseRun {
                         edge,
-                        typed: false,
-                        filters: Vec::new(),
-                        bind: false,
-                    });
-                    if compiled.edge(edge).types.is_some() {
-                        nodes.push(IrNode::Filter {
-                            test: FilterTest::EdgeType(edge),
-                        });
-                    }
-                    nodes.push(IrNode::Filter {
-                        test: FilterTest::EdgeAttrs(edge),
-                    });
-                    nodes.push(IrNode::Bind {
-                        target: BindTarget::Closure { edge },
-                    });
-                }
+                        filters: edge_test(edge).into_iter().collect(),
+                    },
+                });
             }
-        }
-        nodes.push(IrNode::Emit);
-        components.push(ComponentIr {
-            nodes,
-            seed_vertex: plan.seed_vertex(),
-        });
-    }
+            nodes.push(IrNode::Emit);
+            ComponentIr {
+                nodes,
+                seed_vertex: plan.seed_vertex(),
+            }
+        })
+        .collect();
     PlanIr { components }
-}
-
-impl IrNode {
-    /// True for the three candidate-producing nodes.
-    pub fn is_scan(&self) -> bool {
-        matches!(
-            self,
-            IrNode::SeedScan { .. } | IrNode::ExpandRun { .. } | IrNode::CloseRun { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -296,66 +203,45 @@ mod tests {
     use whyq_graph::{PropertyGraph, Value};
     use whyq_query::{Predicate, QueryBuilder};
 
-    fn graph() -> PropertyGraph {
+    #[test]
+    fn lowering_is_one_scan_per_step_with_live_tests_only() {
         let mut g = PropertyGraph::new();
         let a = g.add_vertex([("type", Value::str("person"))]);
-        let b = g.add_vertex([("type", Value::str("person"))]);
-        let c = g.add_vertex([("type", Value::str("city"))]);
+        let b = g.add_vertex([]);
         g.add_edge(a, b, "knows", []);
-        g.add_edge(a, c, "livesIn", []);
         g.seal();
-        g
-    }
-
-    #[test]
-    fn lowering_is_literal_and_verified() {
-        let g = graph();
+        // "b" is unconstrained and the edge has no attribute predicates:
+        // neither gets a test
         let q = QueryBuilder::new("q")
-            .vertex("p1", [Predicate::eq("type", "person")])
-            .vertex("p2", [Predicate::eq("type", "person")])
-            .edge("p1", "p2", "knows")
+            .vertex("a", [Predicate::eq("type", "person")])
+            .vertex("b", [])
+            .edge("a", "b", "knows")
             .build();
         let compiled = Compiled::new(&g, &q);
         let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
         let ir = lower(&compiled, &plans, &est);
         assert_eq!(ir.components.len(), 1);
         let nodes = &ir.components[0].nodes;
-        // Seed + VertexPreds + Bind, Expand + EdgeType + EdgeAttrs +
-        // VertexPreds + Bind, Emit
+        assert_eq!(nodes.len(), plans[0].steps.len() + 1);
         assert!(matches!(
-            nodes[0],
+            &nodes[0],
             IrNode::SeedScan {
                 spec: SeedSpec::FullScan,
-                bind: false,
                 ..
             }
         ));
         assert!(matches!(nodes.last(), Some(IrNode::Emit)));
-        let filters = nodes
+        let tests: Vec<FilterTest> = nodes
             .iter()
-            .filter(|n| matches!(n, IrNode::Filter { .. }))
-            .count();
-        assert_eq!(filters, 4);
+            .flat_map(|n| match n {
+                IrNode::SeedScan { filters, .. }
+                | IrNode::ExpandRun { filters, .. }
+                | IrNode::CloseRun { filters, .. } => filters.clone(),
+                IrNode::Emit => Vec::new(),
+            })
+            .collect();
+        let a = q.vertex_ids().next().unwrap();
+        assert_eq!(tests, vec![FilterTest::VertexPreds(a)]);
         crate::verify::verify_ir(&q, &compiled, &ir, 0).unwrap();
-    }
-
-    #[test]
-    fn untyped_edges_get_no_type_filter() {
-        let g = graph();
-        let mut q = whyq_query::PatternQuery::new();
-        let x = q.add_vertex(whyq_query::QueryVertex::any());
-        let y = q.add_vertex(whyq_query::QueryVertex::any());
-        let mut e = whyq_query::QueryEdge::typed(x, y, "knows");
-        e.types.clear(); // any type
-        q.add_edge(e);
-        let compiled = Compiled::new(&g, &q);
-        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
-        let ir = lower(&compiled, &plans, &est);
-        assert!(!ir.components[0].nodes.iter().any(|n| matches!(
-            n,
-            IrNode::Filter {
-                test: FilterTest::EdgeType(_)
-            }
-        )));
     }
 }

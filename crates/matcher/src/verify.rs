@@ -21,17 +21,18 @@
 //! release-mode cost — and the CI static-analysis lane drives it over the
 //! whole test corpus.
 //!
-//! [`verify_ir`] extends the same discipline to the lowered plan IR
-//! ([`crate::plan_ir`]): in addition to the plan-level binding-order
-//! invariants it checks that filters only test elements whose scan is
-//! still pending, that every scan's candidate eventually gets bound by
-//! exactly one (inline or standalone) bind, and that seed specs reference
-//! attached indexes only. The optimizer re-runs it after every enabled
-//! pass (`debug_assertions`), and the pass power-set property suite
-//! (`tests/optimizer_props.rs`) asserts it on every pass combination.
+//! [`verify_ir`] checks the lowered plan IR ([`crate::plan_ir`]): each
+//! component must be its seed scan, then expansion and closing scans,
+//! then `Emit`, and is verified as the plan its scans spell out — one
+//! step per scan — so every invariant above holds on the IR too. On top
+//! of that, inline filters may test only their own scan's elements and
+//! seed specs may reference attached indexes only.
+//! [`crate::optimize::optimize`] runs it on its output in debug builds,
+//! and `tests/optimizer_props.rs` asserts it with seed selection on and
+//! off.
 
 use crate::compile::{Compiled, ComponentPlan, Step};
-use crate::plan_ir::{BindTarget, FilterTest, IrNode, PlanIr, SeedSpec};
+use crate::plan_ir::{ComponentIr, FilterTest, IrNode, PlanIr, SeedSpec};
 use whyq_query::{PatternQuery, QEid, QVid};
 
 /// Check the structural invariants of `plans` for `q` compiled as
@@ -192,117 +193,35 @@ fn verify_component_plan(
     Ok(())
 }
 
-/// What the most recent scan node produced, until its bind resolves.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pending {
-    Seed { vertex: QVid },
-    Expansion { edge: QEid, to: QVid },
-    Closure { edge: QEid },
-}
-
-impl Pending {
-    /// Is `test` a test of this scan's candidate elements?
-    fn admits(self, test: FilterTest) -> bool {
-        match (self, test) {
-            (Pending::Seed { vertex }, FilterTest::VertexPreds(v)) => v == vertex,
-            (Pending::Expansion { to, .. }, FilterTest::VertexPreds(v)) => v == to,
-            (
-                Pending::Expansion { edge, .. } | Pending::Closure { edge },
-                FilterTest::EdgeType(e) | FilterTest::EdgeAttrs(e),
-            ) => e == edge,
-            _ => false,
-        }
-    }
-}
-
 /// Check the structural invariants of the lowered IR `ir` for `q`
 /// compiled as `compiled`, with `num_indexes` attribute indexes attached.
 /// Returns `Err` with a description of the first violation.
 ///
-/// On top of the [`verify_plans`] invariants (seed-first, bound-to-unbound
-/// expansion, both-bound closes, exactly-once coverage, one component per
-/// plan), the IR level adds:
+/// Each component must be `SeedScan (ExpandRun | CloseRun)* Emit`; it is
+/// then checked as the plan its scans spell out, one [`Step`] per scan,
+/// so every [`verify_plans`] invariant holds on the IR (seed first,
+/// bound-to-unbound expansion, both-bound closes, exactly-once coverage,
+/// one component per weakly connected component). On top of that:
 ///
-/// * the first node of a component is its only [`IrNode::SeedScan`] and
-///   the last its only [`IrNode::Emit`];
-/// * between a scan and its bind only [`IrNode::Filter`] nodes testing
-///   *that scan's* candidate elements may appear, and the bind target
-///   must match the scan (no scan's candidate is left unbound, none is
-///   bound twice);
-/// * inline scan filters likewise test only the scan's own elements;
-/// * `typed` scans and `EdgeType` filters only appear on edges whose
-///   compiled form has a type disjunction;
+/// * the component's recorded `seed_vertex` is the one its seed scans;
+/// * inline filters test only their own scan's elements — `VertexPreds`
+///   the vertex the scan binds, `EdgeAttrs` the edge it binds;
 /// * seed specs are well-formed: index positions within `num_indexes`,
 ///   unions non-empty, intersections of at least two probes.
 ///
-/// Enforced over the pass power set by `tests/optimizer_props.rs` and on
-/// every compile in debug builds.
+/// Run by [`crate::optimize::optimize`] on every compile in debug builds.
 pub fn verify_ir(
     q: &PatternQuery,
     compiled: &Compiled,
     ir: &PlanIr,
     num_indexes: usize,
 ) -> Result<(), String> {
-    // compiled slot coverage, shared with verify_plans
-    for v in q.vertex_ids() {
-        if compiled
-            .vertices
-            .get(v.0 as usize)
-            .is_none_or(Option::is_none)
-        {
-            return Err(format!("live query vertex {v} has no compiled slot"));
-        }
-    }
-    for e in q.edge_ids() {
-        if compiled.edges.get(e.0 as usize).is_none_or(Option::is_none) {
-            return Err(format!("live query edge {e} has no compiled slot"));
-        }
-    }
-
-    let components = q.weakly_connected_components();
-    if ir.components.is_empty() {
-        if compiled.unsatisfiable() || q.num_vertices() == 0 {
-            return Ok(());
-        }
-        return Err("satisfiable non-empty query lowered to zero components".into());
-    }
-    if ir.components.len() != components.len() {
-        return Err(format!(
-            "{} IR components for {} weakly connected components",
-            ir.components.len(),
-            components.len()
-        ));
-    }
-
-    let mut covered_vertices: Vec<QVid> = Vec::new();
-    let mut covered_edges: Vec<QEid> = Vec::new();
-    for comp_ir in &ir.components {
-        verify_component_ir(
-            q,
-            compiled,
-            comp_ir,
-            &components,
-            num_indexes,
-            &mut covered_vertices,
-            &mut covered_edges,
-        )?;
-    }
-
-    for v in q.vertex_ids() {
-        match covered_vertices.iter().filter(|&&x| x == v).count() {
-            1 => {}
-            0 => return Err(format!("query vertex {v} is never bound by any component")),
-            n => return Err(format!("query vertex {v} is bound {n} times")),
-        }
-    }
-    for e in q.edge_ids() {
-        match covered_edges.iter().filter(|&&x| x == e).count() {
-            1 => {}
-            0 => return Err(format!("query edge {e} is never bound by any component")),
-            n => return Err(format!("query edge {e} is bound {n} times")),
-        }
-    }
-    Ok(())
+    let plans = ir
+        .components
+        .iter()
+        .map(|comp| component_plan(comp, num_indexes))
+        .collect::<Result<Vec<_>, _>>()?;
+    verify_plans(q, compiled, &plans)
 }
 
 fn verify_seed_spec(spec: &SeedSpec, num_indexes: usize) -> Result<(), String> {
@@ -336,218 +255,71 @@ fn verify_seed_spec(spec: &SeedSpec, num_indexes: usize) -> Result<(), String> {
     }
 }
 
-fn verify_component_ir(
-    q: &PatternQuery,
-    compiled: &Compiled,
-    comp_ir: &crate::plan_ir::ComponentIr,
-    components: &[Vec<QVid>],
-    num_indexes: usize,
-    covered_vertices: &mut Vec<QVid>,
-    covered_edges: &mut Vec<QEid>,
-) -> Result<(), String> {
-    let nodes = &comp_ir.nodes;
-    let Some(IrNode::SeedScan { vertex: seed, .. }) = nodes.first() else {
-        return Err(format!(
-            "IR component does not start with a SeedScan: {:?}",
-            nodes.first()
-        ));
-    };
-    let seed = *seed;
-    if seed != comp_ir.seed_vertex {
-        return Err(format!(
-            "component records seed {} but scans {seed}",
-            comp_ir.seed_vertex
-        ));
-    }
-    let Some(comp) = components.iter().find(|c| c.contains(&seed)) else {
-        return Err(format!("seed vertex {seed} is not a live query vertex"));
-    };
-    if !matches!(nodes.last(), Some(IrNode::Emit)) {
+/// Check what only the IR carries — the trailing `Emit`, the recorded
+/// seed vertex, seed specs and inline filters — and return the plan the
+/// component's scans spell out, for [`verify_plans`].
+fn component_plan(comp: &ComponentIr, num_indexes: usize) -> Result<ComponentPlan, String> {
+    let Some((IrNode::Emit, scans)) = comp.nodes.split_last() else {
         return Err("IR component does not end with Emit".into());
-    }
-
-    let edge_has_types = |e: QEid| -> Result<bool, String> {
-        if q.edge(e).is_none() {
-            return Err(format!("IR references dead query edge {e}"));
-        }
-        Ok(compiled.edge(e).types.is_some())
     };
-    let check_filter = |test: FilterTest, pending: Pending| -> Result<(), String> {
-        if !pending.admits(test) {
-            return Err(format!(
-                "filter {test:?} does not test the pending scan's candidate"
-            ));
-        }
-        if let FilterTest::EdgeType(e) = test {
-            if !edge_has_types(e)? {
-                return Err(format!("EdgeType filter on untyped query edge {e}"));
-            }
-        }
-        Ok(())
-    };
-
-    let mut bound: Vec<QVid> = Vec::with_capacity(comp.len());
-    let mut pending: Option<Pending> = None;
-    for (i, node) in nodes.iter().enumerate() {
-        if node.is_scan() && i != 0 && pending.is_some() {
-            return Err(format!(
-                "scan at node {i} while the previous scan's bind is still pending"
-            ));
-        }
-        match node {
+    let mut steps = Vec::with_capacity(scans.len());
+    for (i, node) in scans.iter().enumerate() {
+        let (step, filters) = match node {
             IrNode::SeedScan {
                 vertex,
                 spec,
                 filters,
-                bind,
                 ..
             } => {
-                if i != 0 {
-                    return Err(format!("SeedScan for {vertex} at node {i} (> 0)"));
+                if *vertex != comp.seed_vertex {
+                    return Err(format!(
+                        "component records seed {} but scans {vertex}",
+                        comp.seed_vertex
+                    ));
                 }
                 verify_seed_spec(spec, num_indexes)?;
-                let p = Pending::Seed { vertex: *vertex };
-                filters.iter().try_for_each(|&t| check_filter(t, p))?;
-                if *bind {
-                    bound.push(*vertex);
-                } else {
-                    pending = Some(p);
-                }
+                (Step::Seed { vertex: *vertex }, filters)
             }
             IrNode::ExpandRun {
                 edge,
                 from,
                 to,
-                typed,
                 filters,
-                bind,
                 ..
-            } => {
-                let Some(qe) = q.edge(*edge) else {
-                    return Err(format!("ExpandRun binds dead query edge {edge}"));
-                };
-                if !(qe.src == *from && qe.dst == *to || qe.src == *to && qe.dst == *from) {
-                    return Err(format!(
-                        "ExpandRun {edge} claims endpoints {from}->{to}, edge has {}->{}",
-                        qe.src, qe.dst
-                    ));
-                }
-                if !bound.contains(from) {
-                    return Err(format!(
-                        "ExpandRun {edge} traverses from unbound vertex {from}"
-                    ));
-                }
-                if bound.contains(to) {
-                    return Err(format!(
-                        "ExpandRun {edge} rebinds already-bound vertex {to} (should be CloseRun)"
-                    ));
-                }
-                if *typed && !edge_has_types(*edge)? {
-                    return Err(format!("typed ExpandRun on untyped query edge {edge}"));
-                }
-                let p = Pending::Expansion {
+            } => (
+                Step::ExpandNew {
                     edge: *edge,
+                    from: *from,
                     to: *to,
-                };
-                filters.iter().try_for_each(|&t| check_filter(t, p))?;
-                if covered_edges.contains(edge) {
-                    return Err(format!("query edge {edge} bound twice"));
-                }
-                covered_edges.push(*edge);
-                if *bind {
-                    bound.push(*to);
-                } else {
-                    pending = Some(p);
-                }
-            }
-            IrNode::CloseRun {
-                edge,
-                typed,
+                },
                 filters,
-                bind,
-            } => {
-                let Some(qe) = q.edge(*edge) else {
-                    return Err(format!("CloseRun binds dead query edge {edge}"));
-                };
-                if !bound.contains(&qe.src) || !bound.contains(&qe.dst) {
-                    return Err(format!(
-                        "CloseRun {edge} fires before both endpoints are bound"
-                    ));
-                }
-                if *typed && !edge_has_types(*edge)? {
-                    return Err(format!("typed CloseRun on untyped query edge {edge}"));
-                }
-                let p = Pending::Closure { edge: *edge };
-                filters.iter().try_for_each(|&t| check_filter(t, p))?;
-                if covered_edges.contains(edge) {
-                    return Err(format!("query edge {edge} bound twice"));
-                }
-                covered_edges.push(*edge);
-                if !*bind {
-                    pending = Some(p);
-                }
-            }
-            IrNode::Filter { test } => {
-                let Some(p) = pending else {
-                    return Err(format!(
-                        "standalone filter {test:?} at node {i} with no pending scan"
-                    ));
-                };
-                check_filter(*test, p)?;
-            }
-            IrNode::Bind { target } => {
-                let Some(p) = pending else {
-                    return Err(format!("Bind at node {i} with no pending scan"));
-                };
-                let matches = match (*target, p) {
-                    (BindTarget::Seed { vertex }, Pending::Seed { vertex: pv }) => vertex == pv,
-                    (
-                        BindTarget::Expansion { edge, to },
-                        Pending::Expansion { edge: pe, to: pt },
-                    ) => edge == pe && to == pt,
-                    (BindTarget::Closure { edge }, Pending::Closure { edge: pe }) => edge == pe,
-                    _ => false,
-                };
-                if !matches {
-                    return Err(format!(
-                        "Bind target {target:?} does not match the pending scan"
-                    ));
-                }
-                match *target {
-                    BindTarget::Seed { vertex } => bound.push(vertex),
-                    BindTarget::Expansion { to, .. } => bound.push(to),
-                    BindTarget::Closure { .. } => {}
-                }
-                pending = None;
-            }
-            IrNode::Emit => {
-                if i != nodes.len() - 1 {
-                    return Err(format!("Emit at node {i}, not last"));
-                }
-                if pending.is_some() {
-                    return Err("Emit while a scan's bind is still pending".into());
-                }
-            }
+            ),
+            IrNode::CloseRun { edge, filters } => (Step::Close { edge: *edge }, filters),
+            IrNode::Emit => return Err(format!("Emit at node {i}, not last")),
+        };
+        if let Some(t) = filters.iter().find(|&&t| !tests_own_element(step, t)) {
+            return Err(format!(
+                "scan at node {i} carries filter {t:?}, which does not test its own candidate"
+            ));
         }
+        steps.push(step);
     }
+    Ok(ComponentPlan { steps })
+}
 
-    // the component must bind its whole component, nothing more
-    for &v in comp {
-        if !bound.contains(&v) {
-            return Err(format!(
-                "IR component seeded at {seed} never binds component vertex {v}"
-            ));
-        }
+/// Whether `test` tests an element that `step` binds.
+fn tests_own_element(step: Step, test: FilterTest) -> bool {
+    match (step, test) {
+        (
+            Step::Seed { vertex: own } | Step::ExpandNew { to: own, .. },
+            FilterTest::VertexPreds(v),
+        ) => v == own,
+        (
+            Step::ExpandNew { edge: own, .. } | Step::Close { edge: own },
+            FilterTest::EdgeAttrs(e),
+        ) => e == own,
+        _ => false,
     }
-    for &v in &bound {
-        if !comp.contains(&v) {
-            return Err(format!(
-                "IR component seeded at {seed} binds vertex {v} outside its component"
-            ));
-        }
-    }
-    covered_vertices.extend(bound);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -632,19 +404,23 @@ mod tests {
     fn lowered_ir_verifies_across_the_pass_power_set() {
         let g = graph();
         let q = query();
+        let indexes = vec![std::sync::Arc::new(
+            crate::index::AttrIndex::build(&g, "type").expect("type is an attribute"),
+        )];
         let compiled = Compiled::new(&g, &q);
-        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
-        for i in 0..8 {
+        let (plans, est) = build_plans_est(&g, &q, &compiled, &indexes);
+        for seed_select in [false, true] {
             let mut ir = crate::plan_ir::lower(&compiled, &plans, &est);
             crate::optimize::optimize(
                 &mut ir,
                 &g,
                 &q,
                 &compiled,
-                &[],
-                crate::optimize::PassSet::subset(i),
+                &indexes,
+                crate::optimize::PassSet { seed_select },
             );
-            verify_ir(&q, &compiled, &ir, 0).unwrap_or_else(|e| panic!("subset {i}: {e}"));
+            verify_ir(&q, &compiled, &ir, indexes.len())
+                .unwrap_or_else(|e| panic!("seed_select {seed_select}: {e}"));
         }
     }
 
@@ -656,42 +432,46 @@ mod tests {
         let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
         let good = crate::plan_ir::lower(&compiled, &plans, &est);
         verify_ir(&q, &compiled, &good, 0).unwrap();
+        let rejected = |edit: &dyn Fn(&mut Vec<IrNode>)| {
+            let mut bad = good.clone();
+            edit(&mut bad.components[0].nodes);
+            verify_ir(&q, &compiled, &bad, 0).is_err()
+        };
 
         // drop the trailing Emit
-        let mut no_emit = good.clone();
-        no_emit.components[0].nodes.pop();
-        assert!(verify_ir(&q, &compiled, &no_emit, 0).is_err());
-
-        // drop a Bind: the scan's candidate is never committed
-        let mut no_bind = good.clone();
-        let pos = no_bind.components[0]
-            .nodes
-            .iter()
-            .position(|n| matches!(n, IrNode::Bind { .. }))
-            .unwrap();
-        no_bind.components[0].nodes.remove(pos);
-        assert!(verify_ir(&q, &compiled, &no_bind, 0).is_err());
-
+        assert!(rejected(&|nodes| {
+            nodes.pop();
+        }));
+        // an Emit before the last scan
+        assert!(rejected(&|nodes| nodes.insert(1, IrNode::Emit)));
+        // drop the last scan: its elements are never bound
+        assert!(rejected(&|nodes| {
+            nodes.remove(nodes.len() - 2);
+        }));
         // seed spec referencing an unattached index
-        let mut bad_spec = good.clone();
-        if let IrNode::SeedScan { spec, .. } = &mut bad_spec.components[0].nodes[0] {
-            *spec = SeedSpec::Bucket {
-                index: 3,
-                key: whyq_graph::Value::Int(1),
-            };
-        }
-        assert!(verify_ir(&q, &compiled, &bad_spec, 0).is_err());
-
+        assert!(rejected(&|nodes| {
+            if let IrNode::SeedScan { spec, .. } = &mut nodes[0] {
+                *spec = SeedSpec::Bucket {
+                    index: 3,
+                    key: whyq_graph::Value::Int(1),
+                };
+            }
+        }));
+        // a foreign inline filter: the seed scan testing an edge
+        assert!(rejected(&|nodes| {
+            if let IrNode::SeedScan { filters, .. } = &mut nodes[0] {
+                filters.push(FilterTest::EdgeAttrs(QEid(0)));
+            }
+        }));
         // an inline filter testing a vertex that is not the scan's target
         // (the already-bound `from` endpoint instead of `to`)
-        let mut wrong_target = good.clone();
-        if let Some(IrNode::ExpandRun { from, filters, .. }) = wrong_target.components[0]
-            .nodes
-            .iter_mut()
-            .find(|n| matches!(n, IrNode::ExpandRun { .. }))
-        {
-            filters.push(FilterTest::VertexPreds(*from));
-        }
-        assert!(verify_ir(&q, &compiled, &wrong_target, 0).is_err());
+        assert!(rejected(&|nodes| {
+            if let Some(IrNode::ExpandRun { from, filters, .. }) = nodes
+                .iter_mut()
+                .find(|n| matches!(n, IrNode::ExpandRun { .. }))
+            {
+                filters.push(FilterTest::VertexPreds(*from));
+            }
+        }));
     }
 }

@@ -17,12 +17,12 @@
 //! result materialization reads.
 //!
 //! `next_match` is the whole engine: a loop over a program counter and
-//! an explicit frame stack, one frame per active *scan* instruction. A
-//! scan instruction pushes a frame on first entry and advances its
-//! cursor to the next acceptable candidate on re-entry; `Filter` tests
-//! the top frame's candidate and jumps back to the owning scan on
-//! failure; `Bind` commits the candidate to the register file (occupancy
-//! checked here in injective mode); `Emit` suspends the machine and
+//! an explicit frame stack, one frame per active *scan* instruction —
+//! every instruction but the final `Emit` is a scan, one per plan step.
+//! A scan instruction pushes a frame on first entry and advances its
+//! cursor to the next acceptable candidate on re-entry: occupancy
+//! (injective mode) and its inline filters accept the candidate, and the
+//! scan commits it to the register file. `Emit` suspends the machine and
 //! yields. Resumption re-enters at the deepest frame's scan — exactly
 //! the suspension shape [`crate::stream::MatchStream`] needs, so eager
 //! (`find`/`count`), streamed, governed and [`crate::work::WorkUnit`]
@@ -31,9 +31,9 @@
 //! Candidate order and filter sequence are fixed (occupancy stamps
 //! before predicate checks, `EdgeData` loaded only when a filter needs
 //! it, the self-loop and duplicate-direction skip rules of undirected
-//! edges included), so programs compiled with any optimizer
-//! [`crate::optimize::PassSet`] enumerate the same matches; with
-//! identical seed sources they enumerate them in the same order. The
+//! edges included), so programs compiled with or without
+//! [`crate::optimize::PassSet::seed_select`] enumerate the same matches;
+//! with identical seed sources they enumerate them in the same order. The
 //! budget is charged every [`CHECK_INTERVAL`] VM transitions, so a
 //! governed run yields a prefix of the ungoverned one.
 //!
@@ -43,7 +43,7 @@
 use crate::budget::{Budget, CHECK_INTERVAL};
 use crate::compile::Compiled;
 use crate::engine::Scratch;
-use crate::plan_ir::{BindTarget, FilterTest, IrNode, PlanIr, SeedSpec};
+use crate::plan_ir::{FilterTest, IrNode, PlanIr, SeedSpec};
 use whyq_graph::{CsrTopology, EdgeId, PropertyGraph, VertexId};
 use whyq_query::{PatternQuery, QEid, QVid};
 
@@ -56,46 +56,24 @@ pub struct FilterRange {
     pub len: u16,
 }
 
-/// What a [`Instruction::Bind`] commits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BindKind {
-    /// Bind the component's seed vertex.
-    Seed {
-        /// Query vertex slot.
-        vertex: u16,
-    },
-    /// Bind an expansion's edge and newly reached vertex.
-    Expansion {
-        /// Query edge slot.
-        edge: u16,
-        /// Query vertex slot of the reached endpoint.
-        to: u16,
-    },
-    /// Bind a closing edge (endpoints already bound).
-    Closure {
-        /// Query edge slot.
-        edge: u16,
-    },
-}
-
 /// One VM instruction. Operands are query vertex/edge *slot numbers*
 /// (`u16` — a query with more than 65 535 slots is rejected at
 /// compilation), filter operands index the program's pooled filter
 /// table via [`FilterRange`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instruction {
-    /// Produce seed candidates from the program's [`SeedSpec`]; `filters`
-    /// are applied inline, `bind` commits accepted candidates in-loop.
+    /// Produce seed candidates from the program's [`SeedSpec`], test them
+    /// against the inline `filters` and bind each accepted one.
     SeedScan {
         /// Query vertex slot being seeded.
         vertex: u16,
-        /// Inline filters (pushdown pass).
+        /// Inline filters.
         filters: FilterRange,
-        /// Bind in-loop (dead-bind pass) instead of via a `Bind`.
-        bind: bool,
     },
-    /// Traverse a query edge from the bound `from` slot, producing
-    /// `(edge, vertex)` candidates for (`edge`, `to`).
+    /// Traverse a query edge from the bound `from` slot, producing and
+    /// binding `(edge, vertex)` candidates for (`edge`, `to`). Walks only
+    /// the admissible per-type CSR runs when the compiled edge has a type
+    /// disjunction, the full adjacency otherwise.
     Expand {
         /// Query edge slot being traversed.
         edge: u16,
@@ -103,37 +81,17 @@ pub enum Instruction {
         from: u16,
         /// Endpoint slot the traversal reaches.
         to: u16,
-        /// Walk only the admissible per-type CSR runs (pushdown pass)
-        /// instead of the full adjacency.
-        typed: bool,
         /// Inline filters.
         filters: FilterRange,
-        /// Bind in-loop.
-        bind: bool,
     },
     /// Bind a query edge whose endpoints are both bound, scanning the
-    /// shorter endpoint adjacency for edges between the mapped vertices.
+    /// shorter endpoint adjacency (per-type runs for a typed edge) for
+    /// edges between the mapped vertices.
     Close {
         /// Query edge slot being closed.
         edge: u16,
-        /// Walk only the admissible per-type CSR runs.
-        typed: bool,
         /// Inline filters.
         filters: FilterRange,
-        /// Bind in-loop.
-        bind: bool,
-    },
-    /// Test the current scan candidate against one pooled filter; on
-    /// failure jump back to the owning scan.
-    Filter {
-        /// Index into the pooled filter table.
-        test: u16,
-    },
-    /// Commit the current scan candidate to the register file (occupancy
-    /// checked in injective mode; on conflict jump back to the scan).
-    Bind {
-        /// What to bind.
-        kind: BindKind,
     },
     /// Yield the complete assignment and suspend. Always last.
     Emit,
@@ -143,8 +101,7 @@ pub enum Instruction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     code: Vec<Instruction>,
-    /// Pooled filter table, referenced by [`FilterRange`] and
-    /// [`Instruction::Filter`] operands.
+    /// Pooled filter table, referenced by [`FilterRange`] operands.
     filters: Vec<FilterTest>,
     seed: SeedSpec,
     seed_vertex: QVid,
@@ -266,69 +223,37 @@ fn compile_component(comp: &crate::plan_ir::ComponentIr) -> Program {
         }
     };
     for node in &comp.nodes {
-        match node {
+        code.push(match node {
             IrNode::SeedScan {
                 vertex,
                 spec,
                 filters: fs,
-                bind,
                 ..
             } => {
                 seed = spec.clone();
-                code.push(Instruction::SeedScan {
+                Instruction::SeedScan {
                     vertex: slot16(vertex.0),
                     filters: pool(fs, &mut filters),
-                    bind: *bind,
-                });
+                }
             }
             IrNode::ExpandRun {
                 edge,
                 from,
                 to,
-                typed,
                 filters: fs,
-                bind,
                 ..
-            } => code.push(Instruction::Expand {
+            } => Instruction::Expand {
                 edge: slot16(edge.0),
                 from: slot16(from.0),
                 to: slot16(to.0),
-                typed: *typed,
                 filters: pool(fs, &mut filters),
-                bind: *bind,
-            }),
-            IrNode::CloseRun {
-                edge,
-                typed,
-                filters: fs,
-                bind,
-            } => code.push(Instruction::Close {
+            },
+            IrNode::CloseRun { edge, filters: fs } => Instruction::Close {
                 edge: slot16(edge.0),
-                typed: *typed,
                 filters: pool(fs, &mut filters),
-                bind: *bind,
-            }),
-            IrNode::Filter { test } => {
-                let idx = slot16(filters.len() as u32);
-                filters.push(*test);
-                code.push(Instruction::Filter { test: idx });
-            }
-            IrNode::Bind { target } => code.push(Instruction::Bind {
-                kind: match *target {
-                    BindTarget::Seed { vertex } => BindKind::Seed {
-                        vertex: slot16(vertex.0),
-                    },
-                    BindTarget::Expansion { edge, to } => BindKind::Expansion {
-                        edge: slot16(edge.0),
-                        to: slot16(to.0),
-                    },
-                    BindTarget::Closure { edge } => BindKind::Closure {
-                        edge: slot16(edge.0),
-                    },
-                },
-            }),
-            IrNode::Emit => code.push(Instruction::Emit),
-        }
+            },
+            IrNode::Emit => Instruction::Emit,
+        });
     }
     Program {
         code,
@@ -458,14 +383,7 @@ impl VmState {
         let scans = prog
             .code()
             .iter()
-            .filter(|i| {
-                matches!(
-                    i,
-                    Instruction::SeedScan { .. }
-                        | Instruction::Expand { .. }
-                        | Instruction::Close { .. }
-                )
-            })
+            .filter(|i| !matches!(i, Instruction::Emit))
             .count();
         if self.frames.len() < scans {
             self.frames.resize(
@@ -484,7 +402,7 @@ impl VmState {
 
 /// Outcome of advancing one scan frame.
 enum Adv {
-    /// A candidate was accepted (and bound, for fused scans).
+    /// A candidate was accepted and bound.
     Found,
     /// The scan ran out of candidates.
     Exhausted,
@@ -504,14 +422,7 @@ fn tick(cx: &VmCtx<'_>, st: &mut Scratch) -> bool {
 fn test_filter(cx: &VmCtx<'_>, test: FilterTest, de: EdgeId, dv: VertexId) -> bool {
     match test {
         FilterTest::VertexPreds(v) => cx.compiled.vertex(v).accepts(cx.g, dv),
-        FilterTest::EdgeType(e) => match &cx.compiled.edge(e).types {
-            Some(tys) => tys.contains(&cx.g.edge(de).ty),
-            None => true,
-        },
-        FilterTest::EdgeAttrs(e) => {
-            let ce = cx.compiled.edge(e);
-            !ce.needs_edge_data() || ce.accepts_attrs(&cx.g.edge(de).attrs)
-        }
+        FilterTest::EdgeAttrs(e) => cx.compiled.edge(e).accepts_attrs(&cx.g.edge(de).attrs),
     }
 }
 
@@ -588,16 +499,12 @@ fn run(
         vs.frames[vs.depth - 1].pc
     };
     // No budget tick here: every candidate a scan produces is ticked
-    // inside its advance loop, and the O(1) Filter/Bind/Emit steps ride
-    // on the tick of the candidate that reached them — charging per
-    // dispatch as well would double-count each transition.
+    // inside its advance loop, and the O(1) Emit step rides on the tick
+    // of the candidate that reached it — charging per dispatch as well
+    // would double-count each transition.
     loop {
         match code[pc] {
-            Instruction::SeedScan {
-                vertex,
-                filters,
-                bind,
-            } => {
+            Instruction::SeedScan { vertex, filters } => {
                 if fresh {
                     let f = &mut vs.frames[vs.depth];
                     f.pc = pc;
@@ -605,7 +512,7 @@ fn run(
                     f.cur = Cursor::Seed { pos: 0 };
                     vs.depth += 1;
                 }
-                match advance_seed(cx, st, &mut vs.frames[vs.depth - 1], vertex, filters, bind) {
+                match advance_seed(cx, st, &mut vs.frames[vs.depth - 1], vertex, filters) {
                     Adv::Found => {
                         pc += 1;
                         fresh = true;
@@ -626,9 +533,7 @@ fn run(
                 edge,
                 from,
                 to,
-                typed,
                 filters,
-                bind,
             } => {
                 if fresh {
                     let anchor =
@@ -650,16 +555,7 @@ fn run(
                     };
                     vs.depth += 1;
                 }
-                match advance_expand(
-                    cx,
-                    st,
-                    &mut vs.frames[vs.depth - 1],
-                    edge,
-                    to,
-                    typed,
-                    filters,
-                    bind,
-                ) {
+                match advance_expand(cx, st, &mut vs.frames[vs.depth - 1], edge, to, filters) {
                     Adv::Found => {
                         pc += 1;
                         fresh = true;
@@ -676,12 +572,7 @@ fn run(
                     }
                 }
             }
-            Instruction::Close {
-                edge,
-                typed,
-                filters,
-                bind,
-            } => {
+            Instruction::Close { edge, filters } => {
                 if fresh {
                     let qe = cx.q.edge(QEid(edge as u32)).expect("live");
                     let ms = st.vslots[qe.src.0 as usize].expect("bound");
@@ -704,15 +595,7 @@ fn run(
                     };
                     vs.depth += 1;
                 }
-                match advance_close(
-                    cx,
-                    st,
-                    &mut vs.frames[vs.depth - 1],
-                    edge,
-                    typed,
-                    filters,
-                    bind,
-                ) {
+                match advance_close(cx, st, &mut vs.frames[vs.depth - 1], edge, filters) {
                     Adv::Found => {
                         pc += 1;
                         fresh = true;
@@ -727,63 +610,6 @@ fn run(
                         pc = vs.frames[vs.depth - 1].pc;
                         fresh = false;
                     }
-                }
-            }
-            Instruction::Filter { test } => {
-                let f = &vs.frames[vs.depth - 1];
-                if test_filter(cx, cx.prog.filters()[test as usize], f.de, f.dv) {
-                    pc += 1;
-                } else {
-                    pc = f.pc;
-                    fresh = false;
-                }
-            }
-            Instruction::Bind { kind } => {
-                let f = &mut vs.frames[vs.depth - 1];
-                let ok = match kind {
-                    BindKind::Seed { vertex } => {
-                        // the seed is the first binding of its component,
-                        // so no occupancy check (injectivity is
-                        // per-component)
-                        #[cfg(feature = "fault-inject")]
-                        crate::fault::on_seed_bound();
-                        st.vslots[vertex as usize] = Some(f.dv);
-                        if cx.injective {
-                            st.set_vertex_used(f.dv, true);
-                        }
-                        true
-                    }
-                    BindKind::Expansion { edge, to } => {
-                        if cx.injective && (st.vertex_used(f.dv) || st.edge_used(f.de)) {
-                            false
-                        } else {
-                            st.vslots[to as usize] = Some(f.dv);
-                            st.eslots[edge as usize] = Some(f.de);
-                            if cx.injective {
-                                st.set_vertex_used(f.dv, true);
-                                st.set_edge_used(f.de, true);
-                            }
-                            true
-                        }
-                    }
-                    BindKind::Closure { edge } => {
-                        if cx.injective && st.edge_used(f.de) {
-                            false
-                        } else {
-                            st.eslots[edge as usize] = Some(f.de);
-                            if cx.injective {
-                                st.set_edge_used(f.de, true);
-                            }
-                            true
-                        }
-                    }
-                };
-                if ok {
-                    f.bound = true;
-                    pc += 1;
-                } else {
-                    pc = f.pc;
-                    fresh = false;
                 }
             }
             Instruction::Emit => match emit.as_mut() {
@@ -856,7 +682,6 @@ fn advance_seed(
     f: &mut Frame,
     vertex: u16,
     filters: FilterRange,
-    bind: bool,
 ) -> Adv {
     if f.bound {
         if let Some(dv) = st.vslots[vertex as usize].take() {
@@ -885,29 +710,24 @@ fn advance_seed(
             return Adv::Tripped;
         }
         f.dv = dv;
-        if bind {
-            #[cfg(feature = "fault-inject")]
-            crate::fault::on_seed_bound();
-            st.vslots[vertex as usize] = Some(dv);
-            if cx.injective {
-                st.set_vertex_used(dv, true);
-            }
-            f.bound = true;
+        #[cfg(feature = "fault-inject")]
+        crate::fault::on_seed_bound();
+        st.vslots[vertex as usize] = Some(dv);
+        if cx.injective {
+            st.set_vertex_used(dv, true);
         }
+        f.bound = true;
         return Adv::Found;
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn advance_expand(
     cx: &VmCtx<'_>,
     st: &mut Scratch,
     f: &mut Frame,
     edge: u16,
     to: u16,
-    typed: bool,
     filters: FilterRange,
-    bind: bool,
 ) -> Adv {
     if f.bound {
         if let Some(de) = st.eslots[edge as usize].take() {
@@ -957,9 +777,7 @@ fn advance_expand(
         // backward pass skips the ones forward already tried
         let skip_self_loops = *phase == 1 && fwd;
         if !*resolved {
-            let r = if typed {
-                let ce = cx.compiled.edge(QEid(edge as u32));
-                let tys = ce.types.as_deref().expect("typed scan on typed edge");
+            let r = if let Some(tys) = cx.compiled.edge(QEid(edge as u32)).types.as_deref() {
                 if *ty >= tys.len() {
                     *phase += 1;
                     *ty = 0;
@@ -1000,7 +818,7 @@ fn advance_expand(
             if skip_self_loops && dv == anchor {
                 continue;
             }
-            if bind && cx.injective && (st.vertex_used(dv) || st.edge_used(de)) {
+            if cx.injective && (st.vertex_used(dv) || st.edge_used(de)) {
                 continue;
             }
             if !inline_filters(cx, fs, de, dv) {
@@ -1012,15 +830,13 @@ fn advance_expand(
             }
             f.de = de;
             f.dv = dv;
-            if bind {
-                st.vslots[to as usize] = Some(dv);
-                st.eslots[edge as usize] = Some(de);
-                if cx.injective {
-                    st.set_vertex_used(dv, true);
-                    st.set_edge_used(de, true);
-                }
-                f.bound = true;
+            st.vslots[to as usize] = Some(dv);
+            st.eslots[edge as usize] = Some(de);
+            if cx.injective {
+                st.set_vertex_used(dv, true);
+                st.set_edge_used(de, true);
             }
+            f.bound = true;
             return Adv::Found;
         }
         *ty += 1;
@@ -1029,15 +845,12 @@ fn advance_expand(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn advance_close(
     cx: &VmCtx<'_>,
     st: &mut Scratch,
     f: &mut Frame,
     edge: u16,
-    typed: bool,
     filters: FilterRange,
-    bind: bool,
 ) -> Adv {
     if f.bound {
         if let Some(de) = st.eslots[edge as usize].take() {
@@ -1085,29 +898,28 @@ fn advance_close(
         }
         let ends = if *phase == 0 { (ms, mt) } else { (mt, ms) };
         if !*resolved {
-            let (r_out, r_in) = if typed {
-                let ce = cx.compiled.edge(QEid(edge as u32));
-                let tys = ce.types.as_deref().expect("typed scan on typed edge");
-                if *ty >= tys.len() {
-                    *phase += 1;
-                    *ty = 0;
-                    *pos = 0;
-                    continue;
-                }
-                let t = tys[*ty];
-                (
-                    cx.topo.out_extent_of(ends.0, t),
-                    cx.topo.in_extent_of(ends.1, t),
-                )
-            } else {
-                if *ty >= 1 {
-                    *phase += 1;
-                    *ty = 0;
-                    *pos = 0;
-                    continue;
-                }
-                (cx.topo.out_extent(ends.0), cx.topo.in_extent(ends.1))
-            };
+            let (r_out, r_in) =
+                if let Some(tys) = cx.compiled.edge(QEid(edge as u32)).types.as_deref() {
+                    if *ty >= tys.len() {
+                        *phase += 1;
+                        *ty = 0;
+                        *pos = 0;
+                        continue;
+                    }
+                    let t = tys[*ty];
+                    (
+                        cx.topo.out_extent_of(ends.0, t),
+                        cx.topo.in_extent_of(ends.1, t),
+                    )
+                } else {
+                    if *ty >= 1 {
+                        *phase += 1;
+                        *ty = 0;
+                        *pos = 0;
+                        continue;
+                    }
+                    (cx.topo.out_extent(ends.0), cx.topo.in_extent(ends.1))
+                };
             // scan whichever slice of the two endpoints is shorter; the
             // deterministic choice keeps resumption stable
             let so = r_out.end - r_out.start <= r_in.end - r_in.start;
@@ -1130,7 +942,7 @@ fn advance_close(
             if other != want {
                 continue;
             }
-            if bind && cx.injective && st.edge_used(de) {
+            if cx.injective && st.edge_used(de) {
                 continue;
             }
             if !inline_filters(cx, fs, de, f.dv) {
@@ -1141,13 +953,11 @@ fn advance_close(
                 return Adv::Tripped;
             }
             f.de = de;
-            if bind {
-                st.eslots[edge as usize] = Some(de);
-                if cx.injective {
-                    st.set_edge_used(de, true);
-                }
-                f.bound = true;
+            st.eslots[edge as usize] = Some(de);
+            if cx.injective {
+                st.set_edge_used(de, true);
             }
+            f.bound = true;
             return Adv::Found;
         }
         *ty += 1;

@@ -1,11 +1,11 @@
-//! Pass-matrix equivalence: every subset of the optimizer pass pipeline,
-//! executed through every execution mode, must enumerate exactly the
-//! matches the brute-force reference accepts.
+//! Seed-selection equivalence: programs compiled with and without the
+//! optimizer's one pass, executed through every execution mode, must
+//! enumerate exactly the matches the brute-force reference accepts.
 //!
-//! For each randomized graph/query pair and each of the 8 [`PassSet`]
-//! subsets (`PassSet::subset(0..8)`) the suite checks:
+//! For each randomized graph/query pair and both settings of
+//! [`PassSet::seed_select`] the suite checks:
 //!
-//! - the lowered IR passes [`verify_ir`] after the subset's passes ran;
+//! - the lowered IR passes [`verify_ir`] after optimization;
 //! - serial `find`/`count` on the compiled program equal the naive
 //!   reference (canonical multiset comparison);
 //! - the streamed enumeration yields the identical result *list*;
@@ -14,11 +14,11 @@
 //!   the serial list (the substrate of `find_par`/`count_par`).
 //!
 //! The reference is the only oracle, so the generated queries reach every
-//! IR node kind under every subset: chains optionally closed into a cycle
-//! (`CloseRun`, and the standalone `Filter`/`Bind` after it when pushdown
-//! or dead-bind elimination is off), an optional second disconnected
-//! component (cartesian combination, also under `MatchStream`), injective
-//! and homomorphic matching.
+//! IR node kind and seed source: chains optionally closed into a cycle
+//! (`CloseRun`), two indexed equality predicates on one seed (an
+//! `Intersect` source), an optional second disconnected component
+//! (cartesian combination, also under `MatchStream`), injective and
+//! homomorphic matching.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -193,8 +193,8 @@ fn run_units(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The full pass power set, each subset verified and result-equivalent
-    /// to the reference across serial, streamed, governed and unit modes.
+    /// Seed selection on and off, each verified and result-equivalent to
+    /// the reference across serial, streamed, governed and unit modes.
     #[test]
     fn pass_power_set_is_result_equivalent(
         n in 2usize..8,
@@ -222,10 +222,10 @@ proptest! {
             m.attach_index(Arc::clone(idx));
         }
 
-        for subset in 0u8..8 {
-            let passes = PassSet::subset(subset);
+        for seed_select in [false, true] {
+            let passes = PassSet { seed_select };
 
-            // the IR stays verifiable after this subset's passes
+            // the IR stays verifiable after optimization
             let compiled = Compiled::new(&g, &q);
             if !compiled.unsatisfiable() {
                 let (plans, est) = build_plans_est(&g, &q, &compiled, &indexes);
@@ -233,7 +233,7 @@ proptest! {
                 optimize(&mut ir, &g, &q, &compiled, &indexes, passes);
                 prop_assert!(
                     verify_ir(&q, &compiled, &ir, indexes.len()).is_ok(),
-                    "verify_ir failed for subset {subset}"
+                    "verify_ir failed for seed_select {seed_select}"
                 );
             }
 
@@ -241,11 +241,11 @@ proptest! {
 
             // serial vs reference
             let serial = m.find_compiled(&q, &cq.compiled, &cq.program, opts.clone());
-            prop_assert_eq!(canonical(&serial), naive_set.clone(), "subset {}", subset);
+            prop_assert_eq!(canonical(&serial), naive_set.clone(), "seed_select {}", seed_select);
             prop_assert_eq!(
                 m.count_compiled(&q, &cq.compiled, &cq.program, opts.clone()),
                 naive_count,
-                "subset {}", subset
+                "seed_select {}", seed_select
             );
 
             // streamed: identical list, not just multiset
@@ -258,7 +258,7 @@ proptest! {
                 opts.clone(),
             )
             .collect();
-            prop_assert_eq!(&streamed, &serial, "stream diverged for subset {}", subset);
+            prop_assert_eq!(&streamed, &serial, "stream diverged for seed_select {}", seed_select);
 
             // governed: a small step budget yields a prefix of the serial
             // list (sticky trip ⇒ no holes)
@@ -271,19 +271,19 @@ proptest! {
             prop_assert!(
                 governed.len() <= serial.len()
                     && governed.as_slice() == &serial[..governed.len()],
-                "governed run is not a serial prefix for subset {subset}"
+                "governed run is not a serial prefix for seed_select {seed_select}"
             );
 
             // unit protocol: every split concatenates to the serial list
             for chunks in [1usize, 3] {
                 let merged = run_units(&m, &q, &cq.compiled, &cq.program, chunks, &opts);
-                prop_assert_eq!(&merged, &serial, "units diverged for subset {}", subset);
+                prop_assert_eq!(&merged, &serial, "units diverged for seed_select {}", seed_select);
             }
         }
     }
 
-    /// Limits behave identically across pass subsets: `min(C(Q), limit)`
-    /// counts and capped find sizes.
+    /// Limits behave identically with seed selection on and off:
+    /// `min(C(Q), limit)` counts and capped find sizes.
     #[test]
     fn limits_are_pass_independent(
         n in 2usize..5,
@@ -301,8 +301,8 @@ proptest! {
             m.attach_index(Arc::clone(idx));
         }
         let full = m.count(&q, MatchOptions::default());
-        for subset in 0u8..8 {
-            let cq = m.compile_with_passes(&q, PassSet::subset(subset));
+        for seed_select in [false, true] {
+            let cq = m.compile_with_passes(&q, PassSet { seed_select });
             let capped = m.count_compiled(&q, &cq.compiled, &cq.program,
                 MatchOptions::counting(Some(limit as u64)));
             prop_assert_eq!(capped, full.min(limit as u64));

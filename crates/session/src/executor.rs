@@ -35,7 +35,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use whyq_matcher::{split_ranges, CancelToken, MatchOptions, ResultGraph, Termination};
+use whyq_matcher::{split_ranges, MatchOptions, ResultGraph, Termination};
 use whyq_query::PatternQuery;
 
 /// Render a caught panic payload for [`WhyqError::WorkerPanicked`].
@@ -184,17 +184,12 @@ fn parse_threads(raw: &str) -> Option<usize> {
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     opts: ParallelOpts,
-    /// Optional external cancellation: workers poll this token between
-    /// tasks and stop pulling new ones once it flips (tasks already
-    /// running finish — or stop on their own via the budget inside their
-    /// `MatchOptions`, when they share it with the token).
-    cancel: Option<CancelToken>,
 }
 
 impl Executor {
     /// Executor over explicit options.
     pub fn new(opts: ParallelOpts) -> Self {
-        Executor { opts, cancel: None }
+        Executor { opts }
     }
 
     /// Executor configured from the environment ([`ParallelOpts::from_env`]).
@@ -205,19 +200,6 @@ impl Executor {
     /// Strictly serial executor (all batches run inline).
     pub fn serial() -> Self {
         Executor::new(ParallelOpts::serial())
-    }
-
-    /// Attach an external cancel token (builder style): batches observe a
-    /// cancel between tasks and fail with
-    /// [`WhyqError::Interrupted`]`(Cancelled)`.
-    pub fn with_cancel(mut self, token: &CancelToken) -> Self {
-        self.cancel = Some(token.clone());
-        self
-    }
-
-    /// True once the attached cancel token (if any) has flipped.
-    fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// The configured options.
@@ -248,10 +230,9 @@ impl Executor {
     /// Errors are **per-slot**: a request that fails — including by
     /// panicking its worker, caught and reported as
     /// [`WhyqError::WorkerPanicked`] in that slot — never poisons its
-    /// siblings' results; only an executor-level stop (an attached cancel
-    /// token, a panic in worker setup) fails every slot wholesale. A
-    /// budget that trips mid-search is
-    /// *not* an error here: the slot holds the partial results tagged with
+    /// siblings' results; only an executor-level stop (a panic in worker
+    /// setup) fails every slot wholesale. A budget that trips mid-search
+    /// is *not* an error here: the slot holds the partial results tagged with
     /// their [`Termination`], the degraded-but-servable contract.
     pub fn find_batch(
         &self,
@@ -286,7 +267,7 @@ impl Executor {
     ///
     /// Robustness contract: every task (and every worker's `init`) runs
     /// under [`catch_unwind`], so a panic is confined to its work unit.
-    /// The first failure — panic or cancel — is recorded, every worker
+    /// The first panic is recorded, every worker
     /// stops pulling new tasks, and the batch returns `Err`; the shared
     /// [`Database`] and all other sessions stay untouched and usable
     /// (per-search scratch state is re-prepared from scratch on every
@@ -321,13 +302,6 @@ impl Executor {
             };
             loop {
                 if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if self.cancelled() {
-                    let _ = first_error.set(WhyqError::Interrupted {
-                        termination: Termination::Cancelled,
-                    });
-                    stop.store(true, Ordering::Release);
                     break;
                 }
                 let i = next.fetch_add(1, Ordering::Relaxed);
