@@ -6,10 +6,12 @@
 //! repro list
 //! ```
 //!
-//! Experiment ids match the index in `DESIGN.md` §5: `fig3.7`, `fig3.8`,
-//! `fig3.9`, `fig3.10`, `fig4.disc.ldbc`, `fig4.disc.dbp`, `fig4.opt`,
-//! `fig4.bnd`, `fig5.prio`, `fig5.conv`, `fig5.icc`, `fig5.user`,
-//! `fig6.base`, `fig6.topo`, `tabA.1`, `tabA.2`, `appB.1`, `appB.2`.
+//! Experiment ids match the index in ARCHITECTURE.md § Reproduction,
+//! which maps each id to its function and thesis section: `tabA.1`,
+//! `tabA.2`, `fig3.7`, `fig3.8`, `fig3.9`, `fig3.10`, `fig4.disc.ldbc`,
+//! `fig4.disc.dbp`, `fig4.opt`, `fig4.bnd`, `fig4.user`, `fig5.prio`,
+//! `fig5.est`, `fig5.conv`, `fig5.icc`, `fig5.user`, `fig6.base`,
+//! `fig6.topo`, `appB.1`, `appB.2`.
 
 use whyq_bench::{appendix, fig3, fig4, fig5, fig6, tables, util};
 

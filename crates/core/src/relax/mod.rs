@@ -11,7 +11,13 @@
 //! 2. **Prioritization** ([`priority`]) ranks candidates with
 //!    query-dependent statistics (§5.2) — estimated cardinality, average
 //!    `path(1)` cardinality, induced cardinality changes (§5.3.2) — or
-//!    syntactic closeness / random order as baselines (§5.5.1).
+//!    syntactic closeness / random order as baselines (§5.5.1). The
+//!    frontier is ranked on demand: candidates are pushed unscored in
+//!    their conflict tier (the analyzer's conflict set first), and a
+//!    popped candidate is scored only while another candidate of its tier
+//!    is still waiting. The pop order is that of scoring every candidate
+//!    at push; only the statistics work of candidates whose order never
+//!    comes into question is saved.
 //! 3. **Execution & caching** ([`cache`]) evaluates the most promising
 //!    candidate, memoizing cardinalities by canonical signature so
 //!    re-derived candidates are free (§5.5, App. B.2).
@@ -31,25 +37,25 @@ use crate::relax::priority::PriorityFn;
 use crate::relax::user_model::PreferenceModel;
 use crate::stats::Statistics;
 use crate::user::SimulatedUser;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
+use std::rc::Rc;
 use whyq_matcher::{Budget, MatchOptions, Termination};
 use whyq_metrics::syntactic_distance;
 use whyq_query::{analyze_against, signature::signature, GraphMod, PatternQuery, Target};
 use whyq_session::{Database, Session, WhyqError};
 
-/// Priority boost for a candidate whose modification discards a constraint
-/// the static analyzer proved conflicting ([`AnalysisReport::conflict_set`]
-/// of `whyq-query`): such a rewrite is the *minimal certain* step toward
-/// satisfiability, so it must outrank every statistics-scored sibling. The
-/// magnitude dwarfs any statistics score (estimated cardinalities are
-/// graph-bounded) without drowning the statistics: among several
-/// conflict-targeting candidates the underlying score still tie-breaks.
-const CONFLICT_BONUS: f64 = 1e9;
-
 /// Cap when counting a candidate's results.
 const COUNT_LIMIT: u64 = 10_000;
 
 /// Does applying `m` discard a constraint named in `conflicts`?
+///
+/// `conflicts` is the static analyzer's
+/// [`conflict_set`](whyq_query::AnalysisReport::conflict_set): discarding
+/// one of its constraints is the *minimal certain* step toward
+/// satisfiability. Such a candidate is in the frontier's top tier
+/// ([`Node`]) and outranks every other candidate whatever their
+/// statistics; within a tier the score decides.
 fn targets_conflict(m: &GraphMod, conflicts: &[(Target, Option<String>)]) -> bool {
     match m {
         // `RemovePredicate` drops *all* predicates with the attribute, so
@@ -153,29 +159,53 @@ pub struct SessionOutcome {
     pub accepted: Option<usize>,
 }
 
+/// A frontier candidate, ranked by the key *(conflict tier, score, FIFO
+/// seq)*: every candidate that discards an analyzer-proven conflict
+/// ([`targets_conflict`]) outranks every candidate that does not, the
+/// priority score orders candidates within a tier, and the earlier push
+/// wins a tie.
+///
+/// The score is computed on demand, not at push: an unscored node ranks
+/// above every scored node of its tier, so its key is an upper bound of
+/// the key it will have once scored. The search scores a popped node
+/// only while another node of its tier is still on the frontier, which
+/// yields the pop order of scoring every candidate at push.
 struct Node {
-    priority: f64,
+    conflict: bool,
+    /// `None` until the node's order within its tier is in question.
+    score: Option<f64>,
     seq: u64,
-    query: PatternQuery,
+    /// Canonical signature of `query` (dedup, cache and exclusion key).
+    sig: String,
+    query: Rc<PatternQuery>,
+    parent: Rc<PatternQuery>,
     mods: Vec<GraphMod>,
 }
 
 impl PartialEq for Node {
     fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Node {}
 impl PartialOrd for Node {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Node {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // max-heap on priority; FIFO tie-break for determinism
-        self.priority
-            .total_cmp(&other.priority)
+    fn cmp(&self, other: &Self) -> Ordering {
+        // max-heap on (tier, score); unscored ranks as +∞; FIFO tie-break
+        // for determinism
+        let score = match (self.score, other.score) {
+            (None, None) => Ordering::Equal,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(_), None) => Ordering::Less,
+            (Some(a), Some(b)) => a.total_cmp(&b),
+        };
+        self.conflict
+            .cmp(&other.conflict)
+            .then(score)
             .then(other.seq.cmp(&self.seq))
     }
 }
@@ -253,11 +283,9 @@ impl<'g> CoarseRewriter<'g> {
 
         // the original query is known to be empty — expand it directly
         visited.insert(signature(q));
-        self.expand(
-            q,
+        expand(
+            &Rc::new(q.clone()),
             &[],
-            config,
-            model,
             &conflicts,
             &mut frontier,
             &mut visited,
@@ -271,16 +299,28 @@ impl<'g> CoarseRewriter<'g> {
         let counting_opts =
             MatchOptions::counting(Some(COUNT_LIMIT)).with_budget(config.budget.clone());
 
-        while let Some(node) = frontier.pop() {
+        while let Some(mut node) = frontier.pop() {
             if executed >= config.max_executed || config.budget.poll().is_err() {
                 break;
             }
-            let sig = signature(&node.query);
-            let cardinality = match cache.get(&sig) {
+            // rank on demand: an unscored node that another node of its
+            // tier could still outrank is scored and re-enters the frontier
+            // at its exact key; one popped scored, or alone in the top
+            // tier, is the node that scoring every candidate would pop
+            if node.score.is_none()
+                && frontier
+                    .peek()
+                    .is_some_and(|next| next.conflict == node.conflict)
+            {
+                node.score = Some(self.score(&node, config, model));
+                frontier.push(node);
+                continue;
+            }
+            let cardinality = match cache.get(&node.sig) {
                 Some(c) => c,
                 None => match self.session.count_opts(&node.query, counting_opts.clone()) {
                     Ok(c) => {
-                        cache.insert(sig.clone(), c);
+                        cache.insert(node.sig.clone(), c);
                         c
                     }
                     // tripped budget: stop the search without caching the
@@ -298,10 +338,10 @@ impl<'g> CoarseRewriter<'g> {
                 syntactic: syn,
                 depth: node.mods.len(),
             });
-            if cardinality > 0 && !exclude.contains(&sig) {
+            if cardinality > 0 && !exclude.contains(&node.sig) {
                 return RelaxOutcome {
                     explanation: Some(ModificationExplanation {
-                        query: node.query,
+                        query: Rc::unwrap_or_clone(node.query),
                         mods: node.mods,
                         cardinality,
                         syntactic_distance: syn,
@@ -314,11 +354,9 @@ impl<'g> CoarseRewriter<'g> {
                 };
             }
             // still empty (or excluded) — relax further
-            self.expand(
+            expand(
                 &node.query,
                 &node.mods,
-                config,
-                model,
                 &conflicts,
                 &mut frontier,
                 &mut visited,
@@ -377,48 +415,53 @@ impl<'g> CoarseRewriter<'g> {
         (out, model)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        parent: &PatternQuery,
-        parent_mods: &[GraphMod],
-        config: &RelaxConfig,
-        model: Option<&PreferenceModel>,
-        conflicts: &[(Target, Option<String>)],
-        frontier: &mut BinaryHeap<Node>,
-        visited: &mut HashSet<String>,
-        seq: &mut u64,
-        generated: &mut usize,
-    ) {
-        for m in coarse_relaxations(parent) {
-            let Ok((child, _)) = m.applied(parent) else {
-                continue;
-            };
-            let sig = signature(&child);
-            if !visited.insert(sig) {
-                continue;
-            }
-            *generated += 1;
-            let mut priority =
-                config
-                    .priority
-                    .score(&child, parent, &self.stats, parent_mods.len());
-            if let (Some(model), true) = (model, config.lambda > 0.0) {
-                priority += config.lambda * model.tolerance(parent, &child);
-            }
-            if targets_conflict(&m, conflicts) {
-                priority += CONFLICT_BONUS;
-            }
-            let mut mods = parent_mods.to_vec();
-            mods.push(m);
-            *seq += 1;
-            frontier.push(Node {
-                priority,
-                seq: *seq,
-                query: child,
-                mods,
-            });
+    /// The priority of `node` (§5.3): `config.priority`'s score, plus
+    /// `λ·tolerance` of the preference model when one is given.
+    fn score(&self, node: &Node, config: &RelaxConfig, model: Option<&PreferenceModel>) -> f64 {
+        let mut score =
+            config
+                .priority
+                .score(&node.query, &node.parent, &self.stats, node.mods.len() - 1);
+        if let (Some(model), true) = (model, config.lambda > 0.0) {
+            score += config.lambda * model.tolerance(&node.parent, &node.query);
         }
+        score
+    }
+}
+
+/// Push every not yet visited relaxation of `parent` onto the frontier,
+/// unscored, in its conflict tier.
+fn expand(
+    parent: &Rc<PatternQuery>,
+    parent_mods: &[GraphMod],
+    conflicts: &[(Target, Option<String>)],
+    frontier: &mut BinaryHeap<Node>,
+    visited: &mut HashSet<String>,
+    seq: &mut u64,
+    generated: &mut usize,
+) {
+    for m in coarse_relaxations(parent) {
+        let Ok((child, _)) = m.applied(parent) else {
+            continue;
+        };
+        let sig = signature(&child);
+        if !visited.insert(sig.clone()) {
+            continue;
+        }
+        *generated += 1;
+        let conflict = targets_conflict(&m, conflicts);
+        let mut mods = parent_mods.to_vec();
+        mods.push(m);
+        *seq += 1;
+        frontier.push(Node {
+            conflict,
+            score: None,
+            seq: *seq,
+            sig,
+            query: Rc::new(child),
+            parent: Rc::clone(parent),
+            mods,
+        });
     }
 }
 
@@ -460,6 +503,212 @@ mod tests {
             .edge("p", "u", "workAt")
             .edge("u", "c", "locatedIn")
             .build()
+    }
+
+    /// Test-only reference for the on-demand ranking: the same search, but
+    /// every candidate is scored when it is pushed and the frontier is
+    /// ordered by the same (tier, score, FIFO) key.
+    fn eager_rewrite(
+        rw: &CoarseRewriter<'_>,
+        q: &PatternQuery,
+        config: &RelaxConfig,
+        model: Option<&PreferenceModel>,
+        exclude: &HashSet<String>,
+    ) -> RelaxOutcome {
+        let mut cache = rw.cache.borrow_mut();
+        let conflicts = analyze_against(q, rw.db.graph()).report.conflict_set();
+        let mut visited = HashSet::from([signature(q)]);
+        let mut frontier = BinaryHeap::new();
+        let (mut seq, mut generated, mut executed) = (0, 0, 0);
+        let mut trajectory = Vec::new();
+        let mut expand_scored =
+            |parent: &Rc<PatternQuery>, mods: &[GraphMod], frontier: &mut BinaryHeap<Node>| {
+                let mut children = BinaryHeap::new();
+                expand(
+                    parent,
+                    mods,
+                    &conflicts,
+                    &mut children,
+                    &mut visited,
+                    &mut seq,
+                    &mut generated,
+                );
+                frontier.extend(children.into_iter().map(|mut n| {
+                    n.score = Some(rw.score(&n, config, model));
+                    n
+                }));
+            };
+        expand_scored(&Rc::new(q.clone()), &[], &mut frontier);
+        let opts = MatchOptions::counting(Some(COUNT_LIMIT)).with_budget(config.budget.clone());
+        let mut explanation = None;
+        while let Some(node) = frontier.pop() {
+            if executed >= config.max_executed || config.budget.poll().is_err() {
+                break;
+            }
+            let cardinality = match cache.get(&node.sig) {
+                Some(c) => c,
+                None => match rw.session.count_opts(&node.query, opts.clone()) {
+                    Ok(c) => {
+                        cache.insert(node.sig.clone(), c);
+                        c
+                    }
+                    Err(_) => break,
+                },
+            };
+            executed += 1;
+            let syn = syntactic_distance(q, &node.query);
+            trajectory.push(TrajectoryPoint {
+                executed,
+                cardinality,
+                syntactic: syn,
+                depth: node.mods.len(),
+            });
+            if cardinality > 0 && !exclude.contains(&node.sig) {
+                explanation = Some(ModificationExplanation {
+                    query: (*node.query).clone(),
+                    mods: node.mods,
+                    cardinality,
+                    syntactic_distance: syn,
+                });
+                break;
+            }
+            expand_scored(&node.query, &node.mods, &mut frontier);
+        }
+        RelaxOutcome {
+            explanation,
+            executed,
+            generated,
+            cache: cache.stats(),
+            trajectory,
+            termination: config.budget.termination(),
+        }
+    }
+
+    fn assert_same_search(lazy: &RelaxOutcome, eager: &RelaxOutcome, what: &str) {
+        assert_eq!(lazy.executed, eager.executed, "{what}: executed");
+        assert_eq!(lazy.generated, eager.generated, "{what}: generated");
+        assert_eq!(lazy.trajectory, eager.trajectory, "{what}: trajectory");
+        assert_eq!(lazy.termination, eager.termination, "{what}: termination");
+        let key = |o: &RelaxOutcome| {
+            o.explanation
+                .as_ref()
+                .map(|e| (signature(&e.query), e.mods.clone(), e.cardinality))
+        };
+        assert_eq!(key(lazy), key(eager), "{what}: explanation");
+    }
+
+    #[test]
+    fn on_demand_ranking_pops_in_the_eager_order() {
+        use whyq_datagen::{
+            dbpedia_failing_queries, ldbc_failing_queries, ldbc_graph, ldbc_hard_failing_queries,
+            LdbcConfig,
+        };
+        let db = Database::open(ldbc_graph(LdbcConfig::default())).expect("open");
+        let queries = [
+            ldbc_failing_queries(),
+            ldbc_hard_failing_queries(),
+            dbpedia_failing_queries(),
+        ]
+        .concat();
+        let priorities = [
+            PriorityFn::Random(99),
+            PriorityFn::MinSyntactic,
+            PriorityFn::EstimatedCardinality,
+            PriorityFn::AvgPath1,
+            PriorityFn::InducedChange,
+            PriorityFn::Path1PlusInduced,
+            PriorityFn::PathsN,
+        ];
+        let none = HashSet::new();
+        for q in &queries {
+            for priority in priorities {
+                let config = RelaxConfig {
+                    priority,
+                    max_executed: 400,
+                    ..RelaxConfig::default()
+                };
+                let lazy = CoarseRewriter::new(&db).rewrite(q, &config);
+                let eager = eager_rewrite(&CoarseRewriter::new(&db), q, &config, None, &none);
+                assert_same_search(&lazy, &eager, &format!("{:?} {}", q.name, priority.name()));
+            }
+        }
+        // a learned preference model re-weights every score by λ·tolerance;
+        // the session's delivered explanations are excluded, as in its
+        // next round
+        let q = &ldbc_failing_queries()[0];
+        let config = RelaxConfig {
+            lambda: 5.0,
+            max_executed: 400,
+            ..RelaxConfig::default()
+        };
+        let user = SimulatedUser::protecting_vertices(&[whyq_query::QVid(0)]);
+        let (session, model) = CoarseRewriter::new(&db).session(q, &config, &user, 0.6, 6);
+        assert!(!model.is_empty(), "the session trained the model");
+        let delivered: HashSet<String> = session
+            .rounds
+            .iter()
+            .map(|r| signature(&r.explanation.query))
+            .collect();
+        assert!(!delivered.is_empty(), "the session delivered explanations");
+        let lazy = CoarseRewriter::new(&db).rewrite_guided(q, &config, Some(&model), &delivered);
+        let eager = eager_rewrite(
+            &CoarseRewriter::new(&db),
+            q,
+            &config,
+            Some(&model),
+            &delivered,
+        );
+        assert_same_search(&lazy, &eager, "lambda 5");
+    }
+
+    #[test]
+    fn frontier_key_is_tier_then_score_then_fifo() {
+        let q = Rc::new(failing());
+        let node = |conflict, score, seq| Node {
+            conflict,
+            score,
+            seq,
+            sig: String::new(),
+            query: Rc::clone(&q),
+            parent: Rc::clone(&q),
+            mods: Vec::new(),
+        };
+        // the conflict tier outranks any statistics score
+        assert!(node(true, Some(-5.0), 2) > node(false, Some(1e12), 1));
+        // an unscored node bounds its tier from above
+        assert!(node(false, None, 2) > node(false, Some(f64::INFINITY), 1));
+        assert!(node(true, Some(-5.0), 2) > node(false, None, 1));
+        // equal keys pop first-in, first-out
+        let mut frontier = BinaryHeap::from([node(false, Some(1.0), 2), node(false, Some(1.0), 1)]);
+        assert_eq!(frontier.pop().map(|n| n.seq), Some(1));
+        assert!(node(true, None, 3) == node(true, None, 3));
+    }
+
+    #[test]
+    fn a_lone_conflict_candidate_runs_unscored() {
+        let db = data();
+        let rw = CoarseRewriter::new(&db);
+        // the unknown "Berlin" constant yields exactly one candidate in the
+        // conflict tier: it is executed without a single statistics count
+        let out = rw.rewrite(&failing(), &RelaxConfig::default());
+        assert_eq!(out.executed, 1);
+        assert!(out.explanation.is_some());
+        assert_eq!(rw.stats().counters(), (0, 0));
+    }
+
+    #[test]
+    fn elapsed_deadline_costs_no_statistics() {
+        let db = data();
+        let rw = CoarseRewriter::new(&db);
+        let out = rw.rewrite(
+            &failing(),
+            &RelaxConfig {
+                budget: Budget::deadline(std::time::Duration::ZERO),
+                ..Default::default()
+            },
+        );
+        assert_eq!(out.executed, 0);
+        assert_eq!(rw.stats().counters(), (0, 0));
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //!
 //! Every statistic is a (small) pattern-match count, memoized by canonical
 //! query signature — re-querying statistics for unchanged query parts is
-//! free, which is what makes the §5.3 candidate selection cheap.
+//! free, which is what makes the §5.3 candidate selection cheap. The
+//! coarse rewriter also asks only where it must: it scores a candidate
+//! when the candidate is popped and another candidate of its conflict tier
+//! is still waiting, so a candidate whose rank is never in question (a
+//! lone conflict-set fix, a candidate the search never reaches) costs no
+//! lookup at all.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

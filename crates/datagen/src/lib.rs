@@ -5,8 +5,8 @@
 //! DBPEDIA extract with heterogeneous entities. Both are substituted here
 //! by **seeded generators** that reproduce the *shape* properties the
 //! evaluation depends on — schema structure, degree skew, and predicate
-//! selectivities — at laptop scale (see `DESIGN.md` §3 for the
-//! substitution rationale).
+//! selectivities — at laptop scale (see ARCHITECTURE.md § Reproduction
+//! for the substitution rationale).
 //!
 //! * [`ldbc`] — LDBC-SNB-like social network: persons, cities, countries,
 //!   universities, companies, tags, forums, posts, comments, with the SNB
