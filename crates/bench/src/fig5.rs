@@ -13,6 +13,7 @@ use whyq_core::relax::priority::PriorityFn;
 use whyq_core::relax::{CoarseRewriter, RelaxConfig};
 use whyq_core::user::{SimulatedUser, UserPreferences};
 use whyq_datagen::{dbpedia_failing_queries, ldbc_failing_queries, ldbc_hard_failing_queries};
+use whyq_matcher::MatchOptions;
 use whyq_query::{QEid, QVid};
 use whyq_session::Database;
 
@@ -85,6 +86,7 @@ pub fn convergence(db: &Database, tsv: bool) {
         &["priority", "executed", "depth", "cardinality", "syntactic"],
     );
     let rewriter = CoarseRewriter::new(db);
+    let session = db.session();
     let hard = ldbc_hard_failing_queries();
     let q = &hard[0];
     for p in [
@@ -98,12 +100,20 @@ pub fn convergence(db: &Database, tsv: bool) {
             ..RelaxConfig::default()
         };
         let out = rewriter.rewrite(q, &config);
-        for point in &out.trajectory {
+        // candidates are counted to their first match; the accepted one,
+        // the last point, is recounted to 10,000 for the table
+        let accepted = out.explanation.as_ref().map(|e| {
+            session
+                .count_opts(&e.query, MatchOptions::counting(Some(10_000)))
+                .expect("accepted rewrite is valid")
+        });
+        for (i, point) in out.trajectory.iter().enumerate() {
+            let last = i + 1 == out.trajectory.len();
             t.row(cells![
                 p.name(),
                 point.executed,
                 point.depth,
-                point.cardinality,
+                accepted.filter(|_| last).unwrap_or(point.cardinality),
                 format!("{:.3}", point.syntactic),
             ]);
         }

@@ -10,6 +10,11 @@
 //! | why-empty    | DISCOVERMCS (§4.2.1)  | coarse rewriting (Ch. 5)    |
 //! | why-so-few   | BOUNDEDMCS (§4.2.2)   | TRAVERSESEARCHTREE (Ch. 6)  |
 //! | why-so-many  | BOUNDEDMCS (§4.2.2)   | TRAVERSESEARCHTREE (Ch. 6)  |
+//!
+//! Every count stops where its answer is decided. A count whose size is
+//! reported ([`WhyEngine::cardinality`], [`WhyEngine::diagnose`]) runs to
+//! 1,000,000; a count that only classifies stops at the goal's decisive
+//! cap, and the coarse rewriter counts each candidate to its first match.
 
 use crate::explanation::{ModificationExplanation, SubgraphExplanation};
 use crate::fine::{FineConfig, TraverseSearchTree};
@@ -21,7 +26,8 @@ use whyq_matcher::MatchOptions;
 use whyq_query::PatternQuery;
 use whyq_session::{Database, Session, WhyqError};
 
-/// Cap used when measuring cardinalities.
+/// Cap of the counts whose size is reported: [`WhyEngine::cardinality`]
+/// and [`WhyEngine::diagnose`].
 const COUNT_CAP: u64 = 1_000_000;
 
 /// A complete diagnosis: classification plus both explanation kinds.
@@ -47,12 +53,18 @@ pub struct Diagnosis {
 /// — the relax loop's hundreds of sibling candidates pay for compilation
 /// once per distinct signature.
 ///
-/// Classification counts at `max(1,000,000, goal.decisive_cap())`, so
-/// every goal is judged exactly. The MCS generators count every traversed
-/// prefix on the engine's own session, so their prefixes share the plan
-/// cache and sibling store with the rewriters; the fine rewriter borrows
-/// [`Database::domains`]. Everything here runs serially on the calling
-/// thread.
+/// Counts stop where they decide. `cardinality` and `diagnose` report the
+/// size, so they count to `max(1,000,000, goal.decisive_cap())`.
+/// `classify` counts to the goal's decisive cap and `rewrite` to its
+/// dispatch's cap (1 for the coarse rewriter, the fine rewriter's own cap
+/// otherwise): every goal is still judged exactly. The coarse rewriter
+/// counts each candidate to its first match, so its explanation reports
+/// `cardinality` 1; count the rewritten query for its size.
+///
+/// The MCS generators count every traversed prefix on the engine's own
+/// session, so their prefixes share the plan cache and sibling store with
+/// the rewriters; the fine rewriter borrows [`Database::domains`].
+/// Everything here runs serially on the calling thread.
 pub struct WhyEngine<'db> {
     db: &'db Database,
     /// Session reused across every cardinality measurement (its scratch
@@ -91,22 +103,21 @@ impl<'db> WhyEngine<'db> {
 
     /// Measured cardinality of a query, capped at 1,000,000.
     pub fn cardinality(&self, q: &PatternQuery) -> Result<u64, WhyqError> {
-        // `NonEmpty`'s decisive cap is 1, so this counts at `COUNT_CAP`
-        self.measure(q, CardinalityGoal::NonEmpty)
+        self.count(q, COUNT_CAP)
     }
 
-    /// Classify the why-problem of `q` under `goal`.
+    /// Classify the why-problem of `q` under `goal`, counting `q` only to
+    /// the goal's decisive cap.
     pub fn classify(
         &self,
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<WhyProblem, WhyqError> {
-        Ok(goal.classify(self.measure(q, goal)?))
+        Ok(goal.classify(self.count(q, goal.decisive_cap())?))
     }
 
-    /// Cardinality of `q` capped where it still decides `goal`.
-    fn measure(&self, q: &PatternQuery, goal: CardinalityGoal) -> Result<u64, WhyqError> {
-        let cap = COUNT_CAP.max(goal.decisive_cap());
+    /// Cardinality of `q`, counted to `cap`.
+    fn count(&self, q: &PatternQuery, cap: u64) -> Result<u64, WhyqError> {
         self.session
             .count_opts(q, MatchOptions::counting(Some(cap)))
     }
@@ -135,12 +146,20 @@ impl<'db> WhyEngine<'db> {
     }
 
     /// Modification-based explanation: rewrite `q` so it satisfies `goal`.
+    ///
+    /// `q` is counted only as far as the dispatch needs: to its first
+    /// match for `NonEmpty`, else to the fine rewriter's cap, which then
+    /// takes that count as its root.
     pub fn rewrite(
         &self,
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<Option<ModificationExplanation>, WhyqError> {
-        let cardinality = self.measure(q, goal)?;
+        let cap = match goal {
+            CardinalityGoal::NonEmpty => goal.decisive_cap(),
+            _ => crate::fine::count_cap(goal),
+        };
+        let cardinality = self.count(q, cap)?;
         self.rewrite_for(q, goal, cardinality)
     }
 
@@ -151,7 +170,7 @@ impl<'db> WhyEngine<'db> {
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<Diagnosis, WhyqError> {
-        let cardinality = self.measure(q, goal)?;
+        let cardinality = self.count(q, COUNT_CAP.max(goal.decisive_cap()))?;
         let problem = goal.classify(cardinality);
         if problem == WhyProblem::Satisfied {
             return Ok(Diagnosis {

@@ -132,7 +132,10 @@ pub struct ModificationExplanation {
     pub query: PatternQuery,
     /// The modification sequence applied to the original query.
     pub mods: Vec<GraphMod>,
-    /// Result cardinality of the rewritten query.
+    /// Result cardinality of the rewritten query, counted only as far as
+    /// it decides the rewriter's goal: the coarse rewriter stops at the
+    /// first match (so it reports 1), the fine rewriter at its count cap.
+    /// Count the query again for its full size.
     pub cardinality: u64,
     /// Syntactic distance to the original query (§3.2.2).
     pub syntactic_distance: f64,

@@ -103,12 +103,14 @@ impl CardinalityGoal {
         }
     }
 
-    /// A representative threshold (used by reports and by BOUNDEDMCS).
+    /// A representative threshold for reports: 1, `t`, or the midpoint of
+    /// `lo` and `hi` (rounded down). BOUNDEDMCS decides its goal with the
+    /// goal's decisive count cap, not with this.
     pub fn threshold(&self) -> u64 {
         match *self {
             CardinalityGoal::NonEmpty => 1,
             CardinalityGoal::AtLeast(t) | CardinalityGoal::AtMost(t) => t,
-            CardinalityGoal::Between(lo, hi) => (lo + hi) / 2,
+            CardinalityGoal::Between(lo, hi) => lo.midpoint(hi),
         }
     }
 }
@@ -141,6 +143,19 @@ impl std::fmt::Display for WhyProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn threshold_of_an_unbounded_interval_does_not_overflow() {
+        assert_eq!(CardinalityGoal::Between(4, 9).threshold(), 6);
+        assert_eq!(
+            CardinalityGoal::Between(u64::MAX - 2, u64::MAX).threshold(),
+            u64::MAX - 1
+        );
+        assert_eq!(
+            CardinalityGoal::Between(0, u64::MAX).threshold(),
+            u64::MAX / 2
+        );
+    }
 
     #[test]
     fn classification() {

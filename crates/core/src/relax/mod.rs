@@ -20,7 +20,13 @@
 //!    comes into question is saved.
 //! 3. **Execution & caching** ([`cache`]) evaluates the most promising
 //!    candidate, memoizing cardinalities by canonical signature so
-//!    re-derived candidates are free (§5.5, App. B.2).
+//!    re-derived candidates are free (§5.5, App. B.2). A candidate only
+//!    has to decide whether it is empty, so it is counted to its first
+//!    match (the cap of [`CardinalityGoal::NonEmpty`]): an accepted
+//!    rewrite reports `cardinality` 1, and callers that show a result
+//!    size count the accepted query again. A candidate the matcher refutes
+//!    at compile time (see `whyq_matcher::compile`) costs no plan and no
+//!    scan.
 //! 4. **User integration** ([`user_model`]) learns a preference model from
 //!    ratings of delivered explanations and biases the priorities toward
 //!    modifications the user tolerates (§5.4).
@@ -31,6 +37,7 @@ pub mod priority;
 pub mod user_model;
 
 use crate::explanation::ModificationExplanation;
+use crate::problem::CardinalityGoal;
 use crate::relax::cache::{CacheStats, QueryCache};
 use crate::relax::candidates::coarse_relaxations;
 use crate::relax::priority::PriorityFn;
@@ -44,9 +51,6 @@ use whyq_matcher::{Budget, MatchOptions, Termination};
 use whyq_metrics::syntactic_distance;
 use whyq_query::{analyze_against, signature::signature, GraphMod, PatternQuery, Target};
 use whyq_session::{Database, Session, WhyqError};
-
-/// Cap when counting a candidate's results.
-const COUNT_LIMIT: u64 = 10_000;
 
 /// Does applying `m` discard a constraint named in `conflicts`?
 ///
@@ -110,7 +114,8 @@ impl Default for RelaxConfig {
 pub struct TrajectoryPoint {
     /// 1-based execution index.
     pub executed: usize,
-    /// Result cardinality of the candidate (capped at 10,000).
+    /// Result cardinality of the candidate, counted to its first match:
+    /// 0 or 1.
     pub cardinality: u64,
     /// Syntactic distance of the candidate to the original query.
     pub syntactic: f64,
@@ -293,11 +298,12 @@ impl<'g> CoarseRewriter<'g> {
             &mut generated,
         );
 
-        // every candidate count shares the run's budget: deadline, step
-        // and cancellation checks happen *inside* the matcher DFS, so even
-        // one pathological candidate cannot overshoot the deadline
-        let counting_opts =
-            MatchOptions::counting(Some(COUNT_LIMIT)).with_budget(config.budget.clone());
+        // every candidate count stops at its first match, which decides
+        // it, and shares the run's budget: deadline, step and cancellation
+        // checks happen *inside* the matcher DFS, so even one pathological
+        // candidate cannot overshoot the deadline
+        let counting_opts = MatchOptions::counting(Some(CardinalityGoal::NonEmpty.decisive_cap()))
+            .with_budget(config.budget.clone());
 
         while let Some(mut node) = frontier.pop() {
             if executed >= config.max_executed || config.budget.poll().is_err() {
@@ -539,7 +545,8 @@ mod tests {
                 }));
             };
         expand_scored(&Rc::new(q.clone()), &[], &mut frontier);
-        let opts = MatchOptions::counting(Some(COUNT_LIMIT)).with_budget(config.budget.clone());
+        let opts = MatchOptions::counting(Some(CardinalityGoal::NonEmpty.decisive_cap()))
+            .with_budget(config.budget.clone());
         let mut explanation = None;
         while let Some(node) = frontier.pop() {
             if executed >= config.max_executed || config.budget.poll().is_err() {
@@ -709,6 +716,38 @@ mod tests {
         );
         assert_eq!(out.executed, 0);
         assert_eq!(rw.stats().counters(), (0, 0));
+    }
+
+    /// A candidate is counted to its first match: the accepted rewrite
+    /// reports 1 however many answers it has.
+    #[test]
+    fn accepted_candidate_is_counted_to_its_first_match() {
+        let mut g = PropertyGraph::new();
+        let dresden = g.add_vertex([
+            ("type", Value::str("city")),
+            ("name", Value::str("Dresden")),
+        ]);
+        for _ in 0..3 {
+            let p = g.add_vertex([("type", Value::str("person"))]);
+            g.add_edge(p, dresden, "livesIn", []);
+        }
+        let db = Database::open(g).expect("open");
+        let q = QueryBuilder::new("berliners")
+            .vertex("p", [Predicate::eq("type", "person")])
+            .vertex(
+                "c",
+                [
+                    Predicate::eq("type", "city"),
+                    Predicate::eq("name", "Berlin"),
+                ],
+            )
+            .edge("p", "c", "livesIn")
+            .build();
+        let out = CoarseRewriter::new(&db).rewrite(&q, &RelaxConfig::default());
+        let expl = out.explanation.expect("explanation found");
+        assert_eq!(expl.cardinality, 1);
+        assert_eq!(out.trajectory.last().map(|p| p.cardinality), Some(1));
+        assert_eq!(db.session().count(&expl.query).unwrap(), 3);
     }
 
     #[test]

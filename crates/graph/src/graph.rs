@@ -151,6 +151,26 @@ impl AdjList {
     }
 }
 
+/// Observed numeric `[min, max]` per attribute symbol (indexed by
+/// `Symbol.0`); `None` where no numeric value was stored.
+type Ranges = Vec<Option<(f64, f64)>>;
+
+/// Widen `sym`'s range in `ranges` to cover `v`, if `v` is a number other
+/// than NaN.
+fn widen(ranges: &mut Ranges, sym: Symbol, v: &Value) {
+    let Some(x) = v.as_f64().filter(|x| !x.is_nan()) else {
+        return;
+    };
+    let i = sym.0 as usize;
+    if ranges.len() <= i {
+        ranges.resize(i + 1, None);
+    }
+    ranges[i] = Some(match ranges[i] {
+        Some((lo, hi)) => (lo.min(x), hi.max(x)),
+        None => (x, x),
+    });
+}
+
 /// An in-memory property graph.
 #[derive(Debug, Default, Clone)]
 pub struct PropertyGraph {
@@ -160,6 +180,11 @@ pub struct PropertyGraph {
     /// graph is interned here on insertion (see `crate::value` for the
     /// encoding invariants).
     values: Interner,
+    /// Observed numeric ranges of the vertex attributes, widened on
+    /// insertion like the value dictionary (see [`Self::numeric_range`]).
+    vertex_ranges: Ranges,
+    /// Observed numeric ranges of the edge attributes.
+    edge_ranges: Ranges,
     vertices: Vec<VertexData>,
     edges: Vec<EdgeData>,
     /// Build-phase adjacency; drained (left empty) once sealed.
@@ -185,6 +210,8 @@ impl PropertyGraph {
             attr_names: Interner::new(),
             edge_types: Interner::new(),
             values: Interner::new(),
+            vertex_ranges: Ranges::new(),
+            edge_ranges: Ranges::new(),
             vertices: Vec::with_capacity(vertices),
             edges: Vec::with_capacity(edges),
             out_edges: Vec::with_capacity(vertices),
@@ -269,7 +296,11 @@ impl PropertyGraph {
         let id = VertexId(u32::try_from(self.vertices.len()).expect("vertex arena overflow"));
         let attrs = attrs
             .into_iter()
-            .map(|(k, v)| (self.attr_names.intern(k), self.values.intern_value(v)))
+            .map(|(k, v)| {
+                let (k, v) = (self.attr_names.intern(k), self.values.intern_value(v));
+                widen(&mut self.vertex_ranges, k, &v);
+                (k, v)
+            })
             .collect();
         self.vertices.push(VertexData { attrs });
         self.out_edges.push(AdjList::default());
@@ -292,7 +323,11 @@ impl PropertyGraph {
         let ty = self.edge_types.intern(ty);
         let attrs = attrs
             .into_iter()
-            .map(|(k, v)| (self.attr_names.intern(k), self.values.intern_value(v)))
+            .map(|(k, v)| {
+                let (k, v) = (self.attr_names.intern(k), self.values.intern_value(v));
+                widen(&mut self.edge_ranges, k, &v);
+                (k, v)
+            })
             .collect();
         self.edges.push(EdgeData {
             src,
@@ -306,6 +341,10 @@ impl PropertyGraph {
     }
 
     /// Set (insert or overwrite) an attribute on an existing vertex.
+    ///
+    /// An overwrite only widens the attribute's
+    /// [numeric range](Self::numeric_range): the replaced value's bound
+    /// stays, so the range may be wider than the data, never narrower.
     pub fn set_vertex_attr(
         &mut self,
         v: VertexId,
@@ -314,11 +353,12 @@ impl PropertyGraph {
     ) -> Result<(), GraphError> {
         let sym = self.attr_names.intern(key);
         let value = self.values.intern_value(value);
-        self.vertices
+        let vertex = self
+            .vertices
             .get_mut(v.0 as usize)
-            .ok_or(GraphError::VertexOutOfRange(v))?
-            .attrs
-            .insert(sym, value);
+            .ok_or(GraphError::VertexOutOfRange(v))?;
+        widen(&mut self.vertex_ranges, sym, &value);
+        vertex.attrs.insert(sym, value);
         Ok(())
     }
 
@@ -361,6 +401,26 @@ impl PropertyGraph {
     /// attribute carries it. Allocation-free probe.
     pub fn value_symbol(&self, text: &str) -> Option<Symbol> {
         self.values.get(text)
+    }
+
+    /// The observed numeric range `[min, max]` of attribute `attr` over the
+    /// graph's vertices, or over its edges when `on_edges` is set; `None`
+    /// when no such element stores a numeric value under `attr`.
+    ///
+    /// Every insertion path widens the range the way it fills the value
+    /// dictionary, so every stored `Int`/`Float` of the attribute lies
+    /// inside it. NaN is skipped, as is every non-numeric value: no range
+    /// predicate admits them (`whyq_query::Interval::matches`). An
+    /// overwrite never narrows the range, so it can be wider than the
+    /// data: a stale bound keeps every proof drawn from it sound (a range
+    /// predicate disjoint from it matches nothing), only less sharp.
+    pub fn numeric_range(&self, attr: Symbol, on_edges: bool) -> Option<(f64, f64)> {
+        let ranges = if on_edges {
+            &self.edge_ranges
+        } else {
+            &self.vertex_ranges
+        };
+        ranges.get(attr.0 as usize).copied().flatten()
     }
 
     /// Resolve an attribute name to its symbol, if any element uses it.
@@ -605,6 +665,75 @@ mod tests {
         assert!(g
             .set_vertex_attr(VertexId(99), "age", Value::Int(1))
             .is_err());
+    }
+
+    #[test]
+    fn numeric_ranges_cover_every_stored_number() {
+        let (mut g, a, b, _) = tiny();
+        let age = g.attr_symbol("age").unwrap();
+        let since = g.attr_symbol("since").unwrap();
+        assert_eq!(g.numeric_range(age, false), Some((30.0, 30.0)));
+        // vertex and edge attributes keep separate ranges
+        assert_eq!(g.numeric_range(age, true), None);
+        assert_eq!(g.numeric_range(since, true), Some((2003.0, 2003.0)));
+        assert_eq!(g.numeric_range(since, false), None);
+        // Int and Float widen one range
+        g.add_vertex([("age", Value::Float(-1.5))]);
+        g.add_edge(a, b, "livesIn", [("since", Value::Float(2010.25))]);
+        assert_eq!(g.numeric_range(age, false), Some((-1.5, 30.0)));
+        assert_eq!(g.numeric_range(since, true), Some((2003.0, 2010.25)));
+        // NaN, strings and booleans are skipped
+        g.add_vertex([("age", Value::Float(f64::NAN))]);
+        g.add_vertex([("age", Value::str("old")), ("ok", Value::Bool(true))]);
+        assert_eq!(g.numeric_range(age, false), Some((-1.5, 30.0)));
+        let ok = g.attr_symbol("ok").unwrap();
+        assert_eq!(g.numeric_range(ok, false), None);
+        // a string-only attribute has no range
+        let ty = g.attr_symbol("type").unwrap();
+        assert_eq!(g.numeric_range(ty, false), None);
+    }
+
+    #[test]
+    fn overwrites_only_widen_the_range() {
+        let (mut g, a, b, _) = tiny();
+        let age = g.attr_symbol("age").unwrap();
+        g.set_vertex_attr(a, "age", Value::Int(99)).unwrap();
+        // the overwritten 30 keeps its bound: stale, wider, still sound
+        assert_eq!(g.numeric_range(age, false), Some((30.0, 99.0)));
+        g.set_vertex_attr(b, "age", Value::Float(f64::NAN)).unwrap();
+        g.set_vertex_attr(b, "age", Value::str("n/a")).unwrap();
+        assert_eq!(g.numeric_range(age, false), Some((30.0, 99.0)));
+        // a new attribute on an existing vertex opens its range
+        g.set_vertex_attr(b, "pop", Value::Int(5)).unwrap();
+        let pop = g.attr_symbol("pop").unwrap();
+        assert_eq!(g.numeric_range(pop, false), Some((5.0, 5.0)));
+        // a failed write widens nothing
+        assert!(g
+            .set_vertex_attr(VertexId(9), "pop", Value::Int(50))
+            .is_err());
+        assert_eq!(g.numeric_range(pop, false), Some((5.0, 5.0)));
+    }
+
+    #[test]
+    fn numeric_ranges_survive_io_and_clone() {
+        let (mut g, a, _, _) = tiny();
+        g.set_vertex_attr(a, "score", Value::Float(-2.25)).unwrap();
+        let read = crate::io::read_graph(&crate::io::write_graph(&g)).unwrap();
+        for copy in [read, g.clone()] {
+            for name in ["age", "since", "score", "type"] {
+                let (s, t) = (
+                    g.attr_symbol(name).unwrap(),
+                    copy.attr_symbol(name).unwrap(),
+                );
+                for on_edges in [false, true] {
+                    assert_eq!(
+                        g.numeric_range(s, on_edges),
+                        copy.numeric_range(t, on_edges),
+                        "{name}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,12 +36,24 @@
 //! The matcher DFS charges the budget in blocks of [`CHECK_INTERVAL`]
 //! transitions, so a deadline or cancel is observed within at most one
 //! block of extra work and `Instant::now` is off the per-step hot path.
-//! Step budgets therefore trip at block granularity: a budget of
-//! `Budget::steps(100)` stops after the first block (1024 steps), not
-//! after exactly 100. Long-running *loops* (the relax frontier, MCS path
-//! traversal, baseline samplers) additionally [`Budget::poll`] between
-//! iterations, so cancellation latency is bounded by one matcher block or
-//! one loop iteration, whichever the execution is inside.
+//! Step budgets therefore trip at block granularity inside a run: a
+//! budget of `Budget::steps(100)` stops a long search after its first
+//! block (1024 steps), not after exactly 100.
+//!
+//! When a run ends — a count or find finishes, a stream is exhausted or
+//! dropped — the matcher charges the transitions no full block covered
+//! (`ticks % CHECK_INTERVAL`). Without that, a run shorter than one block
+//! would never spend a step budget, and a loop of short counts (a relax
+//! search counting each candidate to its first match) would run
+//! unbounded. The final charge may trip the budget after the run already
+//! produced its exact answer; the run is then tagged non-`Complete`
+//! anyway. That is conservative: a non-`Complete` result is never cached
+//! as exact, so the worst case is one recount.
+//!
+//! Long-running *loops* (the relax frontier, MCS path traversal, baseline
+//! samplers) additionally [`Budget::poll`] between iterations, so
+//! cancellation latency is bounded by one matcher block or one loop
+//! iteration, whichever the execution is inside.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, Ordering};

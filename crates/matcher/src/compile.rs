@@ -1,6 +1,6 @@
-//! Query compilation: resolve attribute/type names *and string predicate
-//! constants* against a graph's interners and build a per-component
-//! evaluation plan.
+//! Query compilation: resolve attribute/type names *and predicate
+//! constants* against a graph's interners and observed value ranges, and
+//! build a per-component evaluation plan.
 //!
 //! A query predicate names attributes by string and carries string
 //! constants; the graph stores interned symbols on both axes (attribute
@@ -13,10 +13,26 @@
 //! * every string constant of a `OneOf` interval resolves through the
 //!   graph's value dictionary — a constant the dictionary has never seen
 //!   cannot equal any stored (always-encoded) string and is dropped from
-//!   the disjunction at compile time. A disjunction that loses *all* its
-//!   constants this way proves the predicate **unsatisfiable**, which
-//!   [`Compiled::unsatisfiable`] surfaces so the engine can answer
-//!   "no matches" before any scan starts.
+//!   the disjunction at compile time.
+//!
+//! The dictionary refutes strings; the graph's observed numeric range of
+//! the attribute ([`PropertyGraph::numeric_range`], kept separately for
+//! vertex and edge attributes) and the conjunction of an element's
+//! predicates on one attribute refute the rest:
+//!
+//! * a numeric `OneOf` constant outside the observed range equals no
+//!   stored number and is dropped like an unknown string;
+//! * a `Range` disjoint from the observed range (its
+//!   [`Interval::intersect`] with it [`is_vacuous`](Interval::is_vacuous)),
+//!   or on an attribute that stores no number on that kind of element,
+//!   matches nothing;
+//! * predicates of one element on one attribute whose intersection is
+//!   vacuous (`age >= 40 ∧ age <= 30`) match nothing together.
+//!
+//! A disjunction that loses *all* its constants, or a refuted range or
+//! conjunction, proves the predicate **unsatisfiable**, which
+//! [`Compiled::unsatisfiable`] surfaces so the engine answers "no
+//! matches" before it builds a plan or scans a candidate.
 //!
 //! The result: the candidate loop of the engine evaluates a string
 //! equality like `type = "person"` as one `u32` comparison against the
@@ -52,8 +68,10 @@ pub enum CompiledInterval {
 
 impl CompiledInterval {
     /// Resolve the string constants of `interval` against `g`'s value
-    /// dictionary.
-    pub fn resolve(g: &PropertyGraph, interval: &Interval) -> Self {
+    /// dictionary and refute its numbers against `observed`, the
+    /// attribute's observed numeric range (`None`: the attribute stores no
+    /// number on this kind of element).
+    pub fn resolve(g: &PropertyGraph, interval: &Interval, observed: Option<(f64, f64)>) -> Self {
         match interval {
             Interval::OneOf(vals) => {
                 let mut syms: Vec<(Symbol, Arc<str>)> = Vec::new();
@@ -81,13 +99,33 @@ impl CompiledInterval {
                                 }
                                 // absent from the dictionary: unmatchable, drop
                             }
+                            // a number outside the observed range equals
+                            // no stored number: unmatchable, drop
+                            None if outside(v, observed) => {}
                             None => other.push(v.clone()),
                         },
                     }
                 }
                 CompiledInterval::OneOf { syms, other }
             }
-            range @ Interval::Range { .. } => CompiledInterval::Range(range.clone()),
+            range @ Interval::Range { .. } => {
+                let admits_stored = observed.is_some_and(|(lo, hi)| {
+                    !range.intersect(&Interval::between(lo, hi)).is_vacuous()
+                });
+                if admits_stored {
+                    CompiledInterval::Range(range.clone())
+                } else {
+                    CompiledInterval::refuted()
+                }
+            }
+        }
+    }
+
+    /// The interval no stored value satisfies.
+    fn refuted() -> Self {
+        CompiledInterval::OneOf {
+            syms: Vec::new(),
+            other: Vec::new(),
         }
     }
 
@@ -110,22 +148,12 @@ impl CompiledInterval {
     }
 
     /// True when no stored value can satisfy the interval: an exhausted
-    /// disjunction (empty to begin with, or every string constant pruned
-    /// by the dictionary), or an empty/NaN-bounded range (a NaN bound
-    /// admits nothing — see the pinned NaN semantics in
-    /// `whyq_graph::value`).
+    /// disjunction — empty to begin with, every constant pruned by the
+    /// dictionary or the observed range, or a range refuted by
+    /// [`CompiledInterval::resolve`], which compiles an empty, NaN-bounded
+    /// or out-of-range `Range` to the empty disjunction.
     pub fn is_unsatisfiable(&self) -> bool {
-        match self {
-            CompiledInterval::OneOf { syms, other } => syms.is_empty() && other.is_empty(),
-            CompiledInterval::Range(iv) => {
-                if let Interval::Range { lo, hi, .. } = iv {
-                    if lo.is_some_and(f64::is_nan) || hi.is_some_and(f64::is_nan) {
-                        return true;
-                    }
-                }
-                iv.is_empty()
-            }
-        }
+        matches!(self, CompiledInterval::OneOf { syms, other } if syms.is_empty() && other.is_empty())
     }
 }
 
@@ -141,11 +169,15 @@ pub struct ResolvedPredicate {
 }
 
 impl ResolvedPredicate {
-    /// Resolve `p` against `g`'s name and value dictionaries.
-    pub fn resolve(g: &PropertyGraph, p: &Predicate) -> Self {
+    /// Resolve `p` against `g`'s name and value dictionaries and against
+    /// the observed numeric range of its attribute over `g`'s vertices, or
+    /// its edges when `on_edges` is set.
+    pub fn resolve(g: &PropertyGraph, p: &Predicate, on_edges: bool) -> Self {
+        let sym = g.attr_symbol(&p.attr);
+        let observed = sym.and_then(|s| g.numeric_range(s, on_edges));
         ResolvedPredicate {
-            sym: g.attr_symbol(&p.attr),
-            interval: CompiledInterval::resolve(g, &p.interval),
+            sym,
+            interval: CompiledInterval::resolve(g, &p.interval, observed),
         }
     }
 
@@ -189,7 +221,7 @@ impl CompiledVertex {
     /// Compile the predicates of `qv` against `g`.
     pub fn compile(g: &PropertyGraph, qv: &QueryVertex) -> Self {
         CompiledVertex {
-            preds: resolve(g, &qv.predicates),
+            preds: resolve(g, &qv.predicates, false),
         }
     }
 
@@ -234,7 +266,7 @@ impl CompiledEdge {
         };
         CompiledEdge {
             types,
-            preds: resolve(g, &qe.predicates),
+            preds: resolve(g, &qe.predicates, true),
         }
     }
 
@@ -306,8 +338,10 @@ impl Compiled {
     }
 
     /// True when some query element can match nothing in this graph — an
-    /// unknown attribute or edge type, an empty interval, or a string
-    /// constant the value dictionary has never seen. Since every component
+    /// unknown attribute or edge type, an empty interval, a string
+    /// constant the value dictionary has never seen, a range outside the
+    /// attribute's observed range, or contradictory predicates on one
+    /// attribute (see the [module docs](self)). Since every component
     /// must match for the query to match (empty components zero the
     /// cartesian product), the whole search can be skipped.
     pub fn unsatisfiable(&self) -> bool {
@@ -319,11 +353,37 @@ impl Compiled {
     }
 }
 
-fn resolve(g: &PropertyGraph, preds: &[Predicate]) -> Vec<ResolvedPredicate> {
-    preds
+/// Resolve one element's predicates. A predicate whose conjunction with
+/// the element's later predicates on the same attribute is vacuous is
+/// refuted: together they match nothing.
+fn resolve(g: &PropertyGraph, preds: &[Predicate], on_edges: bool) -> Vec<ResolvedPredicate> {
+    let mut resolved: Vec<ResolvedPredicate> = preds
         .iter()
-        .map(|p| ResolvedPredicate::resolve(g, p))
-        .collect()
+        .map(|p| ResolvedPredicate::resolve(g, p, on_edges))
+        .collect();
+    for (i, p) in preds.iter().enumerate() {
+        let mut conj: Option<Interval> = None;
+        for other in preds[i + 1..].iter().filter(|o| o.attr == p.attr) {
+            conj = Some(
+                conj.as_ref()
+                    .unwrap_or(&p.interval)
+                    .intersect(&other.interval),
+            );
+        }
+        if conj.is_some_and(|c| c.is_vacuous()) {
+            resolved[i].interval = CompiledInterval::refuted();
+        }
+    }
+    resolved
+}
+
+/// Is `v` a number (other than NaN) outside `observed`? Such a constant
+/// equals no stored value: only numbers equal numbers, and every stored
+/// number other than NaN lies in the observed range. NaN stays: a stored
+/// NaN is equal to it but outside every range.
+fn outside(v: &Value, observed: Option<(f64, f64)>) -> bool {
+    v.as_f64()
+        .is_some_and(|x| !x.is_nan() && observed.is_none_or(|(lo, hi)| x < lo || x > hi))
 }
 
 /// One step of a component evaluation plan.
@@ -630,6 +690,104 @@ mod tests {
         let c = Compiled::new(&g, &q);
         assert!(!c.unsatisfiable());
         assert!(c.vertex(QVid(0)).accepts(&g, v));
+    }
+
+    /// Ages 20..=30 on vertices, `since` only on edges, `name` strings only.
+    fn aged_graph() -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let a = g.add_vertex([("age", Value::Int(20)), ("name", Value::str("Anna"))]);
+        let b = g.add_vertex([("age", Value::Float(30.0)), ("name", Value::str("Bert"))]);
+        g.add_edge(a, b, "knows", [("since", Value::Int(2003))]);
+        g
+    }
+
+    fn vertex_query(preds: Vec<whyq_query::Predicate>) -> PatternQuery {
+        QueryBuilder::new("q").vertex("a", preds).build()
+    }
+
+    #[test]
+    fn ranges_outside_the_observed_range_are_unsatisfiable() {
+        use whyq_query::Predicate;
+        let g = aged_graph();
+        let unsat = |preds| Compiled::new(&g, &vertex_query(preds)).unsatisfiable();
+        assert!(unsat(vec![Predicate::at_least("age", 40.0)]));
+        assert!(unsat(vec![Predicate::at_most("age", 19.5)]));
+        assert!(unsat(vec![Predicate::between("age", f64::NAN, 25.0)]));
+        // touching the observed range is enough to survive
+        assert!(!unsat(vec![Predicate::at_least("age", 30.0)]));
+        assert!(!unsat(vec![Predicate::between("age", 25.0, 26.0)]));
+        // an open bound at the range's edge admits nothing stored
+        let open = whyq_query::Interval::Range {
+            lo: Some(30.0),
+            hi: None,
+            lo_incl: false,
+            hi_incl: false,
+        };
+        assert!(unsat(vec![Predicate {
+            attr: "age".into(),
+            interval: open,
+        }]));
+        // no number stored: strings only, or numbers only on edges
+        assert!(unsat(vec![Predicate::at_least("name", 0.0)]));
+        assert!(unsat(vec![Predicate::at_least("since", 0.0)]));
+        let mut edge_q = PatternQuery::new();
+        let (x, y) = (
+            edge_q.add_vertex(QueryVertex::any()),
+            edge_q.add_vertex(QueryVertex::any()),
+        );
+        let mut e = QueryEdge::typed(x, y, "knows");
+        e.predicates
+            .push(Predicate::between("since", 2000.0, 2005.0));
+        edge_q.add_edge(e);
+        assert!(!Compiled::new(&g, &edge_q).unsatisfiable());
+    }
+
+    #[test]
+    fn contradictory_predicates_on_one_attribute_are_unsatisfiable() {
+        use whyq_query::Predicate;
+        let g = aged_graph();
+        let q = vertex_query(vec![
+            Predicate::at_least("age", 26.0),
+            Predicate::at_most("age", 24.0),
+        ]);
+        assert!(Compiled::new(&g, &q).unsatisfiable());
+        let q = vertex_query(vec![
+            Predicate::eq("name", "Anna"),
+            Predicate::eq("name", "Bert"),
+        ]);
+        assert!(Compiled::new(&g, &q).unsatisfiable());
+        let q = vertex_query(vec![
+            Predicate::at_least("age", 20.0),
+            Predicate::at_most("age", 24.0),
+            Predicate::eq("name", "Anna"),
+        ]);
+        let c = Compiled::new(&g, &q);
+        assert!(!c.unsatisfiable());
+        assert!(c.vertex(QVid(0)).accepts(&g, VertexId(0)));
+    }
+
+    #[test]
+    fn numeric_constants_outside_the_observed_range_are_dropped() {
+        use whyq_query::Predicate;
+        let g = aged_graph();
+        let q = vertex_query(vec![Predicate::one_of(
+            "age",
+            [Value::Int(19), Value::Float(30.0), Value::Int(31)],
+        )]);
+        let c = Compiled::new(&g, &q);
+        let CompiledInterval::OneOf { other, .. } = c.vertex(QVid(0)).preds[0].interval() else {
+            panic!("expected OneOf");
+        };
+        assert_eq!(other, &vec![Value::Float(30.0)]);
+        assert!(c.vertex(QVid(0)).accepts(&g, VertexId(1)));
+        let q = vertex_query(vec![Predicate::one_of("age", [5, 50])]);
+        assert!(Compiled::new(&g, &q).unsatisfiable());
+        // NaN lies outside every range but may be stored: it stays
+        let q = vertex_query(vec![Predicate::eq("age", f64::NAN)]);
+        assert!(!Compiled::new(&g, &q).unsatisfiable());
+        // booleans are not numbers
+        let q = vertex_query(vec![Predicate::eq("age", true)]);
+        assert!(!Compiled::new(&g, &q).unsatisfiable());
     }
 
     #[test]

@@ -45,9 +45,12 @@ use whyq_query::{Interval, PatternQuery, QVid, Target};
 /// (`target`, `attr`) — the caller is responsible for having classified
 /// the pair via `whyq_query::QueryDelta::between`.
 ///
-/// Returns `None` when the patch cannot be proven sound (unknown
-/// attribute, untested predicate, unsatisfiable patched element,
-/// component mismatch); the caller then falls back to a full compile.
+/// A patched element that compiles unsatisfiable (see
+/// [`crate::compile`]) makes the whole child unsatisfiable: the answer is
+/// the empty program a full compile would return, with no further check.
+/// Otherwise returns `None` when the patch cannot be proven sound
+/// (unknown attribute, untested predicate, component mismatch); the
+/// caller then falls back to a full compile.
 pub fn derive_sibling(
     g: &PropertyGraph,
     indexes: &[Arc<AttrIndex>],
@@ -71,12 +74,13 @@ pub fn derive_sibling(
     match target {
         Target::Vertex(v) => {
             let slot = compiled.vertices.get_mut(v.0 as usize)?.as_mut()?;
-            // Refuse unless the parent plan provably tests this attribute.
-            if !slot.preds.iter().any(|p| p.attr_symbol() == Some(sym)) {
-                return None;
-            }
             let patched = CompiledVertex::compile(g, child.vertex(v)?);
             if patched.unsatisfiable() {
+                *slot = patched;
+                return Some((compiled, QueryProgram::default()));
+            }
+            // Refuse unless the parent plan provably tests this attribute.
+            if !slot.preds.iter().any(|p| p.attr_symbol() == Some(sym)) {
                 return None;
             }
             *slot = patched;
@@ -95,11 +99,12 @@ pub fn derive_sibling(
         }
         Target::Edge(e) => {
             let slot = compiled.edges.get_mut(e.0 as usize)?.as_mut()?;
-            if !slot.preds.iter().any(|p| p.attr_symbol() == Some(sym)) {
-                return None;
-            }
             let patched = CompiledEdge::compile(g, child.edge(e)?);
             if patched.unsatisfiable() {
+                *slot = patched;
+                return Some((compiled, QueryProgram::default()));
+            }
+            if !slot.preds.iter().any(|p| p.attr_symbol() == Some(sym)) {
                 return None;
             }
             *slot = patched;

@@ -147,8 +147,9 @@ pub(crate) struct Scratch {
     /// freshly zeroed stamp entries are never considered used.
     gen: u32,
     /// VM transitions since the search started; every
-    /// [`crate::budget::CHECK_INTERVAL`]-th transition charges the budget.
-    /// Reset per search so block boundaries are deterministic.
+    /// [`crate::budget::CHECK_INTERVAL`]-th transition charges the budget,
+    /// and [`Scratch::settle`] charges the rest when the run ends. Reset
+    /// per search so block boundaries are deterministic.
     pub(crate) ticks: u64,
 }
 
@@ -172,6 +173,19 @@ impl Scratch {
             self.gen = 0;
         }
         self.gen += 1;
+    }
+
+    /// Charge `budget` the transitions of a finished run that no full
+    /// [`crate::budget::CHECK_INTERVAL`] block has charged yet, so short
+    /// runs spend a step budget too. Idempotent until the run ticks again.
+    /// The charge may trip the budget after the run completed; see
+    /// [`crate::budget`] for why that is safe.
+    pub(crate) fn settle(&mut self, budget: &Budget) {
+        let rest = self.ticks % u64::from(crate::budget::CHECK_INTERVAL);
+        if rest > 0 {
+            self.ticks -= rest;
+            let _ = budget.charge(rest);
+        }
     }
 
     #[inline]
@@ -282,9 +296,10 @@ impl<'g> Matcher<'g> {
     /// and the optimized IR are re-verified.
     pub fn compile_with_passes(&self, q: &PatternQuery, passes: PassSet) -> CompiledQuery {
         let compiled = Compiled::new(self.g, q);
-        // compile-time pruning: an unknown attribute/type or a string
-        // constant absent from the value dictionary proves some element
-        // unmatchable — no program needed
+        // compile-time pruning: an unknown attribute/type, a string
+        // constant absent from the value dictionary, a range or number
+        // outside the observed range, or contradictory predicates on one
+        // attribute prove some element unmatchable — no program needed
         if compiled.unsatisfiable() {
             return CompiledQuery {
                 compiled,
@@ -492,12 +507,14 @@ impl<'g> Matcher<'g> {
         crate::vm::run_to_end(&cx, &mut st, &mut vs, emit);
         // release any registers an early stop left bound
         crate::vm::unwind(&cx, &mut st, &mut vs);
+        st.settle(&opts.budget);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Termination;
     use std::sync::Arc;
     use whyq_graph::Value;
     use whyq_query::{DirectionSet, Predicate, QueryBuilder};
@@ -567,6 +584,41 @@ mod tests {
         let res = find_injective(&g, &q, None);
         assert_eq!(res.len(), 1);
         assert_eq!(count_injective(&g, &q, None), 1);
+    }
+
+    /// A run shorter than one budget block still spends its steps: ten
+    /// 50-step counts use up `Budget::steps(500)` exactly, the 11th trips.
+    #[test]
+    fn short_runs_charge_the_step_budget() {
+        let mut g = PropertyGraph::new();
+        for _ in 0..50 {
+            g.add_vertex([("type", Value::str("person"))]);
+        }
+        let q = QueryBuilder::new("people")
+            .vertex("p", [Predicate::eq("type", "person")])
+            .build();
+        let m = Matcher::new(&g);
+        let budget = Budget::steps(500);
+        for run in 1..=10 {
+            assert_eq!(m.count(&q, MatchOptions::governed(budget.clone())), 50);
+            assert_eq!(m.scratch.borrow().ticks % 50, 0, "one tick per match");
+            assert_eq!(budget.termination(), Termination::Complete, "run {run}");
+        }
+        // the 11th count completes, then its charge trips the budget
+        assert_eq!(m.count(&q, MatchOptions::governed(budget.clone())), 50);
+        assert_eq!(budget.termination(), Termination::BudgetExhausted);
+        // a stream charges its steps when it is exhausted or dropped
+        let streamed = Budget::steps(70);
+        assert_eq!(
+            m.stream(&q, MatchOptions::governed(streamed.clone()))
+                .count(),
+            50
+        );
+        let mut partial = m.stream(&q, MatchOptions::governed(streamed.clone()));
+        assert_eq!(partial.by_ref().take(30).count(), 30);
+        assert_eq!(streamed.termination(), Termination::Complete);
+        drop(partial);
+        assert_eq!(streamed.termination(), Termination::BudgetExhausted);
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl Iterator for MatchStream<'_> {
             self.start();
         }
         if self.done || self.remaining == 0 {
-            self.done = true;
+            self.finish();
             return None;
         }
         if self.cur0.is_none() {
@@ -212,7 +212,7 @@ impl Iterator for MatchStream<'_> {
                     self.odo.reset();
                 }
                 None => {
-                    self.done = true;
+                    self.finish();
                     return None;
                 }
             }
@@ -229,6 +229,21 @@ impl Iterator for MatchStream<'_> {
         }
         self.remaining -= 1;
         Some(r)
+    }
+}
+
+impl MatchStream<'_> {
+    /// End the stream: exhausted, at its limit, or dropped. The
+    /// transitions no full budget block has charged are charged now.
+    fn finish(&mut self) {
+        self.done = true;
+        self.scratch.settle(&self.budget);
+    }
+}
+
+impl Drop for MatchStream<'_> {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 

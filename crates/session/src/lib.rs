@@ -684,7 +684,10 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// True when static analysis or compilation proved the query can match
     /// nothing in this database (contradictory predicates, an unknown
     /// attribute/type, a string constant the value dictionary has never
-    /// seen, an empty interval). See [`PreparedQuery::report`] for *why*.
+    /// seen, an empty interval, a range or number outside the attribute's
+    /// observed numeric range). See [`PreparedQuery::report`] for *why*
+    /// when the analyzer proved it; compile-time proofs leave no
+    /// diagnostic.
     pub fn is_unsatisfiable(&self) -> bool {
         self.plan.program.is_empty() && self.query.num_vertices() > 0
     }

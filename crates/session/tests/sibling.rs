@@ -24,7 +24,8 @@ use proptest::prelude::*;
 use whyq_graph::{PropertyGraph, Value};
 use whyq_matcher::{Budget, MatchOptions, Matcher, ResultGraph, Termination};
 use whyq_query::{
-    DirectionSet, GraphMod, Interval, PatternQuery, Predicate, QVid, QueryEdge, QueryVertex, Target,
+    DirectionSet, GraphMod, Interval, PatternQuery, Predicate, QVid, QueryBuilder, QueryEdge,
+    QueryVertex, Target,
 };
 use whyq_session::{Database, DatabaseConfig, Executor, ParallelOpts};
 
@@ -431,4 +432,36 @@ fn generation_bump_invalidates_replays() {
         "stale-generation entries must be dropped and counted: {:?}",
         db.sibling_stats()
     );
+}
+
+/// A one-interval sibling whose new range lies outside the attribute's
+/// observed range is unsatisfiable: it is derived from its parent as the
+/// empty program, not compiled.
+#[test]
+fn refuted_sibling_is_derived_not_compiled() {
+    let mut g = PropertyGraph::new();
+    for age in 20..30 {
+        g.add_vertex([("type", Value::str("person")), ("age", Value::Int(age))]);
+    }
+    let db = Database::open(g).expect("open");
+    let session = db.session();
+    let aged = |lo: f64, hi: f64| {
+        QueryBuilder::new("aged")
+            .vertex(
+                "p",
+                [
+                    Predicate::eq("type", "person"),
+                    Predicate::between("age", lo, hi),
+                ],
+            )
+            .build()
+    };
+    assert_eq!(session.count(&aged(21.0, 23.0)).unwrap(), 3);
+    let compiles = db.compile_count();
+
+    let refuted = session.prepare(&aged(40.0, 50.0)).unwrap();
+    assert!(refuted.is_unsatisfiable());
+    assert_eq!(refuted.count().unwrap(), 0);
+    assert_eq!(db.compile_count(), compiles, "derived, not compiled");
+    assert_eq!(db.sibling_stats().derived_plans, 1);
 }

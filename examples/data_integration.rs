@@ -71,13 +71,14 @@ fn main() -> Result<(), WhyqError> {
     match outcome.accepted {
         Some(i) => {
             let accepted = &outcome.rounds[i].explanation;
+            // the rewriter counted the proposal to its first match only
+            let size = session.count(&accepted.query)?;
             println!(
-                "\naccepted in round {}: {} result(s), syntactic distance {:.3}",
+                "\naccepted in round {}: {size} result(s), syntactic distance {:.3}",
                 i + 1,
-                accepted.cardinality,
                 accepted.syntactic_distance
             );
-            assert!(session.count(&accepted.query)? > 0);
+            assert!(size > 0);
         }
         None => println!("\nno proposal met the curator's bar"),
     }

@@ -40,7 +40,8 @@ fn main() -> Result<(), WhyqError> {
                 println!(
                     "  → suggested fix ({} mods, {} results): {}",
                     fix.mods.len(),
-                    fix.cardinality,
+                    // the rewrite was counted to its first match only
+                    engine.cardinality(&fix.query)?,
                     fix.mods
                         .iter()
                         .map(std::string::ToString::to_string)

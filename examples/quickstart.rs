@@ -83,9 +83,12 @@ fn main() -> Result<(), WhyqError> {
     for m in &rewrite.mods {
         println!("  * {m}");
     }
+    // the rewriter stops counting a candidate at its first match: count
+    // the accepted query for its size
     println!(
         "rewritten query delivers {} result(s) at syntactic distance {:.3}",
-        rewrite.cardinality, rewrite.syntactic_distance
+        engine.cardinality(&rewrite.query)?,
+        rewrite.syntactic_distance
     );
 
     // the rewritten query really works — stream the first witness lazily

@@ -195,20 +195,36 @@ fn client(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The cardinality goal of `whyq why`'s flags; `NonEmpty` without one.
+/// A goal no result size can meet is a usage error: `--at-most 0` (the
+/// goal also asks for at least one answer) and `--between LO HI` with
+/// `LO > HI`.
+fn parse_goal(args: &[String]) -> Result<CardinalityGoal, String> {
+    if let Some(s) = flag_value(args, "--at-least") {
+        Ok(CardinalityGoal::AtLeast(parse_num(s, "threshold")?))
+    } else if let Some(s) = flag_value(args, "--at-most") {
+        match parse_num(s, "threshold")? {
+            0 => Err("--at-most 0 can never be met: the goal also asks for an answer".into()),
+            t => Ok(CardinalityGoal::AtMost(t)),
+        }
+    } else if let Some(i) = args.iter().position(|a| a == "--between") {
+        let lo: u64 = parse_num(args.get(i + 1).ok_or("--between needs LO HI")?, "lo")?;
+        let hi: u64 = parse_num(args.get(i + 2).ok_or("--between needs LO HI")?, "hi")?;
+        if lo > hi {
+            return Err(format!(
+                "--between {lo} {hi} can never be met: LO exceeds HI"
+            ));
+        }
+        Ok(CardinalityGoal::Between(lo, hi))
+    } else {
+        Ok(CardinalityGoal::NonEmpty)
+    }
+}
+
 fn why(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("why needs <GRAPH>")?;
     let pattern = args.get(1).ok_or("why needs <PATTERN>")?;
-    let goal = if let Some(s) = flag_value(args, "--at-least") {
-        CardinalityGoal::AtLeast(parse_num(s, "threshold")?)
-    } else if let Some(s) = flag_value(args, "--at-most") {
-        CardinalityGoal::AtMost(parse_num(s, "threshold")?)
-    } else if let Some(i) = args.iter().position(|a| a == "--between") {
-        let lo = parse_num(args.get(i + 1).ok_or("--between needs LO HI")?, "lo")?;
-        let hi = parse_num(args.get(i + 2).ok_or("--between needs LO HI")?, "hi")?;
-        CardinalityGoal::Between(lo, hi)
-    } else {
-        CardinalityGoal::NonEmpty
-    };
+    let goal = parse_goal(args)?;
 
     let db = Database::open(load_graph(path)?).map_err(|e| e.to_string())?;
     let q = load_pattern(pattern)?;
@@ -234,10 +250,50 @@ fn why(args: &[String]) -> Result<(), String> {
         for m in &rw.mods {
             println!("  * {m}");
         }
+        // the rewriters count only as far as the goal decides: count the
+        // accepted query for its size
+        let size = engine.cardinality(&rw.query).map_err(|e| e.to_string())?;
         println!(
-            "  rewritten query delivers {} result(s), syntactic distance {:.3}",
-            rw.cardinality, rw.syntactic_distance
+            "  rewritten query delivers {size} result(s), syntactic distance {:.3}",
+            rw.syntactic_distance
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn goal(args: &[&str]) -> Result<CardinalityGoal, String> {
+        let args: Vec<String> = ["g.txt", "(p)"]
+            .iter()
+            .chain(args)
+            .map(ToString::to_string)
+            .collect();
+        parse_goal(&args)
+    }
+
+    #[test]
+    fn goals_parse_from_their_flags() {
+        assert_eq!(goal(&[]), Ok(CardinalityGoal::NonEmpty));
+        assert_eq!(goal(&["--at-least", "5"]), Ok(CardinalityGoal::AtLeast(5)));
+        assert_eq!(goal(&["--at-most", "3"]), Ok(CardinalityGoal::AtMost(3)));
+        assert_eq!(
+            goal(&["--between", "2", "2"]),
+            Ok(CardinalityGoal::Between(2, 2))
+        );
+        assert_eq!(
+            goal(&["--between", "0", &u64::MAX.to_string()]),
+            Ok(CardinalityGoal::Between(0, u64::MAX))
+        );
+    }
+
+    #[test]
+    fn goals_that_cannot_be_met_are_usage_errors() {
+        assert!(goal(&["--at-most", "0"]).is_err());
+        assert!(goal(&["--between", "5", "4"]).is_err());
+        assert!(goal(&["--between", "5"]).is_err());
+        assert!(goal(&["--at-least", "x"]).is_err());
+    }
 }

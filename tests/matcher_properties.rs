@@ -2,11 +2,13 @@
 //! brute-force reference: on small random graphs and queries, the
 //! prepared-query facade (eager `find`, early-terminating `count` and the
 //! lazy `stream`) must produce exactly the assignments a naive
-//! enumerate-all-mappings oracle accepts.
+//! enumerate-all-mappings oracle accepts. A second suite checks the
+//! compile-time refutation against the reference matcher.
 
 use proptest::prelude::*;
 use whyquery::graph::{EdgeId, PropertyGraph, VertexId};
-use whyquery::matcher::ResultGraph;
+use whyquery::matcher::compile::Compiled;
+use whyquery::matcher::{count_matches_naive, Matcher, ResultGraph};
 use whyquery::prelude::*;
 use whyquery::query::{QEid, QVid, QueryEdge, QueryVertex};
 
@@ -225,4 +227,109 @@ fn validate(g: &PropertyGraph, q: &PatternQuery, r: &ResultGraph) -> bool {
     es.sort();
     es.dedup();
     es.len() == r.num_edges()
+}
+
+/// A graph whose numeric attributes mix `Int`, `Float`, NaN and strings:
+/// vertex `x` (numbers around 0..12, some NaN, some strings, some absent),
+/// vertex `s` (strings only) and edge `w` (integers only, so the vertex
+/// side of `w` stores no number at all).
+fn build_numeric_graph(n: usize, xs: &[u8], pairs: &[(u8, u8, u8)]) -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    let vs: Vec<_> = (0..n)
+        .map(|i| {
+            let code = xs[i % xs.len()];
+            let k = i64::from(code % 12);
+            let x = match code % 5 {
+                0 => Some(Value::Int(k)),
+                1 => Some(Value::Float(k as f64 + 0.5)),
+                2 => Some(Value::Float(f64::NAN)),
+                3 => Some(Value::str("x")),
+                _ => None,
+            };
+            let mut attrs = vec![("s", Value::str(["a", "b"][i % 2]))];
+            attrs.extend(x.map(|x| ("x", x)));
+            g.add_vertex(attrs)
+        })
+        .collect();
+    for &(a, b, w) in pairs {
+        g.add_edge(
+            vs[a as usize % n],
+            vs[b as usize % n],
+            "link",
+            [("w", Value::Int(i64::from(w % 8)))],
+        );
+    }
+    g
+}
+
+/// A predicate drawn to hit every refutation: ranges in and out of the
+/// observed range, NaN bounds, numeric constants in and out of it, a
+/// string where a number is stored. `attrs` weights the attribute draw
+/// toward the one the element stores numbers under, so that most drawn
+/// queries still match and an over-eager refutation shows.
+fn drawn_predicate(attrs: [&str; 6], attr: u8, kind: u8, a: u8, b: u8) -> Predicate {
+    let attr = attrs[attr as usize % 6];
+    let (a, b) = (f64::from(a % 20) - 4.0, f64::from(b % 20) - 4.0);
+    let interval = match kind % 10 {
+        0 | 1 => Interval::between(a.min(b), a.max(b)),
+        2 => Interval::between(a, b),
+        3 | 4 => Interval::at_least(a),
+        5 => Interval::at_most(b),
+        6 => Interval::between(f64::NAN, b),
+        7 => Interval::one_of([Value::Int(a as i64), Value::Float(b + 0.5)]),
+        8 => Interval::one_of([Value::Float(f64::NAN), Value::Int(b as i64)]),
+        _ => Interval::eq("x"),
+    };
+    Predicate {
+        attr: attr.into(),
+        interval,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Compile-time refutation is sound: whenever the compiled query is
+    /// unsatisfiable (out-of-range or NaN-bounded ranges, pruned numeric
+    /// constants, contradictory predicates on one attribute), the
+    /// reference counts 0. The session (analyzer first) and the bare
+    /// matcher (no analyzer) both count what the reference counts.
+    #[test]
+    fn refuted_probes_count_zero(
+        n in 3usize..8,
+        xs in prop::collection::vec(any::<u8>(), 8),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..10),
+        qlen in 1usize..4,
+        vpreds in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..3),
+        epreds in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..3),
+    ) {
+        let g = build_numeric_graph(n, &xs, &pairs);
+        let mut q = PatternQuery::new();
+        let vs: Vec<QVid> = (0..qlen).map(|_| q.add_vertex(QueryVertex::any())).collect();
+        for (i, &(attr, kind, a, b)) in vpreds.iter().enumerate() {
+            q.vertex_mut(vs[i % qlen])
+                .expect("live")
+                .predicates
+                .push(drawn_predicate(["x", "x", "x", "x", "w", "s"], attr, kind, a, b));
+        }
+        let es: Vec<QEid> = vs
+            .windows(2)
+            .map(|w| q.add_edge(QueryEdge::typed(w[0], w[1], "link")))
+            .collect();
+        for (i, &(attr, kind, a, b)) in epreds.iter().enumerate() {
+            if let Some(&e) = es.get(i % qlen) {
+                q.edge_mut(e)
+                    .expect("live")
+                    .predicates
+                    .push(drawn_predicate(["w", "w", "w", "w", "x", "s"], attr, kind, a, b));
+            }
+        }
+        let reference = count_matches_naive(&g, &q, MatchOptions::default());
+        if Compiled::new(&g, &q).unsatisfiable() {
+            prop_assert_eq!(reference, 0, "refuted, yet the reference matches: {}", q.signature());
+        }
+        prop_assert_eq!(Matcher::new(&g).count(&q, MatchOptions::default()), reference);
+        let db = Database::open(g).expect("open");
+        prop_assert_eq!(db.session().count(&q).expect("valid query"), reference);
+    }
 }
