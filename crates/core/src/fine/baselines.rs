@@ -10,277 +10,102 @@
 //!   [`crate::fine::FineConfig::allow_topology`] `= false` (§6.4.3).
 //!
 //! Both baselines search the space TRAVERSESEARCHTREE searches: they draw
-//! candidates from the same [`Database::domains`] catalog and count them
-//! at the same cap, `max(50,000, goal.decisive_cap())`.
+//! candidates from the same [`Database::domains`] catalog, count them at the
+//! same cap, `max(50,000, goal.decisive_cap())`, and report a
+//! [`FineOutcome`]. Exhaustive BFS is TRAVERSESEARCHTREE's own loop in
+//! breadth-first order. The random walk is a hill-climb, not a frontier
+//! search: it keeps one current query and its own loop.
 
-use crate::explanation::ModificationExplanation;
-use crate::fine::count_cap;
 use crate::fine::generate::fine_candidates;
+use crate::fine::{count, need_more, FineConfig, FineOutcome, Order, TraverseSearchTree};
 use crate::problem::CardinalityGoal;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashSet, VecDeque};
-use whyq_matcher::{Budget, MatchOptions, Termination};
-use whyq_metrics::syntactic_distance;
+use std::collections::HashSet;
 use whyq_query::{signature::signature, GraphMod, PatternQuery};
 use whyq_session::Database;
 
-/// Attempt budget substituted when a baseline's `governor` is unlimited:
-/// it bounds the sampling loop of [`random_walk`] (a node whose
-/// neighborhood is fully visited would otherwise spin without consuming
-/// execution budget) with the same shared [`Budget`] machinery callers use
-/// for deadlines and cancellation, instead of an ad-hoc multiple of the
-/// execution budget.
-pub const DEFAULT_ATTEMPT_BUDGET: u64 = 10_000;
-
-/// Effective governor of a baseline run: the caller's, or — when that one
-/// is unlimited — a fresh [`DEFAULT_ATTEMPT_BUDGET`]-step budget.
-fn effective_governor(governor: &Budget) -> Budget {
-    if governor.is_unlimited() {
-        Budget::steps(DEFAULT_ATTEMPT_BUDGET)
-    } else {
-        governor.clone()
-    }
-}
-
-/// Outcome of a baseline run (same shape as the §6.4.2 series).
-#[derive(Debug, Clone)]
-pub struct BaselineOutcome {
-    /// Goal-satisfying explanation, if found within budget.
-    pub explanation: Option<ModificationExplanation>,
-    /// Executed candidate queries.
-    pub executed: usize,
-    /// Convergence trajectory `(executed, best deviation so far)`.
-    pub trajectory: Vec<(usize, u64)>,
-    /// Best deviation reached.
-    pub best_deviation: u64,
-    /// How the run ended: [`Termination::Complete`] when the search
-    /// finished on its own (explanation found, execution budget or
-    /// candidate space exhausted); otherwise the cause the governor
-    /// tripped on — [`Termination::BudgetExhausted`] for the implicit
-    /// attempt budget of an ungoverned [`random_walk`].
-    pub termination: Termination,
-}
+/// Cap on a random walk's sampling attempts, executed or not.
+const MAX_ATTEMPTS: usize = 10_000;
 
 /// Greedy random walk: sample a random candidate modification of the
 /// current query, execute it, move only when the deviation improves.
 ///
-/// `governor` bounds the *sampling attempts* (one step charged per
-/// attempt) and carries any deadline or cancellation; pass
-/// [`Budget::unlimited`] to get the default attempt budget.
+/// The walk stops after `budget` executed candidates, after 10,000
+/// samples, or when no candidate of the current query is left to execute.
 pub fn random_walk(
     db: &Database,
     q: &PatternQuery,
     goal: CardinalityGoal,
     budget: usize,
     seed: u64,
-    governor: &Budget,
-) -> BaselineOutcome {
-    let governor = effective_governor(governor);
+) -> FineOutcome {
     let session = db.session();
-    let cap = count_cap(goal);
-    let count = |query: &PatternQuery| {
-        session
-            .count_opts(query, MatchOptions::counting(Some(cap)))
-            .expect("baseline modification preserves query validity")
-    };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut executed = 0usize;
-    let mut trajectory = Vec::new();
-
-    let mut current = q.clone();
-    let mut current_c = count(&current);
-    executed += 1;
-    let mut current_mods: Vec<GraphMod> = Vec::new();
-    let mut best_dev = goal.deviation(current_c);
-    trajectory.push((executed, best_dev));
-    if goal.satisfied(current_c) {
-        return BaselineOutcome {
-            explanation: Some(ModificationExplanation {
-                query: current,
-                mods: current_mods,
-                cardinality: current_c,
-                syntactic_distance: 0.0,
-            }),
-            executed,
-            trajectory,
-            best_deviation: 0,
-            termination: governor.termination(),
-        };
+    let mut current_c = count(&session, q, goal);
+    let mut out = FineOutcome::root(q, current_c, goal);
+    if out.explanation.is_some() {
+        return out;
     }
+    let (mut current, mut current_id, mut current_mods) = (q.clone(), 0, Vec::new());
+    let mut candidates = fine_candidates(q, db.domains(), need_more(goal, current_c), true);
+    let mut visited = HashSet::from([signature(q)]);
+    // a candidate is fresh when it applies and was not executed before
+    let fresh = |current: &PatternQuery, m: &GraphMod, visited: &HashSet<String>| {
+        let (child, _) = m.applied(current).ok()?;
+        let sig = signature(&child);
+        (!visited.contains(&sig)).then_some((child, sig))
+    };
 
-    let mut visited: HashSet<String> = HashSet::new();
-    visited.insert(signature(&current));
-
-    // the governor bounds the sampling loop (one step per attempt): a node
-    // whose neighborhood is fully visited would otherwise spin without
-    // consuming execution budget
-    while executed < budget {
-        if governor.charge(1).is_err() {
+    for _ in 0..MAX_ATTEMPTS {
+        if out.executed >= budget || candidates.is_empty() {
             break;
         }
-        let need_more = current_c == 0
-            || !matches!(
-                goal.classify(current_c),
-                crate::problem::WhyProblem::WhySoMany
-            );
-        let candidates = fine_candidates(&current, db.domains(), need_more, true);
-        if candidates.is_empty() {
-            break;
-        }
-        let m = &candidates[rng.random_range(0..candidates.len())];
-        let Ok((child, _)) = m.applied(&current) else {
+        let m = candidates[rng.random_range(0..candidates.len())].clone();
+        let Some((child, sig)) = fresh(&current, &m, &visited) else {
+            // a stale sample: give up once every candidate is stale
+            if candidates
+                .iter()
+                .all(|m| fresh(&current, m, &visited).is_none())
+            {
+                break;
+            }
             continue;
         };
-        let sig = signature(&child);
-        if visited.contains(&sig) {
-            continue;
-        }
         visited.insert(sig);
-        let c = count(&child);
-        executed += 1;
+        let c = count(&session, &child, goal);
         let dev = goal.deviation(c);
-        if dev < best_dev {
-            best_dev = dev;
-        }
-        trajectory.push((executed, best_dev));
+        let id = out.tree.add_child(current_id, m.clone(), c, dev);
+        out.record(dev);
         if goal.satisfied(c) {
-            let mut mods = current_mods;
-            mods.push(m.clone());
-            return BaselineOutcome {
-                explanation: Some(ModificationExplanation {
-                    syntactic_distance: syntactic_distance(q, &child),
-                    query: child,
-                    mods,
-                    cardinality: c,
-                }),
-                executed,
-                trajectory,
-                best_deviation: 0,
-                termination: governor.termination(),
-            };
+            current_mods.push(m);
+            out.solve(id, q, child, current_mods, c);
+            return out;
         }
         // hill-climb: adopt the child only on improvement
         if dev < goal.deviation(current_c) {
-            current = child;
-            current_c = c;
-            current_mods.push(m.clone());
+            current_mods.push(m);
+            (current, current_c, current_id) = (child, c, id);
+            candidates = fine_candidates(&current, db.domains(), need_more(goal, c), true);
         }
     }
-
-    BaselineOutcome {
-        explanation: None,
-        executed,
-        trajectory,
-        best_deviation: best_dev,
-        termination: governor.termination(),
-    }
+    out
 }
 
-/// Breadth-first lattice enumeration without cardinality guidance.
-///
-/// `governor` carries any deadline or cancellation (one step charged per
-/// executed candidate); [`Budget::unlimited`] leaves the run bounded by
-/// `budget` alone — unlike [`random_walk`], BFS never spins without
-/// executing, so no implicit attempt budget is substituted.
+/// Breadth-first lattice enumeration without cardinality guidance: the
+/// TRAVERSESEARCHTREE loop in breadth-first order, with no cap on children
+/// per expansion and no discarding of non-contributing children.
 pub fn exhaustive_bfs(
     db: &Database,
     q: &PatternQuery,
     goal: CardinalityGoal,
     budget: usize,
-    governor: &Budget,
-) -> BaselineOutcome {
-    let session = db.session();
-    let cap = count_cap(goal);
-    let count = |query: &PatternQuery| {
-        session
-            .count_opts(query, MatchOptions::counting(Some(cap)))
-            .expect("baseline modification preserves query validity")
-    };
-    let mut executed = 0usize;
-    let mut trajectory = Vec::new();
-    let mut best_dev;
-
-    let c0 = count(q);
-    executed += 1;
-    best_dev = goal.deviation(c0);
-    trajectory.push((executed, best_dev));
-    if goal.satisfied(c0) {
-        return BaselineOutcome {
-            explanation: Some(ModificationExplanation {
-                query: q.clone(),
-                mods: Vec::new(),
-                cardinality: c0,
-                syntactic_distance: 0.0,
-            }),
-            executed,
-            trajectory,
-            best_deviation: 0,
-            termination: governor.termination(),
-        };
-    }
-
-    let mut visited: HashSet<String> = HashSet::new();
-    visited.insert(signature(q));
-    let mut queue: VecDeque<(PatternQuery, u64, Vec<GraphMod>)> = VecDeque::new();
-    queue.push_back((q.clone(), c0, Vec::new()));
-
-    'outer: while let Some((node, node_c, mods)) = queue.pop_front() {
-        if executed >= budget || governor.poll().is_err() {
-            break;
-        }
-        let need_more =
-            node_c == 0 || !matches!(goal.classify(node_c), crate::problem::WhyProblem::WhySoMany);
-        for m in fine_candidates(&node, db.domains(), need_more, true) {
-            if executed >= budget {
-                break;
-            }
-            if governor.charge(1).is_err() {
-                break 'outer;
-            }
-            let Ok((child, _)) = m.applied(&node) else {
-                continue;
-            };
-            let sig = signature(&child);
-            if !visited.insert(sig) {
-                continue;
-            }
-            let c = count(&child);
-            executed += 1;
-            let dev = goal.deviation(c);
-            if dev < best_dev {
-                best_dev = dev;
-            }
-            trajectory.push((executed, best_dev));
-            if goal.satisfied(c) {
-                let mut all_mods = mods.clone();
-                all_mods.push(m);
-                return BaselineOutcome {
-                    explanation: Some(ModificationExplanation {
-                        syntactic_distance: syntactic_distance(q, &child),
-                        query: child,
-                        mods: all_mods,
-                        cardinality: c,
-                    }),
-                    executed,
-                    trajectory,
-                    best_deviation: 0,
-                    termination: governor.termination(),
-                };
-            }
-            let mut all_mods = mods.clone();
-            all_mods.push(m);
-            queue.push_back((child, c, all_mods));
-        }
-    }
-
-    BaselineOutcome {
-        explanation: None,
-        executed,
-        trajectory,
-        best_deviation: best_dev,
-        termination: governor.termination(),
-    }
+) -> FineOutcome {
+    let tst = TraverseSearchTree::new(db).with_config(FineConfig {
+        max_executed: budget,
+        allow_topology: true,
+    });
+    tst.search(q, goal, count(&tst.session, q, goal), Order::Breadth)
 }
 
 #[cfg(test)]
@@ -316,36 +141,15 @@ mod tests {
     #[test]
     fn random_walk_eventually_finds_solution() {
         let db = data();
-        let out = random_walk(
-            &db,
-            &narrow_query(),
-            CardinalityGoal::AtLeast(7),
-            500,
-            42,
-            &Budget::unlimited(),
-        );
+        let out = random_walk(&db, &narrow_query(), CardinalityGoal::AtLeast(7), 500, 42);
         assert!(out.explanation.is_some());
     }
 
     #[test]
     fn random_walk_is_deterministic_per_seed() {
         let db = data();
-        let a = random_walk(
-            &db,
-            &narrow_query(),
-            CardinalityGoal::AtLeast(7),
-            200,
-            7,
-            &Budget::unlimited(),
-        );
-        let b = random_walk(
-            &db,
-            &narrow_query(),
-            CardinalityGoal::AtLeast(7),
-            200,
-            7,
-            &Budget::unlimited(),
-        );
+        let a = random_walk(&db, &narrow_query(), CardinalityGoal::AtLeast(7), 200, 7);
+        let b = random_walk(&db, &narrow_query(), CardinalityGoal::AtLeast(7), 200, 7);
         assert_eq!(a.executed, b.executed);
         assert_eq!(a.trajectory, b.trajectory);
     }
@@ -353,49 +157,48 @@ mod tests {
     #[test]
     fn bfs_finds_solution_with_enough_budget() {
         let db = data();
-        let out = exhaustive_bfs(
-            &db,
-            &narrow_query(),
-            CardinalityGoal::AtLeast(7),
-            2000,
-            &Budget::unlimited(),
-        );
+        let out = exhaustive_bfs(&db, &narrow_query(), CardinalityGoal::AtLeast(7), 2000);
         assert!(out.explanation.is_some());
-    }
-
-    #[test]
-    fn cancelled_governor_stops_the_walk_tagged() {
-        use whyq_matcher::CancelToken;
-        let db = data();
-        let token = CancelToken::new();
-        token.cancel();
-        let out = random_walk(
-            &db,
-            &narrow_query(),
-            CardinalityGoal::AtLeast(7),
-            500,
-            42,
-            &Budget::cancelled_by(&token),
-        );
-        assert!(out.explanation.is_none());
-        // only the original query was measured before the governor tripped
-        assert_eq!(out.executed, 1);
-        assert_eq!(out.termination, Termination::Cancelled);
     }
 
     #[test]
     fn trajectories_are_monotone() {
         let db = data();
-        let out = exhaustive_bfs(
-            &db,
-            &narrow_query(),
-            CardinalityGoal::AtLeast(1000),
-            50,
-            &Budget::unlimited(),
-        );
+        let out = exhaustive_bfs(&db, &narrow_query(), CardinalityGoal::AtLeast(1000), 50);
         for w in out.trajectory.windows(2) {
             assert!(w[1].1 <= w[0].1);
         }
+        assert!(out.explanation.is_none());
+    }
+
+    /// Breadth order counts the tree level by level and keeps every child;
+    /// the deviation order discards the non-contributing ones.
+    #[test]
+    fn bfs_runs_level_by_level_without_pruning() {
+        use crate::fine::NodeStatus;
+        let db = data();
+        let goal = CardinalityGoal::AtLeast(1000);
+        let bfs = exhaustive_bfs(&db, &narrow_query(), goal, 50);
+        let depths: Vec<usize> = bfs.tree.nodes().iter().map(|n| n.depth).collect();
+        assert!(depths.windows(2).all(|w| w[0] <= w[1]), "{depths:?}");
+        assert!(depths.contains(&2), "a second level was reached");
+        assert_eq!(bfs.tree.count_status(NodeStatus::Discarded), 0);
+        let tst = TraverseSearchTree::new(&db)
+            .with_config(FineConfig {
+                max_executed: 50,
+                ..FineConfig::default()
+            })
+            .run(&narrow_query(), goal);
+        assert!(tst.tree.count_status(NodeStatus::Discarded) > 0);
+    }
+
+    /// A walk records every executed candidate in its tree, under the query
+    /// it was sampled from.
+    #[test]
+    fn random_walk_builds_its_tree() {
+        let db = data();
+        let out = random_walk(&db, &narrow_query(), CardinalityGoal::AtLeast(1000), 40, 3);
+        assert_eq!(out.tree.len(), out.executed);
         assert!(out.explanation.is_none());
     }
 }

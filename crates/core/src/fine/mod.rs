@@ -8,6 +8,12 @@
 //! topology edits (§6.2.2) and discards non-contributing changes and their
 //! branches (§6.3.2).
 //!
+//! The search runs on the frontier the coarse rewriter uses
+//! (`crate::search`). Unlike the relax loop, it counts every child as the
+//! child is generated: the count is the child's deviation, hence its key.
+//! The §6.4.1 exhaustive BFS baseline ([`baselines::exhaustive_bfs`]) is
+//! the same loop in breadth-first order, without the §6.3.2 pruning.
+//!
 //! Every child is counted as one session count. The change propagation of
 //! §6.3.1 — re-evaluate only what a changed operator affects — comes from
 //! the session's caches: a child differs from its parent in one element,
@@ -27,11 +33,13 @@ pub use mod_tree::{ModTreeNode, ModificationTree, NodeStatus};
 
 use crate::explanation::ModificationExplanation;
 use crate::fine::generate::fine_candidates;
-use crate::problem::CardinalityGoal;
-use std::collections::{BinaryHeap, HashSet};
+use crate::problem::{CardinalityGoal, WhyProblem};
+use crate::search::Frontier;
+use std::cmp::Reverse;
+use std::rc::Rc;
 use whyq_matcher::MatchOptions;
 use whyq_metrics::syntactic_distance;
-use whyq_query::{signature::signature, GraphMod, PatternQuery};
+use whyq_query::{GraphMod, PatternQuery};
 use whyq_session::{Database, Session};
 
 /// Cap on children generated per expansion.
@@ -41,6 +49,19 @@ const MAX_CHILDREN: usize = 48;
 /// raised to `goal`'s decisive cap when that is larger.
 pub(crate) fn count_cap(goal: CardinalityGoal) -> u64 {
     goal.decisive_cap().max(50_000)
+}
+
+/// Cardinality of `query`, capped at [`count_cap`]`(goal)`.
+fn count(session: &Session<'_>, query: &PatternQuery, goal: CardinalityGoal) -> u64 {
+    session
+        .count_opts(query, MatchOptions::counting(Some(count_cap(goal))))
+        .expect("fine modification preserves query validity")
+}
+
+/// Does a query counted `c` have to grow toward `goal`? A node below the
+/// goal relaxes, one above restricts: the holistic oscillation of Fig. 3.1.
+fn need_more(goal: CardinalityGoal, c: u64) -> bool {
+    goal.classify(c) != WhyProblem::WhySoMany
 }
 
 /// Configuration of the fine-grained rewriter.
@@ -61,7 +82,7 @@ impl Default for FineConfig {
     }
 }
 
-/// Outcome of a TRAVERSESEARCHTREE run.
+/// Outcome of a TRAVERSESEARCHTREE run or of a §6.4.1 baseline.
 #[derive(Debug, Clone)]
 pub struct FineOutcome {
     /// The goal-satisfying explanation, if found within budget.
@@ -76,36 +97,66 @@ pub struct FineOutcome {
     pub best_deviation: u64,
 }
 
-struct FrontierNode {
-    deviation: u64,
-    depth: usize,
-    seq: u64,
-    tree_id: usize,
-    query: PatternQuery,
-    cardinality: u64,
-    mods: Vec<GraphMod>,
+impl FineOutcome {
+    /// The outcome of a search whose root `q` counted `c0`: the root is the
+    /// first executed candidate, and the answer when it meets `goal`.
+    fn root(q: &PatternQuery, c0: u64, goal: CardinalityGoal) -> Self {
+        let dev0 = goal.deviation(c0);
+        let mut out = FineOutcome {
+            explanation: None,
+            executed: 1,
+            tree: ModificationTree::with_root(c0, dev0),
+            trajectory: vec![(1, dev0)],
+            best_deviation: dev0,
+        };
+        if goal.satisfied(c0) {
+            out.solve(0, q, q.clone(), Vec::new(), c0);
+        }
+        out
+    }
+
+    /// Record one more executed candidate, of deviation `dev`.
+    fn record(&mut self, dev: u64) {
+        self.executed += 1;
+        self.best_deviation = self.best_deviation.min(dev);
+        self.trajectory.push((self.executed, self.best_deviation));
+    }
+
+    /// Accept tree node `id`, `query` derived from `q` by `mods` and
+    /// counted `cardinality`, as the explanation.
+    fn solve(
+        &mut self,
+        id: usize,
+        q: &PatternQuery,
+        query: PatternQuery,
+        mods: Vec<GraphMod>,
+        cardinality: u64,
+    ) {
+        self.tree.set_status(id, NodeStatus::Solution);
+        self.best_deviation = 0;
+        self.explanation = Some(ModificationExplanation {
+            syntactic_distance: if mods.is_empty() {
+                0.0
+            } else {
+                syntactic_distance(q, &query)
+            },
+            query,
+            mods,
+            cardinality,
+        });
+    }
 }
 
-impl PartialEq for FrontierNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for FrontierNode {}
-impl PartialOrd for FrontierNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FrontierNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: smaller deviation = greater priority
-        other
-            .deviation
-            .cmp(&self.deviation)
-            .then(other.depth.cmp(&self.depth))
-            .then(other.seq.cmp(&self.seq))
-    }
+/// The order a search pops its frontier in.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Smallest deviation first, then the shallowest (§6.2.1). An expansion
+    /// keeps its first [`MAX_CHILDREN`] candidates and discards the
+    /// non-contributing children (§6.3.2).
+    Deviation,
+    /// Shallowest first, without cardinality guidance or pruning: the
+    /// §6.4.1 exhaustive BFS baseline.
+    Breadth,
 }
 
 /// The TRAVERSESEARCHTREE algorithm (§6.2.1).
@@ -133,7 +184,7 @@ impl<'g> TraverseSearchTree<'g> {
 
     /// Modify `q` until its cardinality satisfies `goal`.
     pub fn run(&self, q: &PatternQuery, goal: CardinalityGoal) -> FineOutcome {
-        self.run_measured(q, goal, self.count(q, goal))
+        self.run_measured(q, goal, count(&self.session, q, goal))
     }
 
     /// [`TraverseSearchTree::run`] for a query the caller already counted
@@ -146,137 +197,75 @@ impl<'g> TraverseSearchTree<'g> {
         goal: CardinalityGoal,
         measured: u64,
     ) -> FineOutcome {
-        let c0 = measured.min(count_cap(goal));
-        let mut executed = 1usize;
-        let mut trajectory = Vec::new();
+        self.search(q, goal, measured.min(count_cap(goal)), Order::Deviation)
+    }
 
-        let dev0 = goal.deviation(c0);
-        let mut tree = ModificationTree::with_root(c0, dev0);
-        let mut best_dev = dev0;
-        trajectory.push((executed, best_dev));
-        if goal.satisfied(c0) {
-            tree.set_status(0, NodeStatus::Solution);
-            return FineOutcome {
-                explanation: Some(ModificationExplanation {
-                    query: q.clone(),
-                    mods: Vec::new(),
-                    cardinality: c0,
-                    syntactic_distance: 0.0,
-                }),
-                executed,
-                tree,
-                trajectory,
-                best_deviation: 0,
-            };
+    /// Search from `q`, counted `c0`, in `order` until a child meets `goal`
+    /// or `max_executed` candidates ran. Every child is counted as it is
+    /// generated and pushed keyed by its rank under `order`.
+    fn search(
+        &self,
+        q: &PatternQuery,
+        goal: CardinalityGoal,
+        c0: u64,
+        order: Order,
+    ) -> FineOutcome {
+        let mut out = FineOutcome::root(q, c0, goal);
+        if out.explanation.is_some() {
+            return out;
         }
-
-        let mut visited: HashSet<String> = HashSet::new();
-        visited.insert(signature(q));
-        let mut frontier: BinaryHeap<FrontierNode> = BinaryHeap::new();
-        let mut seq = 0u64;
-        frontier.push(FrontierNode {
-            deviation: dev0,
-            depth: 0,
-            seq,
-            tree_id: 0,
-            query: q.clone(),
-            cardinality: c0,
-            mods: Vec::new(),
-        });
+        // a node carries its tree id and its count
+        let (mut frontier, mut root) = Frontier::<Reverse<(u64, usize)>, (usize, u64)>::new(q);
+        root.data = (0, c0);
+        frontier.push(root);
 
         while let Some(node) = frontier.pop() {
-            if executed >= self.config.max_executed {
+            if out.executed >= self.config.max_executed {
                 break;
             }
-            tree.set_status(node.tree_id, NodeStatus::Expanded);
-            // direction per node — this is the holistic oscillation of
-            // Fig. 3.1: a node below the goal relaxes, one above restricts
-            let need_more = node.cardinality == 0
-                || !matches!(
-                    goal.classify(node.cardinality),
-                    crate::problem::WhyProblem::WhySoMany
-                );
-
+            let (tree_id, node_c) = node.data;
+            out.tree.set_status(tree_id, NodeStatus::Expanded);
             let mut candidates = fine_candidates(
                 &node.query,
                 self.db.domains(),
-                need_more,
+                need_more(goal, node_c),
                 self.config.allow_topology,
             );
-            candidates.truncate(MAX_CHILDREN);
+            if order == Order::Deviation {
+                candidates.truncate(MAX_CHILDREN);
+            }
 
             for m in candidates {
-                if executed >= self.config.max_executed {
+                if out.executed >= self.config.max_executed {
                     break;
                 }
-                let Ok((child, _)) = m.applied(&node.query) else {
+                let Some(mut child) = frontier.admit(&node, m.clone()) else {
                     continue;
                 };
-                let sig = signature(&child);
-                if !visited.insert(sig) {
-                    continue;
-                }
-                let c = self.count(&child, goal);
-                executed += 1;
+                let c = count(&self.session, &child.query, goal);
                 let dev = goal.deviation(c);
-                let tree_id = tree.add_child(node.tree_id, m.clone(), c, dev);
-                if dev < best_dev {
-                    best_dev = dev;
-                }
-                trajectory.push((executed, best_dev));
-
+                let id = out.tree.add_child(tree_id, m, c, dev);
+                out.record(dev);
                 if goal.satisfied(c) {
-                    tree.set_status(tree_id, NodeStatus::Solution);
-                    let mut mods = node.mods.clone();
-                    mods.push(m);
-                    return FineOutcome {
-                        explanation: Some(ModificationExplanation {
-                            syntactic_distance: syntactic_distance(q, &child),
-                            query: child,
-                            mods,
-                            cardinality: c,
-                        }),
-                        executed,
-                        tree,
-                        trajectory,
-                        best_deviation: 0,
-                    };
+                    out.solve(id, q, Rc::unwrap_or_clone(child.query), child.mods, c);
+                    return out;
                 }
                 // §6.3.2: a change that did not move the cardinality is
                 // non-contributing — discard the branch
-                if c == node.cardinality {
-                    tree.set_status(tree_id, NodeStatus::Discarded);
+                if order == Order::Deviation && c == node_c {
+                    out.tree.set_status(id, NodeStatus::Discarded);
                     continue;
                 }
-                let mut mods = node.mods.clone();
-                mods.push(m);
-                seq += 1;
-                frontier.push(FrontierNode {
-                    deviation: dev,
-                    depth: node.depth + 1,
-                    seq,
-                    tree_id,
-                    query: child,
-                    cardinality: c,
-                    mods,
-                });
+                let depth = child.mods.len();
+                child.key = Some(Reverse(match order {
+                    Order::Deviation => (dev, depth),
+                    Order::Breadth => (0, depth),
+                }));
+                child.data = (id, c);
+                frontier.push(child);
             }
         }
-
-        FineOutcome {
-            explanation: None,
-            executed,
-            tree,
-            trajectory,
-            best_deviation: best_dev,
-        }
-    }
-
-    /// Cardinality of `query`, capped at [`count_cap`]`(goal)`.
-    fn count(&self, query: &PatternQuery, goal: CardinalityGoal) -> u64 {
-        self.session
-            .count_opts(query, MatchOptions::counting(Some(count_cap(goal))))
-            .expect("fine modification preserves query validity")
+        out
     }
 }
 

@@ -24,7 +24,10 @@
 //!   [`fine::TraverseSearchTree`] (Ch. 6) performs fine-grained,
 //!   cardinality-driven modification on the predicate-value level with a
 //!   modification tree, change propagation and discarding of
-//!   non-contributing branches.
+//!   non-contributing branches. Both rewriters, and the §6.4.1
+//!   breadth-first baseline, are best-first searches over one
+//!   crate-private frontier: the relax loop ranks a candidate when it is
+//!   popped, TRAVERSESEARCHTREE counts a child when it is generated.
 //!
 //! [`engine::WhyEngine`] ties everything together and provides the holistic
 //! dispatch of §3.1.3: given a cardinality goal it decides which why-query
@@ -75,6 +78,7 @@ pub mod explanation;
 pub mod fine;
 pub mod problem;
 pub mod relax;
+mod search;
 pub mod stats;
 pub mod subgraph;
 pub mod user;

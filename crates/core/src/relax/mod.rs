@@ -12,8 +12,9 @@
 //!    query-dependent statistics (§5.2) — estimated cardinality, average
 //!    `path(1)` cardinality, induced cardinality changes (§5.3.2) — or
 //!    syntactic closeness / random order as baselines (§5.5.1). The
-//!    frontier is ranked on demand: candidates are pushed unscored in
-//!    their conflict tier (the analyzer's conflict set first), and a
+//!    search runs on the frontier the fine rewriter uses
+//!    (`crate::search`), ranked on demand: candidates are pushed unscored
+//!    in their conflict tier (the analyzer's conflict set first), and a
 //!    popped candidate is scored only while another candidate of its tier
 //!    is still waiting. The pop order is that of scoring every candidate
 //!    at push; only the statistics work of candidates whose order never
@@ -42,10 +43,10 @@ use crate::relax::cache::{CacheStats, QueryCache};
 use crate::relax::candidates::coarse_relaxations;
 use crate::relax::priority::PriorityFn;
 use crate::relax::user_model::PreferenceModel;
+use crate::search::Frontier;
 use crate::stats::Statistics;
 use crate::user::SimulatedUser;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 use whyq_matcher::{Budget, MatchOptions, Termination};
 use whyq_metrics::syntactic_distance;
@@ -57,9 +58,9 @@ use whyq_session::{Database, Session, WhyqError};
 /// `conflicts` is the static analyzer's
 /// [`conflict_set`](whyq_query::AnalysisReport::conflict_set): discarding
 /// one of its constraints is the *minimal certain* step toward
-/// satisfiability. Such a candidate is in the frontier's top tier
-/// ([`Node`]) and outranks every other candidate whatever their
-/// statistics; within a tier the score decides.
+/// satisfiability. Such a candidate is in the frontier's top tier and
+/// outranks every other candidate whatever their statistics; within a tier
+/// the score decides.
 fn targets_conflict(m: &GraphMod, conflicts: &[(Target, Option<String>)]) -> bool {
     match m {
         // `RemovePredicate` drops *all* predicates with the attribute, so
@@ -164,57 +165,6 @@ pub struct SessionOutcome {
     pub accepted: Option<usize>,
 }
 
-/// A frontier candidate, ranked by the key *(conflict tier, score, FIFO
-/// seq)*: every candidate that discards an analyzer-proven conflict
-/// ([`targets_conflict`]) outranks every candidate that does not, the
-/// priority score orders candidates within a tier, and the earlier push
-/// wins a tie.
-///
-/// The score is computed on demand, not at push: an unscored node ranks
-/// above every scored node of its tier, so its key is an upper bound of
-/// the key it will have once scored. The search scores a popped node
-/// only while another node of its tier is still on the frontier, which
-/// yields the pop order of scoring every candidate at push.
-struct Node {
-    conflict: bool,
-    /// `None` until the node's order within its tier is in question.
-    score: Option<f64>,
-    seq: u64,
-    /// Canonical signature of `query` (dedup, cache and exclusion key).
-    sig: String,
-    query: Rc<PatternQuery>,
-    parent: Rc<PatternQuery>,
-    mods: Vec<GraphMod>,
-}
-
-impl PartialEq for Node {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Node {}
-impl PartialOrd for Node {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Node {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // max-heap on (tier, score); unscored ranks as +∞; FIFO tie-break
-        // for determinism
-        let score = match (self.score, other.score) {
-            (None, None) => Ordering::Equal,
-            (None, Some(_)) => Ordering::Greater,
-            (Some(_), None) => Ordering::Less,
-            (Some(a), Some(b)) => a.total_cmp(&b),
-        };
-        self.conflict
-            .cmp(&other.conflict)
-            .then(score)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// The coarse-grained why-empty rewriter (Ch. 5).
 ///
 /// The cardinality cache is rewriter state, not per-run state: interactive
@@ -272,12 +222,9 @@ impl<'g> CoarseRewriter<'g> {
         exclude: &HashSet<String>,
     ) -> RelaxOutcome {
         let mut cache = self.cache.borrow_mut();
-        let mut visited: HashSet<String> = HashSet::new();
-        let mut frontier: BinaryHeap<Node> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut generated = 0usize;
         let mut executed = 0usize;
         let mut trajectory = Vec::new();
+        let mut explanation = None;
 
         // seed the relaxation frontier from the static analyzer's conflict
         // set: when the emptiness is provable from the query text (a
@@ -285,18 +232,11 @@ impl<'g> CoarseRewriter<'g> {
         // candidates discarding exactly those constraints are explored
         // first instead of blind sibling enumeration
         let conflicts = analyze_against(q, self.db.graph()).report.conflict_set();
+        let top = |m: &GraphMod| targets_conflict(m, &conflicts);
 
         // the original query is known to be empty — expand it directly
-        visited.insert(signature(q));
-        expand(
-            &Rc::new(q.clone()),
-            &[],
-            &conflicts,
-            &mut frontier,
-            &mut visited,
-            &mut seq,
-            &mut generated,
-        );
+        let (mut frontier, root) = Frontier::<f64, ()>::new(q);
+        frontier.expand(&root, coarse_relaxations(q), top);
 
         // every candidate count stops at its first match, which decides
         // it, and shares the run's budget: deadline, step and cancellation
@@ -313,12 +253,8 @@ impl<'g> CoarseRewriter<'g> {
             // tier could still outrank is scored and re-enters the frontier
             // at its exact key; one popped scored, or alone in the top
             // tier, is the node that scoring every candidate would pop
-            if node.score.is_none()
-                && frontier
-                    .peek()
-                    .is_some_and(|next| next.conflict == node.conflict)
-            {
-                node.score = Some(self.score(&node, config, model));
+            if node.key.is_none() && frontier.peek_tier() == Some(node.tier) {
+                node.key = Some(self.score(config, model, &node.query, &node.parent, &node.mods));
                 frontier.push(node);
                 continue;
             }
@@ -345,36 +281,22 @@ impl<'g> CoarseRewriter<'g> {
                 depth: node.mods.len(),
             });
             if cardinality > 0 && !exclude.contains(&node.sig) {
-                return RelaxOutcome {
-                    explanation: Some(ModificationExplanation {
-                        query: Rc::unwrap_or_clone(node.query),
-                        mods: node.mods,
-                        cardinality,
-                        syntactic_distance: syn,
-                    }),
-                    executed,
-                    generated,
-                    cache: cache.stats(),
-                    trajectory,
-                    termination: config.budget.termination(),
-                };
+                explanation = Some(ModificationExplanation {
+                    query: Rc::unwrap_or_clone(node.query),
+                    mods: node.mods,
+                    cardinality,
+                    syntactic_distance: syn,
+                });
+                break;
             }
             // still empty (or excluded) — relax further
-            expand(
-                &node.query,
-                &node.mods,
-                &conflicts,
-                &mut frontier,
-                &mut visited,
-                &mut seq,
-                &mut generated,
-            );
+            frontier.expand(&node, coarse_relaxations(&node.query), top);
         }
 
         RelaxOutcome {
-            explanation: None,
+            explanation,
             executed,
-            generated,
+            generated: frontier.generated,
             cache: cache.stats(),
             trajectory,
             termination: config.budget.termination(),
@@ -421,53 +343,24 @@ impl<'g> CoarseRewriter<'g> {
         (out, model)
     }
 
-    /// The priority of `node` (§5.3): `config.priority`'s score, plus
-    /// `λ·tolerance` of the preference model when one is given.
-    fn score(&self, node: &Node, config: &RelaxConfig, model: Option<&PreferenceModel>) -> f64 {
-        let mut score =
-            config
-                .priority
-                .score(&node.query, &node.parent, &self.stats, node.mods.len() - 1);
+    /// The priority of `query`, derived from `parent` by `mods` (§5.3):
+    /// `config.priority`'s score, plus `λ·tolerance` of the preference
+    /// model when one is given.
+    fn score(
+        &self,
+        config: &RelaxConfig,
+        model: Option<&PreferenceModel>,
+        query: &PatternQuery,
+        parent: &PatternQuery,
+        mods: &[GraphMod],
+    ) -> f64 {
+        let mut score = config
+            .priority
+            .score(query, parent, &self.stats, mods.len() - 1);
         if let (Some(model), true) = (model, config.lambda > 0.0) {
-            score += config.lambda * model.tolerance(&node.parent, &node.query);
+            score += config.lambda * model.tolerance(parent, query);
         }
         score
-    }
-}
-
-/// Push every not yet visited relaxation of `parent` onto the frontier,
-/// unscored, in its conflict tier.
-fn expand(
-    parent: &Rc<PatternQuery>,
-    parent_mods: &[GraphMod],
-    conflicts: &[(Target, Option<String>)],
-    frontier: &mut BinaryHeap<Node>,
-    visited: &mut HashSet<String>,
-    seq: &mut u64,
-    generated: &mut usize,
-) {
-    for m in coarse_relaxations(parent) {
-        let Ok((child, _)) = m.applied(parent) else {
-            continue;
-        };
-        let sig = signature(&child);
-        if !visited.insert(sig.clone()) {
-            continue;
-        }
-        *generated += 1;
-        let conflict = targets_conflict(&m, conflicts);
-        let mut mods = parent_mods.to_vec();
-        mods.push(m);
-        *seq += 1;
-        frontier.push(Node {
-            conflict,
-            score: None,
-            seq: *seq,
-            sig,
-            query: Rc::new(child),
-            parent: Rc::clone(parent),
-            mods,
-        });
     }
 }
 
@@ -512,8 +405,8 @@ mod tests {
     }
 
     /// Test-only reference for the on-demand ranking: the same search, but
-    /// every candidate is scored when it is pushed and the frontier is
-    /// ordered by the same (tier, score, FIFO) key.
+    /// every candidate is scored when it is pushed, into a heap of its own
+    /// ordered by the (tier, score, FIFO) key.
     fn eager_rewrite(
         rw: &CoarseRewriter<'_>,
         q: &PatternQuery,
@@ -521,6 +414,35 @@ mod tests {
         model: Option<&PreferenceModel>,
         exclude: &HashSet<String>,
     ) -> RelaxOutcome {
+        use std::cmp::{Ordering, Reverse};
+        use std::collections::BinaryHeap;
+        struct Scored {
+            conflict: bool,
+            score: f64,
+            seq: Reverse<u64>,
+            sig: String,
+            query: PatternQuery,
+            mods: Vec<GraphMod>,
+        }
+        impl Ord for Scored {
+            fn cmp(&self, other: &Self) -> Ordering {
+                (self.conflict.cmp(&other.conflict))
+                    .then(self.score.total_cmp(&other.score))
+                    .then(self.seq.cmp(&other.seq))
+            }
+        }
+        impl PartialOrd for Scored {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl PartialEq for Scored {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+        impl Eq for Scored {}
+
         let mut cache = rw.cache.borrow_mut();
         let conflicts = analyze_against(q, rw.db.graph()).report.conflict_set();
         let mut visited = HashSet::from([signature(q)]);
@@ -528,23 +450,31 @@ mod tests {
         let (mut seq, mut generated, mut executed) = (0, 0, 0);
         let mut trajectory = Vec::new();
         let mut expand_scored =
-            |parent: &Rc<PatternQuery>, mods: &[GraphMod], frontier: &mut BinaryHeap<Node>| {
-                let mut children = BinaryHeap::new();
-                expand(
-                    parent,
-                    mods,
-                    &conflicts,
-                    &mut children,
-                    &mut visited,
-                    &mut seq,
-                    &mut generated,
-                );
-                frontier.extend(children.into_iter().map(|mut n| {
-                    n.score = Some(rw.score(&n, config, model));
-                    n
-                }));
+            |parent: &PatternQuery, mods: &[GraphMod], frontier: &mut BinaryHeap<Scored>| {
+                for m in coarse_relaxations(parent) {
+                    let Ok((child, _)) = m.applied(parent) else {
+                        continue;
+                    };
+                    let sig = signature(&child);
+                    if !visited.insert(sig.clone()) {
+                        continue;
+                    }
+                    generated += 1;
+                    seq += 1;
+                    let conflict = targets_conflict(&m, &conflicts);
+                    let mods = [mods, &[m]].concat();
+                    let score = rw.score(config, model, &child, parent, &mods);
+                    frontier.push(Scored {
+                        conflict,
+                        score,
+                        seq: Reverse(seq),
+                        sig,
+                        query: child,
+                        mods,
+                    });
+                }
             };
-        expand_scored(&Rc::new(q.clone()), &[], &mut frontier);
+        expand_scored(q, &[], &mut frontier);
         let opts = MatchOptions::counting(Some(CardinalityGoal::NonEmpty.decisive_cap()))
             .with_budget(config.budget.clone());
         let mut explanation = None;
@@ -572,7 +502,7 @@ mod tests {
             });
             if cardinality > 0 && !exclude.contains(&node.sig) {
                 explanation = Some(ModificationExplanation {
-                    query: (*node.query).clone(),
+                    query: node.query,
                     mods: node.mods,
                     cardinality,
                     syntactic_distance: syn,
@@ -666,29 +596,6 @@ mod tests {
             &delivered,
         );
         assert_same_search(&lazy, &eager, "lambda 5");
-    }
-
-    #[test]
-    fn frontier_key_is_tier_then_score_then_fifo() {
-        let q = Rc::new(failing());
-        let node = |conflict, score, seq| Node {
-            conflict,
-            score,
-            seq,
-            sig: String::new(),
-            query: Rc::clone(&q),
-            parent: Rc::clone(&q),
-            mods: Vec::new(),
-        };
-        // the conflict tier outranks any statistics score
-        assert!(node(true, Some(-5.0), 2) > node(false, Some(1e12), 1));
-        // an unscored node bounds its tier from above
-        assert!(node(false, None, 2) > node(false, Some(f64::INFINITY), 1));
-        assert!(node(true, Some(-5.0), 2) > node(false, None, 1));
-        // equal keys pop first-in, first-out
-        let mut frontier = BinaryHeap::from([node(false, Some(1.0), 2), node(false, Some(1.0), 1)]);
-        assert_eq!(frontier.pop().map(|n| n.seq), Some(1));
-        assert!(node(true, None, 3) == node(true, None, 3));
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Property-based tests of the why-query engine invariants: MCS
 //! satisfiability and maximality, differential complementarity, rewriting
-//! soundness, relaxation monotonicity — checked over randomly generated
-//! small graphs and queries.
+//! soundness, relaxation and fine-change monotonicity — checked over
+//! randomly generated small graphs and queries.
 
 use proptest::prelude::*;
+use whyquery::core::fine::generate::fine_candidates;
 use whyquery::core::relax::candidates::coarse_relaxations;
 use whyquery::core::subgraph::{BoundedMcs, DiscoverMcs, McsConfig, PathStrategy};
 use whyquery::core::DifferentialGraph;
 use whyquery::matcher::count_matches_naive;
 use whyquery::prelude::*;
-use whyquery::query::{GraphMod, QEid, QVid, QueryEdge, QueryVertex};
+use whyquery::query::{DirectionSet, GraphMod, QEid, QVid, QueryEdge, QueryVertex};
 
 mod common;
 use common::count_matches;
@@ -213,6 +214,63 @@ proptest! {
             }
             if before > 0 {
                 prop_assert!(after > 0, "{m}: {before} -> {after}");
+            }
+        }
+    }
+
+    /// Fine changes move the count the way they promise (§6.2.2): with
+    /// `need_more`, adding a type or a direction, dropping a type or a
+    /// direction, widening an interval or adding a predicate never lowers
+    /// the oracle count; without it, the restricting changes never raise
+    /// it. `InsertEdge` and `InsertVertex` are left out: in a multigraph a
+    /// new element can multiply the matches.
+    #[test]
+    fn fine_changes_are_monotone(
+        n in 3usize..8,
+        vtypes in prop::collection::vec(0u8..3, 8),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 2..12),
+        qlen in 1usize..4,
+        qtypes in prop::collection::vec(0u8..3, 5),
+        qetypes in prop::collection::vec(any::<bool>(), 5),
+        lo in 0u8..8,
+        width in 0u8..4,
+        need_more in any::<bool>(),
+        loose in any::<bool>(),
+    ) {
+        let db = build_graph(n, &vtypes, &pairs);
+        let mut q = build_query(qlen, &qtypes, &qetypes);
+        q.vertex_mut(QVid(0)).expect("live").predicates.push(Predicate::between(
+            "x",
+            f64::from(lo),
+            f64::from(lo + width),
+        ));
+        // loose edges admit both types and both directions, so that the
+        // restricting side has types and directions to remove
+        let edges: Vec<QEid> = q.edge_ids().collect();
+        for e in edges.into_iter().filter(|_| loose) {
+            let edge = q.edge_mut(e).expect("live");
+            edge.types = vec!["flow".into(), "link".into()];
+            edge.directions = DirectionSet::BOTH;
+        }
+        let before = oracle(&db, &q);
+        for m in fine_candidates(&q, db.domains(), need_more, true) {
+            if !matches!(
+                m,
+                GraphMod::InsertType { .. }
+                    | GraphMod::InsertDirection { .. }
+                    | GraphMod::RemoveType { .. }
+                    | GraphMod::RemoveDirection { .. }
+                    | GraphMod::ReplaceInterval { .. }
+                    | GraphMod::InsertPredicate { .. }
+            ) {
+                continue;
+            }
+            let (changed, _) = m.applied(&q).expect("applicable");
+            let after = oracle(&db, &changed);
+            if need_more {
+                prop_assert!(after >= before, "{m}: {before} -> {after}");
+            } else {
+                prop_assert!(after <= before, "{m}: {before} -> {after}");
             }
         }
     }
