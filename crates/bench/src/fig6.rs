@@ -2,7 +2,8 @@
 //!
 //! * `fig6.base` — TRAVERSESEARCHTREE against the §6.4.1 baselines
 //!   (random walk, exhaustive BFS): executed candidates until the goal is
-//!   met and best deviation under a fixed budget;
+//!   met, children discarded without execution, and best deviation under
+//!   a fixed budget;
 //! * `fig6.topo` — topology consideration (§6.4.3): the searcher with and
 //!   without topology modifications.
 
@@ -38,7 +39,7 @@ pub fn baselines(db: &Database, tsv: bool) {
     let mut t = Table::new(
         "Fig 6 (baselines) — executed candidates until the goal is met",
         &[
-            "query", "factor", "goal", "method", "executed", "found", "best dev", "ms",
+            "query", "factor", "goal", "method", "executed", "pruned", "found", "best dev", "ms",
         ],
     );
     let methods = ["traverse-search-tree", "random-walk", "exhaustive-bfs"];
@@ -62,6 +63,7 @@ pub fn baselines(db: &Database, tsv: bool) {
                     format!("{goal:?}"),
                     method,
                     out.executed,
+                    out.pruned,
                     out.explanation.is_some(),
                     out.best_deviation,
                     format!("{ms:.1}"),
@@ -99,7 +101,7 @@ pub fn topology(db: &Database, tsv: bool) {
     let mut t = Table::new(
         "Fig 6 (topology) — fine-grained rewriting with and without topology ops",
         &[
-            "query", "factor", "topology", "executed", "found", "best dev", "mods",
+            "query", "factor", "topology", "executed", "pruned", "found", "best dev", "mods",
         ],
     );
     for q in ldbc_queries() {
@@ -117,6 +119,7 @@ pub fn topology(db: &Database, tsv: bool) {
                     factor,
                     allow,
                     out.executed,
+                    out.pruned,
                     out.explanation.is_some(),
                     out.best_deviation,
                     out.explanation

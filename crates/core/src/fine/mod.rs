@@ -9,30 +9,41 @@
 //! branches (§6.3.2).
 //!
 //! The search runs on the frontier the coarse rewriter uses
-//! (`crate::search`). Unlike the relax loop, it counts every child as the
+//! (`crate::search`). Unlike the relax loop, it counts a child as the
 //! child is generated: the count is the child's deviation, hence its key.
 //! The §6.4.1 exhaustive BFS baseline ([`baselines::exhaustive_bfs`]) is
 //! the same loop in breadth-first order, without the §6.3.2 pruning.
 //!
-//! Every child is counted as one session count. The change propagation of
+//! §6.3.2 acts before execution where it can. Before counting a child,
+//! the search asks [`prune::non_contributing`] whether the catalog's type
+//! triples prove that the child matches exactly what its parent matches.
+//! Such a child enters the tree with its parent's count as `Discarded`,
+//! as counting it would have left it, without being executed
+//! ([`FineOutcome::pruned`]). Every other child is counted, and
+//! discarded afterwards if its count equals its parent's.
+//!
+//! A counted child is one session count. The change propagation of
 //! §6.3.1 — re-evaluate only what a changed operator affects — comes from
 //! the session's caches: a child differs from its parent in one element,
 //! so the sibling store replays every query component the change leaves
 //! untouched, and `derive_sibling` patches the cached plan of a
 //! one-constant change instead of recompiling it.
 //!
-//! Value-level changes draw neighbouring values from [`Database::domains`].
-//! Children are counted at `max(50,000, goal.decisive_cap())`, so a count
-//! cap never hides whether a child meets the goal.
+//! Value-level changes draw neighbouring values from [`Database::domains`],
+//! and the pruning reads its type triples. Children are counted at
+//! `max(50,000, goal.decisive_cap())`, so a count cap never hides whether
+//! a child meets the goal.
 
 pub mod baselines;
 pub mod generate;
 pub mod mod_tree;
+pub mod prune;
 
 pub use mod_tree::{ModTreeNode, ModificationTree, NodeStatus};
 
 use crate::explanation::ModificationExplanation;
 use crate::fine::generate::fine_candidates;
+use crate::fine::prune::non_contributing;
 use crate::problem::{CardinalityGoal, WhyProblem};
 use crate::search::Frontier;
 use std::cmp::Reverse;
@@ -87,8 +98,12 @@ impl Default for FineConfig {
 pub struct FineOutcome {
     /// The goal-satisfying explanation, if found within budget.
     pub explanation: Option<ModificationExplanation>,
-    /// Executed candidate queries.
+    /// Executed candidate queries, the root included. A child
+    /// TRAVERSESEARCHTREE proves non-contributing before counting it is
+    /// not executed (see [`FineOutcome::pruned`]).
     pub executed: usize,
+    /// Children discarded as non-contributing without being executed.
+    pub pruned: usize,
     /// The constructed modification tree.
     pub tree: ModificationTree,
     /// Convergence trajectory: `(executed, best deviation so far)`.
@@ -105,6 +120,7 @@ impl FineOutcome {
         let mut out = FineOutcome {
             explanation: None,
             executed: 1,
+            pruned: 0,
             tree: ModificationTree::with_root(c0, dev0),
             trajectory: vec![(1, dev0)],
             best_deviation: dev0,
@@ -152,7 +168,8 @@ impl FineOutcome {
 enum Order {
     /// Smallest deviation first, then the shallowest (§6.2.1). An expansion
     /// keeps its first [`MAX_CHILDREN`] candidates and discards the
-    /// non-contributing children (§6.3.2).
+    /// non-contributing children (§6.3.2), those it can prove so before
+    /// counting them.
     Deviation,
     /// Shallowest first, without cardinality guidance or pruning: the
     /// §6.4.1 exhaustive BFS baseline.
@@ -201,8 +218,9 @@ impl<'g> TraverseSearchTree<'g> {
     }
 
     /// Search from `q`, counted `c0`, in `order` until a child meets `goal`
-    /// or `max_executed` candidates ran. Every child is counted as it is
-    /// generated and pushed keyed by its rank under `order`.
+    /// or `max_executed` candidates ran. A child is counted as it is
+    /// generated and pushed keyed by its rank under `order`, unless the
+    /// deviation order proves it non-contributing first.
     fn search(
         &self,
         q: &PatternQuery,
@@ -242,10 +260,22 @@ impl<'g> TraverseSearchTree<'g> {
                 let Some(mut child) = frontier.admit(&node, m.clone()) else {
                     continue;
                 };
-                let c = count(&self.session, &child.query, goal);
+                // §6.3.2 before execution: a child proven to match what its
+                // parent matches has its parent's count without counting
+                let proven = order == Order::Deviation
+                    && non_contributing(self.db.domains(), &node.query, &m, &child.query);
+                let c = if proven {
+                    node_c
+                } else {
+                    count(&self.session, &child.query, goal)
+                };
                 let dev = goal.deviation(c);
                 let id = out.tree.add_child(tree_id, m, c, dev);
-                out.record(dev);
+                if proven {
+                    out.pruned += 1;
+                } else {
+                    out.record(dev);
+                }
                 if goal.satisfied(c) {
                     out.solve(id, q, Rc::unwrap_or_clone(child.query), child.mods, c);
                     return out;
@@ -272,6 +302,8 @@ impl<'g> TraverseSearchTree<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
     use whyq_graph::{PropertyGraph, Value};
     use whyq_query::{Predicate, QueryBuilder};
 
@@ -359,6 +391,179 @@ mod tests {
         for w in out.trajectory.windows(2) {
             assert!(w[1].1 <= w[0].1);
         }
+    }
+
+    /// Test-only reference: the search as it ran before §6.3.2 moved
+    /// before execution. It counts every child and discards the
+    /// non-contributing ones only after counting them.
+    fn counting_every_child(
+        tst: &TraverseSearchTree<'_>,
+        q: &PatternQuery,
+        goal: CardinalityGoal,
+    ) -> FineOutcome {
+        let c0 = count(&tst.session, q, goal);
+        let mut out = FineOutcome::root(q, c0, goal);
+        if out.explanation.is_some() {
+            return out;
+        }
+        let (mut frontier, mut root) = Frontier::<Reverse<(u64, usize)>, (usize, u64)>::new(q);
+        root.data = (0, c0);
+        frontier.push(root);
+        while let Some(node) = frontier.pop() {
+            if out.executed >= tst.config.max_executed {
+                break;
+            }
+            let (tree_id, node_c) = node.data;
+            out.tree.set_status(tree_id, NodeStatus::Expanded);
+            let mut candidates = fine_candidates(
+                &node.query,
+                tst.db.domains(),
+                need_more(goal, node_c),
+                tst.config.allow_topology,
+            );
+            candidates.truncate(MAX_CHILDREN);
+            for m in candidates {
+                if out.executed >= tst.config.max_executed {
+                    break;
+                }
+                let Some(mut child) = frontier.admit(&node, m.clone()) else {
+                    continue;
+                };
+                let c = count(&tst.session, &child.query, goal);
+                let dev = goal.deviation(c);
+                let id = out.tree.add_child(tree_id, m, c, dev);
+                out.record(dev);
+                if goal.satisfied(c) {
+                    out.solve(id, q, Rc::unwrap_or_clone(child.query), child.mods, c);
+                    return out;
+                }
+                if c == node_c {
+                    out.tree.set_status(id, NodeStatus::Discarded);
+                    continue;
+                }
+                child.key = Some(Reverse((dev, child.mods.len())));
+                child.data = (id, c);
+                frontier.push(child);
+            }
+        }
+        out
+    }
+
+    /// A random graph of `n` vertices: a `type` out of three or none, an
+    /// `x` out of six; edges of three types, self-loops included.
+    fn random_graph(rng: &mut StdRng, n: usize) -> Database {
+        let mut g = PropertyGraph::new();
+        let vs: Vec<_> = (0..n)
+            .map(|_| {
+                let x = ("x", Value::Int(rng.random_range(0..6)));
+                match rng.random_range(0..4usize) {
+                    3 => g.add_vertex([x]),
+                    t => g.add_vertex([x, ("type", Value::str(["a", "b", "c"][t]))]),
+                }
+            })
+            .collect();
+        for _ in 0..rng.random_range(n..3 * n) {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            g.add_edge(
+                vs[a],
+                vs[b],
+                ["r", "s", "t"][rng.random_range(0..3usize)],
+                [],
+            );
+        }
+        Database::open(g).expect("open")
+    }
+
+    /// A random path query of 2 or 3 vertices: typed or untyped vertices,
+    /// one with an `x` range; edges of one type, of none, forward or both
+    /// ways; sometimes a self-loop on the first vertex.
+    fn random_query(rng: &mut StdRng) -> PatternQuery {
+        use whyq_query::{DirectionSet, QueryEdge, QueryVertex};
+        let mut q = PatternQuery::named("random");
+        let mut prev = None;
+        for i in 0..rng.random_range(2..4usize) {
+            let mut preds = Vec::new();
+            if rng.random_range(0..4usize) > 0 {
+                preds.push(Predicate::eq(
+                    "type",
+                    ["a", "b", "c"][rng.random_range(0..3usize)],
+                ));
+            }
+            if i == 0 {
+                let lo = rng.random_range(0..5i32);
+                preds.push(Predicate::between("x", f64::from(lo), f64::from(lo + 1)));
+            }
+            let v = q.add_vertex(QueryVertex::with(preds));
+            let edges = match prev {
+                Some(p) => vec![(p, v)],
+                None => Vec::new(),
+            };
+            let loops = if rng.random_range(0..5usize) == 0 {
+                vec![(v, v)]
+            } else {
+                Vec::new()
+            };
+            for (a, b) in edges.into_iter().chain(loops) {
+                let mut e = QueryEdge::typed(a, b, ["r", "s", "t"][rng.random_range(0..3usize)]);
+                if rng.random_range(0..4usize) == 0 {
+                    e.types.clear();
+                }
+                if rng.random_range(0..3usize) == 0 {
+                    e.directions = DirectionSet::BOTH;
+                }
+                q.add_edge(e);
+            }
+            prev = Some(v);
+        }
+        q
+    }
+
+    /// Pruning before execution changes no search: on random graphs where
+    /// the budget does not bind, the run returns the reference's
+    /// explanation and tree, with no more executed candidates.
+    #[test]
+    fn pruning_keeps_the_search_of_counting_every_child() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let (mut runs, mut pruned) = (0, 0);
+        for _ in 0..60 {
+            let n = rng.random_range(5..12);
+            let db = random_graph(&mut rng, n);
+            let q = random_query(&mut rng);
+            let c = count(&db.session(), &q, CardinalityGoal::NonEmpty);
+            let k = rng.random_range(1..8u64);
+            for goal in [
+                CardinalityGoal::AtLeast(c + k),
+                CardinalityGoal::AtMost(c.saturating_sub(k)),
+                CardinalityGoal::Between(c + 1, c + k),
+            ] {
+                let tst = TraverseSearchTree::new(&db).with_config(FineConfig {
+                    max_executed: 300,
+                    ..FineConfig::default()
+                });
+                let reference = counting_every_child(&tst, &q, goal);
+                if reference.executed >= tst.config.max_executed {
+                    continue;
+                }
+                let out = tst.run(&q, goal);
+                let what = format!("{} {goal:?}", whyq_query::signature::signature(&q));
+                let shown = |o: &FineOutcome| {
+                    let e = o.explanation.as_ref().map(|e| {
+                        let sig = whyq_query::signature::signature(&e.query);
+                        (sig, e.mods.clone(), e.cardinality, e.syntactic_distance)
+                    });
+                    format!("{e:?}\n{:?}\n{}", o.tree.nodes(), o.best_deviation)
+                };
+                assert_eq!(shown(&out), shown(&reference), "{what}");
+                assert_eq!(out.executed + out.pruned, reference.executed, "{what}");
+                runs += 1;
+                pruned += out.pruned;
+            }
+        }
+        assert!(runs > 100, "the budget bound too often: {runs} runs");
+        assert!(
+            pruned > runs,
+            "too little was pruned: {pruned} in {runs} runs"
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! cardinality and its deviation from the threshold. The tree records which
 //! branches were *discarded* as non-contributing (§6.3.2) — a change that
 //! left the cardinality identical cannot move the search toward the goal
-//! and its whole branch is cut.
+//! and its whole branch is cut. A child proven non-contributing before
+//! execution carries its parent's cardinality, the count it provably has.
 
 use whyq_query::GraphMod;
 
@@ -31,7 +32,8 @@ pub struct ModTreeNode {
     pub parent: Option<usize>,
     /// The modification that produced this node (`None` for the root).
     pub applied: Option<GraphMod>,
-    /// Measured (capped) result cardinality.
+    /// Measured (capped) result cardinality; the parent's for a child
+    /// proven non-contributing without execution.
     pub cardinality: u64,
     /// `|C_thr − C|` deviation from the goal.
     pub deviation: u64,

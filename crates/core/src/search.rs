@@ -7,8 +7,9 @@
 //! [`Frontier`] owns that shared part: the heap, the visited signatures and
 //! the count of generated children. The searches differ in when a child is
 //! evaluated. The relax loop pushes children unkeyed and keys one only at
-//! pop, while another node of its tier waits; TRAVERSESEARCHTREE counts
-//! every child as it is generated and pushes it keyed by its deviation.
+//! pop, while another node of its tier waits; TRAVERSESEARCHTREE counts a
+//! child as it is generated, unless it can prove the child non-contributing
+//! first, and pushes it keyed by its deviation.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};

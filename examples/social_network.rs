@@ -73,11 +73,12 @@ fn main() -> Result<(), WhyqError> {
         .run(&query, goal);
     println!("\n--- TRAVERSESEARCHTREE ---");
     println!(
-        "executed {} candidates, modification tree has {} nodes ({} discarded as non-contributing)",
+        "executed {} candidates, modification tree has {} nodes ({} discarded as non-contributing, {} of them before execution)",
         fine.executed,
         fine.tree.len(),
         fine.tree
-            .count_status(whyquery::core::fine::NodeStatus::Discarded)
+            .count_status(whyquery::core::fine::NodeStatus::Discarded),
+        fine.pruned
     );
     match fine.explanation {
         Some(expl) => {

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use whyquery::core::fine::generate::fine_candidates;
+use whyquery::core::fine::prune::non_contributing;
 use whyquery::core::relax::candidates::coarse_relaxations;
 use whyquery::core::subgraph::{BoundedMcs, DiscoverMcs, McsConfig, PathStrategy};
 use whyquery::core::DifferentialGraph;
@@ -30,20 +31,19 @@ fn build_goal(kind: u8, k: u64, width: u64) -> CardinalityGoal {
     }
 }
 
-/// Build a small random data graph: `n` vertices with a type out of three,
-/// edges from the pair list, one edge type out of two.
+/// Build a small random data graph: `n` vertices with a type out of three
+/// (type 3 is no `type` at all), edges from the pair list, one edge type
+/// out of two.
 fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> Database {
     let mut g = PropertyGraph::new();
     let type_names = ["red", "green", "blue"];
     let vs: Vec<_> = (0..n)
         .map(|i| {
-            g.add_vertex([
-                (
-                    "type",
-                    Value::str(type_names[types[i % types.len()] as usize % 3]),
-                ),
-                ("x", Value::Int(i as i64)),
-            ])
+            let x = ("x", Value::Int(i as i64));
+            match types[i % types.len()] as usize {
+                3 => g.add_vertex([x]),
+                t => g.add_vertex([("type", Value::str(type_names[t % 3])), x]),
+            }
         })
         .collect();
     for &(a, b, t) in pairs {
@@ -53,16 +53,17 @@ fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> Database {
     Database::open(g).expect("open")
 }
 
-/// Build a small random connected path query over the same vocabulary.
+/// Build a small random connected path query over the same vocabulary
+/// (type 3 is no `type` predicate).
 fn build_query(len: usize, types: &[u8], edge_types: &[bool]) -> PatternQuery {
     let type_names = ["red", "green", "blue"];
     let mut q = PatternQuery::named("pq");
     let mut prev: Option<QVid> = None;
     for i in 0..len {
-        let v = q.add_vertex(QueryVertex::with([Predicate::eq(
-            "type",
-            type_names[types[i % types.len()] as usize % 3],
-        )]));
+        let v = q.add_vertex(match types[i % types.len()] as usize {
+            3 => QueryVertex::any(),
+            t => QueryVertex::with([Predicate::eq("type", type_names[t % 3])]),
+        });
         if let Some(p) = prev {
             q.add_edge(QueryEdge::typed(
                 p,
@@ -75,6 +76,26 @@ fn build_query(len: usize, types: &[u8], edge_types: &[bool]) -> PatternQuery {
             ));
         }
         prev = Some(v);
+    }
+    q
+}
+
+/// Reshape `q`'s edges by `shapes`, one per edge: 1 lists no type, 2 admits
+/// both directions, 3 adds a forward `link` loop on the edge's source; 0
+/// leaves the edge alone.
+fn reshape_edges(mut q: PatternQuery, shapes: &[u8]) -> PatternQuery {
+    let edges: Vec<QEid> = q.edge_ids().collect();
+    for (i, e) in edges.into_iter().enumerate() {
+        let edge = q.edge_mut(e).expect("live");
+        match shapes[i % shapes.len()] {
+            1 => edge.types.clear(),
+            2 => edge.directions = DirectionSet::BOTH,
+            3 => {
+                let src = edge.src;
+                q.add_edge(QueryEdge::typed(src, src, "link"));
+            }
+            _ => {}
+        }
     }
     q
 }
@@ -343,5 +364,36 @@ proptest! {
             }
         }
         prop_assert_eq!(expl.mcs.num_edges(), best);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The type-triple proof of TRAVERSESEARCHTREE is sound: every
+    /// `fine_candidates` change it proves non-contributing leaves the
+    /// oracle count as it was. Some data vertices carry no `type` and some
+    /// query vertices no `type` predicate; query edges may list no types,
+    /// admit both directions or be loops.
+    #[test]
+    fn proven_non_contributing_changes_keep_the_count(
+        n in 3usize..8,
+        vtypes in prop::collection::vec(0u8..4, 8),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 2..12),
+        qlen in 1usize..4,
+        qtypes in prop::collection::vec(0u8..4, 5),
+        qetypes in prop::collection::vec(any::<bool>(), 5),
+        shapes in prop::collection::vec(0u8..4, 4),
+        need_more in any::<bool>(),
+    ) {
+        let db = build_graph(n, &vtypes, &pairs);
+        let q = reshape_edges(build_query(qlen, &qtypes, &qetypes), &shapes);
+        let before = oracle(&db, &q);
+        for m in fine_candidates(&q, db.domains(), need_more, true) {
+            let (child, _) = m.applied(&q).expect("applicable");
+            if non_contributing(db.domains(), &q, &m, &child) {
+                prop_assert_eq!(oracle(&db, &child), before, "{}", m);
+            }
+        }
     }
 }
