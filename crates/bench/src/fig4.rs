@@ -18,6 +18,11 @@ use whyq_datagen::{dbpedia_failing_queries, ldbc_failing_queries, ldbc_path_quer
 use whyq_query::{PatternQuery, Predicate, QueryVertex};
 use whyq_session::Database;
 
+/// Result cardinality of an MCS, capped at 100,000.
+fn mcs_count(db: &Database, mcs: &PatternQuery) -> u64 {
+    count(db, mcs, Some(100_000))
+}
+
 /// DISCOVERMCS on LDBC why-empty queries + a query-size sweep.
 pub fn disc_ldbc(db: &Database, tsv: bool) {
     let mut t = Table::new(
@@ -45,7 +50,7 @@ pub fn disc_ldbc(db: &Database, tsv: bool) {
             q.num_vertices(),
             q.num_edges(),
             expl.mcs.num_edges(),
-            expl.mcs_cardinality,
+            mcs_count(db, &expl.mcs),
             expl.crossing_edge
                 .map_or_else(|| "-".into(), |e| e.to_string()),
             expl.paths_tried,
@@ -83,7 +88,7 @@ pub fn disc_dbp(db: &Database, tsv: bool) {
             q.num_vertices(),
             q.num_edges(),
             expl.mcs.num_edges(),
-            expl.mcs_cardinality,
+            mcs_count(db, &expl.mcs),
             expl.crossing_edge
                 .map_or_else(|| "-".into(), |e| e.to_string()),
             expl.paths_tried,
@@ -198,7 +203,7 @@ pub fn bounded(db: &Database, tsv: bool) {
                 factor,
                 format!("{goal:?}"),
                 expl.mcs.num_edges(),
-                expl.mcs_cardinality,
+                mcs_count(db, &expl.mcs),
                 expl.crossing_edge
                     .map_or_else(|| "-".into(), |e| e.to_string()),
                 expl.extensions,

@@ -15,14 +15,18 @@
 //! reported ([`WhyEngine::cardinality`], [`WhyEngine::diagnose`]) runs to
 //! 1,000,000; a count that only classifies stops at the goal's decisive
 //! cap, and the coarse rewriter counts each candidate to its first match.
+//!
+//! A diagnosis has one [`Budget`], set by [`WhyEngine::governed`], which
+//! every count the engine makes charges. A tripped count is only a lower
+//! bound, so it decides nothing: it is never memoized or accepted.
 
 use crate::explanation::{ModificationExplanation, SubgraphExplanation};
-use crate::fine::{FineConfig, TraverseSearchTree};
+use crate::fine::TraverseSearchTree;
 use crate::problem::{CardinalityGoal, WhyProblem};
 use crate::relax::{CoarseRewriter, RelaxConfig};
-use crate::subgraph::{BoundedMcs, DiscoverMcs, McsConfig};
-use whyq_graph::PropertyGraph;
-use whyq_matcher::MatchOptions;
+use crate::subgraph::{BoundedMcs, DiscoverMcs};
+use std::collections::HashSet;
+use whyq_matcher::{Budget, MatchOptions};
 use whyq_query::PatternQuery;
 use whyq_session::{Database, Session, WhyqError};
 
@@ -30,7 +34,9 @@ use whyq_session::{Database, Session, WhyqError};
 /// and [`WhyEngine::diagnose`].
 const COUNT_CAP: u64 = 1_000_000;
 
-/// A complete diagnosis: classification plus both explanation kinds.
+/// A complete diagnosis: classification plus both explanation kinds. A
+/// budget that trips after the classification degrades it; read how it
+/// ended from a clone of the budget ([`Budget::termination`]).
 #[derive(Debug, Clone)]
 pub struct Diagnosis {
     /// The classified problem.
@@ -40,8 +46,8 @@ pub struct Diagnosis {
     pub cardinality: u64,
     /// Subgraph-based explanation (absent when the goal is satisfied).
     pub subgraph: Option<SubgraphExplanation>,
-    /// Modification-based explanation (absent when the goal is satisfied
-    /// or the rewriting budget was exhausted).
+    /// Modification-based explanation (absent when the goal is satisfied,
+    /// the rewriter's candidate cap ran out or the budget tripped).
     pub rewrite: Option<ModificationExplanation>,
 }
 
@@ -65,40 +71,32 @@ pub struct Diagnosis {
 /// session, so their prefixes share the plan cache and sibling store with
 /// the rewriters; the fine rewriter borrows [`Database::domains`].
 /// Everything here runs serially on the calling thread.
+///
+/// A tripped budget stays tripped: govern one engine per diagnosis. A trip
+/// in the engine's own count is [`WhyqError::Interrupted`], elsewhere a degraded answer.
 pub struct WhyEngine<'db> {
     db: &'db Database,
     /// Session reused across every cardinality measurement (its scratch
     /// arena is built exactly once; indexes come from the database
     /// configuration instead of a hard-coded attribute).
     session: Session<'db>,
-    /// Configuration of the subgraph-based algorithms.
-    pub mcs_config: McsConfig,
-    /// Configuration of the coarse (why-empty) rewriter.
-    pub relax_config: RelaxConfig,
-    /// Configuration of the fine (cardinality-driven) rewriter.
-    pub fine_config: FineConfig,
+    budget: Budget,
 }
 
 impl<'db> WhyEngine<'db> {
-    /// Engine with default configurations.
+    /// An ungoverned engine.
     pub fn new(db: &'db Database) -> Self {
+        WhyEngine::governed(db, Budget::unlimited())
+    }
+
+    /// An engine whose every count charges `budget`: deadline, step budget
+    /// and cancellation.
+    pub fn governed(db: &'db Database, budget: Budget) -> Self {
         WhyEngine {
             db,
             session: db.session(),
-            mcs_config: McsConfig::default(),
-            relax_config: RelaxConfig::default(),
-            fine_config: FineConfig::default(),
+            budget,
         }
-    }
-
-    /// The underlying database.
-    pub fn database(&self) -> &'db Database {
-        self.db
-    }
-
-    /// The underlying data graph.
-    pub fn graph(&self) -> &'db PropertyGraph {
-        self.db.graph()
     }
 
     /// Measured cardinality of a query, capped at 1,000,000.
@@ -116,23 +114,25 @@ impl<'db> WhyEngine<'db> {
         Ok(goal.classify(self.count(q, goal.decisive_cap())?))
     }
 
-    /// Cardinality of `q`, counted to `cap`.
+    /// Cardinality of `q`, counted to `cap`; a tripped budget fails before
+    /// the plan cache is probed.
     fn count(&self, q: &PatternQuery, cap: u64) -> Result<u64, WhyqError> {
-        self.session
-            .count_opts(q, MatchOptions::counting(Some(cap)))
+        self.budget
+            .poll()
+            .map_err(|termination| WhyqError::Interrupted { termination })?;
+        let opts = MatchOptions::counting(Some(cap)).with_budget(self.budget.clone());
+        self.session.count_opts(q, opts)
     }
 
     /// Subgraph-based explanation for an empty result (DISCOVERMCS).
     ///
-    /// A tripped [`McsConfig::budget`] is not an error: the partial
-    /// explanation is returned with a non-`Complete`
+    /// A budget that trips mid-traversal is not an error: the partial
+    /// explanation is tagged with its
     /// [`termination`](SubgraphExplanation::termination).
     pub fn why_empty(&self, q: &PatternQuery) -> Result<SubgraphExplanation, WhyqError> {
         // validate (and warm the plan cache) before the traversal starts
         self.session.prepare(q)?;
-        DiscoverMcs::new(self.db)
-            .with_config(self.mcs_config.clone())
-            .run_with(q, &self.session)
+        DiscoverMcs::new(self.db).run_with(q, &self.session, &self.budget)
     }
 
     /// Subgraph-based explanation for any cardinality problem.
@@ -197,9 +197,7 @@ impl<'db> WhyEngine<'db> {
     ) -> Result<SubgraphExplanation, WhyqError> {
         match problem {
             WhyProblem::WhyEmpty => self.why_empty(q),
-            _ => BoundedMcs::new(self.db)
-                .with_config(self.mcs_config.clone())
-                .run_with(q, goal, &self.session),
+            _ => BoundedMcs::new(self.db).run_with(q, goal, &self.session, &self.budget),
         }
     }
 
@@ -215,16 +213,16 @@ impl<'db> WhyEngine<'db> {
         Ok(match goal.classify(cardinality) {
             WhyProblem::Satisfied => None,
             WhyProblem::WhyEmpty if matches!(goal, CardinalityGoal::NonEmpty) => {
-                CoarseRewriter::new(self.db)
-                    .rewrite(q, &self.relax_config)
-                    .explanation
+                let (config, none) = (RelaxConfig::default(), HashSet::new());
+                let rewriter = CoarseRewriter::new(self.db);
+                let relaxed = rewriter.rewrite_guided(q, &config, None, &none, &self.budget);
+                relaxed.explanation
             }
             // cardinality-driven problems (including empty results under a
             // threshold goal) go to the fine-grained engine
             _ => {
                 TraverseSearchTree::new(self.db)
-                    .with_config(self.fine_config.clone())
-                    .run_measured(q, goal, cardinality)
+                    .run_measured(q, goal, cardinality, &self.budget)
                     .explanation
             }
         })
@@ -234,7 +232,7 @@ impl<'db> WhyEngine<'db> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whyq_graph::Value;
+    use whyq_graph::{PropertyGraph, Value};
     use whyq_query::{Predicate, QueryBuilder};
 
     fn data() -> Database {

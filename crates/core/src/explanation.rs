@@ -100,10 +100,9 @@ impl std::fmt::Display for DifferentialGraph {
 #[derive(Debug, Clone)]
 pub struct SubgraphExplanation {
     /// The maximum common connected subgraph between query and data — the
-    /// largest subquery still satisfying the cardinality bound.
+    /// largest subquery still satisfying the cardinality bound. The search
+    /// does not count it again once assembled: count it for its size.
     pub mcs: PatternQuery,
-    /// Result cardinality of the MCS.
-    pub mcs_cardinality: u64,
     /// The failed query part (`Q ∖ MCS`).
     pub differential: DifferentialGraph,
     /// The query edge whose addition violated the bound, if the traversal
@@ -118,9 +117,8 @@ pub struct SubgraphExplanation {
     pub extensions: u64,
     /// How the run ended. [`Termination::Complete`] means the traversal
     /// finished on its own; any other variant marks a *degraded* answer —
-    /// the budget in [`crate::subgraph::McsConfig`] tripped and the MCS
-    /// reflects only the components traversed (and the cardinality counted)
-    /// up to that point.
+    /// the budget the run was handed tripped, and the MCS reflects only
+    /// the prefixes counted in full up to that point.
     pub termination: Termination,
 }
 

@@ -22,6 +22,7 @@ use crate::problem::CardinalityGoal;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
+use whyq_matcher::Budget;
 use whyq_query::{signature::signature, GraphMod, PatternQuery};
 use whyq_session::Database;
 
@@ -40,9 +41,9 @@ pub fn random_walk(
     budget: usize,
     seed: u64,
 ) -> FineOutcome {
-    let session = db.session();
+    let (session, unlimited) = (db.session(), Budget::unlimited());
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut current_c = count(&session, q, goal);
+    let mut current_c = count(&session, q, goal, &unlimited);
     let mut out = FineOutcome::root(q, current_c, goal);
     if out.explanation.is_some() {
         return out;
@@ -73,7 +74,7 @@ pub fn random_walk(
             continue;
         };
         visited.insert(sig);
-        let c = count(&session, &child, goal);
+        let c = count(&session, &child, goal, &unlimited);
         let dev = goal.deviation(c);
         let id = out.tree.add_child(current_id, m.clone(), c, dev);
         out.record(dev);
@@ -105,7 +106,9 @@ pub fn exhaustive_bfs(
         max_executed: budget,
         allow_topology: true,
     });
-    tst.search(q, goal, count(&tst.session, q, goal), Order::Breadth)
+    let unlimited = Budget::unlimited();
+    let c0 = count(&tst.session, q, goal, &unlimited);
+    tst.search(q, goal, c0, Order::Breadth, &unlimited)
 }
 
 #[cfg(test)]

@@ -32,7 +32,9 @@
 //! Value-level changes draw neighbouring values from [`Database::domains`],
 //! and the pruning reads its type triples. Children are counted at
 //! `max(50,000, goal.decisive_cap())`, so a count cap never hides whether
-//! a child meets the goal.
+//! a child meets the goal. Under the why-engine's budget a trip ends the
+//! search: a tripped count is only a lower bound, which may wrongly meet
+//! an `AtMost` goal.
 
 pub mod baselines;
 pub mod generate;
@@ -48,7 +50,7 @@ use crate::problem::{CardinalityGoal, WhyProblem};
 use crate::search::Frontier;
 use std::cmp::Reverse;
 use std::rc::Rc;
-use whyq_matcher::MatchOptions;
+use whyq_matcher::{Budget, MatchOptions};
 use whyq_metrics::syntactic_distance;
 use whyq_query::{GraphMod, PatternQuery};
 use whyq_session::{Database, Session};
@@ -62,11 +64,14 @@ pub(crate) fn count_cap(goal: CardinalityGoal) -> u64 {
     goal.decisive_cap().max(50_000)
 }
 
-/// Cardinality of `query`, capped at [`count_cap`]`(goal)`.
-fn count(session: &Session<'_>, query: &PatternQuery, goal: CardinalityGoal) -> u64 {
+/// Cardinality of `q`, capped at [`count_cap`]`(goal)` and charged to
+/// `budget`: a lower bound once `budget` has tripped.
+fn count(session: &Session<'_>, q: &PatternQuery, goal: CardinalityGoal, budget: &Budget) -> u64 {
+    let opts = MatchOptions::counting(Some(count_cap(goal))).with_budget(budget.clone());
     session
-        .count_opts(query, MatchOptions::counting(Some(count_cap(goal))))
+        .count_governed(q, opts)
         .expect("fine modification preserves query validity")
+        .value
 }
 
 /// Does a query counted `c` have to grow toward `goal`? A node below the
@@ -199,34 +204,40 @@ impl<'g> TraverseSearchTree<'g> {
         self
     }
 
-    /// Modify `q` until its cardinality satisfies `goal`.
+    /// Modify `q` until its cardinality satisfies `goal`, ungoverned.
     pub fn run(&self, q: &PatternQuery, goal: CardinalityGoal) -> FineOutcome {
-        self.run_measured(q, goal, count(&self.session, q, goal))
+        let unlimited = Budget::unlimited();
+        let c0 = count(&self.session, q, goal, &unlimited);
+        self.run_measured(q, goal, c0, &unlimited)
     }
 
     /// [`TraverseSearchTree::run`] for a query the caller already counted
-    /// at a cap of at least [`count_cap`]`(goal)`. Capping `measured` at
-    /// [`count_cap`]`(goal)` gives exactly the root count `run` takes, so
-    /// the search is the same; `executed` still counts the root.
+    /// at a cap of at least [`count_cap`]`(goal)`, charging every child
+    /// count to `budget`. Capping `measured` at [`count_cap`]`(goal)` gives
+    /// exactly the root count `run` takes, so the search is the same;
+    /// `executed` still counts the root.
     pub(crate) fn run_measured(
         &self,
         q: &PatternQuery,
         goal: CardinalityGoal,
         measured: u64,
+        budget: &Budget,
     ) -> FineOutcome {
-        self.search(q, goal, measured.min(count_cap(goal)), Order::Deviation)
+        let c0 = measured.min(count_cap(goal));
+        self.search(q, goal, c0, Order::Deviation, budget)
     }
 
-    /// Search from `q`, counted `c0`, in `order` until a child meets `goal`
-    /// or `max_executed` candidates ran. A child is counted as it is
-    /// generated and pushed keyed by its rank under `order`, unless the
-    /// deviation order proves it non-contributing first.
+    /// Search from `q`, counted `c0`, in `order` until a child meets `goal`,
+    /// `max_executed` candidates ran or `budget` trips. A child is counted
+    /// as it is generated and pushed keyed by its rank under `order`,
+    /// unless the deviation order proves it non-contributing first.
     fn search(
         &self,
         q: &PatternQuery,
         goal: CardinalityGoal,
         c0: u64,
         order: Order,
+        budget: &Budget,
     ) -> FineOutcome {
         let mut out = FineOutcome::root(q, c0, goal);
         if out.explanation.is_some() {
@@ -238,7 +249,7 @@ impl<'g> TraverseSearchTree<'g> {
         frontier.push(root);
 
         while let Some(node) = frontier.pop() {
-            if out.executed >= self.config.max_executed {
+            if out.executed >= self.config.max_executed || budget.poll().is_err() {
                 break;
             }
             let (tree_id, node_c) = node.data;
@@ -267,8 +278,11 @@ impl<'g> TraverseSearchTree<'g> {
                 let c = if proven {
                     node_c
                 } else {
-                    count(&self.session, &child.query, goal)
+                    count(&self.session, &child.query, goal, budget)
                 };
+                if !budget.termination().is_complete() {
+                    return out;
+                }
                 let dev = goal.deviation(c);
                 let id = out.tree.add_child(tree_id, m, c, dev);
                 if proven {
@@ -401,7 +415,7 @@ mod tests {
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> FineOutcome {
-        let c0 = count(&tst.session, q, goal);
+        let c0 = count(&tst.session, q, goal, &Budget::unlimited());
         let mut out = FineOutcome::root(q, c0, goal);
         if out.explanation.is_some() {
             return out;
@@ -429,7 +443,7 @@ mod tests {
                 let Some(mut child) = frontier.admit(&node, m.clone()) else {
                     continue;
                 };
-                let c = count(&tst.session, &child.query, goal);
+                let c = count(&tst.session, &child.query, goal, &Budget::unlimited());
                 let dev = goal.deviation(c);
                 let id = out.tree.add_child(tree_id, m, c, dev);
                 out.record(dev);
@@ -529,7 +543,12 @@ mod tests {
             let n = rng.random_range(5..12);
             let db = random_graph(&mut rng, n);
             let q = random_query(&mut rng);
-            let c = count(&db.session(), &q, CardinalityGoal::NonEmpty);
+            let c = count(
+                &db.session(),
+                &q,
+                CardinalityGoal::NonEmpty,
+                &Budget::unlimited(),
+            );
             let k = rng.random_range(1..8u64);
             for goal in [
                 CardinalityGoal::AtLeast(c + k),
@@ -564,6 +583,35 @@ mod tests {
             pruned > runs,
             "too little was pruned: {pruned} in {runs} runs"
         );
+    }
+
+    /// A count the budget cut short is a lower bound, which can meet an
+    /// `AtMost` goal its full count misses: the search stops on it instead.
+    #[test]
+    fn a_tripped_count_is_never_accepted() {
+        let mut g = PropertyGraph::new();
+        let city = g.add_vertex([("type", Value::str("city"))]);
+        for i in 0..4000 {
+            let p = g.add_vertex([("type", Value::str("person")), ("age", Value::Int(i % 2))]);
+            g.add_edge(p, city, "livesIn", []);
+        }
+        let db = Database::open(g).expect("open");
+        let q = QueryBuilder::new("all")
+            .vertex("p", [Predicate::eq("type", "person")])
+            .vertex("c", [Predicate::eq("type", "city")])
+            .edge("p", "c", "livesIn")
+            .build();
+        // the first child, `age = 0`, matches 2,000; its count trips after
+        // about a thousand
+        let goal = CardinalityGoal::AtMost(1500);
+        let budget = Budget::steps(0);
+        let out = TraverseSearchTree::new(&db).run_measured(&q, goal, 4000, &budget);
+        assert_eq!(
+            budget.termination(),
+            whyq_matcher::Termination::BudgetExhausted
+        );
+        assert!(out.explanation.is_none());
+        assert_eq!(out.executed, 1, "the tripped child is not recorded");
     }
 
     #[test]

@@ -91,12 +91,6 @@ pub struct RelaxConfig {
     /// Weight of the learned preference model in the priority (0 = model
     /// ignored).
     pub lambda: f64,
-    /// Resource governor of the run: deadline, step budget and external
-    /// cancellation, on top of the logical `max_executed` cap. On a trip
-    /// the search stops and the outcome so far is returned, tagged with
-    /// the budget's [`Termination`]. The budget is single-run state: use a
-    /// fresh one per `rewrite()` call.
-    pub budget: Budget,
 }
 
 impl Default for RelaxConfig {
@@ -105,7 +99,6 @@ impl Default for RelaxConfig {
             priority: PriorityFn::Path1PlusInduced,
             max_executed: 200,
             lambda: 0.0,
-            budget: Budget::unlimited(),
         }
     }
 }
@@ -139,9 +132,9 @@ pub struct RelaxOutcome {
     pub trajectory: Vec<TrajectoryPoint>,
     /// How the run ended: [`Termination::Complete`] when the search
     /// finished on its own (explanation found or `max_executed`
-    /// exhausted), any other variant when [`RelaxConfig::budget`] tripped
-    /// and the outcome reflects only the candidates executed up to that
-    /// point.
+    /// exhausted), any other variant when the budget handed to
+    /// [`CoarseRewriter::rewrite_guided`] tripped and the outcome reflects
+    /// only the candidates executed up to that point.
     pub termination: Termination,
 }
 
@@ -206,22 +199,26 @@ impl<'g> CoarseRewriter<'g> {
         self.cache.borrow().stats()
     }
 
-    /// Rewrite a why-empty query until the first non-empty candidate.
+    /// Rewrite a why-empty query until its first non-empty candidate, ungoverned.
     pub fn rewrite(&self, q: &PatternQuery, config: &RelaxConfig) -> RelaxOutcome {
-        self.rewrite_guided(q, config, None, &HashSet::new())
+        self.rewrite_guided(q, config, None, &HashSet::new(), &Budget::unlimited())
     }
 
     /// Rewrite with an optional preference model biasing priorities
     /// (`config.lambda` controls its weight) and a set of excluded
     /// candidate signatures (already delivered and rejected explanations).
+    /// Every candidate count and scoring lookup charges `budget`; on a trip
+    /// the search stops, and a tripped count is neither cached nor accepted.
     pub fn rewrite_guided(
         &self,
         q: &PatternQuery,
         config: &RelaxConfig,
         model: Option<&PreferenceModel>,
         exclude: &HashSet<String>,
+        budget: &Budget,
     ) -> RelaxOutcome {
         let mut cache = self.cache.borrow_mut();
+        self.stats.govern(budget);
         let mut executed = 0usize;
         let mut trajectory = Vec::new();
         let mut explanation = None;
@@ -243,10 +240,10 @@ impl<'g> CoarseRewriter<'g> {
         // checks happen *inside* the matcher DFS, so even one pathological
         // candidate cannot overshoot the deadline
         let counting_opts = MatchOptions::counting(Some(CardinalityGoal::NonEmpty.decisive_cap()))
-            .with_budget(config.budget.clone());
+            .with_budget(budget.clone());
 
         while let Some(mut node) = frontier.pop() {
-            if executed >= config.max_executed || config.budget.poll().is_err() {
+            if executed >= config.max_executed || budget.poll().is_err() {
                 break;
             }
             // rank on demand: an unscored node that another node of its
@@ -293,13 +290,14 @@ impl<'g> CoarseRewriter<'g> {
             frontier.expand(&node, coarse_relaxations(&node.query), top);
         }
 
+        self.stats.govern(&Budget::unlimited());
         RelaxOutcome {
             explanation,
             executed,
             generated: frontier.generated,
             cache: cache.stats(),
             trajectory,
-            termination: config.budget.termination(),
+            termination: budget.termination(),
         }
     }
 
@@ -322,7 +320,8 @@ impl<'g> CoarseRewriter<'g> {
             accepted: None,
         };
         for round in 0..rounds {
-            let outcome = self.rewrite_guided(q, config, Some(&model), &exclude);
+            let unlimited = Budget::unlimited();
+            let outcome = self.rewrite_guided(q, config, Some(&model), &exclude, &unlimited);
             let Some(expl) = outcome.explanation else {
                 break;
             };
@@ -475,11 +474,10 @@ mod tests {
                 }
             };
         expand_scored(q, &[], &mut frontier);
-        let opts = MatchOptions::counting(Some(CardinalityGoal::NonEmpty.decisive_cap()))
-            .with_budget(config.budget.clone());
+        let opts = MatchOptions::counting(Some(CardinalityGoal::NonEmpty.decisive_cap()));
         let mut explanation = None;
         while let Some(node) = frontier.pop() {
-            if executed >= config.max_executed || config.budget.poll().is_err() {
+            if executed >= config.max_executed {
                 break;
             }
             let cardinality = match cache.get(&node.sig) {
@@ -517,7 +515,7 @@ mod tests {
             generated,
             cache: cache.stats(),
             trajectory,
-            termination: config.budget.termination(),
+            termination: Termination::Complete,
         }
     }
 
@@ -587,7 +585,13 @@ mod tests {
             .map(|r| signature(&r.explanation.query))
             .collect();
         assert!(!delivered.is_empty(), "the session delivered explanations");
-        let lazy = CoarseRewriter::new(&db).rewrite_guided(q, &config, Some(&model), &delivered);
+        let lazy = CoarseRewriter::new(&db).rewrite_guided(
+            q,
+            &config,
+            Some(&model),
+            &delivered,
+            &Budget::unlimited(),
+        );
         let eager = eager_rewrite(
             &CoarseRewriter::new(&db),
             q,
@@ -614,12 +618,12 @@ mod tests {
     fn elapsed_deadline_costs_no_statistics() {
         let db = data();
         let rw = CoarseRewriter::new(&db);
-        let out = rw.rewrite(
+        let out = rw.rewrite_guided(
             &failing(),
-            &RelaxConfig {
-                budget: Budget::deadline(std::time::Duration::ZERO),
-                ..Default::default()
-            },
+            &RelaxConfig::default(),
+            None,
+            &HashSet::new(),
+            &Budget::deadline(std::time::Duration::ZERO),
         );
         assert_eq!(out.executed, 0);
         assert_eq!(rw.stats().counters(), (0, 0));
@@ -798,12 +802,12 @@ mod tests {
     fn elapsed_deadline_stops_the_search_tagged() {
         let db = data();
         let rw = CoarseRewriter::new(&db);
-        let out = rw.rewrite(
+        let out = rw.rewrite_guided(
             &failing(),
-            &RelaxConfig {
-                budget: Budget::deadline(std::time::Duration::ZERO),
-                ..Default::default()
-            },
+            &RelaxConfig::default(),
+            None,
+            &HashSet::new(),
+            &Budget::deadline(std::time::Duration::ZERO),
         );
         assert!(out.explanation.is_none());
         assert_eq!(out.executed, 0);
@@ -830,7 +834,13 @@ mod tests {
         let mut exclude = HashSet::new();
         exclude.insert(signature(&first.query));
         let second = rw
-            .rewrite_guided(&failing(), &RelaxConfig::default(), None, &exclude)
+            .rewrite_guided(
+                &failing(),
+                &RelaxConfig::default(),
+                None,
+                &exclude,
+                &Budget::unlimited(),
+            )
             .explanation
             .unwrap();
         assert_ne!(signature(&first.query), signature(&second.query));

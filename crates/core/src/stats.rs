@@ -21,10 +21,13 @@
 //! is still waiting, so a candidate whose rank is never in question (a
 //! lone conflict-set fix, a candidate the search never reaches) costs no
 //! lookup at all.
+//!
+//! A search may govern the provider with its [`Budget`]: a lookup whose
+//! count trips it returns a lower bound and memoizes nothing.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use whyq_matcher::MatchOptions;
+use whyq_matcher::{Budget, MatchOptions};
 use whyq_query::{signature::signature, PatternQuery, QEid, QVid};
 use whyq_session::{Database, Session};
 
@@ -34,6 +37,7 @@ pub struct Statistics<'g> {
     cache: RefCell<HashMap<String, u64>>,
     lookups: RefCell<u64>,
     misses: RefCell<u64>,
+    budget: RefCell<Budget>,
 }
 
 impl<'g> Statistics<'g> {
@@ -46,7 +50,13 @@ impl<'g> Statistics<'g> {
             cache: RefCell::new(HashMap::new()),
             lookups: RefCell::new(0),
             misses: RefCell::new(0),
+            budget: RefCell::new(Budget::unlimited()),
         }
+    }
+
+    /// Charge every later count to `budget`.
+    pub(crate) fn govern(&self, budget: &Budget) {
+        self.budget.replace(budget.clone());
     }
 
     /// Cardinality of a single query vertex: matching data vertices.
@@ -166,12 +176,13 @@ impl<'g> Statistics<'g> {
             return c;
         }
         *self.misses.borrow_mut() += 1;
-        let c = self
-            .session
-            .count_opts(sub, MatchOptions::counting(None))
-            .expect("statistics subqueries derive from validated queries");
-        self.cache.borrow_mut().insert(key, c);
-        c
+        let opts = MatchOptions::counting(None).with_budget(self.budget.borrow().clone());
+        let counted = self.session.count_governed(sub, opts);
+        let counted = counted.expect("statistics subqueries derive from validated queries");
+        if counted.termination.is_complete() {
+            self.cache.borrow_mut().insert(key, counted.value);
+        }
+        counted.value
     }
 }
 
@@ -265,6 +276,24 @@ mod tests {
         assert_eq!(lookups, 2);
         assert_eq!(misses, 1);
         assert_eq!(s.cache_size(), 1);
+    }
+
+    #[test]
+    fn a_tripped_lookup_is_not_memoized() {
+        let mut g = PropertyGraph::new();
+        for _ in 0..3000 {
+            g.add_vertex([("type", Value::str("person"))]);
+        }
+        let db = Database::open(g).expect("open");
+        let q = QueryBuilder::new("people")
+            .vertex("p", [Predicate::eq("type", "person")])
+            .build();
+        let s = Statistics::new(&db);
+        s.govern(&Budget::steps(0));
+        assert!(s.vertex_card(&q, QVid(0)) < 3000, "a lower bound");
+        s.govern(&Budget::unlimited());
+        assert_eq!(s.vertex_card(&q, QVid(0)), 3000);
+        assert_eq!(s.counters(), (2, 2));
     }
 
     #[test]

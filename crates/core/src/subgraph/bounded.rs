@@ -82,9 +82,9 @@ impl<'g> BoundedMcs<'g> {
 
     /// Explain a query whose cardinality violates `goal`.
     ///
-    /// When the configured [`McsConfig::budget`](crate::subgraph::McsConfig::budget)
-    /// trips mid-run the traversal degrades gracefully: the explanation
-    /// assembled from the components finished so far is returned with its
+    /// The run is ungoverned. Under [`BoundedMcs::run_with`]'s budget a
+    /// trip degrades it gracefully: the explanation assembled from the
+    /// components finished so far is returned with its
     /// [`termination`](SubgraphExplanation::termination) naming the cause.
     /// `Err` is reserved for real failures (an invalid query).
     pub fn run(
@@ -92,22 +92,22 @@ impl<'g> BoundedMcs<'g> {
         q: &PatternQuery,
         goal: CardinalityGoal,
     ) -> Result<SubgraphExplanation, WhyqError> {
-        self.run_with(q, goal, &self.db.session())
+        self.run_with(q, goal, &self.db.session(), &Budget::unlimited())
     }
 
     /// Like [`BoundedMcs::run`], but counting every prefix through a
-    /// caller-provided session (which must belong to the same database) —
-    /// the why-engine reuses its long-lived session this way instead of
-    /// opening a throwaway one per explanation.
+    /// caller-provided session (which must belong to the same database)
+    /// and charging it to `budget` — the why-engine reuses its long-lived
+    /// session and its diagnosis budget this way.
     pub fn run_with(
         &self,
         q: &PatternQuery,
         goal: CardinalityGoal,
         session: &Session<'_>,
+        budget: &Budget,
     ) -> Result<SubgraphExplanation, WhyqError> {
-        let budget = &self.config.budget;
         let cap = goal.decisive_cap();
-        explain(self.db, session, q, &self.config, |path, extensions| {
+        explain(self.db, q, &self.config, budget, |path, extensions| {
             let counts = traverse_counts(session, q, path, cap, budget, extensions)?;
             // longest prefix position with a satisfied cardinality;
             // position 0 = seed only, position i = i edges traversed
@@ -179,7 +179,7 @@ mod tests {
         // bounded MCS: person + livesIn + city (10 matches ≥ 5)
         assert_eq!(expl.mcs.num_edges(), 1);
         assert!(expl.mcs.edge(whyq_query::QEid(0)).is_some());
-        assert_eq!(expl.mcs_cardinality, 10);
+        assert_eq!(db.session().count(&expl.mcs).unwrap(), 10);
         // crossing edge: the worksAt edge towards the rare company
         assert_eq!(expl.crossing_edge, Some(whyq_query::QEid(1)));
         let failed: Vec<QEid> = expl.differential.edge_ids().collect();
@@ -216,7 +216,7 @@ mod tests {
             .run(&q, CardinalityGoal::AtMost(50))
             .unwrap();
         assert!(expl.differential.is_empty());
-        assert_eq!(expl.mcs_cardinality, 10);
+        assert_eq!(db.session().count(&expl.mcs).unwrap(), 10);
     }
 
     #[test]
@@ -243,16 +243,17 @@ mod tests {
 
     #[test]
     fn cancelled_run_returns_tagged_partial() {
-        use whyq_matcher::{Budget, CancelToken, Termination};
+        use whyq_matcher::{CancelToken, Termination};
         let db = data();
         let token = CancelToken::new();
         token.cancel();
         let expl = BoundedMcs::new(&db)
-            .with_config(McsConfig {
-                budget: Budget::cancelled_by(&token),
-                ..McsConfig::default()
-            })
-            .run(&star_query(), CardinalityGoal::AtLeast(5))
+            .run_with(
+                &star_query(),
+                CardinalityGoal::AtLeast(5),
+                &db.session(),
+                &Budget::cancelled_by(&token),
+            )
             .unwrap();
         assert_eq!(expl.termination, Termination::Cancelled);
         assert_eq!(expl.mcs.num_vertices(), 0);

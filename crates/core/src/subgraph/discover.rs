@@ -28,9 +28,6 @@ use whyq_matcher::{Budget, MatchOptions};
 use whyq_query::{PatternQuery, QEid, QVid};
 use whyq_session::{Database, Session, WhyqError};
 
-/// Cap used when counting the cardinality of the final MCS.
-const MCS_CARDINALITY_CAP: u64 = 100_000;
-
 /// Outcome of traversing one component along its best path.
 #[derive(Debug, Clone)]
 pub(crate) struct PrefixOutcome {
@@ -109,17 +106,18 @@ fn traverse_path(
 /// (§4.3.1), the best prefix over its paths, each traversed by `traverse`
 /// (which adds its prefix evaluations to the counter it is handed) — the
 /// longest prefix wins, ties break on the earlier path, and a component's
-/// exploration stops once a path covers every component edge or the budget
-/// trips. The winners are assembled into the MCS and its explanation.
+/// exploration stops once a path covers every component edge or `budget`
+/// trips. The winners are assembled into the MCS and its explanation; the
+/// MCS is not counted again.
 pub(crate) fn explain(
     db: &Database,
-    session: &Session<'_>,
     q: &PatternQuery,
     config: &McsConfig,
+    budget: &Budget,
     mut traverse: impl FnMut(&TraversalPath, &mut u64) -> Result<PrefixOutcome, WhyqError>,
 ) -> Result<SubgraphExplanation, WhyqError> {
     let stats = Statistics::new(db);
-    let budget = &config.budget;
+    stats.govern(budget);
     let mut extensions = 0u64;
     let mut paths_tried = 0usize;
     let mut outcomes = Vec::new();
@@ -151,16 +149,7 @@ pub(crate) fn explain(
         outcomes.extend(best);
     }
     let mcs = assemble_mcs(q, &outcomes);
-    // the final count shares the run's budget: a tripped governor yields
-    // the partial count enumerated so far instead of an error
-    let mcs_cardinality = if mcs.num_vertices() == 0 {
-        0
-    } else {
-        let opts = MatchOptions::counting(Some(MCS_CARDINALITY_CAP)).with_budget(budget.clone());
-        session.count_governed(&mcs, opts)?.value
-    };
     Ok(SubgraphExplanation {
-        mcs_cardinality,
         differential: DifferentialGraph::between(q, &mcs),
         mcs,
         crossing_edge: outcomes.iter().find_map(|o| o.crossing),
@@ -250,26 +239,26 @@ impl<'g> DiscoverMcs<'g> {
 
     /// Explain a why-empty query: detect the MCS and the differential graph.
     ///
-    /// When the configured [`McsConfig::budget`] trips mid-run the
-    /// traversal degrades gracefully: the explanation assembled from the
+    /// The run is ungoverned. Under [`DiscoverMcs::run_with`]'s budget a
+    /// trip degrades it gracefully: the explanation assembled from the
     /// components finished so far is returned with its
     /// [`termination`](SubgraphExplanation::termination) naming the cause.
     /// `Err` is reserved for real failures (an invalid query).
     pub fn run(&self, q: &PatternQuery) -> Result<SubgraphExplanation, WhyqError> {
-        self.run_with(q, &self.db.session())
+        self.run_with(q, &self.db.session(), &Budget::unlimited())
     }
 
     /// Like [`DiscoverMcs::run`], but counting every prefix through a
-    /// caller-provided session (which must belong to the same database) —
-    /// the why-engine reuses its long-lived session this way instead of
-    /// opening a throwaway one per explanation.
+    /// caller-provided session (which must belong to the same database)
+    /// and charging it to `budget` — the why-engine reuses its long-lived
+    /// session and its diagnosis budget this way.
     pub fn run_with(
         &self,
         q: &PatternQuery,
         session: &Session<'_>,
+        budget: &Budget,
     ) -> Result<SubgraphExplanation, WhyqError> {
-        let budget = &self.config.budget;
-        explain(self.db, session, q, &self.config, |path, extensions| {
+        explain(self.db, q, &self.config, budget, |path, extensions| {
             traverse_path(session, q, path, budget, extensions)
         })
     }
@@ -326,6 +315,18 @@ mod tests {
         Database::open(g).expect("open")
     }
 
+    /// Two persons knowing each other, both living in the one city.
+    fn social_query() -> PatternQuery {
+        QueryBuilder::new("tri")
+            .vertex("p1", [Predicate::eq("type", "person")])
+            .vertex("p2", [Predicate::eq("type", "person")])
+            .vertex("c", [Predicate::eq("type", "city")])
+            .edge("p1", "p2", "knows")
+            .edge("p1", "c", "livesIn")
+            .edge("p2", "c", "livesIn")
+            .build()
+    }
+
     fn count(db: &Database, q: &PatternQuery, prefix: &[QEid], cap: u64) -> Option<u64> {
         let session = db.session();
         prefix_count(&session, q, QVid(0), prefix, cap, &Budget::unlimited()).unwrap()
@@ -334,14 +335,7 @@ mod tests {
     #[test]
     fn prefix_counts_follow_the_traversal() {
         let db = social();
-        let q = QueryBuilder::new("tri")
-            .vertex("p1", [Predicate::eq("type", "person")])
-            .vertex("p2", [Predicate::eq("type", "person")])
-            .vertex("c", [Predicate::eq("type", "city")])
-            .edge("p1", "p2", "knows")
-            .edge("p1", "c", "livesIn")
-            .edge("p2", "c", "livesIn")
-            .build();
+        let q = social_query();
         let (knows, lives1, lives2) = (QEid(0), QEid(1), QEid(2));
         assert_eq!(count(&db, &q, &[], u64::MAX), Some(3));
         assert_eq!(count(&db, &q, &[knows], u64::MAX), Some(2)); // a->b, b->c
@@ -382,7 +376,7 @@ mod tests {
         // MCS: person -workAt-> university (1 edge, 2 vertices)
         assert_eq!(expl.mcs.num_edges(), 1);
         assert_eq!(expl.mcs.num_vertices(), 2);
-        assert_eq!(expl.mcs_cardinality, 1);
+        assert_eq!(db.session().count(&expl.mcs).unwrap(), 1);
         // differential: the city vertex and the locatedIn edge
         let failed_vs: Vec<QVid> = expl.differential.vertex_ids().collect();
         let failed_es: Vec<QEid> = expl.differential.edge_ids().collect();
@@ -403,7 +397,7 @@ mod tests {
             .build();
         let expl = DiscoverMcs::new(&g).run(&q).unwrap();
         assert!(expl.differential.is_empty());
-        assert_eq!(expl.mcs_cardinality, 1);
+        assert_eq!(g.session().count(&expl.mcs).unwrap(), 1);
         assert_eq!(expl.crossing_edge, None);
     }
 
@@ -415,7 +409,7 @@ mod tests {
             .build();
         let expl = DiscoverMcs::new(&g).run(&q).unwrap();
         assert_eq!(expl.mcs.num_vertices(), 0);
-        assert_eq!(expl.mcs_cardinality, 0);
+        assert_eq!(g.session().count(&expl.mcs).unwrap(), 0);
         assert_eq!(expl.differential.len(), 1);
     }
 
@@ -439,20 +433,48 @@ mod tests {
 
     #[test]
     fn elapsed_deadline_degrades_gracefully() {
-        use whyq_matcher::{Budget, Termination};
+        use whyq_matcher::Termination;
         let db = data();
         let expl = DiscoverMcs::new(&db)
-            .with_config(McsConfig {
-                budget: Budget::deadline(std::time::Duration::ZERO),
-                ..McsConfig::default()
-            })
-            .run(&failing_query())
+            .run_with(
+                &failing_query(),
+                &db.session(),
+                &Budget::deadline(std::time::Duration::ZERO),
+            )
             .unwrap();
         // the budget tripped before any component was traversed: the
         // partial explanation is empty but tagged, not an error
         assert_eq!(expl.termination, Termination::DeadlineExceeded);
         assert_eq!(expl.mcs.num_vertices(), 0);
         assert_eq!(expl.extensions, 0);
+    }
+
+    /// Each traversed prefix is one count, and nothing else is: the plan
+    /// cache is probed exactly `extensions` times by either algorithm.
+    #[test]
+    fn one_plan_cache_probe_per_prefix() {
+        use crate::problem::CardinalityGoal;
+        use crate::subgraph::BoundedMcs;
+        let probes = |db: &Database| {
+            let s = db.cache_stats();
+            s.hits + s.misses
+        };
+        let unlimited = Budget::unlimited();
+        for (db, q) in [(data(), failing_query()), (social(), social_query())] {
+            let session = db.session();
+            let before = probes(&db);
+            let expl = DiscoverMcs::new(&db)
+                .run_with(&q, &session, &unlimited)
+                .unwrap();
+            assert_eq!(probes(&db) - before, expl.extensions);
+            for goal in [CardinalityGoal::AtLeast(2), CardinalityGoal::AtMost(1)] {
+                let before = probes(&db);
+                let expl = BoundedMcs::new(&db)
+                    .run_with(&q, goal, &session, &unlimited)
+                    .unwrap();
+                assert_eq!(probes(&db) - before, expl.extensions, "{goal:?}");
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! The §4.3 optimizations are configuration switches on [`McsConfig`]:
 //! weakly-connected-component decomposition (§4.3.1), single traversal path
 //! (§4.3.2) and unconnected-component handling (§4.3.3).
+//!
+//! Every prefix count charges the budget handed to `run_with`. A tripped
+//! count, only a lower bound, ends its path without a crossing edge.
 
 pub mod bounded;
 pub mod discover;
@@ -30,8 +33,6 @@ pub mod traversal;
 pub use bounded::BoundedMcs;
 pub use discover::DiscoverMcs;
 pub use traversal::{PathStrategy, TraversalPath};
-
-use whyq_matcher::Budget;
 
 /// Configuration shared by DISCOVERMCS and BOUNDEDMCS.
 #[derive(Debug, Clone)]
@@ -43,15 +44,6 @@ pub struct McsConfig {
     /// Cap on the number of traversal paths tried per component in
     /// exhaustive mode.
     pub max_paths: usize,
-    /// Resource governor of the run: deadline, step budget and external
-    /// cancellation, charged in VM ticks by every prefix count (like any
-    /// other governed run). On a trip the traversal stops where it stands and
-    /// the explanation assembled from the components finished so far is
-    /// returned, tagged with the budget's
-    /// [`Termination`](whyq_matcher::Termination) — a degraded answer, not
-    /// an error. The budget is single-run state: use a fresh one per
-    /// `run()` call.
-    pub budget: Budget,
 }
 
 impl Default for McsConfig {
@@ -60,7 +52,6 @@ impl Default for McsConfig {
             strategy: PathStrategy::Exhaustive,
             decompose: true,
             max_paths: 64,
-            budget: Budget::unlimited(),
         }
     }
 }

@@ -65,7 +65,7 @@ fn main() -> Result<(), WhyqError> {
         "largest succeeding subquery: {} vertices, {} edges, {} result(s)",
         explanation.mcs.num_vertices(),
         explanation.mcs.num_edges(),
-        explanation.mcs_cardinality
+        engine.cardinality(&explanation.mcs)?
     );
     println!("failed query part: {}", explanation.differential);
     if let Some(e) = explanation.crossing_edge {

@@ -57,7 +57,7 @@ fn main() -> Result<(), WhyqError> {
     println!(
         "largest subquery within budget: {} edges ({} results)",
         bounded.mcs.num_edges(),
-        bounded.mcs_cardinality
+        session.count(&bounded.mcs)?
     );
     if let Some(e) = bounded.crossing_edge {
         println!("cardinality explodes at query edge {e}");

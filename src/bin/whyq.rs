@@ -232,13 +232,15 @@ fn why(args: &[String]) -> Result<(), String> {
     let d = engine.diagnose(&q, goal).map_err(|e| e.to_string())?;
     println!("cardinality: {}", d.cardinality);
     println!("problem:     {}", d.problem);
+    // the engine counts only as far as the goal decides: count the
+    // explanations' queries for their size
     if let Some(sub) = &d.subgraph {
+        let size = engine.cardinality(&sub.mcs).map_err(|e| e.to_string())?;
         println!("\nsubgraph-based explanation:");
         println!(
-            "  largest conforming subquery: {} vertices, {} edges ({} results)",
+            "  largest conforming subquery: {} vertices, {} edges ({size} results)",
             sub.mcs.num_vertices(),
             sub.mcs.num_edges(),
-            sub.mcs_cardinality
         );
         println!("  {}", sub.differential);
         if let Some(e) = sub.crossing_edge {
@@ -250,8 +252,6 @@ fn why(args: &[String]) -> Result<(), String> {
         for m in &rw.mods {
             println!("  * {m}");
         }
-        // the rewriters count only as far as the goal decides: count the
-        // accepted query for its size
         let size = engine.cardinality(&rw.query).map_err(|e| e.to_string())?;
         println!(
             "  rewritten query delivers {size} result(s), syntactic distance {:.3}",
