@@ -13,9 +13,12 @@
 //! * `path_card(edges)` — the `paths(n)` cardinality of a connected chain
 //!   of query edges (§5.2.3).
 //!
-//! Every statistic is a (small) pattern-match count, memoized by canonical
-//! query signature — re-querying statistics for unchanged query parts is
-//! free, which is what makes the §5.3 candidate selection cheap. The
+//! Every statistic is a (small) pattern-match count, memoized by the
+//! canonical signature of the subquery it counts. The key is written
+//! straight from the original query — the vertex's block, or the edge set's
+//! blocks plus their endpoints — and the subquery is built only on a miss,
+//! so re-querying statistics for unchanged query parts costs one key,
+//! which is what makes the §5.3 candidate selection cheap. The
 //! coarse rewriter also asks only where it must: it scores a candidate
 //! when the candidate is popped and another candidate of its conflict tier
 //! is still waiting, so a candidate whose rank is never in question (a
@@ -28,7 +31,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use whyq_matcher::{Budget, MatchOptions};
-use whyq_query::{signature::signature, PatternQuery, QEid, QVid};
+use whyq_query::signature::{edge_subquery_signature, signature};
+use whyq_query::{component_signature, PatternQuery, QEid, QVid};
 use whyq_session::{Database, Session};
 
 /// Memoizing statistics provider bound to one database.
@@ -61,20 +65,17 @@ impl<'g> Statistics<'g> {
 
     /// Cardinality of a single query vertex: matching data vertices.
     pub fn vertex_card(&self, q: &PatternQuery, v: QVid) -> u64 {
-        let sub = q.induced_subquery(&[v]);
-        self.cached_count(&sub)
+        self.cached_count(component_signature(q, &[v]), || q.induced_subquery(&[v]))
     }
 
     /// `path(1)` cardinality of a query edge including endpoint predicates.
     pub fn edge_card(&self, q: &PatternQuery, e: QEid) -> u64 {
-        let sub = q.edge_subquery(&[e]);
-        self.cached_count(&sub)
+        self.path_card(q, &[e])
     }
 
     /// `paths(n)` cardinality of a chain of query edges.
     pub fn path_card(&self, q: &PatternQuery, edges: &[QEid]) -> u64 {
-        let sub = q.edge_subquery(edges);
-        self.cached_count(&sub)
+        self.cached_count(edge_subquery_signature(q, edges), || q.edge_subquery(edges))
     }
 
     /// Average `path(1)` cardinality over all live edges of `q` — the
@@ -168,16 +169,19 @@ impl<'g> Statistics<'g> {
         self.cache.borrow().len()
     }
 
-    /// `(lookups, misses)` — see [`Statistics::counters`].
-    fn cached_count(&self, sub: &PatternQuery) -> u64 {
+    /// The count of the subquery `key` stands for, memoized under `key`
+    /// (its signature, written from the original query); the subquery is
+    /// built with `sub` on a miss only.
+    fn cached_count(&self, key: String, sub: impl FnOnce() -> PatternQuery) -> u64 {
         *self.lookups.borrow_mut() += 1;
-        let key = signature(sub);
         if let Some(&c) = self.cache.borrow().get(&key) {
             return c;
         }
         *self.misses.borrow_mut() += 1;
+        let sub = sub();
+        debug_assert_eq!(key, signature(&sub));
         let opts = MatchOptions::counting(None).with_budget(self.budget.borrow().clone());
-        let counted = self.session.count_governed(sub, opts);
+        let counted = self.session.count_governed(&sub, opts);
         let counted = counted.expect("statistics subqueries derive from validated queries");
         if counted.termination.is_complete() {
             self.cache.borrow_mut().insert(key, counted.value);

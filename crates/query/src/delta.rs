@@ -17,8 +17,8 @@
 //!   cached parent plan can be patched instead of recompiled.
 
 use crate::modification::Target;
-use crate::query::{PatternQuery, QVid};
-use crate::signature::{fnv1a, interval_sig, write_edge_sig, write_vertex_sig};
+use crate::query::{PatternQuery, QEid, QVid};
+use crate::signature::{fnv1a, interval_sig, write_sig};
 use std::collections::BTreeMap;
 
 /// Canonical signature of the sub-query induced by `vertices` (one weakly-
@@ -27,21 +27,19 @@ use std::collections::BTreeMap;
 /// so two siblings that share a component verbatim produce byte-identical
 /// component signatures, even when their other components differ.
 pub fn component_signature(q: &PatternQuery, vertices: &[QVid]) -> String {
-    let mut verts: Vec<QVid> = vertices.to_vec();
-    verts.sort_by_key(|v| v.0);
-    verts.dedup();
-    let mut out = String::new();
-    for &v in &verts {
-        write_vertex_sig(&mut out, q, v, false);
-    }
-    for e in q.edge_ids() {
-        let ed = q.edge(e).expect("live");
-        let in_comp = |v: QVid| verts.binary_search_by_key(&v.0, |x| x.0).is_ok();
-        if in_comp(ed.src) && in_comp(ed.dst) {
-            write_edge_sig(&mut out, q, e, false);
-        }
-    }
-    out
+    let inside = |v: &QVid| vertices.contains(v);
+    let internal = |e: &QEid| {
+        q.edge(*e)
+            .is_some_and(|ed| inside(&ed.src) && inside(&ed.dst))
+    };
+    let edges = q.edge_ids().filter(internal);
+    write_sig(
+        q,
+        q.vertex_ids().filter(inside),
+        edges,
+        false,
+        str::to_owned,
+    )
 }
 
 /// The query signature with every interval's *content* blanked to `*`:
@@ -50,21 +48,14 @@ pub fn component_signature(q: &PatternQuery, vertices: &[QVid]) -> String {
 /// intervals of their predicates — exactly the family the relax loop's
 /// interval rewrites (and the server batcher's `OneOf` variants) produce.
 pub fn shape_signature(q: &PatternQuery) -> String {
-    let mut out = String::new();
-    for v in q.vertex_ids() {
-        write_vertex_sig(&mut out, q, v, true);
-    }
-    for e in q.edge_ids() {
-        write_edge_sig(&mut out, q, e, true);
-    }
-    out
+    write_sig(q, q.vertex_ids(), q.edge_ids(), true, str::to_owned)
 }
 
 /// FNV-1a hash of [`shape_signature`] — the bucket key for the session's
 /// recent-query registry. Collisions are possible; callers must confirm
 /// with [`QueryDelta::between`] before acting on a hash hit.
 pub fn shape_hash(q: &PatternQuery) -> u64 {
-    fnv1a(&shape_signature(q))
+    write_sig(q, q.vertex_ids(), q.edge_ids(), true, fnv1a)
 }
 
 /// How a child query differs from a parent query (see

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use whyq_matcher::compile::Compiled;
 use whyq_matcher::{QueryProgram, SeedList};
-use whyq_query::AnalysisReport;
+use whyq_query::{component_signature, AnalysisReport, PatternQuery};
 
 /// A memoized compilation: the dictionary-resolved query plus its
 /// executable per-component bytecode programs (empty when the query is
@@ -58,6 +58,41 @@ pub struct CachedPlan {
     /// plan and shared by every session and prepare — repeat executions
     /// pay no bucket copies or disjunction-union sorts.
     pub seed_lists: OnceLock<Vec<SeedList>>,
+    /// The signature the plan is cached under.
+    pub signature: Arc<str>,
+    /// The sibling-store key of each weakly connected component, in
+    /// program order ([`whyq_query::component_signature`]; the signature
+    /// itself for a one-component query).
+    pub component_keys: Vec<Arc<str>>,
+}
+
+impl CachedPlan {
+    /// The plan of `q`, whose signature is `signature`: its compilation,
+    /// the analysis `report`, and the component keys written once here.
+    pub(crate) fn new(
+        q: &PatternQuery,
+        signature: Arc<str>,
+        compiled: Compiled,
+        program: QueryProgram,
+        report: AnalysisReport,
+    ) -> Self {
+        let comps = q.weakly_connected_components();
+        let component_keys = match comps.as_slice() {
+            [_] => vec![Arc::clone(&signature)],
+            comps => comps
+                .iter()
+                .map(|c| component_signature(q, c).into())
+                .collect(),
+        };
+        CachedPlan {
+            compiled: Arc::new(compiled),
+            program: Arc::new(program),
+            report: Arc::new(report),
+            seed_lists: OnceLock::new(),
+            signature,
+            component_keys,
+        }
+    }
 }
 
 /// One signature's compile-at-most-once cell. Handed out by
@@ -192,13 +227,18 @@ impl PlanCache {
 mod tests {
     use super::*;
 
+    fn empty_plan() -> CachedPlan {
+        CachedPlan::new(
+            &PatternQuery::new(),
+            "".into(),
+            Compiled::default(),
+            QueryProgram::default(),
+            AnalysisReport::default(),
+        )
+    }
+
     fn fill(slot: &Arc<PlanSlot>) {
-        slot.get_or_compile(|| CachedPlan {
-            compiled: Arc::new(Compiled::default()),
-            program: Arc::new(QueryProgram::default()),
-            report: Arc::new(AnalysisReport::default()),
-            seed_lists: OnceLock::new(),
-        });
+        slot.get_or_compile(empty_plan);
     }
 
     #[test]
@@ -247,12 +287,7 @@ mod tests {
         for _ in 0..3 {
             slot.get_or_compile(|| {
                 compiles += 1;
-                CachedPlan {
-                    compiled: Arc::new(Compiled::default()),
-                    program: Arc::new(QueryProgram::default()),
-                    report: Arc::new(AnalysisReport::default()),
-                    seed_lists: OnceLock::new(),
-                }
+                empty_plan()
             });
         }
         assert_eq!(compiles, 1);

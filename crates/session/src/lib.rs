@@ -102,9 +102,7 @@ use whyq_matcher::{
     WorkUnit,
 };
 pub use whyq_matcher::{Budget, CancelToken, Termination};
-use whyq_query::{
-    analyze_against, component_signature, shape_hash, DeltaKind, PatternQuery, QueryDelta,
-};
+use whyq_query::{analyze_against, shape_hash, DeltaKind, PatternQuery, QueryDelta};
 pub use whyq_query::{AnalysisReport, Diagnostic, DiagnosticCode, Severity};
 
 /// A result produced under a [`Budget`], tagged with how the execution
@@ -437,38 +435,25 @@ impl Database {
             // "no matches" with zero candidate scans, and the report's
             // conflict set names the predicates to relax first.
             let analysis = analyze_against(q, &self.g);
-            if analysis.report.is_unsatisfiable() {
-                return CachedPlan {
-                    compiled: Arc::new(whyq_matcher::compile::Compiled::default()),
-                    program: Arc::new(whyq_matcher::QueryProgram::default()),
-                    report: Arc::new(analysis.report),
-                    seed_lists: std::sync::OnceLock::new(),
-                };
-            }
-            // single-interval sibling of a recently prepared query? Patch
-            // the parent's resident plan instead of compiling — this is
-            // how the relax loop's interval rewrites and the server
-            // batcher's `OneOf` variants skip the whole compile pipeline.
-            if let Some((compiled, program)) = self.derive_plan(q) {
-                return CachedPlan {
-                    compiled: Arc::new(compiled),
-                    program: Arc::new(program),
-                    report: Arc::new(analysis.report),
-                    seed_lists: std::sync::OnceLock::new(),
-                };
-            }
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            // compile the analyzer-simplified query to bytecode: it is
-            // result-equivalent to `q` on this graph with identical
-            // element ids and topology, so the program serves the
-            // caller's original query exactly
-            let cq = session.matcher.compile_full(&analysis.query);
-            CachedPlan {
-                compiled: Arc::new(cq.compiled),
-                program: Arc::new(cq.program),
-                report: Arc::new(analysis.report),
-                seed_lists: std::sync::OnceLock::new(),
-            }
+            let (compiled, program) = if analysis.report.is_unsatisfiable() {
+                Default::default()
+            } else if let Some(derived) = self.derive_plan(q) {
+                // single-interval sibling of a recently prepared query?
+                // Patch the parent's resident plan instead of compiling —
+                // this is how the relax loop's interval rewrites and the
+                // server batcher's `OneOf` variants skip the whole compile
+                // pipeline.
+                derived
+            } else {
+                self.compiles.fetch_add(1, Ordering::Relaxed);
+                // compile the analyzer-simplified query to bytecode: it is
+                // result-equivalent to `q` on this graph with identical
+                // element ids and topology, so the program serves the
+                // caller's original query exactly
+                let cq = session.matcher.compile_full(&analysis.query);
+                (cq.compiled, cq.program)
+            };
+            CachedPlan::new(q, sig.as_str().into(), compiled, program, analysis.report)
         });
         // remember satisfiable queries as derivation parents for future
         // same-shape siblings (re-registering refreshes recency); the
@@ -676,9 +661,10 @@ impl<'db> PreparedQuery<'_, 'db> {
         &self.query
     }
 
-    /// The canonical signature the plan is cached under.
+    /// The canonical signature the plan is cached under — the query's
+    /// own, written once when it was prepared.
     pub fn signature(&self) -> String {
-        self.query.signature()
+        self.plan.signature.to_string()
     }
 
     /// True when static analysis or compilation proved the query can match
@@ -870,8 +856,8 @@ impl<'db> PreparedQuery<'_, 'db> {
         if self.query.num_vertices() == 0 || programs.is_empty() {
             return done(K::Out::default());
         }
-        let comps = self.query.weakly_connected_components();
-        debug_assert_eq!(comps.len(), programs.len(), "one program per component");
+        let keys = &self.plan.component_keys;
+        debug_assert_eq!(keys.len(), programs.len(), "one program per component");
         // materialized once per cached plan (graph and indexes are sealed
         // for the database's lifetime) and shared across sessions
         let seed_lists = self.plan.seed_lists.get_or_init(|| {
@@ -879,19 +865,21 @@ impl<'db> PreparedQuery<'_, 'db> {
             programs.iter().map(|p| matcher.seed_list_for(p)).collect()
         });
         let (mut replayed, mut recomputed) = (0u64, 0u64);
-        let mut parts = Vec::with_capacity(comps.len());
-        for (i, (comp, prog)) in comps.iter().zip(programs).enumerate() {
+        let mut parts = Vec::with_capacity(keys.len());
+        for (i, (sig, prog)) in keys.iter().zip(programs).enumerate() {
             // an already-tripped budget refuses up front like the engine
             if budget.poll().is_err() {
                 break;
             }
             let key = CompKey {
-                sig: component_signature(&self.query, comp),
+                sig: Arc::clone(sig),
                 injective: opts.injective,
-                limit: opts.limit,
-                fingerprint: K::fingerprint(prog),
+                rows: K::rows_key(prog, opts.limit),
             };
-            let cached = db.lock_siblings().lookup(&key).and_then(K::from_cached);
+            let cached = db
+                .lock_siblings()
+                .lookup(&key, opts.limit)
+                .and_then(K::from_cached);
             let part = if let Some(part) = cached {
                 replayed += 1;
                 part
@@ -899,7 +887,8 @@ impl<'db> PreparedQuery<'_, 'db> {
                 recomputed += 1;
                 let part = self.execute::<K>(i, &seed_lists[i], opts, par)?;
                 if budget.termination().is_complete() {
-                    db.lock_siblings().insert(key, K::to_cached(&part));
+                    db.lock_siblings()
+                        .insert(key, K::to_cached(&part, opts.limit));
                 }
                 part
             };
@@ -912,7 +901,7 @@ impl<'db> PreparedQuery<'_, 'db> {
         }
         db.lock_siblings().finish_query(replayed, recomputed);
         // short of one part per component the loop stopped early: no match
-        done(if parts.len() == comps.len() {
+        done(if parts.len() == keys.len() {
             K::combine(parts, opts.limit)
         } else {
             K::Out::default()
@@ -1023,13 +1012,16 @@ trait ResultKind {
     /// The whole query's output; `default()` is "no match".
     type Out: Default;
 
-    /// Program fingerprint the store keys this kind's entries by: rows
-    /// depend on the enumeration order of the program that produced them
-    /// (a derived sibling program may differ from a fresh compile), counts
-    /// do not.
-    fn fingerprint(prog: &whyq_matcher::vm::Program) -> Option<u64>;
+    /// The cap and program fingerprint the store keys this kind's entries
+    /// by: rows depend on the enumeration order of the program that
+    /// produced them (a derived sibling program may differ from a fresh
+    /// compile), counts do not, and a count keeps its cap in its entry.
+    fn rows_key(
+        prog: &whyq_matcher::vm::Program,
+        limit: Option<usize>,
+    ) -> Option<(Option<usize>, u64)>;
     fn from_cached(value: CompValue) -> Option<Self::Part>;
-    fn to_cached(part: &Self::Part) -> CompValue;
+    fn to_cached(part: &Self::Part, limit: Option<usize>) -> CompValue;
     fn run_unit(
         matcher: &Matcher<'_>,
         q: &PatternQuery,
@@ -1053,17 +1045,17 @@ impl ResultKind for Count {
     type Part = u64;
     type Out = u64;
 
-    fn fingerprint(_: &whyq_matcher::vm::Program) -> Option<u64> {
+    fn rows_key(_: &whyq_matcher::vm::Program, _: Option<usize>) -> Option<(Option<usize>, u64)> {
         None
     }
     fn from_cached(value: CompValue) -> Option<u64> {
         match value {
-            CompValue::Count(c) => Some(c),
+            CompValue::Count(n, _) => Some(n),
             CompValue::Rows(_) => None,
         }
     }
-    fn to_cached(part: &u64) -> CompValue {
-        CompValue::Count(*part)
+    fn to_cached(part: &u64, limit: Option<usize>) -> CompValue {
+        CompValue::Count(*part, limit)
     }
     fn run_unit(
         matcher: &Matcher<'_>,
@@ -1100,16 +1092,19 @@ impl ResultKind for Rows {
     type Part = Arc<Vec<ResultGraph>>;
     type Out = Vec<ResultGraph>;
 
-    fn fingerprint(prog: &whyq_matcher::vm::Program) -> Option<u64> {
-        Some(prog.fingerprint())
+    fn rows_key(
+        prog: &whyq_matcher::vm::Program,
+        limit: Option<usize>,
+    ) -> Option<(Option<usize>, u64)> {
+        Some((limit, prog.fingerprint()))
     }
     fn from_cached(value: CompValue) -> Option<Self::Part> {
         match value {
             CompValue::Rows(rows) => Some(rows),
-            CompValue::Count(_) => None,
+            CompValue::Count(..) => None,
         }
     }
-    fn to_cached(part: &Self::Part) -> CompValue {
+    fn to_cached(part: &Self::Part, _: Option<usize>) -> CompValue {
         CompValue::Rows(Arc::clone(part))
     }
     fn run_unit(
@@ -1407,6 +1402,127 @@ mod tests {
         }
         // every distinct signature compiled exactly once across all batches
         assert_eq!(db.compile_count(), 2);
+    }
+
+    /// A plan's keys: its signature, and one sibling-store key per
+    /// component.
+    fn keys(prepared: &PreparedQuery<'_, '_>) -> (String, Vec<String>) {
+        let plan = &prepared.plan;
+        let comps = plan.component_keys.iter().map(ToString::to_string);
+        (plan.signature.to_string(), comps.collect())
+    }
+
+    #[test]
+    fn a_prepared_query_reports_the_signature_it_was_prepared_under() {
+        let db = Database::open(social()).unwrap();
+        let session = db.session();
+        let q = pair_query();
+        for _ in 0..2 {
+            let prepared = session.prepare(&q).unwrap();
+            assert_eq!(prepared.signature(), q.signature());
+            // one component: its key is the signature itself
+            assert_eq!(keys(&prepared), (q.signature(), vec![q.signature()]));
+            assert!(Arc::ptr_eq(
+                &prepared.plan.signature,
+                &prepared.plan.component_keys[0]
+            ));
+        }
+    }
+
+    #[test]
+    fn renamed_and_reordered_queries_share_plan_and_sibling_entries() {
+        let db = Database::open(social()).unwrap();
+        let session = db.session();
+        let (person, either) = (
+            Predicate::eq("type", "person"),
+            Predicate::one_of("type", ["person", "city"]),
+        );
+        let build = |name: &str, preds: [&Predicate; 2]| {
+            QueryBuilder::new(name)
+                .vertex("p", preds.map(Predicate::clone))
+                .vertex("c", [Predicate::eq("type", "city")])
+                .edge("p", "c", "livesIn")
+                .build()
+        };
+        let q1 = build("first", [&person, &either]);
+        let q2 = build("second", [&either, &person]);
+        let first = session.prepare(&q1).unwrap();
+        assert_eq!(first.count().unwrap(), 2);
+        let before = db.sibling_stats();
+        let second = session.prepare(&q2).unwrap();
+        assert_eq!(second.count().unwrap(), 2);
+        let after = db.sibling_stats();
+        assert_eq!(after.hits, before.hits + 1, "the second count replays");
+        assert_eq!(after.insertions, before.insertions, "and inserts nothing");
+        assert_eq!(db.cache_stats().hits, 1, "one plan for both");
+        assert_eq!(keys(&first), keys(&second));
+        // the handle keeps the caller's own query
+        assert_eq!(second.query().name.as_deref(), Some("second"));
+    }
+
+    #[test]
+    fn each_component_is_keyed_by_its_component_signature() {
+        let db = Database::open(social()).unwrap();
+        let session = db.session();
+        let q = QueryBuilder::new("two")
+            .vertex("p1", [Predicate::eq("type", "person")])
+            .vertex("p2", [Predicate::eq("type", "person")])
+            .vertex("c", [Predicate::eq("type", "city")])
+            .edge("p1", "p2", "knows")
+            .build();
+        let comps = q.weakly_connected_components();
+        assert_eq!(comps.len(), 2);
+        let want: Vec<String> = comps
+            .iter()
+            .map(|c| whyq_query::component_signature(&q, c))
+            .collect();
+        let prepared = session.prepare(&q).unwrap();
+        assert_eq!(keys(&prepared), (q.signature(), want));
+        assert_eq!(prepared.count().unwrap(), 1);
+        assert_eq!(db.sibling_stats().insertions, 2);
+        // a query holding only the city component, under the same ids,
+        // replays its count
+        let city = q.induced_subquery(&comps[1]);
+        assert_eq!(session.prepare(&city).unwrap().count().unwrap(), 1);
+        let s = db.sibling_stats();
+        assert_eq!((s.hits, s.insertions), (1, 2));
+    }
+
+    #[test]
+    fn derived_and_refuted_plans_carry_their_own_keys() {
+        use whyq_query::{Interval, QVid};
+        let mut g = social();
+        g.add_vertex([("type", Value::str("robot")), ("age", Value::Int(40))]);
+        let db = Database::open(g).unwrap();
+        let session = db.session();
+        let parent = pair_query();
+        session.prepare(&parent).unwrap();
+        let mut child = parent.clone();
+        child
+            .vertex_mut(QVid(1))
+            .unwrap()
+            .predicate_mut("type")
+            .unwrap()
+            .interval = Interval::one_of(["person", "robot"]);
+        let derived = session.prepare(&child).unwrap();
+        assert_eq!(db.sibling_stats().derived_plans, 1, "the plan is derived");
+        assert_eq!(keys(&derived), (child.signature(), vec![child.signature()]));
+        assert_eq!(derived.count().unwrap(), 1);
+
+        // refuted at compile time: age 90 lies outside the stored range
+        let refuted = QueryBuilder::new("old")
+            .vertex("p", [Predicate::eq("type", "person")])
+            .vertex("r", [Predicate::eq("age", 90)])
+            .build();
+        let prepared = session.prepare(&refuted).unwrap();
+        assert!(prepared.is_unsatisfiable());
+        let comps = refuted.weakly_connected_components();
+        let want: Vec<String> = comps
+            .iter()
+            .map(|c| whyq_query::component_signature(&refuted, c))
+            .collect();
+        assert_eq!(keys(&prepared), (refuted.signature(), want));
+        assert_eq!(prepared.signature(), refuted.signature());
     }
 
     #[test]

@@ -48,25 +48,26 @@ use whyq_query::PatternQuery;
 const REGISTRY_CAPACITY: usize = 128;
 
 /// Cache key for one component's memoized result. Everything that can
-/// change the per-component output is part of the key:
-/// the component's canonical signature (raw element ids — stable across
-/// relax siblings), the injectivity mode, the per-component result cap,
-/// and — for row entries only — the executing program's fingerprint
-/// (derived sibling programs may enumerate rows in a different order
-/// than a fresh compile; counts are order-independent).
+/// change the per-component output is part of the key: the component's
+/// canonical signature (raw element ids — stable across relax siblings),
+/// the injectivity mode, and for rows the per-component result cap and the
+/// executing program's fingerprint (derived sibling programs may enumerate
+/// rows in a different order than a fresh compile). A count keeps its cap
+/// in its entry instead ([`SiblingCache::lookup`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CompKey {
-    pub(crate) sig: String,
+    pub(crate) sig: Arc<str>,
     pub(crate) injective: bool,
-    pub(crate) limit: Option<usize>,
-    /// `None` for count entries; `Some(program fingerprint)` for rows.
-    pub(crate) fingerprint: Option<u64>,
+    /// `None` for count entries; `Some((cap, program fingerprint))` for
+    /// rows.
+    pub(crate) rows: Option<(Option<usize>, u64)>,
 }
 
 /// One component's memoized result.
 #[derive(Debug, Clone)]
 pub(crate) enum CompValue {
-    Count(u64),
+    /// A count and the cap it was taken under (`None` = uncapped).
+    Count(u64, Option<usize>),
     Rows(Arc<Vec<ResultGraph>>),
 }
 
@@ -147,9 +148,12 @@ impl SiblingCache {
         }
     }
 
-    /// Replay a memoized component result, if present and current. A
+    /// Replay a memoized component result for a run capped at `limit`, if
+    /// present, current and deciding. A count decides a cap k when it is
+    /// exact — below its own cap, or uncapped — and answers `min(n, k)`;
+    /// a count that reached its cap decides only caps k ≤ that cap. A
     /// capacity-0 store holds nothing, so it never hits.
-    pub(crate) fn lookup(&mut self, key: &CompKey) -> Option<CompValue> {
+    pub(crate) fn lookup(&mut self, key: &CompKey, limit: Option<usize>) -> Option<CompValue> {
         let entry = self.entries.get_mut(key)?;
         if entry.generation != self.generation {
             // stale generation: the entry predates a clear — drop it and
@@ -158,15 +162,26 @@ impl SiblingCache {
             self.invalidations += 1;
             return None;
         }
+        let value = match entry.value {
+            CompValue::Count(n, cap) => {
+                let exact = cap.is_none_or(|c| n < c as u64);
+                if !exact && limit.zip(cap).is_none_or(|(k, c)| k > c) {
+                    return None;
+                }
+                CompValue::Count(limit.map_or(n, |k| n.min(k as u64)), limit)
+            }
+            ref rows => rows.clone(),
+        };
         self.tick += 1;
         entry.last_used = self.tick;
         self.hits += 1;
-        Some(entry.value.clone())
+        Some(value)
     }
 
     /// Memoize a *complete* component result — callers must never insert
-    /// a value computed under a tripped budget. A capacity-0 store never
-    /// inserts.
+    /// a value computed under a tripped budget. It replaces an entry under
+    /// the same key, which a run only re-computes when that entry could
+    /// not answer it. A capacity-0 store never inserts.
     pub(crate) fn insert(&mut self, key: CompKey, value: CompValue) {
         if self.capacity == 0 {
             return;
@@ -272,31 +287,38 @@ impl SiblingCache {
 mod tests {
     use super::*;
 
-    fn count_key(sig: &str, injective: bool, limit: Option<usize>) -> CompKey {
+    fn count_key(sig: &str, injective: bool) -> CompKey {
         CompKey {
             sig: sig.into(),
             injective,
-            limit,
-            fingerprint: None,
+            rows: None,
         }
     }
 
     fn rows_key(sig: &str, fingerprint: u64) -> CompKey {
         CompKey {
-            fingerprint: Some(fingerprint),
-            ..count_key(sig, true, None)
+            rows: Some((None, fingerprint)),
+            ..count_key(sig, true)
         }
     }
 
-    fn lookup_count(c: &mut SiblingCache, sig: &str) -> Option<u64> {
-        match c.lookup(&count_key(sig, true, None))? {
-            CompValue::Count(n) => Some(n),
+    fn lookup_capped(c: &mut SiblingCache, sig: &str, limit: Option<usize>) -> Option<u64> {
+        match c.lookup(&count_key(sig, true), limit)? {
+            CompValue::Count(n, _) => Some(n),
             CompValue::Rows(_) => panic!("count key holds rows"),
         }
     }
 
+    fn lookup_count(c: &mut SiblingCache, sig: &str) -> Option<u64> {
+        lookup_capped(c, sig, None)
+    }
+
+    fn insert_capped(c: &mut SiblingCache, sig: &str, n: u64, cap: Option<usize>) {
+        c.insert(count_key(sig, true), CompValue::Count(n, cap));
+    }
+
     fn insert_count(c: &mut SiblingCache, sig: &str, n: u64) {
-        c.insert(count_key(sig, true, None), CompValue::Count(n));
+        insert_capped(c, sig, n, None);
     }
 
     #[test]
@@ -305,11 +327,50 @@ mod tests {
         assert_eq!(lookup_count(&mut c, "a"), None);
         insert_count(&mut c, "a", 7);
         assert_eq!(lookup_count(&mut c, "a"), Some(7));
-        // every result-affecting dimension is part of the key
-        assert!(c.lookup(&count_key("a", false, None)).is_none());
-        assert!(c.lookup(&count_key("a", true, Some(3))).is_none());
+        // the injectivity mode is part of the key
+        assert!(c.lookup(&count_key("a", false), None).is_none());
+        // an exact count answers every cap
+        assert_eq!(lookup_capped(&mut c, "a", Some(3)), Some(3));
         let s = c.stats();
-        assert_eq!((s.hits, s.insertions), (1, 1));
+        assert_eq!((s.hits, s.insertions), (2, 1));
+    }
+
+    #[test]
+    fn an_exact_capped_count_answers_every_cap() {
+        let mut c = SiblingCache::new(4);
+        // counted to 4 under cap 10: the count is exact
+        insert_capped(&mut c, "a", 4, Some(10));
+        assert_eq!(lookup_capped(&mut c, "a", Some(2)), Some(2));
+        assert_eq!(lookup_capped(&mut c, "a", Some(10)), Some(4));
+        assert_eq!(lookup_capped(&mut c, "a", Some(1_000_000)), Some(4));
+        assert_eq!(lookup_capped(&mut c, "a", None), Some(4));
+        assert_eq!(c.stats().hits, 4);
+    }
+
+    #[test]
+    fn an_uncapped_count_answers_every_cap() {
+        let mut c = SiblingCache::new(4);
+        insert_count(&mut c, "a", 7);
+        assert_eq!(lookup_capped(&mut c, "a", Some(0)), Some(0));
+        assert_eq!(lookup_capped(&mut c, "a", Some(7)), Some(7));
+        assert_eq!(lookup_capped(&mut c, "a", Some(8)), Some(7));
+    }
+
+    #[test]
+    fn a_count_that_reached_its_cap_answers_only_lower_caps() {
+        let mut c = SiblingCache::new(4);
+        // counted to its cap 5: the true count is at least 5
+        insert_capped(&mut c, "a", 5, Some(5));
+        assert_eq!(lookup_capped(&mut c, "a", Some(3)), Some(3));
+        assert_eq!(lookup_capped(&mut c, "a", Some(5)), Some(5));
+        assert_eq!(lookup_capped(&mut c, "a", Some(6)), None);
+        assert_eq!(lookup_capped(&mut c, "a", None), None);
+        let s = c.stats();
+        assert_eq!((s.hits, s.invalidations), (2, 0));
+        // the re-count that a higher cap forces replaces the entry
+        insert_capped(&mut c, "a", 9, Some(100));
+        assert_eq!(lookup_capped(&mut c, "a", None), Some(9));
+        assert_eq!(c.stats().len, 1);
     }
 
     #[test]
@@ -317,10 +378,10 @@ mod tests {
         let mut c = SiblingCache::new(4);
         c.insert(rows_key("a", 42), CompValue::Rows(Arc::new(Vec::new())));
         assert!(matches!(
-            c.lookup(&rows_key("a", 42)),
+            c.lookup(&rows_key("a", 42), None),
             Some(CompValue::Rows(_))
         ));
-        assert!(c.lookup(&rows_key("a", 43)).is_none());
+        assert!(c.lookup(&rows_key("a", 43), None).is_none());
         // count lookups never alias row entries
         assert_eq!(lookup_count(&mut c, "a"), None);
     }
