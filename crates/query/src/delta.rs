@@ -51,9 +51,10 @@ pub fn shape_signature(q: &PatternQuery) -> String {
     write_sig(q, q.vertex_ids(), q.edge_ids(), true, str::to_owned)
 }
 
-/// FNV-1a hash of [`shape_signature`] — the bucket key for the session's
-/// recent-query registry. Collisions are possible; callers must confirm
-/// with [`QueryDelta::between`] before acting on a hash hit.
+/// FNV-1a hash of [`shape_signature`] — the bucket a cached plan is filed
+/// under as a derivation parent in the session's plan cache. Collisions
+/// are possible; callers must confirm with [`QueryDelta::between`] before
+/// acting on a hash hit.
 pub fn shape_hash(q: &PatternQuery) -> u64 {
     write_sig(q, q.vertex_ids(), q.edge_ids(), true, fnv1a)
 }

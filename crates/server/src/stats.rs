@@ -117,7 +117,7 @@ pub struct StatsSnapshot {
     /// instead of re-executed (see `whyq_session::SiblingStats`).
     pub sibling_hits: u64,
     /// Component units a sibling's delta invalidated (re-executed while
-    /// the rest of their query replayed) plus generation-bump drops.
+    /// the rest of their query replayed) plus entries a clear dropped.
     pub sibling_invalidations: u64,
 }
 

@@ -9,13 +9,18 @@
 //! service replays the same patterns verbatim across requests.
 //!
 //! `PlanCache` memoizes `(Compiled, bytecode program)` pairs in an LRU
-//! keyed by the
-//! canonical [`whyq_query::PatternQuery::signature`]. The signature
+//! (the crate's one recency policy, shared with the sibling store) keyed
+//! by the canonical [`whyq_query::PatternQuery::signature`]. The signature
 //! includes element ids, so only queries whose compiled slot layout is
 //! byte-for-byte interchangeable share an entry — relabeled-but-isomorphic
 //! queries deliberately get separate entries (a plan binds concrete
 //! `QVid`/`QEid` slots). The cache is owned by the `Database` and shared
 //! by every `Session`, so one session's compilation warms all of them.
+//!
+//! The resident plans are also the derivation parents: a miss on a
+//! one-interval sibling of one patches it instead of compiling
+//! ([`whyq_matcher::derive_sibling`]), so no second structure remembers
+//! recent queries.
 //!
 //! ## Compile-once under contention
 //!
@@ -30,11 +35,17 @@
 //! the detached slot (their `Arc` keeps it alive) and a later probe
 //! starts a fresh one.
 
-use std::collections::HashMap;
+use crate::lru::Lru;
 use std::sync::{Arc, OnceLock};
 use whyq_matcher::compile::Compiled;
 use whyq_matcher::{QueryProgram, SeedList};
 use whyq_query::{component_signature, AnalysisReport, PatternQuery};
+
+/// How many of the most recently used satisfiable plans a plan-cache miss
+/// considers as derivation parents ([`PlanCache::parents`]). The
+/// `match-cold` benchmark's `PARENT_WINDOW` (`benchmark/src/corpus.rs`)
+/// mirrors it, so that its base texts stay out of derivation range.
+pub(crate) const PARENT_WINDOW: usize = 128;
 
 /// A memoized compilation: the dictionary-resolved query plus its
 /// executable per-component bytecode programs (empty when the query is
@@ -64,18 +75,27 @@ pub struct CachedPlan {
     /// program order ([`whyq_query::component_signature`]; the signature
     /// itself for a one-component query).
     pub component_keys: Vec<Arc<str>>,
+    /// The query the plan was built from. A derived sibling diffs against
+    /// it, and a prepare of an equal query shares it.
+    pub query: Arc<PatternQuery>,
+    /// [`whyq_query::shape_hash`] of `query`, the derivation-parent
+    /// bucket; 0 for a query analysis refuted.
+    pub shape: u64,
 }
 
 impl CachedPlan {
-    /// The plan of `q`, whose signature is `signature`: its compilation,
-    /// the analysis `report`, and the component keys written once here.
+    /// The plan of `q`, whose signature is `signature` and shape hash
+    /// `shape`: its compilation, the analysis `report`, and the component
+    /// keys written once here.
     pub(crate) fn new(
         q: &PatternQuery,
-        signature: Arc<str>,
+        signature: &str,
+        shape: u64,
         compiled: Compiled,
         program: QueryProgram,
         report: AnalysisReport,
     ) -> Self {
+        let signature: Arc<str> = signature.into();
         let comps = q.weakly_connected_components();
         let component_keys = match comps.as_slice() {
             [_] => vec![Arc::clone(&signature)],
@@ -91,6 +111,8 @@ impl CachedPlan {
             seed_lists: OnceLock::new(),
             signature,
             component_keys,
+            query: Arc::new(q.clone()),
+            shape,
         }
     }
 }
@@ -134,20 +156,12 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-struct Entry {
-    slot: Arc<PlanSlot>,
-    /// Logical timestamp of the last hit or insertion.
-    last_used: u64,
-}
-
 /// Signature-keyed LRU of compile-once plan slots.
 pub struct PlanCache {
-    capacity: usize,
-    tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
-    entries: HashMap<String, Entry>,
+    entries: Lru<String, Arc<PlanSlot>>,
 }
 
 impl PlanCache {
@@ -155,12 +169,10 @@ impl PlanCache {
     /// every probe hands out a detached slot, so every prepare compiles).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            capacity,
-            tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
-            entries: HashMap::new(),
+            entries: Lru::new(capacity),
         }
     }
 
@@ -169,46 +181,32 @@ impl PlanCache {
     /// least recently used entry when over capacity — which the caller
     /// fills via [`PlanSlot::get_or_compile`] outside the cache lock.
     pub fn probe(&mut self, signature: &str) -> (Arc<PlanSlot>, bool) {
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(signature) {
-            e.last_used = self.tick;
+        if let Some(slot) = self.entries.get(signature, |slot| Some(Arc::clone(slot))) {
             self.hits += 1;
-            return (Arc::clone(&e.slot), true);
+            return (slot, true);
         }
         self.misses += 1;
         let slot = Arc::new(PlanSlot::default());
-        if self.capacity == 0 {
-            // caching disabled: hand out a detached one-shot slot
-            return (slot, false);
-        }
-        if self.entries.len() >= self.capacity {
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&lru);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(
-            signature.to_owned(),
-            Entry {
-                slot: Arc::clone(&slot),
-                last_used: self.tick,
-            },
-        );
+        // at capacity 0 nothing is kept: the slot stays detached
+        let evicted = self.entries.insert(signature.to_owned(), Arc::clone(&slot));
+        self.evictions += u64::from(evicted.is_some());
         (slot, false)
     }
 
-    /// The resident slot for `signature`, if any. Unlike [`PlanCache::probe`]
-    /// this never reserves a slot, never evicts, and touches no counters or
-    /// LRU state — it is the read-only lookup sibling-plan derivation uses
-    /// to consult a *parent* plan while filling a different signature's
-    /// slot, without perturbing the cache's behavior under observation.
-    pub fn peek(&self, signature: &str) -> Option<Arc<PlanSlot>> {
-        self.entries.get(signature).map(|e| Arc::clone(&e.slot))
+    /// The derivation parents for a query of shape hash `shape`, newest
+    /// first: of the [`PARENT_WINDOW`] most recently used satisfiable
+    /// plans, those of the same shape. Unfilled slots and unsatisfiable
+    /// plans are skipped and do not count toward the window. Walking
+    /// touches no counter and no recency.
+    pub(crate) fn parents(&self, shape: u64) -> Vec<Arc<CachedPlan>> {
+        self.entries
+            .newest_first()
+            .filter_map(|slot| slot.cell.get())
+            .filter(|plan| !plan.program.is_empty())
+            .take(PARENT_WINDOW)
+            .filter(|plan| plan.shape == shape)
+            .map(Arc::clone)
+            .collect()
     }
 
     /// Current counters.
@@ -218,7 +216,7 @@ impl PlanCache {
             misses: self.misses,
             evictions: self.evictions,
             len: self.entries.len(),
-            capacity: self.capacity,
+            capacity: self.entries.capacity(),
         }
     }
 }
@@ -230,7 +228,8 @@ mod tests {
     fn empty_plan() -> CachedPlan {
         CachedPlan::new(
             &PatternQuery::new(),
-            "".into(),
+            "",
+            0,
             Compiled::default(),
             QueryProgram::default(),
             AnalysisReport::default(),

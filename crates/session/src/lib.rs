@@ -84,6 +84,7 @@
 pub mod cache;
 pub mod error;
 pub mod executor;
+mod lru;
 pub mod sibling;
 
 pub use cache::{CacheStats, PlanCache};
@@ -240,9 +241,11 @@ pub struct Database {
     built_attrs: Vec<String>,
     /// Built on the first [`Database::domains`] call.
     domains: OnceLock<AttributeDomains>,
+    /// The plan cache; its resident plans are also the derivation
+    /// parents ([`PlanCache::parents`]).
     cache: Mutex<PlanCache>,
-    /// The sibling result cache + derivation-parent registry (see
-    /// [`mod@sibling`]). At capacity 0 it never hits or inserts.
+    /// The sibling result cache (see [`mod@sibling`]). At capacity 0 it
+    /// never hits or inserts, and no plan is derived.
     siblings: Mutex<SiblingCache>,
     /// Number of plan compilations actually performed — under contention
     /// this stays equal to the number of distinct uncached signatures
@@ -250,6 +253,9 @@ pub struct Database {
     /// Plans *derived* from a parent plan (single-interval siblings) do
     /// not count: derivation is the point of not compiling.
     compiles: AtomicU64,
+    /// Number of plans derived from a parent plan instead of compiled
+    /// (reported as [`SiblingStats::derived_plans`]).
+    derived_plans: AtomicU64,
 }
 
 impl std::fmt::Debug for Database {
@@ -316,6 +322,7 @@ impl Database {
             cache,
             siblings,
             compiles: AtomicU64::new(0),
+            derived_plans: AtomicU64::new(0),
         })
     }
 
@@ -376,13 +383,15 @@ impl Database {
     /// Counters of the sibling result cache (hits, invalidations,
     /// derived plans, …). All zero while the layer is disabled.
     pub fn sibling_stats(&self) -> SiblingStats {
-        self.lock_siblings().stats()
+        SiblingStats {
+            derived_plans: self.derived_plans.load(Ordering::Relaxed),
+            ..self.lock_siblings().stats()
+        }
     }
 
-    /// Invalidate every memoized sibling result in O(1) by bumping the
-    /// store's generation (Bevy-tick style); entries inserted before the
-    /// bump are dropped lazily when next touched. Plans and the plan
-    /// cache are unaffected.
+    /// Drop every memoized sibling result, counting each as an
+    /// invalidation, so that later runs execute instead of replaying.
+    /// Plans and the plan cache are unaffected.
     pub fn clear_sibling_cache(&self) {
         self.lock_siblings().clear();
     }
@@ -427,7 +436,7 @@ impl Database {
     fn plan_for(&self, session: &Session<'_>, q: &PatternQuery) -> Arc<CachedPlan> {
         let sig = q.signature();
         let (slot, _hit) = self.lock_cache().probe(&sig);
-        let plan = slot.get_or_compile(|| {
+        slot.get_or_compile(|| {
             // static analysis runs between validation and compilation
             // (prepare → analyze → compile). A provably unsatisfiable
             // query is never compiled at all: no name resolution, no
@@ -435,79 +444,61 @@ impl Database {
             // "no matches" with zero candidate scans, and the report's
             // conflict set names the predicates to relax first.
             let analysis = analyze_against(q, &self.g);
-            let (compiled, program) = if analysis.report.is_unsatisfiable() {
+            let (shape, (compiled, program)) = if analysis.report.is_unsatisfiable() {
                 Default::default()
-            } else if let Some(derived) = self.derive_plan(q) {
-                // single-interval sibling of a recently prepared query?
-                // Patch the parent's resident plan instead of compiling —
-                // this is how the relax loop's interval rewrites and the
-                // server batcher's `OneOf` variants skip the whole compile
-                // pipeline.
-                derived
             } else {
-                self.compiles.fetch_add(1, Ordering::Relaxed);
-                // compile the analyzer-simplified query to bytecode: it is
-                // result-equivalent to `q` on this graph with identical
-                // element ids and topology, so the program serves the
-                // caller's original query exactly
-                let cq = session.matcher.compile_full(&analysis.query);
-                (cq.compiled, cq.program)
+                let shape = shape_hash(q);
+                // single-interval sibling of a recently used plan? Patch
+                // the parent's plan instead of compiling — this is how the
+                // relax loop's interval rewrites and the server batcher's
+                // `OneOf` variants skip the whole compile pipeline.
+                let plan = self.derive_plan(q, shape).unwrap_or_else(|| {
+                    self.compiles.fetch_add(1, Ordering::Relaxed);
+                    // compile the analyzer-simplified query to bytecode:
+                    // it is result-equivalent to `q` on this graph with
+                    // identical element ids and topology, so the program
+                    // serves the caller's original query exactly
+                    let cq = session.matcher.compile_full(&analysis.query);
+                    (cq.compiled, cq.program)
+                });
+                (shape, plan)
             };
-            CachedPlan::new(q, sig.as_str().into(), compiled, program, analysis.report)
-        });
-        // remember satisfiable queries as derivation parents for future
-        // same-shape siblings (re-registering refreshes recency); the
-        // shape hash and the query clone are only paid for a signature
-        // the registry has not seen
-        if !plan.program.is_empty() {
-            self.lock_siblings()
-                .register(sig, || (shape_hash(q), Arc::new(q.clone())));
-        }
-        plan
+            CachedPlan::new(q, &sig, shape, compiled, program, analysis.report)
+        })
     }
 
-    /// Try to derive `q`'s plan from a recently prepared same-shape
-    /// parent differing in exactly one predicate interval (see
-    /// [`whyq_matcher::derive_sibling`]). Consults the plan cache
-    /// read-only ([`PlanCache::peek`]); returns `None` when no parent
-    /// qualifies, falling back to a full compile.
+    /// Try to derive `q`'s plan from a resident same-shape parent plan
+    /// differing in exactly one predicate interval (see
+    /// [`PlanCache::parents`] and [`whyq_matcher::derive_sibling`]);
+    /// returns `None` when no parent qualifies, falling back to a full
+    /// compile.
     fn derive_plan(
         &self,
         q: &PatternQuery,
+        shape: u64,
     ) -> Option<(whyq_matcher::compile::Compiled, whyq_matcher::QueryProgram)> {
         if self.config.sibling_cache_capacity == 0 {
             return None;
         }
-        let parents = self.lock_siblings().parents_for(shape_hash(q));
-        for (parent_sig, parent_q) in parents {
-            let DeltaKind::SingleInterval { target, attr } = QueryDelta::between(&parent_q, q).kind
+        let parents = self.lock_cache().parents(shape);
+        let derived = parents.iter().find_map(|parent| {
+            let DeltaKind::SingleInterval { target, attr } =
+                QueryDelta::between(&parent.query, q).kind
             else {
-                continue;
+                return None;
             };
-            // read-only peek: a parent still compiling (or evicted) is
-            // simply skipped
-            let Some(parent_plan) = self.lock_cache().peek(&parent_sig).and_then(|s| s.get())
-            else {
-                continue;
-            };
-            if parent_plan.program.is_empty() {
-                continue;
-            }
-            let Some(derived) = whyq_matcher::derive_sibling(
+            whyq_matcher::derive_sibling(
                 &self.g,
                 &self.indexes,
-                &parent_plan.compiled,
-                &parent_plan.program,
+                &parent.compiled,
+                &parent.program,
                 q,
                 target,
                 &attr,
-            ) else {
-                continue;
-            };
-            self.lock_siblings().note_derived();
-            return Some(derived);
-        }
-        None
+            )
+        })?;
+        self.derived_plans.fetch_add(1, Ordering::Relaxed);
+        Some(derived)
     }
 }
 
@@ -581,14 +572,17 @@ impl<'db> Session<'db> {
     pub fn prepare(&self, q: &PatternQuery) -> Result<PreparedQuery<'_, 'db>, WhyqError> {
         validate(q)?;
         let plan = self.db.plan_for(self, q);
+        // the handle reports the caller's own query (signatures exclude
+        // display-only fields such as the name), shared with the plan when
+        // the two are equal; execution is signature-determined either way
+        let query = if *plan.query == *q {
+            Arc::clone(&plan.query)
+        } else {
+            Arc::new(q.clone())
+        };
         Ok(PreparedQuery {
             session: self,
-            // the caller's own query, not the cache entry's: signatures
-            // exclude display-only fields (the query name), so an
-            // equal-signature cache hit must still report the identity it
-            // was prepared with. Execution is signature-determined, so
-            // running the caller's clone against the cached plan is exact.
-            query: Arc::new(q.clone()),
+            query,
             plan,
         })
     }
@@ -1523,6 +1517,152 @@ mod tests {
             .collect();
         assert_eq!(keys(&prepared), (refuted.signature(), want));
         assert_eq!(prepared.signature(), refuted.signature());
+    }
+
+    #[test]
+    fn an_equal_reprepare_shares_the_plans_query() {
+        let db = Database::open(social()).unwrap();
+        let session = db.session();
+        let q = pair_query();
+        let first = session.prepare(&q).unwrap();
+        let again = session.prepare(&q).unwrap();
+        assert!(Arc::ptr_eq(&first.query, &again.query));
+        assert!(Arc::ptr_eq(&again.query, &again.plan.query));
+        let mut renamed = q.clone();
+        renamed.name = Some("renamed".into());
+        let other = session.prepare(&renamed).unwrap();
+        assert!(Arc::ptr_eq(&other.plan, &again.plan), "one plan");
+        assert!(!Arc::ptr_eq(&other.query, &again.query), "its own query");
+    }
+
+    /// Persons aged 20..30, each knowing the next.
+    fn ages() -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let people: Vec<_> = (20..30)
+            .map(|age| g.add_vertex([("type", Value::str("person")), ("age", Value::Int(age))]))
+            .collect();
+        for w in people.windows(2) {
+            g.add_edge(w[0], w[1], "knows", []);
+        }
+        g
+    }
+
+    /// One person aged in `[lo, hi]`.
+    fn aged(lo: f64, hi: f64) -> PatternQuery {
+        QueryBuilder::new("aged")
+            .vertex(
+                "p",
+                [
+                    Predicate::eq("type", "person"),
+                    Predicate::between("age", lo, hi),
+                ],
+            )
+            .build()
+    }
+
+    /// A person aged in `[lo, hi]` who knows a person: another shape.
+    fn knows_aged(lo: f64, hi: f64) -> PatternQuery {
+        QueryBuilder::new("knows")
+            .vertex(
+                "p",
+                [
+                    Predicate::eq("type", "person"),
+                    Predicate::between("age", lo, hi),
+                ],
+            )
+            .vertex("q", [Predicate::eq("type", "person")])
+            .edge("p", "q", "knows")
+            .build()
+    }
+
+    /// Prepare `q`; returns (derived, compiled) plans it cost.
+    fn prepare_cost(db: &Database, q: &PatternQuery) -> (u64, u64) {
+        let (derived, compiled) = (db.sibling_stats().derived_plans, db.compile_count());
+        db.session().prepare(q).unwrap();
+        (
+            db.sibling_stats().derived_plans - derived,
+            db.compile_count() - compiled,
+        )
+    }
+
+    const DERIVED: (u64, u64) = (1, 0);
+    const COMPILED: (u64, u64) = (0, 1);
+
+    #[test]
+    fn the_newest_same_shape_parent_is_tried_first() {
+        let db = Database::open(ages()).unwrap();
+        let (older, newer, child) = (aged(21.0, 23.0), aged(22.0, 23.0), aged(21.0, 24.0));
+        assert_eq!(prepare_cost(&db, &older), COMPILED);
+        assert_eq!(prepare_cost(&db, &knows_aged(20.0, 29.0)), COMPILED);
+        assert_eq!(prepare_cost(&db, &newer), DERIVED);
+        let parents = |db: &Database| -> Vec<String> {
+            let parents = db.lock_cache().parents(shape_hash(&child));
+            parents.iter().map(|p| p.signature.to_string()).collect()
+        };
+        assert_eq!(parents(&db), [newer.signature(), older.signature()]);
+        // a hit is a use: the re-prepared plan is now the newest
+        db.session().prepare(&older).unwrap();
+        assert_eq!(parents(&db), [older.signature(), newer.signature()]);
+        assert_eq!(prepare_cost(&db, &child), DERIVED);
+    }
+
+    /// A plan derives its one-interval siblings while it is among the
+    /// `PARENT_WINDOW` most recently used satisfiable plans, and not once
+    /// it falls behind them.
+    #[test]
+    fn the_derivation_window_holds_the_newest_satisfiable_plans() {
+        let child_cost = |fillers: usize| {
+            let db = Database::open(ages()).unwrap();
+            assert_eq!(prepare_cost(&db, &aged(21.0, 23.0)), COMPILED);
+            for i in 0..fillers {
+                prepare_cost(&db, &knows_aged(20.0, 29.0 + i as f64));
+            }
+            prepare_cost(&db, &aged(21.0, 24.0))
+        };
+        assert_eq!(child_cost(cache::PARENT_WINDOW - 1), DERIVED);
+        assert_eq!(child_cost(cache::PARENT_WINDOW), COMPILED);
+    }
+
+    #[test]
+    fn unsatisfiable_plans_and_unfilled_slots_neither_derive_nor_count() {
+        // an unsatisfiable plan is no parent: ages 40..50 are out of range
+        let db = Database::open(ages()).unwrap();
+        assert!(db
+            .session()
+            .prepare(&aged(40.0, 50.0))
+            .unwrap()
+            .is_unsatisfiable());
+        assert_eq!(prepare_cost(&db, &aged(21.0, 50.0)), COMPILED);
+
+        // nor do they, or unfilled slots, push a parent out of the window
+        let db = Database::open(ages()).unwrap();
+        prepare_cost(&db, &aged(21.0, 23.0));
+        for i in 0..cache::PARENT_WINDOW - 1 {
+            prepare_cost(&db, &knows_aged(20.0, 29.0 + i as f64));
+        }
+        for i in 0..20 {
+            let robot = QueryBuilder::new("robot")
+                .vertex("r", [Predicate::eq("type", format!("robot{i}"))])
+                .build();
+            assert!(db.session().prepare(&robot).unwrap().is_unsatisfiable());
+            let old = knows_aged(40.0 + i as f64, 50.0);
+            assert!(db.session().prepare(&old).unwrap().is_unsatisfiable());
+            let (slot, _) = db.lock_cache().probe(&format!("unfilled {i}"));
+            assert!(slot.get().is_none());
+        }
+        assert_eq!(prepare_cost(&db, &aged(21.0, 24.0)), DERIVED);
+    }
+
+    #[test]
+    fn disabled_caches_never_derive() {
+        for config in [
+            DatabaseConfig::default().sibling_cache_capacity(0),
+            DatabaseConfig::default().plan_cache_capacity(0),
+        ] {
+            let db = Database::open_with(ages(), config).unwrap();
+            assert_eq!(prepare_cost(&db, &aged(21.0, 23.0)), COMPILED);
+            assert_eq!(prepare_cost(&db, &aged(21.0, 24.0)), COMPILED);
+        }
     }
 
     #[test]

@@ -14,16 +14,13 @@
 //! combiner as a full execution, so the replayed result is exactly the
 //! full-execution result (property-tested in `tests/sibling.rs`).
 //!
-//! ## Generation stamping
+//! ## Recency and clearing
 //!
-//! In the style of Bevy ECS's tick-stamped change detection, every entry
-//! is stamped with the store's `generation` at insert. `SiblingCache::clear`
-//! bumps the generation in O(1) instead of walking the map: a later
-//! lookup that finds an entry from an older generation treats it as
-//! *invalidated* — it is dropped, counted in
-//! [`SiblingStats::invalidations`], and recomputed. The graph itself is
-//! immutable for the database's lifetime, so generations only move when a
-//! caller explicitly clears (benchmarks, tests, future mutation support).
+//! The store is an LRU, like the plan cache: a replay refreshes its
+//! entry, but a lookup that cannot answer (a count that reached a lower
+//! cap) is no use. The graph never changes under a database, so nothing
+//! goes stale; `SiblingCache::clear` (benchmarks and tests) empties the
+//! store and counts each dropped entry in [`SiblingStats::invalidations`].
 //!
 //! ## What is — and is not — cached
 //!
@@ -38,14 +35,9 @@
 //! lower bound of the exact answer unless tagged `Complete`) is
 //! unaffected.
 
-use std::collections::{HashMap, VecDeque};
+use crate::lru::Lru;
 use std::sync::Arc;
 use whyq_matcher::ResultGraph;
-use whyq_query::PatternQuery;
-
-/// Bound on how many recently-prepared queries are remembered as
-/// potential derivation parents (see `SiblingCache::register`).
-const REGISTRY_CAPACITY: usize = 128;
 
 /// Cache key for one component's memoized result. Everything that can
 /// change the per-component output is part of the key: the component's
@@ -71,25 +63,6 @@ pub(crate) enum CompValue {
     Rows(Arc<Vec<ResultGraph>>),
 }
 
-#[derive(Debug)]
-struct Entry {
-    value: CompValue,
-    /// Generation stamp at insert; a lookup from a later generation
-    /// invalidates the entry.
-    generation: u64,
-    /// Logical timestamp of the last hit or insertion (LRU victim pick).
-    last_used: u64,
-}
-
-/// A recently prepared satisfiable query, remembered as a candidate
-/// parent for sibling-plan derivation.
-#[derive(Debug, Clone)]
-struct RegEntry {
-    shape: u64,
-    sig: String,
-    query: Arc<PatternQuery>,
-}
-
 /// Point-in-time counters of the sibling cache (see
 /// [`crate::Database::sibling_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,7 +71,7 @@ pub struct SiblingStats {
     pub hits: u64,
     /// Component units that had to (re-)execute while the rest of their
     /// query replayed — the units a sibling's delta invalidated — plus
-    /// entries dropped by a generation bump.
+    /// the entries a clear dropped.
     pub invalidations: u64,
     /// Complete component results inserted.
     pub insertions: u64,
@@ -106,74 +79,56 @@ pub struct SiblingStats {
     pub evictions: u64,
     /// Plans derived from a parent plan instead of compiled
     /// (single-interval siblings; see `whyq_matcher::derive_sibling`).
+    /// Counted by the database beside its compiles.
     pub derived_plans: u64,
-    /// Entries currently resident (stale generations included until
-    /// they are lazily dropped).
+    /// Entries currently resident.
     pub len: usize,
     /// Configured capacity (0 = the sibling layer is disabled).
     pub capacity: usize,
 }
 
-/// Bounded, generation-stamped store of per-component results plus the
-/// recent-query registry that seeds sibling-plan derivation. Owned by the
-/// `Database` behind one mutex; all methods are O(1) amortized except
-/// eviction's LRU scan.
+/// Bounded LRU store of per-component results. Owned by the `Database`
+/// behind one mutex; every method is O(1) amortized.
 #[derive(Debug)]
 pub(crate) struct SiblingCache {
-    capacity: usize,
-    generation: u64,
-    tick: u64,
     hits: u64,
     invalidations: u64,
     insertions: u64,
     evictions: u64,
-    derived_plans: u64,
-    entries: HashMap<CompKey, Entry>,
-    registry: VecDeque<RegEntry>,
+    entries: Lru<CompKey, CompValue>,
 }
 
 impl SiblingCache {
     pub(crate) fn new(capacity: usize) -> Self {
         SiblingCache {
-            capacity,
-            generation: 0,
-            tick: 0,
             hits: 0,
             invalidations: 0,
             insertions: 0,
             evictions: 0,
-            derived_plans: 0,
-            entries: HashMap::new(),
-            registry: VecDeque::new(),
+            entries: Lru::new(capacity),
         }
     }
 
     /// Replay a memoized component result for a run capped at `limit`, if
-    /// present, current and deciding. A count decides a cap k when it is
-    /// exact — below its own cap, or uncapped — and answers `min(n, k)`;
-    /// a count that reached its cap decides only caps k ≤ that cap. A
+    /// present and deciding. A count decides a cap k when it is exact —
+    /// below its own cap, or uncapped — and answers `min(n, k)`; a count
+    /// that reached its cap decides only caps k ≤ that cap. An entry that
+    /// does not decide stays where it is in the recency order. A
     /// capacity-0 store holds nothing, so it never hits.
     pub(crate) fn lookup(&mut self, key: &CompKey, limit: Option<usize>) -> Option<CompValue> {
-        let entry = self.entries.get_mut(key)?;
-        if entry.generation != self.generation {
-            // stale generation: the entry predates a clear — drop it and
-            // count the forced recomputation as an invalidation
-            self.entries.remove(key);
-            self.invalidations += 1;
-            return None;
-        }
-        let value = match entry.value {
+        let value = self.entries.get(key, |value| match *value {
             CompValue::Count(n, cap) => {
                 let exact = cap.is_none_or(|c| n < c as u64);
                 if !exact && limit.zip(cap).is_none_or(|(k, c)| k > c) {
                     return None;
                 }
-                CompValue::Count(limit.map_or(n, |k| n.min(k as u64)), limit)
+                Some(CompValue::Count(
+                    limit.map_or(n, |k| n.min(k as u64)),
+                    limit,
+                ))
             }
-            ref rows => rows.clone(),
-        };
-        self.tick += 1;
-        entry.last_used = self.tick;
+            ref rows => Some(rows.clone()),
+        })?;
         self.hits += 1;
         Some(value)
     }
@@ -183,33 +138,11 @@ impl SiblingCache {
     /// the same key, which a run only re-computes when that entry could
     /// not answer it. A capacity-0 store never inserts.
     pub(crate) fn insert(&mut self, key: CompKey, value: CompValue) {
-        if self.capacity == 0 {
+        if self.entries.capacity() == 0 {
             return;
         }
-        while self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| (e.generation == self.generation, e.last_used))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    self.entries.remove(&k);
-                    self.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        self.tick += 1;
         self.insertions += 1;
-        self.entries.insert(
-            key,
-            Entry {
-                value,
-                generation: self.generation,
-                last_used: self.tick,
-            },
-        );
+        self.evictions += u64::from(self.entries.insert(key, value).is_some());
     }
 
     /// Count the cross-component bookkeeping of one incremental query:
@@ -221,64 +154,21 @@ impl SiblingCache {
         }
     }
 
-    /// Record a sibling-plan derivation (plan patched, not compiled).
-    pub(crate) fn note_derived(&mut self) {
-        self.derived_plans += 1;
-    }
-
-    /// Invalidate every memoized result in O(1) by bumping the
-    /// generation; stale entries are dropped lazily on next touch.
+    /// Drop every memoized result, counting each as an invalidation.
     pub(crate) fn clear(&mut self) {
-        self.generation += 1;
+        self.invalidations += self.entries.clear() as u64;
     }
 
-    /// Remember an already prepared, satisfiable query as a candidate
-    /// parent for sibling-plan derivation, newest last. Re-registering a
-    /// known signature only refreshes its position: `entry` (the query's
-    /// shape hash and a shared clone of it) is built for new signatures
-    /// alone, so a plan-cache hit pays neither.
-    pub(crate) fn register(
-        &mut self,
-        sig: String,
-        entry: impl FnOnce() -> (u64, Arc<PatternQuery>),
-    ) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Some(pos) = self.registry.iter().position(|e| e.sig == sig) {
-            let e = self.registry.remove(pos).expect("position is valid");
-            self.registry.push_back(e);
-            return;
-        }
-        let (shape, query) = entry();
-        self.registry.push_back(RegEntry { shape, sig, query });
-        while self.registry.len() > REGISTRY_CAPACITY {
-            self.registry.pop_front();
-        }
-    }
-
-    /// Recently registered queries with the given shape hash, newest
-    /// first — the candidate parents a plan-cache miss tries to derive
-    /// from.
-    pub(crate) fn parents_for(&self, shape: u64) -> Vec<(String, Arc<PatternQuery>)> {
-        self.registry
-            .iter()
-            .rev()
-            .filter(|e| e.shape == shape)
-            .map(|e| (e.sig.clone(), Arc::clone(&e.query)))
-            .collect()
-    }
-
-    /// Current counters.
+    /// Current counters. Derived plans are the database's to count.
     pub(crate) fn stats(&self) -> SiblingStats {
         SiblingStats {
             hits: self.hits,
             invalidations: self.invalidations,
             insertions: self.insertions,
             evictions: self.evictions,
-            derived_plans: self.derived_plans,
             len: self.entries.len(),
-            capacity: self.capacity,
+            capacity: self.entries.capacity(),
+            ..SiblingStats::default()
         }
     }
 }
@@ -387,13 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn clear_bumps_generation_and_counts_invalidations() {
+    fn clear_empties_the_store_and_counts_invalidations() {
         let mut c = SiblingCache::new(4);
         insert_count(&mut c, "a", 7);
+        insert_count(&mut c, "b", 8);
         c.clear();
+        let s = c.stats();
+        assert_eq!((s.len, s.invalidations), (0, 2));
         assert_eq!(lookup_count(&mut c, "a"), None);
-        assert_eq!(c.stats().invalidations, 1);
-        // re-inserting under the new generation works
+        assert_eq!(c.stats().invalidations, 2, "a miss is not an invalidation");
+        // the store fills again after a clear
         insert_count(&mut c, "a", 7);
         assert_eq!(lookup_count(&mut c, "a"), Some(7));
     }
@@ -412,36 +305,24 @@ mod tests {
         let mut off = SiblingCache::new(0);
         insert_count(&mut off, "a", 1);
         assert_eq!(lookup_count(&mut off, "a"), None);
-        off.register("s".into(), || {
-            panic!("a capacity-0 store registers nothing")
-        });
-        assert!(off.parents_for(1).is_empty());
         let s = off.stats();
         assert_eq!((s.len, s.hits, s.insertions), (0, 0, 0));
     }
 
     #[test]
-    fn registry_is_shape_filtered_newest_first_and_bounded() {
-        let mut c = SiblingCache::new(4);
-        let q = Arc::new(PatternQuery::new());
-        let entry = |shape: u64| {
-            let q = Arc::clone(&q);
-            move || (shape, q)
-        };
-        c.register("s1".into(), entry(1));
-        c.register("s2".into(), entry(2));
-        c.register("s3".into(), entry(1));
-        let parents: Vec<String> = c.parents_for(1).into_iter().map(|(s, _)| s).collect();
-        assert_eq!(parents, ["s3", "s1"]);
-        // re-registering refreshes, not duplicates — and never rebuilds
-        // the entry (the clone a plan-cache hit must not pay)
-        c.register("s1".into(), || panic!("known signature: entry not built"));
-        let parents: Vec<String> = c.parents_for(1).into_iter().map(|(s, _)| s).collect();
-        assert_eq!(parents, ["s1", "s3"]);
-        for i in 0..(REGISTRY_CAPACITY + 10) {
-            c.register(format!("x{i}"), entry(9));
-        }
-        assert!(c.parents_for(9).len() <= REGISTRY_CAPACITY);
+    fn a_lookup_that_cannot_answer_refreshes_nothing() {
+        let mut c = SiblingCache::new(2);
+        // counted to its cap 5, then b: a is the older entry
+        insert_capped(&mut c, "a", 5, Some(5));
+        insert_count(&mut c, "b", 2);
+        assert_eq!(lookup_capped(&mut c, "a", Some(6)), None);
+        insert_count(&mut c, "c", 3);
+        assert_eq!(lookup_count(&mut c, "b"), Some(2), "b survives");
+        assert_eq!(
+            lookup_capped(&mut c, "a", Some(1)),
+            None,
+            "a was the victim"
+        );
     }
 
     #[test]

@@ -408,10 +408,11 @@ fn pre_tripped_budget_inserts_nothing() {
     assert_eq!(db.sibling_stats().insertions, 0, "{:?}", db.sibling_stats());
 }
 
-/// `clear_sibling_cache` bumps the generation: stale entries stop
-/// replaying (counted as invalidations) and results stay correct.
+/// `clear_sibling_cache` empties the store: its entries stop replaying
+/// (each counted as an invalidation when dropped) and results stay
+/// correct.
 #[test]
-fn generation_bump_invalidates_replays() {
+fn clear_stops_replays() {
     let g = build_graph(5, &[0, 1, 2], &[(0, 1, true), (1, 2, true), (2, 3, false)]);
     let db = Database::open(g).expect("open");
     let session = db.session();
@@ -423,14 +424,19 @@ fn generation_bump_invalidates_replays() {
     let hits = db.sibling_stats().hits;
     assert!(hits > 0, "{:?}", db.sibling_stats());
 
-    db.clear_sibling_cache();
     let invalidations = db.sibling_stats().invalidations;
-    let again = session.count_governed(&q, MatchOptions::default()).unwrap();
-    assert_eq!(again.value, first.value);
+    db.clear_sibling_cache();
     assert!(
         db.sibling_stats().invalidations > invalidations,
-        "stale-generation entries must be dropped and counted: {:?}",
+        "cleared entries must be counted: {:?}",
         db.sibling_stats()
+    );
+    let again = session.count_governed(&q, MatchOptions::default()).unwrap();
+    assert_eq!(again.value, first.value);
+    assert_eq!(
+        db.sibling_stats().hits,
+        hits,
+        "nothing replays after a clear"
     );
 }
 
