@@ -39,9 +39,12 @@ fn exhaust_after(k: u64) -> FaultPlan {
 /// until a diagnosis runs untripped. Only the first count may turn a
 /// trip into an error; every later trip leaves a diagnosis whose
 /// explanations hold by the oracle. Afterwards the database answers as a
-/// fresh one does: no tripped count was cached.
+/// fresh one does: no tripped count was cached. One guard is held for
+/// the whole sweep and re-armed between its parts, so no count here runs
+/// while another test's plan is armed.
 #[test]
 fn exhaustion_at_every_charge_degrades_soundly() {
+    let mut armed = arm(FaultPlan::default());
     let g = small_graph();
     // a why-card query: more than one answer where at most one is wanted
     let card = ldbc_queries()[2].clone();
@@ -57,10 +60,9 @@ fn exhaustion_at_every_charge_degrades_soundly() {
         let mut k = 0;
         loop {
             let budget = governed();
-            let answer = {
-                let _armed = arm(exhaust_after(k));
-                WhyEngine::governed(&db, budget.clone()).diagnose(q, *goal)
-            };
+            armed.rearm(exhaust_after(k));
+            let answer = WhyEngine::governed(&db, budget.clone()).diagnose(q, *goal);
+            armed.rearm(FaultPlan::default());
             match answer {
                 Err(WhyqError::Interrupted { termination }) => {
                     assert_eq!(termination, Termination::BudgetExhausted);
@@ -80,7 +82,6 @@ fn exhaustion_at_every_charge_degrades_soundly() {
         }
         assert!(interrupted && answered, "{goal:?}: {k} charges");
 
-        let _disarmed = arm(FaultPlan::default());
         let fresh = Database::open(g.clone()).expect("open");
         let warm = WhyEngine::new(&db).diagnose(q, *goal).expect("diagnose");
         let cold = WhyEngine::new(&fresh).diagnose(q, *goal).expect("diagnose");

@@ -22,10 +22,33 @@
 //! three parallel arrays — no `EdgeData` load at all unless a predicate
 //! needs edge attributes. [`AdjSlice`] bundles the three parallel slices of
 //! one scan.
+//!
+//! Beside the two arenas sits one dense vertex column, `vertex_types`: the
+//! value-dictionary symbol of each vertex's `type` attribute
+//! ([`crate::domains::TYPE_ATTR`]), or [`NO_TYPE`] when the vertex has
+//! none, a non-string one or an un-encoded string. A matcher testing
+//! `type` against a string disjunction reads four bytes per vertex instead
+//! of searching the vertex's heap [`crate::AttrMap`]; a [`NO_TYPE`] entry
+//! sends it back to the map, so the column decides only what it can
+//! decide exactly.
 
 use crate::graph::{EdgeData, EdgeId, VertexId};
 use crate::interner::Symbol;
+use crate::value::Value;
 use std::ops::Range;
+
+/// The [`CsrTopology::vertex_type`] column entry of a vertex whose `type`
+/// attribute is absent, not a string, or a string the value dictionary
+/// did not encode.
+pub const NO_TYPE: u32 = u32::MAX;
+
+/// The type-column entry for a vertex whose `type` attribute is `ty`.
+pub(crate) fn type_entry(ty: Option<&Value>) -> u32 {
+    match ty {
+        Some(Value::Sym(sv)) => sv.sym().0,
+        _ => NO_TYPE,
+    }
+}
 
 /// Parallel slices over one vertex's (possibly type-restricted) adjacency:
 /// `edges[i]` connects the scanned vertex to `others[i]` and has type
@@ -170,16 +193,31 @@ impl CsrDir {
 }
 
 /// The sealed, read-optimized adjacency of a graph: one CSR arena per
-/// direction. Obtained from [`crate::PropertyGraph::topology`] (built
-/// lazily and cached) or pinned permanently by
-/// [`crate::PropertyGraph::seal`].
+/// direction, plus the dense vertex-type column (see the
+/// [module docs](self)). Obtained from [`crate::PropertyGraph::topology`]
+/// (built lazily and cached) or pinned permanently by
+/// [`crate::PropertyGraph::seal`]. Adding a vertex or an edge drops the
+/// whole view; [`crate::PropertyGraph::set_vertex_attr`] on `type`
+/// patches the one column entry it changes.
 #[derive(Debug, Clone, Default)]
 pub struct CsrTopology {
     pub(crate) out: CsrDir,
     pub(crate) inn: CsrDir,
+    /// Per vertex: the dictionary symbol of its `type` string, or
+    /// [`NO_TYPE`].
+    pub(crate) vertex_types: Vec<u32>,
 }
 
 impl CsrTopology {
+    /// The value-dictionary symbol of `v`'s `type` attribute, or `None`
+    /// when `v` has no such attribute, a non-string one or an
+    /// un-encoded string — the caller then reads the attribute map.
+    #[inline]
+    pub fn vertex_type(&self, v: VertexId) -> Option<Symbol> {
+        let t = self.vertex_types[v.0 as usize];
+        (t != NO_TYPE).then_some(Symbol(t))
+    }
+
     /// Outgoing entries of `v`, grouped in contiguous per-type runs.
     pub fn out_entries(&self, v: VertexId) -> AdjSlice<'_> {
         self.out.entries(v)

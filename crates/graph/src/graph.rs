@@ -27,7 +27,8 @@
 //! `in_edges_of`, …) serve from whichever representation is current.
 
 use crate::attrs::AttrMap;
-use crate::csr::{CsrDir, CsrTopology};
+use crate::csr::{type_entry, CsrDir, CsrTopology};
+use crate::domains::TYPE_ATTR;
 use crate::error::GraphError;
 use crate::interner::{Interner, Symbol};
 use crate::value::Value;
@@ -225,9 +226,11 @@ impl PropertyGraph {
     // lifecycle: build → seal (→ melt on mutation)
     // ------------------------------------------------------------------
 
-    /// The sealed CSR view of the adjacency, built on first use and cached.
+    /// The sealed CSR view of the adjacency, built on first use and cached,
+    /// with the vertex-type column ([`CsrTopology::vertex_type`]).
     ///
-    /// Cheap after the first call; any mutation invalidates the cache. Bulk
+    /// Cheap after the first call; adding a vertex or an edge invalidates
+    /// the cache, and setting a vertex's `type` patches its column entry. Bulk
     /// readers (the matcher, traversals) should grab this once and scan
     /// through [`crate::csr::AdjSlice`]s instead of per-edge [`Self::edge`]
     /// lookups.
@@ -243,6 +246,13 @@ impl PropertyGraph {
                 &self.edges,
                 false,
             ),
+            vertex_types: {
+                let ty = self.attr_names.get(TYPE_ATTR);
+                self.vertices
+                    .iter()
+                    .map(|v| type_entry(ty.and_then(|ty| v.attrs.get(ty))))
+                    .collect()
+            },
         })
     }
 
@@ -345,6 +355,8 @@ impl PropertyGraph {
     /// An overwrite only widens the attribute's
     /// [numeric range](Self::numeric_range): the replaced value's bound
     /// stays, so the range may be wider than the data, never narrower.
+    /// Setting [`TYPE_ATTR`] patches the vertex's entry in the cached
+    /// topology's type column; the adjacency stays as it is.
     pub fn set_vertex_attr(
         &mut self,
         v: VertexId,
@@ -358,6 +370,11 @@ impl PropertyGraph {
             .get_mut(v.0 as usize)
             .ok_or(GraphError::VertexOutOfRange(v))?;
         widen(&mut self.vertex_ranges, sym, &value);
+        if key == TYPE_ATTR {
+            if let Some(csr) = self.csr.get_mut() {
+                csr.vertex_types[v.0 as usize] = type_entry(Some(&value));
+            }
+        }
         vertex.attrs.insert(sym, value);
         Ok(())
     }
@@ -816,6 +833,28 @@ mod tests {
         assert_eq!(entries.others, &[b, c, a]);
         assert!(entries.types.iter().all(|&t| t == knows));
         assert_eq!(g.topology().in_entries(a).others, &[a, b]);
+    }
+
+    #[test]
+    fn type_column_holds_encoded_types_and_follows_writes() {
+        let (mut g, a, b, _) = tiny();
+        let c = g.add_vertex([("type", Value::Int(3))]);
+        let d = g.add_vertex([("name", Value::str("Dora"))]);
+        g.seal();
+        let sym = |name| g.value_symbol(name);
+        let types = |g: &PropertyGraph| [a, b, c, d].map(|v| g.topology().vertex_type(v));
+        assert_eq!(types(&g), [sym("person"), sym("city"), None, None]);
+        // a `type` write patches the column in place, on a sealed graph
+        g.set_vertex_attr(a, "type", Value::str("city")).unwrap();
+        g.set_vertex_attr(b, "type", Value::Float(0.5)).unwrap();
+        g.set_vertex_attr(d, "type", Value::str("robot")).unwrap();
+        g.set_vertex_attr(c, "age", Value::Int(4)).unwrap();
+        assert!(g.is_sealed());
+        let (city, robot) = (g.value_symbol("city"), g.value_symbol("robot"));
+        assert_eq!(types(&g), [city, None, None, robot]);
+        // a melt and rebuild reads the same column from the attributes
+        g.add_vertex([]);
+        assert_eq!(types(&g), [city, None, None, robot]);
     }
 
     #[test]

@@ -41,7 +41,8 @@
 
 use crate::index::AttrIndex;
 use std::sync::Arc;
-use whyq_graph::{AttrMap, EdgeData, PropertyGraph, Symbol, Value, VertexId};
+use whyq_graph::domains::TYPE_ATTR;
+use whyq_graph::{AttrMap, CsrTopology, EdgeData, PropertyGraph, Symbol, Value, VertexId};
 use whyq_query::{Interval, PatternQuery, Predicate, QEid, QVid, QueryEdge, QueryVertex};
 
 /// A predicate interval with its string constants resolved against the
@@ -215,20 +216,55 @@ impl ResolvedPredicate {
 pub struct CompiledVertex {
     /// Resolved predicates; all must hold.
     pub preds: Vec<ResolvedPredicate>,
+    /// Index in `preds` of the first predicate on the `type` attribute
+    /// ([`TYPE_ATTR`]) whose interval is a string-only `OneOf`: the one
+    /// [`CompiledVertex::accepts_sealed`] decides from the topology's type
+    /// column.
+    type_pred: Option<usize>,
 }
 
 impl CompiledVertex {
     /// Compile the predicates of `qv` against `g`.
     pub fn compile(g: &PropertyGraph, qv: &QueryVertex) -> Self {
-        CompiledVertex {
-            preds: resolve(g, &qv.predicates, false),
-        }
+        let preds = resolve(g, &qv.predicates, false);
+        let type_attr = g.attr_symbol(TYPE_ATTR);
+        let type_pred = preds.iter().position(|p| {
+            type_attr.is_some()
+                && p.sym == type_attr
+                && matches!(&p.interval, CompiledInterval::OneOf { other, .. } if other.is_empty())
+        });
+        CompiledVertex { preds, type_pred }
     }
 
-    /// Does data vertex `v` satisfy the vertex constraints?
+    /// Does data vertex `v` satisfy the vertex constraints? Reads only
+    /// `v`'s attribute map — the test of the reference matcher.
     pub fn accepts(&self, g: &PropertyGraph, v: VertexId) -> bool {
         let attrs = &g.vertex(v).attrs;
         self.preds.iter().all(|p| p.matches(attrs))
+    }
+
+    /// [`CompiledVertex::accepts`] as the engine runs it: a string-only
+    /// `type` disjunction is tested against `topo`'s type column first
+    /// ([`CsrTopology::vertex_type`]; `topo` must be `g`'s), and the
+    /// attribute map is read only for the remaining predicates. A vertex
+    /// the column has no symbol for falls back to the map, so the answer
+    /// equals [`CompiledVertex::accepts`] for every vertex.
+    #[inline]
+    pub fn accepts_sealed(&self, g: &PropertyGraph, topo: &CsrTopology, v: VertexId) -> bool {
+        if let Some(i) = self.type_pred {
+            if let (Some(ty), CompiledInterval::OneOf { syms, .. }) =
+                (topo.vertex_type(v), &self.preds[i].interval)
+            {
+                let attrs = &g.vertex(v).attrs;
+                return syms.iter().any(|(s, _)| *s == ty)
+                    && self
+                        .preds
+                        .iter()
+                        .enumerate()
+                        .all(|(j, p)| j == i || p.matches(attrs));
+            }
+        }
+        self.accepts(g, v)
     }
 
     /// True when no data vertex can satisfy this query vertex.
@@ -487,6 +523,7 @@ pub fn estimate_candidates(
     indexes: &[Arc<AttrIndex>],
 ) -> Vec<u64> {
     let n = g.num_vertices();
+    let topo = g.topology();
     let stride = n.div_ceil(ESTIMATE_SAMPLE).max(1);
     let mut est: Vec<u64> = vec![0; q.vertex_slots()];
     for v in q.vertex_ids() {
@@ -527,7 +564,7 @@ pub fn estimate_candidates(
         let mut hits = 0u64;
         for dv in g.vertex_ids().step_by(stride) {
             sampled += 1;
-            if cv.accepts(g, dv) {
+            if cv.accepts_sealed(g, topo, dv) {
                 hits += 1;
             }
         }

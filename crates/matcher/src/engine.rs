@@ -22,8 +22,9 @@
 //! touches no [`whyq_graph::EdgeData`] unless the query edge carries
 //! attribute predicates, and a self-loop skip rule makes a sort+dedup
 //! buffer per step unnecessary. A [`ResultGraph`] is
-//! materialized only when a complete match is emitted, and counting skips
-//! even that. All per-search storage lives in one reusable scratch arena
+//! materialized only when a complete match is emitted; counting skips
+//! even that, and binds no candidate of a component's last scan at all —
+//! the VM counts them in place. All per-search storage lives in one reusable scratch arena
 //! owned by the [`Matcher`], so a matcher that is kept around — as the
 //! why-query relaxation loop does — performs no per-call setup allocations
 //! beyond query compilation and the candidate list of an index-seeded
@@ -434,9 +435,11 @@ impl<'g> Matcher<'g> {
             prog,
             seeds.view(&unit.range),
             &opts,
-            &mut |s| {
-                results.push(s.to_result());
-                results.len() < cap
+            |cx, st, vs| {
+                crate::vm::run_to_end(cx, st, vs, &mut |s| {
+                    results.push(s.to_result());
+                    results.len() < cap
+                });
             },
         );
         results
@@ -444,7 +447,9 @@ impl<'g> Matcher<'g> {
 
     /// Count the partial bindings of one [`WorkUnit`] without
     /// materializing them, stopping early at `opts.limit` — the counting
-    /// twin of [`Matcher::find_unit`].
+    /// twin of [`Matcher::find_unit`]. The VM counts the candidates of
+    /// each component's last scan in place ([`crate::vm`]'s leaf kernel),
+    /// so no match is ever bound, only counted.
     pub fn count_unit(
         &self,
         q: &PatternQuery,
@@ -454,8 +459,10 @@ impl<'g> Matcher<'g> {
         seeds: &SeedList,
         opts: MatchOptions,
     ) -> u64 {
-        let limit = opts.limit.map(|l| l as u64);
-        let mut c: u64 = 0;
+        let cap = opts.limit.map_or(u64::MAX, |l| l as u64);
+        if cap == 0 {
+            return 0;
+        }
         let prog = &program.components()[unit.component];
         self.run_unit(
             q,
@@ -463,33 +470,29 @@ impl<'g> Matcher<'g> {
             prog,
             seeds.view(&unit.range),
             &opts,
-            &mut |_| {
-                c += 1;
-                limit.is_none_or(|l| c < l)
-            },
-        );
-        match limit {
-            Some(l) => c.min(l),
-            None => c,
-        }
+            |cx, st, vs| crate::vm::count_to_end(cx, st, vs, cap),
+        )
+        .unwrap_or(0)
     }
 
     /// The one program runner: one component program over one seed
-    /// source, to completion (or until `emit` declines or the budget
-    /// trips), on this matcher's scratch arena — which is left clean.
-    fn run_unit(
+    /// source on this matcher's scratch arena, driven by `body`
+    /// ([`crate::vm::run_to_end`] or [`crate::vm::count_to_end`]). The
+    /// arena is left clean and the budget settled; `None` when the budget
+    /// had already tripped and nothing ran.
+    fn run_unit<R>(
         &self,
         q: &PatternQuery,
         compiled: &Compiled,
         prog: &Program,
         seeds: SeedSrc<'_>,
         opts: &MatchOptions,
-        emit: &mut dyn FnMut(&Scratch) -> bool,
-    ) {
+        body: impl FnOnce(&VmCtx<'_>, &mut Scratch, &mut VmState) -> R,
+    ) -> Option<R> {
         // an already-tripped (or zero) budget refuses the search up front —
         // the tick check inside the VM only fires after a full block
         if opts.budget.poll().is_err() {
-            return;
+            return None;
         }
         let mut st = self.scratch.borrow_mut();
         st.prepare(self.g, q);
@@ -504,10 +507,11 @@ impl<'g> Matcher<'g> {
             seeds,
         };
         let mut vs = VmState::default();
-        crate::vm::run_to_end(&cx, &mut st, &mut vs, emit);
+        let out = body(&cx, &mut st, &mut vs);
         // release any registers an early stop left bound
         crate::vm::unwind(&cx, &mut st, &mut vs);
         st.settle(&opts.budget);
+        Some(out)
     }
 }
 
@@ -619,6 +623,33 @@ mod tests {
         assert_eq!(streamed.termination(), Termination::Complete);
         drop(partial);
         assert_eq!(streamed.termination(), Termination::BudgetExhausted);
+    }
+
+    /// Setting a vertex's `type` on a sealed graph patches the type
+    /// column the engine reads, so the next count sees the new type —
+    /// a string, or a number the column has no symbol for.
+    #[test]
+    fn retyping_a_sealed_vertex_is_seen_by_the_next_count() {
+        let mut g = social();
+        g.seal();
+        let of_type = |ty: &str| {
+            QueryBuilder::new("t")
+                .vertex("v", [Predicate::one_of("type", [ty, "nobody"])])
+                .build()
+        };
+        let counts = |g: &PropertyGraph| {
+            let m = Matcher::new(g);
+            let count = |ty| m.count(&of_type(ty), MatchOptions::default());
+            (count("person"), count("city"))
+        };
+        assert_eq!(counts(&g), (3, 2));
+        g.set_vertex_attr(VertexId(0), "type", Value::str("city"))
+            .unwrap();
+        assert_eq!(counts(&g), (2, 3));
+        g.set_vertex_attr(VertexId(1), "type", Value::Int(7))
+            .unwrap();
+        assert!(g.is_sealed());
+        assert_eq!(counts(&g), (1, 3));
     }
 
     #[test]

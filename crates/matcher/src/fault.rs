@@ -64,16 +64,28 @@ fn current_plan() -> Option<FaultPlan> {
 /// Also takes (and holds) the fault test lock, serializing tests that
 /// inject faults, and resets the injection counters.
 pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let serial = lock(&TEST_LOCK);
-    SEEDS_BOUND.store(0, Ordering::SeqCst);
-    CHARGES.store(0, Ordering::SeqCst);
-    *lock(&PLAN) = Some(plan);
-    FaultGuard { _serial: serial }
+    let mut guard = FaultGuard {
+        _serial: lock(&TEST_LOCK),
+    };
+    guard.rearm(plan);
+    guard
 }
 
 /// Disarms the active [`FaultPlan`] (and releases the test lock) on drop.
 pub struct FaultGuard {
     _serial: MutexGuard<'static, ()>,
+}
+
+impl FaultGuard {
+    /// Swap in `plan` and reset the injection counters, keeping the test
+    /// lock. A test that runs several plans in turn holds one guard for
+    /// its whole run, so no other test's code can run between them and
+    /// absorb a fault meant for this one.
+    pub fn rearm(&mut self, plan: FaultPlan) {
+        SEEDS_BOUND.store(0, Ordering::SeqCst);
+        CHARGES.store(0, Ordering::SeqCst);
+        *lock(&PLAN) = Some(plan);
+    }
 }
 
 impl Drop for FaultGuard {

@@ -16,17 +16,31 @@
 //! binding a candidate writes the slots [`crate::engine::Matcher`]'s
 //! result materialization reads.
 //!
-//! `next_match` is the whole engine: a loop over a program counter and
-//! an explicit frame stack, one frame per active *scan* instruction —
+//! One dispatch loop is the whole engine: a loop over a program counter
+//! and an explicit frame stack, one frame per active *scan* instruction —
 //! every instruction but the final `Emit` is a scan, one per plan step.
 //! A scan instruction pushes a frame on first entry and advances its
 //! cursor to the next acceptable candidate on re-entry: occupancy
 //! (injective mode) and its inline filters accept the candidate, and the
-//! scan commits it to the register file. `Emit` suspends the machine and
-//! yields. Resumption re-enters at the deepest frame's scan — exactly
-//! the suspension shape [`crate::stream::MatchStream`] needs, so eager
-//! (`find`/`count`), streamed, governed and [`crate::work::WorkUnit`]
-//! execution all run this one loop.
+//! scan commits it to the register file. What happens at `Emit` is the
+//! loop's one mode switch:
+//!
+//! * `next_match` suspends the machine and yields. Resumption re-enters
+//!   at the deepest frame's scan — exactly the suspension shape
+//!   [`crate::stream::MatchStream`] needs.
+//! * `run_to_end` hands the assignment to an inline callback and
+//!   backtracks; eager `find` (and its [`crate::work::WorkUnit`]s) runs
+//!   this way.
+//! * `count_to_end` never reaches `Emit`. When control enters the last
+//!   scan, that scan counts its accepted candidates in a tight loop
+//!   (`count_leaf`) and binds none of them, then backtracks. Every other
+//!   scan runs as above. Counts pay for what decides them: no binding,
+//!   occupancy stamp or dispatch per match.
+//!
+//! The resumable scans and the leaf counter share one set of candidate
+//! rules (run extents, direction passes, the self-loop skip, occupancy,
+//! inline filters), so a leaf counts exactly the candidates its scan
+//! would bind.
 //!
 //! Candidate order and filter sequence are fixed (occupancy stamps
 //! before predicate checks, `EdgeData` loaded only when a filter needs
@@ -34,8 +48,10 @@
 //! edges included), so programs compiled with or without
 //! [`crate::optimize::PassSet::seed_select`] enumerate the same matches;
 //! with identical seed sources they enumerate them in the same order. The
-//! budget is charged every [`CHECK_INTERVAL`] VM transitions, so a
-//! governed run yields a prefix of the ungoverned one.
+//! budget is ticked once per accepted candidate — by a leaf count as by
+//! a binding scan — and charged every [`CHECK_INTERVAL`] ticks, so a
+//! governed run yields a prefix of the ungoverned one and a governed
+//! count stops on the candidate a governed find stops on.
 //!
 //! Instruction encodings and the compilation scheme are documented in
 //! `docs/plan-ir.md`.
@@ -44,7 +60,8 @@ use crate::budget::{Budget, CHECK_INTERVAL};
 use crate::compile::Compiled;
 use crate::engine::Scratch;
 use crate::plan_ir::{FilterTest, IrNode, PlanIr, SeedSpec};
-use whyq_graph::{CsrTopology, EdgeId, PropertyGraph, VertexId};
+use std::ops::ControlFlow;
+use whyq_graph::{AdjSlice, CsrTopology, EdgeId, PropertyGraph, Symbol, VertexId};
 use whyq_query::{PatternQuery, QEid, QVid};
 
 /// A range into a [`Program`]'s pooled filter table.
@@ -400,14 +417,33 @@ impl VmState {
     }
 }
 
-/// Outcome of advancing one scan frame.
+/// Outcome of one dispatch step.
 enum Adv {
-    /// A candidate was accepted and bound.
+    /// A candidate was accepted and bound: fall through to the next
+    /// instruction.
     Found,
-    /// The scan ran out of candidates.
+    /// The scan ran out of candidates: pop its frame and backtrack.
     Exhausted,
+    /// Backtrack into the deepest active scan without popping a frame —
+    /// after an emission was delivered, or after the last scan of a count
+    /// run counted its candidates in place.
+    Resume,
+    /// The caller asked to stop (a declined emission, a count at its cap).
+    Stop,
     /// The budget tripped mid-scan; abort the run (sticky).
     Tripped,
+}
+
+/// What the dispatch loop does with complete assignments.
+enum Sink<'a> {
+    /// Suspend and return each one ([`next_match`]).
+    Yield,
+    /// Hand each one to a callback, stopping when it declines
+    /// ([`run_to_end`]).
+    Emit(&'a mut dyn FnMut(&Scratch) -> bool),
+    /// Count them without binding the last scan ([`count_to_end`]):
+    /// `n` so far, stopping at `cap`. `Emit` is never reached.
+    Count { n: &'a mut u64, cap: u64 },
 }
 
 #[inline]
@@ -421,7 +457,7 @@ fn tick(cx: &VmCtx<'_>, st: &mut Scratch) -> bool {
 #[inline]
 fn test_filter(cx: &VmCtx<'_>, test: FilterTest, de: EdgeId, dv: VertexId) -> bool {
     match test {
-        FilterTest::VertexPreds(v) => cx.compiled.vertex(v).accepts(cx.g, dv),
+        FilterTest::VertexPreds(v) => cx.compiled.vertex(v).accepts_sealed(cx.g, cx.topo, dv),
         FilterTest::EdgeAttrs(e) => cx.compiled.edge(e).accepts_attrs(&cx.g.edge(de).attrs),
     }
 }
@@ -438,20 +474,152 @@ fn inline_filters(cx: &VmCtx<'_>, fs: &[FilterTest], de: EdgeId, dv: VertexId) -
     fs.iter().all(|&t| test_filter(cx, t, de, dv))
 }
 
+// ---------------------------------------------------------------------
+// candidate rules, shared by the resumable scans and the leaf counter
+// ---------------------------------------------------------------------
+
+/// The admissible type symbols of query edge slot `edge`, `None` = any.
+#[inline]
+fn edge_types<'a>(cx: &VmCtx<'a>, edge: u16) -> Option<&'a [Symbol]> {
+    cx.compiled.edge(QEid(edge as u32)).types.as_deref()
+}
+
+/// The absolute CSR extent of run `ty` of `v`'s out (`out`) or in
+/// adjacency: the `ty`-th admissible per-type run of a typed edge, the
+/// whole adjacency as run 0 of an untyped one. `None` past the last run.
+#[inline]
+fn run_extent(
+    topo: &CsrTopology,
+    tys: Option<&[Symbol]>,
+    v: VertexId,
+    out: bool,
+    ty: usize,
+) -> Option<(u32, u32)> {
+    let r = match tys {
+        Some(tys) => {
+            let t = *tys.get(ty)?;
+            if out {
+                topo.out_extent_of(v, t)
+            } else {
+                topo.in_extent_of(v, t)
+            }
+        }
+        None if ty == 0 => {
+            if out {
+                topo.out_extent(v)
+            } else {
+                topo.in_extent(v)
+            }
+        }
+        None => return None,
+    };
+    Some((r.start, r.end))
+}
+
+/// Reslice an extent from [`run_extent`] or [`close_run`].
+#[inline]
+fn run_slice(topo: &CsrTopology, out: bool, ext: (u32, u32)) -> AdjSlice<'_> {
+    if out {
+        topo.out_slice(ext.0..ext.1)
+    } else {
+        topo.in_slice(ext.0..ext.1)
+    }
+}
+
+/// Does an expansion walk direction `phase` (0 = forward, 1 = backward)?
+#[inline]
+fn expand_dir_on(phase: u8, fwd: bool, bwd: bool) -> bool {
+    if phase == 0 {
+        fwd
+    } else {
+        bwd
+    }
+}
+
+/// Does an expansion accept candidate `(de, dv)` reached from `anchor`?
+/// `skip_self_loops` is set on the backward pass of an edge that also
+/// walks forward: a self-loop at the anchor sits in both adjacency lists,
+/// and forward already tried it. Then occupancy (injective mode), then
+/// the inline filters.
+#[inline]
+fn expand_accepts(
+    cx: &VmCtx<'_>,
+    st: &Scratch,
+    fs: &[FilterTest],
+    skip_self_loops: bool,
+    anchor: VertexId,
+    de: EdgeId,
+    dv: VertexId,
+) -> bool {
+    !(skip_self_loops && dv == anchor)
+        && !(cx.injective && (st.vertex_used(dv) || st.edge_used(de)))
+        && inline_filters(cx, fs, de, dv)
+}
+
+/// Does a close between `ms` and `mt` walk direction `phase`? When both
+/// endpoints map to one data vertex the forward pass already enumerated
+/// every self-loop there.
+#[inline]
+fn close_dir_on(phase: u8, fwd: bool, bwd: bool, ms: VertexId, mt: VertexId) -> bool {
+    if phase == 0 {
+        fwd
+    } else {
+        bwd && !(fwd && ms == mt)
+    }
+}
+
+/// Run `ty` of a close from `ends.0` to `ends.1`: whichever endpoint
+/// slice is shorter (the deterministic choice keeps resumption stable) —
+/// its extent, whether it is the out arena, and the opposite endpoint a
+/// candidate must reach. `None` past the last run.
+#[inline]
+fn close_run(
+    topo: &CsrTopology,
+    tys: Option<&[Symbol]>,
+    ends: (VertexId, VertexId),
+    ty: usize,
+) -> Option<((u32, u32), bool, VertexId)> {
+    let r_out = run_extent(topo, tys, ends.0, true, ty)?;
+    let r_in = run_extent(topo, tys, ends.1, false, ty)?;
+    Some(if r_out.1 - r_out.0 <= r_in.1 - r_in.0 {
+        (r_out, true, ends.1)
+    } else {
+        (r_in, false, ends.0)
+    })
+}
+
+/// Does a close accept candidate edge `de`, whose opposite endpoint in
+/// the scanned slice is `other`? Then occupancy (injective mode), then
+/// the inline (edge) filters.
+#[inline]
+fn close_accepts(
+    cx: &VmCtx<'_>,
+    st: &Scratch,
+    fs: &[FilterTest],
+    want: VertexId,
+    de: EdgeId,
+    other: VertexId,
+) -> bool {
+    other == want && !(cx.injective && st.edge_used(de)) && inline_filters(cx, fs, de, other)
+}
+
+// ---------------------------------------------------------------------
+// the dispatch loop
+// ---------------------------------------------------------------------
+
 /// Run the machine until the next complete match. Returns `true` with
 /// the full assignment committed to `st`'s slot arrays (read it with
-/// `Scratch::to_result`, or just count); `false` when the program is
-/// exhausted *or* the budget tripped — distinguish via
-/// [`Budget::termination`]. The machine suspends on emission; calling
-/// again resumes by advancing the deepest scan. After the final `false`
-/// (or when abandoning a run early) call [`unwind`] to release the
-/// registers.
+/// `Scratch::to_result`); `false` when the program is exhausted *or* the
+/// budget tripped — distinguish via [`Budget::termination`]. The machine
+/// suspends on emission; calling again resumes by advancing the deepest
+/// scan. After the final `false` (or when abandoning a run early) call
+/// [`unwind`] to release the registers.
 pub(crate) fn next_match(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState) -> bool {
-    run(cx, st, vs, None)
+    run(cx, st, vs, Sink::Yield)
 }
 
 /// Run the machine to completion, delivering every match through `emit`
-/// inline — the eager twin of [`next_match`] for `count`/`find`, where
+/// inline — the eager twin of [`next_match`] for `find`, where
 /// suspending (and later re-entering) the dispatch loop once per match
 /// would dominate high-cardinality result sets. The machine stops when
 /// the program exhausts, the budget trips, or `emit` returns `false`
@@ -463,23 +631,36 @@ pub(crate) fn run_to_end(
     vs: &mut VmState,
     emit: &mut dyn FnMut(&Scratch) -> bool,
 ) {
-    run(cx, st, vs, Some(emit));
+    run(cx, st, vs, Sink::Emit(emit));
 }
 
-/// The dispatch loop behind [`next_match`] (`emit: None` — return on
-/// each match) and [`run_to_end`] (`emit: Some` — deliver matches inline
-/// and keep going until one is declined).
-fn run(
-    cx: &VmCtx<'_>,
-    st: &mut Scratch,
-    vs: &mut VmState,
-    mut emit: Option<&mut dyn FnMut(&Scratch) -> bool>,
-) -> bool {
+/// Count the program's matches, up to `cap` (at least 1), without
+/// materializing or even binding the last one: every scan but the last
+/// runs as in [`run_to_end`], and the last scan — the instruction before
+/// `Emit` — counts its accepted candidates in place ([`count_leaf`]) and
+/// backtracks. Candidate order, acceptance rules and budget ticks are
+/// those of [`run_to_end`], so a tripped count equals the number of
+/// matches a tripped [`run_to_end`] emits. Call [`unwind`] afterwards.
+pub(crate) fn count_to_end(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, cap: u64) -> u64 {
+    debug_assert!(cap > 0, "a zero cap counts nothing and needs no run");
+    let mut n = 0;
+    run(cx, st, vs, Sink::Count { n: &mut n, cap });
+    n
+}
+
+/// The dispatch loop behind [`next_match`], [`run_to_end`] and
+/// [`count_to_end`]; `sink` says what happens to complete assignments.
+fn run(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, mut sink: Sink<'_>) -> bool {
     if vs.done || cx.budget.poll().is_err() {
         return false;
     }
     let code = cx.prog.code();
     vs.ensure_frames(cx.prog);
+    // a count run never binds its last scan: entering it counts instead
+    let leaf = match sink {
+        Sink::Count { .. } => code.len() - 2,
+        Sink::Yield | Sink::Emit(_) => usize::MAX,
+    };
     // `fresh` distinguishes the two ways control reaches a scan
     // instruction: falling through from the previous instruction (a new
     // activation — initialize the scan's frame slot) versus backtracking
@@ -503,7 +684,13 @@ fn run(
     // of the candidate that reached it — charging per dispatch as well
     // would double-count each transition.
     loop {
-        match code[pc] {
+        let adv = match code[pc] {
+            ins if fresh && pc == leaf => {
+                let Sink::Count { n, cap } = &mut sink else {
+                    unreachable!("only a count run has a leaf")
+                };
+                count_leaf(cx, st, ins, n, *cap)
+            }
             Instruction::SeedScan { vertex, filters } => {
                 if fresh {
                     let f = &mut vs.frames[vs.depth];
@@ -512,22 +699,7 @@ fn run(
                     f.cur = Cursor::Seed { pos: 0 };
                     vs.depth += 1;
                 }
-                match advance_seed(cx, st, &mut vs.frames[vs.depth - 1], vertex, filters) {
-                    Adv::Found => {
-                        pc += 1;
-                        fresh = true;
-                    }
-                    Adv::Tripped => return false,
-                    Adv::Exhausted => {
-                        vs.depth -= 1;
-                        if vs.depth == 0 {
-                            vs.done = true;
-                            return false;
-                        }
-                        pc = vs.frames[vs.depth - 1].pc;
-                        fresh = false;
-                    }
-                }
+                advance_seed(cx, st, &mut vs.frames[vs.depth - 1], vertex, filters)
             }
             Instruction::Expand {
                 edge,
@@ -555,22 +727,7 @@ fn run(
                     };
                     vs.depth += 1;
                 }
-                match advance_expand(cx, st, &mut vs.frames[vs.depth - 1], edge, to, filters) {
-                    Adv::Found => {
-                        pc += 1;
-                        fresh = true;
-                    }
-                    Adv::Tripped => return false,
-                    Adv::Exhausted => {
-                        vs.depth -= 1;
-                        if vs.depth == 0 {
-                            vs.done = true;
-                            return false;
-                        }
-                        pc = vs.frames[vs.depth - 1].pc;
-                        fresh = false;
-                    }
-                }
+                advance_expand(cx, st, &mut vs.frames[vs.depth - 1], edge, to, filters)
             }
             Instruction::Close { edge, filters } => {
                 if fresh {
@@ -595,36 +752,141 @@ fn run(
                     };
                     vs.depth += 1;
                 }
-                match advance_close(cx, st, &mut vs.frames[vs.depth - 1], edge, filters) {
-                    Adv::Found => {
-                        pc += 1;
-                        fresh = true;
-                    }
-                    Adv::Tripped => return false,
-                    Adv::Exhausted => {
-                        vs.depth -= 1;
-                        if vs.depth == 0 {
-                            vs.done = true;
-                            return false;
-                        }
-                        pc = vs.frames[vs.depth - 1].pc;
-                        fresh = false;
-                    }
-                }
+                advance_close(cx, st, &mut vs.frames[vs.depth - 1], edge, filters)
             }
-            Instruction::Emit => match emit.as_mut() {
-                None => return true,
-                Some(e) => {
-                    if !e(st) {
-                        return true;
+            Instruction::Emit => match &mut sink {
+                Sink::Yield => return true,
+                Sink::Emit(e) => {
+                    if e(st) {
+                        Adv::Resume
+                    } else {
+                        Adv::Stop
                     }
-                    // continue as a resume would: re-advance the deepest
-                    // scan for the next assignment
-                    pc = vs.frames[vs.depth - 1].pc;
-                    fresh = false;
                 }
+                Sink::Count { .. } => unreachable!("a count run counts its leaf in place"),
             },
+        };
+        match adv {
+            Adv::Found => {
+                pc += 1;
+                fresh = true;
+            }
+            Adv::Tripped => return false,
+            Adv::Stop => return true,
+            Adv::Exhausted | Adv::Resume => {
+                if matches!(adv, Adv::Exhausted) {
+                    vs.depth -= 1;
+                }
+                if vs.depth == 0 {
+                    vs.done = true;
+                    return false;
+                }
+                pc = vs.frames[vs.depth - 1].pc;
+                fresh = false;
+            }
         }
+    }
+}
+
+/// The leaf kernel of a count run: count the accepted candidates of scan
+/// `ins`, binding nothing. It walks the candidates [`advance_seed`] /
+/// [`advance_expand`] / [`advance_close`] would, in their order and by
+/// their rules, and ticks once per accepted candidate as they do — so a
+/// trip lands on the same candidate, which is not counted. Returns
+/// [`Adv::Resume`] when the scan is exhausted, [`Adv::Stop`] once `n`
+/// reaches `cap`, [`Adv::Tripped`] on a trip.
+fn count_leaf(cx: &VmCtx<'_>, st: &mut Scratch, ins: Instruction, n: &mut u64, cap: u64) -> Adv {
+    // count one accepted candidate whose tick went through
+    let mut count = || {
+        *n += 1;
+        if *n == cap {
+            ControlFlow::Break(Adv::Stop)
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
+    let flow = match ins {
+        Instruction::SeedScan { filters, .. } => {
+            let fs = filter_slice(cx.prog, filters);
+            let mut seed = |dv: VertexId| {
+                if !inline_filters(cx, fs, EdgeId(0), dv) {
+                    return ControlFlow::Continue(());
+                }
+                if !tick(cx, st) {
+                    return ControlFlow::Break(Adv::Tripped);
+                }
+                #[cfg(feature = "fault-inject")]
+                crate::fault::on_seed_bound();
+                count()
+            };
+            match cx.seeds {
+                SeedSrc::Range { start, end } => (start..end).map(VertexId).try_for_each(&mut seed),
+                SeedSrc::Slice(seeds) => seeds.iter().copied().try_for_each(&mut seed),
+            }
+        }
+        Instruction::Expand {
+            edge,
+            from,
+            filters,
+            ..
+        } => {
+            let anchor = st.vslots[from as usize].expect("program binds `from` before Expand");
+            let qe = cx.q.edge(QEid(edge as u32)).expect("live");
+            let (fwd, bwd) = (qe.directions.forward, qe.directions.backward);
+            let from_is_src = QVid(from as u32) == qe.src;
+            let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
+            (0..2u8)
+                .filter(|&phase| expand_dir_on(phase, fwd, bwd))
+                .try_for_each(|phase| {
+                    let along_src = (phase == 0) == from_is_src;
+                    let skip_self_loops = phase == 1 && fwd;
+                    let mut ty = 0;
+                    while let Some(ext) = run_extent(cx.topo, tys, anchor, along_src, ty) {
+                        let list = run_slice(cx.topo, along_src, ext);
+                        for (&de, &dv) in list.edges.iter().zip(list.others) {
+                            if expand_accepts(cx, st, fs, skip_self_loops, anchor, de, dv) {
+                                if !tick(cx, st) {
+                                    return ControlFlow::Break(Adv::Tripped);
+                                }
+                                count()?;
+                            }
+                        }
+                        ty += 1;
+                    }
+                    ControlFlow::Continue(())
+                })
+        }
+        Instruction::Close { edge, filters } => {
+            let qe = cx.q.edge(QEid(edge as u32)).expect("live");
+            let ms = st.vslots[qe.src.0 as usize].expect("bound");
+            let mt = st.vslots[qe.dst.0 as usize].expect("bound");
+            let (fwd, bwd) = (qe.directions.forward, qe.directions.backward);
+            let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
+            (0..2u8)
+                .filter(|&phase| close_dir_on(phase, fwd, bwd, ms, mt))
+                .try_for_each(|phase| {
+                    let ends = if phase == 0 { (ms, mt) } else { (mt, ms) };
+                    let mut ty = 0;
+                    while let Some((ext, scan_out, want)) = close_run(cx.topo, tys, ends, ty) {
+                        let list = run_slice(cx.topo, scan_out, ext);
+                        for (&de, &other) in list.edges.iter().zip(list.others) {
+                            if close_accepts(cx, st, fs, want, de, other) {
+                                if !tick(cx, st) {
+                                    return ControlFlow::Break(Adv::Tripped);
+                                }
+                                count()?;
+                            }
+                        }
+                        ty += 1;
+                    }
+                    ControlFlow::Continue(())
+                })
+        }
+        Instruction::Emit => unreachable!("a leaf is a scan"),
+    };
+    match flow {
+        ControlFlow::Break(adv) => adv,
+        ControlFlow::Continue(()) => Adv::Resume,
     }
 }
 
@@ -646,33 +908,33 @@ pub(crate) fn unwind(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState) {
 /// Release one frame's registers (slot `take` + occupancy unstamp).
 fn unbind(cx: &VmCtx<'_>, st: &mut Scratch, f: &Frame) {
     match cx.prog.code()[f.pc] {
-        Instruction::SeedScan { vertex, .. } => {
-            if let Some(dv) = st.vslots[vertex as usize].take() {
-                if cx.injective {
-                    st.set_vertex_used(dv, false);
-                }
-            }
-        }
+        Instruction::SeedScan { vertex, .. } => release_vertex(cx, st, vertex),
         Instruction::Expand { edge, to, .. } => {
-            if let Some(de) = st.eslots[edge as usize].take() {
-                if cx.injective {
-                    st.set_edge_used(de, false);
-                }
-            }
-            if let Some(dv) = st.vslots[to as usize].take() {
-                if cx.injective {
-                    st.set_vertex_used(dv, false);
-                }
-            }
+            release_edge(cx, st, edge);
+            release_vertex(cx, st, to);
         }
-        Instruction::Close { edge, .. } => {
-            if let Some(de) = st.eslots[edge as usize].take() {
-                if cx.injective {
-                    st.set_edge_used(de, false);
-                }
-            }
+        Instruction::Close { edge, .. } => release_edge(cx, st, edge),
+        Instruction::Emit => unreachable!("frames belong to scan instructions"),
+    }
+}
+
+/// Empty vertex slot `slot`, unstamping its data vertex (injective mode).
+#[inline]
+fn release_vertex(cx: &VmCtx<'_>, st: &mut Scratch, slot: u16) {
+    if let Some(dv) = st.vslots[slot as usize].take() {
+        if cx.injective {
+            st.set_vertex_used(dv, false);
         }
-        _ => unreachable!("frames belong to scan instructions"),
+    }
+}
+
+/// Empty edge slot `slot`, unstamping its data edge (injective mode).
+#[inline]
+fn release_edge(cx: &VmCtx<'_>, st: &mut Scratch, slot: u16) {
+    if let Some(de) = st.eslots[slot as usize].take() {
+        if cx.injective {
+            st.set_edge_used(de, false);
+        }
     }
 }
 
@@ -684,11 +946,7 @@ fn advance_seed(
     filters: FilterRange,
 ) -> Adv {
     if f.bound {
-        if let Some(dv) = st.vslots[vertex as usize].take() {
-            if cx.injective {
-                st.set_vertex_used(dv, false);
-            }
-        }
+        release_vertex(cx, st, vertex);
         f.bound = false;
     }
     let Cursor::Seed { pos } = &mut f.cur else {
@@ -730,16 +988,8 @@ fn advance_expand(
     filters: FilterRange,
 ) -> Adv {
     if f.bound {
-        if let Some(de) = st.eslots[edge as usize].take() {
-            if cx.injective {
-                st.set_edge_used(de, false);
-            }
-        }
-        if let Some(dv) = st.vslots[to as usize].take() {
-            if cx.injective {
-                st.set_vertex_used(dv, false);
-            }
-        }
+        release_edge(cx, st, edge);
+        release_vertex(cx, st, to);
         f.bound = false;
     }
     let Cursor::Expand {
@@ -757,71 +1007,30 @@ fn advance_expand(
         unreachable!("expand frame carries an expand cursor")
     };
     let (anchor, fwd, bwd, from_is_src) = (*anchor, *fwd, *bwd, *from_is_src);
-    let fs = filter_slice(cx.prog, filters);
-    loop {
-        if *phase > 1 {
-            return Adv::Exhausted;
-        }
-        let dir_on = if *phase == 0 { fwd } else { bwd };
-        if !dir_on {
-            *phase += 1;
-            *ty = 0;
-            *pos = 0;
-            *resolved = false;
-            continue;
-        }
+    let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
+    while *phase < 2 {
         // forward pass: the anchor plays the data edge's source role iff
         // it is the query edge's source; the backward pass mirrors it
         let along_src = (*phase == 0) == from_is_src;
-        // a self-loop at the anchor sits in both adjacency lists — the
-        // backward pass skips the ones forward already tried
-        let skip_self_loops = *phase == 1 && fwd;
         if !*resolved {
-            let r = if let Some(tys) = cx.compiled.edge(QEid(edge as u32)).types.as_deref() {
-                if *ty >= tys.len() {
-                    *phase += 1;
-                    *ty = 0;
-                    *pos = 0;
-                    continue;
-                }
-                let t = tys[*ty];
-                if along_src {
-                    cx.topo.out_extent_of(anchor, t)
-                } else {
-                    cx.topo.in_extent_of(anchor, t)
-                }
-            } else {
-                if *ty >= 1 {
-                    *phase += 1;
-                    *ty = 0;
-                    *pos = 0;
-                    continue;
-                }
-                if along_src {
-                    cx.topo.out_extent(anchor)
-                } else {
-                    cx.topo.in_extent(anchor)
-                }
+            let run = expand_dir_on(*phase, fwd, bwd)
+                .then(|| run_extent(cx.topo, tys, anchor, along_src, *ty))
+                .flatten();
+            let Some(run) = run else {
+                *phase += 1;
+                *ty = 0;
+                continue;
             };
-            *ext = (r.start, r.end);
+            *ext = run;
             *resolved = true;
             *pos = 0;
         }
-        let list = if along_src {
-            cx.topo.out_slice(ext.0..ext.1)
-        } else {
-            cx.topo.in_slice(ext.0..ext.1)
-        };
+        let skip_self_loops = *phase == 1 && fwd;
+        let list = run_slice(cx.topo, along_src, *ext);
         let mut p = *pos;
         for (&de, &dv) in list.edges[p..].iter().zip(&list.others[p..]) {
             p += 1;
-            if skip_self_loops && dv == anchor {
-                continue;
-            }
-            if cx.injective && (st.vertex_used(dv) || st.edge_used(de)) {
-                continue;
-            }
-            if !inline_filters(cx, fs, de, dv) {
+            if !expand_accepts(cx, st, fs, skip_self_loops, anchor, de, dv) {
                 continue;
             }
             *pos = p;
@@ -840,9 +1049,9 @@ fn advance_expand(
             return Adv::Found;
         }
         *ty += 1;
-        *pos = 0;
         *resolved = false;
     }
+    Adv::Exhausted
 }
 
 fn advance_close(
@@ -853,11 +1062,7 @@ fn advance_close(
     filters: FilterRange,
 ) -> Adv {
     if f.bound {
-        if let Some(de) = st.eslots[edge as usize].take() {
-            if cx.injective {
-                st.set_edge_used(de, false);
-            }
-        }
+        release_edge(cx, st, edge);
         f.bound = false;
     }
     let Cursor::Close {
@@ -877,75 +1082,28 @@ fn advance_close(
         unreachable!("close frame carries a close cursor")
     };
     let (ms, mt, fwd, bwd) = (*ms, *mt, *fwd, *bwd);
-    let fs = filter_slice(cx.prog, filters);
-    loop {
-        if *phase > 1 {
-            return Adv::Exhausted;
-        }
-        let dir_on = if *phase == 0 {
-            fwd
-        } else {
-            // when both endpoints map to one data vertex the forward pass
-            // already enumerated every self-loop there
-            bwd && !(fwd && ms == mt)
-        };
-        if !dir_on {
-            *phase += 1;
-            *ty = 0;
-            *pos = 0;
-            *resolved = false;
-            continue;
-        }
-        let ends = if *phase == 0 { (ms, mt) } else { (mt, ms) };
+    let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
+    while *phase < 2 {
         if !*resolved {
-            let (r_out, r_in) =
-                if let Some(tys) = cx.compiled.edge(QEid(edge as u32)).types.as_deref() {
-                    if *ty >= tys.len() {
-                        *phase += 1;
-                        *ty = 0;
-                        *pos = 0;
-                        continue;
-                    }
-                    let t = tys[*ty];
-                    (
-                        cx.topo.out_extent_of(ends.0, t),
-                        cx.topo.in_extent_of(ends.1, t),
-                    )
-                } else {
-                    if *ty >= 1 {
-                        *phase += 1;
-                        *ty = 0;
-                        *pos = 0;
-                        continue;
-                    }
-                    (cx.topo.out_extent(ends.0), cx.topo.in_extent(ends.1))
-                };
-            // scan whichever slice of the two endpoints is shorter; the
-            // deterministic choice keeps resumption stable
-            let so = r_out.end - r_out.start <= r_in.end - r_in.start;
-            let r = if so { r_out } else { r_in };
-            *ext = (r.start, r.end);
-            *scan_out = so;
-            *want = if so { ends.1 } else { ends.0 };
+            let ends = if *phase == 0 { (ms, mt) } else { (mt, ms) };
+            let run = close_dir_on(*phase, fwd, bwd, ms, mt)
+                .then(|| close_run(cx.topo, tys, ends, *ty))
+                .flatten();
+            let Some(run) = run else {
+                *phase += 1;
+                *ty = 0;
+                continue;
+            };
+            (*ext, *scan_out, *want) = run;
             *resolved = true;
             *pos = 0;
         }
-        let list = if *scan_out {
-            cx.topo.out_slice(ext.0..ext.1)
-        } else {
-            cx.topo.in_slice(ext.0..ext.1)
-        };
+        let list = run_slice(cx.topo, *scan_out, *ext);
         let want = *want;
         let mut p = *pos;
         for (&de, &other) in list.edges[p..].iter().zip(&list.others[p..]) {
             p += 1;
-            if other != want {
-                continue;
-            }
-            if cx.injective && st.edge_used(de) {
-                continue;
-            }
-            if !inline_filters(cx, fs, de, f.dv) {
+            if !close_accepts(cx, st, fs, want, de, other) {
                 continue;
             }
             *pos = p;
@@ -961,7 +1119,7 @@ fn advance_close(
             return Adv::Found;
         }
         *ty += 1;
-        *pos = 0;
         *resolved = false;
     }
+    Adv::Exhausted
 }

@@ -305,6 +305,40 @@ fn cancellation_during_injected_delay_returns_in_bounded_time() {
     );
 }
 
+/// A vertex-only query counts its seeds in place, binding none of them:
+/// the seed scan is the count's last scan. The seed hook must still fire
+/// on each counted seed, so the injected delay holds the count until the
+/// cancel lands and the next budget block observes it.
+#[test]
+fn cancellation_during_injected_delay_ends_a_seed_count() {
+    let mut g = PropertyGraph::new();
+    for _ in 0..5000 {
+        g.add_vertex([("type", Value::str("red"))]);
+    }
+    let db = Database::open(g).unwrap();
+    let session = db.session();
+    let q = path_query(1);
+    let token = CancelToken::new();
+    let opts = MatchOptions::governed(Budget::cancelled_by(&token));
+
+    let _guard = arm(FaultPlan {
+        delay_at_seed: Some((0, Duration::from_millis(500))),
+        ..FaultPlan::default()
+    });
+    let canceller = {
+        let token = token.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            token.cancel();
+        })
+    };
+    let governed = session.count_governed(&q, opts).unwrap();
+    canceller.join().unwrap();
+
+    assert_eq!(governed.termination, Termination::Cancelled);
+    assert!(governed.value < 5000, "a cancelled count is partial");
+}
+
 // ---------------------------------------------------------------------
 // forced budget exhaustion
 // ---------------------------------------------------------------------

@@ -9,7 +9,8 @@ use whyquery::core::fine::prune::non_contributing;
 use whyquery::core::relax::candidates::coarse_relaxations;
 use whyquery::core::subgraph::{BoundedMcs, DiscoverMcs, McsConfig, PathStrategy};
 use whyquery::core::DifferentialGraph;
-use whyquery::matcher::count_matches_naive;
+use whyquery::matcher::budget::CHECK_INTERVAL;
+use whyquery::matcher::{count_matches_naive, Budget};
 use whyquery::prelude::*;
 use whyquery::query::{DirectionSet, GraphMod, QEid, QVid, QueryEdge, QueryVertex};
 
@@ -35,6 +36,11 @@ fn build_goal(kind: u8, k: u64, width: u64) -> CardinalityGoal {
 /// (type 3 is no `type` at all), edges from the pair list, one edge type
 /// out of two.
 fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> Database {
+    Database::open(build_data(n, types, pairs)).expect("open")
+}
+
+/// The data graph of [`build_graph`], unopened.
+fn build_data(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> PropertyGraph {
     let mut g = PropertyGraph::new();
     let type_names = ["red", "green", "blue"];
     let vs: Vec<_> = (0..n)
@@ -50,7 +56,7 @@ fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> Database {
         let (a, b) = (a as usize % n, b as usize % n);
         g.add_edge(vs[a], vs[b], if t { "link" } else { "flow" }, []);
     }
-    Database::open(g).expect("open")
+    g
 }
 
 /// Build a small random connected path query over the same vocabulary
@@ -393,6 +399,72 @@ proptest! {
             let (child, _) = m.applied(&q).expect("applicable");
             if non_contributing(db.domains(), &q, &m, &child) {
                 prop_assert_eq!(oracle(&db, &child), before, "{}", m);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A governed count ticks the budget exactly as a governed find does:
+    /// under every step budget, swept one check block at a time until the
+    /// run completes, both stop at the same candidate — equal count and
+    /// row count, equal termination. The count binds no candidate of its
+    /// last scan; this is what pins its tick accounting to the find's.
+    /// Queries are injective or homomorphic, capped or not, with several
+    /// components, edges in both directions, loops and a closing edge.
+    #[test]
+    fn governed_counts_tick_like_governed_finds(
+        n in 8usize..24,
+        vtypes in prop::collection::vec(0u8..4, 8),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 100..400),
+        qlen in 1usize..5,
+        qtypes in prop::collection::vec(0u8..8, 5),
+        qetypes in prop::collection::vec(any::<bool>(), 5),
+        shapes in prop::collection::vec(0u8..4, 4),
+        extra in prop::collection::vec(0u8..4, 0..3),
+        flags in 0u8..8,
+        cap in 1usize..4000,
+        offset in 0u64..u64::from(CHECK_INTERVAL),
+    ) {
+        let db = Database::open_with(
+            build_data(n, &vtypes, &pairs),
+            DatabaseConfig::default().sibling_cache_capacity(0),
+        )
+        .expect("open");
+        // bit 0: injective, bit 1: capped at `cap`, bit 2: a closing edge
+        let (injective, capped, close) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        // dense graphs and mostly untyped query vertices: thousands of
+        // ticks, so budgets trip mid-run, mostly on last-scan candidates
+        let qtypes: Vec<u8> = qtypes.iter().map(|&t| t.min(3)).collect();
+        let mut q = reshape_edges(build_query(qlen, &qtypes, &qetypes), &shapes);
+        let path: Vec<QVid> = q.vertex_ids().collect();
+        if close && path.len() > 1 {
+            // bound at both ends by the time the plan reaches it
+            q.add_edge(QueryEdge::typed(path[path.len() - 1], path[0], "link"));
+        }
+        for t in extra {
+            q.add_vertex(match t {
+                3 => QueryVertex::any(),
+                t => QueryVertex::with([Predicate::eq("type", ["red", "green", "blue"][t as usize])]),
+            });
+        }
+        let session = db.session();
+        let prepared = session.prepare(&q).expect("valid query");
+        let opts = |k: u64| MatchOptions {
+            injective,
+            limit: capped.then_some(cap),
+            budget: Budget::steps(k),
+        };
+        for block in 0..16u64 {
+            let k = block * u64::from(CHECK_INTERVAL) + offset;
+            let count = prepared.count_governed(opts(k));
+            let find = prepared.find_governed(opts(k));
+            prop_assert_eq!(count.value, find.value.len() as u64, "k = {}", k);
+            prop_assert_eq!(count.termination, find.termination, "k = {}", k);
+            if count.termination.is_complete() {
+                break;
             }
         }
     }

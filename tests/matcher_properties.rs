@@ -333,3 +333,109 @@ proptest! {
         prop_assert_eq!(db.session().count(&q).expect("valid query"), reference);
     }
 }
+
+/// A `type` value drawn to reach every kind of type-column entry: none,
+/// an `Int`, a `Float`, or one of three strings.
+fn drawn_type(code: u8) -> Option<Value> {
+    match code % 6 {
+        0 => None,
+        1 => Some(Value::Int(i64::from(code % 3))),
+        2 => Some(Value::Float(0.5)),
+        c => Some(Value::str(["red", "green", "blue"][usize::from(c - 3)])),
+    }
+}
+
+/// A `type` disjunction over the bits of `mask`: three stored strings, one
+/// string no vertex stores, and an `Int` (which makes the disjunction
+/// mixed, so the column does not decide it).
+fn type_disjunction(mask: u8) -> Predicate {
+    let all = [
+        Value::str("red"),
+        Value::str("green"),
+        Value::str("blue"),
+        Value::str("violet"),
+        Value::Int(1),
+    ];
+    let vals: Vec<Value> = (0..all.len())
+        .filter(|i| mask & (1 << i) != 0)
+        .map(|i| all[i].clone())
+        .collect();
+    Predicate {
+        attr: "type".into(),
+        interval: Interval::one_of(if vals.is_empty() {
+            vec![Value::str("red")]
+        } else {
+            vals
+        }),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The engine's type column answers exactly what the attribute maps
+    /// do: on graphs whose `type` is absent, numeric or a string — some
+    /// set after sealing, which patches the column — queried with `type`
+    /// disjunctions (some mixed with a number, some beside an `x`
+    /// predicate), the session and the bare matcher count what the
+    /// reference counts, and `find` finds as many.
+    #[test]
+    fn type_column_agrees_with_reference(
+        n in 2usize..9,
+        types in prop::collection::vec(any::<u8>(), 9),
+        retypes in prop::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..14),
+        qlen in 1usize..4,
+        masks in prop::collection::vec(0u8..64, 4),
+        undirected in any::<bool>(),
+    ) {
+        let mut g = PropertyGraph::new();
+        let vs: Vec<VertexId> = (0..n)
+            .map(|i| {
+                let mut attrs = vec![("x", Value::Int((i % 3) as i64))];
+                attrs.extend(drawn_type(types[i % types.len()]).map(|t| ("type", t)));
+                g.add_vertex(attrs)
+            })
+            .collect();
+        for &(a, b, fwd) in &pairs {
+            let (a, b) = (vs[a as usize % n], vs[b as usize % n]);
+            g.add_edge(if fwd { a } else { b }, if fwd { b } else { a }, "link", []);
+        }
+        g.seal();
+        for &(v, t) in &retypes {
+            if let Some(t) = drawn_type(t) {
+                g.set_vertex_attr(vs[v as usize % n], "type", t).expect("in range");
+            }
+        }
+        // bit 5 of a vertex's mask: no `type` predicate, an `x` one instead
+        // (with bits 0-4 also set: both)
+        let mut q = PatternQuery::new();
+        let qv: Vec<QVid> = (0..qlen)
+            .map(|i| {
+                let mask = masks[i % masks.len()];
+                let mut preds = Vec::new();
+                if mask & 31 != 0 || mask & 32 == 0 {
+                    preds.push(type_disjunction(mask & 31));
+                }
+                if mask & 32 != 0 {
+                    preds.push(Predicate::eq("x", i64::from(mask % 3)));
+                }
+                q.add_vertex(QueryVertex::with(preds))
+            })
+            .collect();
+        for w in qv.windows(2) {
+            let mut e = QueryEdge::typed(w[0], w[1], "link");
+            if undirected {
+                e.directions = DirectionSet::BOTH;
+            }
+            q.add_edge(e);
+        }
+        let reference = count_matches_naive(&g, &q, MatchOptions::default());
+        prop_assert_eq!(Matcher::new(&g).count(&q, MatchOptions::default()), reference);
+        let db = Database::open(g).expect("open");
+        let session = db.session();
+        let prepared = session.prepare(&q).expect("valid query");
+        prop_assert_eq!(prepared.count().expect("count"), reference);
+        prop_assert_eq!(prepared.find().expect("find").len() as u64, reference);
+    }
+}
