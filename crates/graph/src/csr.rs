@@ -23,31 +23,343 @@
 //! needs edge attributes. [`AdjSlice`] bundles the three parallel slices of
 //! one scan.
 //!
-//! Beside the two arenas sits one dense vertex column, `vertex_types`: the
-//! value-dictionary symbol of each vertex's `type` attribute
-//! ([`crate::domains::TYPE_ATTR`]), or [`NO_TYPE`] when the vertex has
-//! none, a non-string one or an un-encoded string. A matcher testing
-//! `type` against a string disjunction reads four bytes per vertex instead
-//! of searching the vertex's heap [`crate::AttrMap`]; a [`NO_TYPE`] entry
-//! sends it back to the map, so the column decides only what it can
-//! decide exactly.
+//! Beside the two arenas sit the **code columns**: one dense column per
+//! vertex attribute and one per edge attribute, built with the arenas
+//! (one pass over the vertex attribute maps, one over the edge maps) and
+//! dropped with them. A column stores, per element, the *code* of
+//! its value: the value's rank in the attribute's dictionary, the sorted
+//! distinct values stored under that attribute on that side of the graph
+//! (vertex and edge dictionaries are kept apart). A predicate compiled
+//! against the dictionary becomes a test on codes — a code range for a
+//! numeric range, a few codes for a disjunction — so a matcher reads one
+//! or two bytes per candidate instead of searching its heap
+//! [`crate::AttrMap`]. Codes are `u8` for dictionaries of up to 254
+//! values and `u16` up to 65,534; a larger dictionary gets no column.
+//!
+//! Two codes are not ranks:
+//!
+//! * [`ABSENT`] — the element lacks the attribute, so every predicate on
+//!   it is false;
+//! * [`FALLBACK`] — the codes cannot decide the value exactly, so the
+//!   reader tests that one element's map. NaN, an `Int` beyond 2^53 (its
+//!   equality with floats is not transitive), a string of another
+//!   dictionary and a value written after sealing that the dictionary
+//!   lacks all get this code.
+//!
+//! A dictionary is never re-coded: a write after sealing patches the
+//! element's code to the value's rank, or to [`FALLBACK`], and an attribute
+//! that first appears after sealing has no column at all.
 
+use crate::attrs::AttrMap;
+use crate::domains::{value_order, Distinct};
 use crate::graph::{EdgeData, EdgeId, VertexId};
 use crate::interner::Symbol;
 use crate::value::Value;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// The [`CsrTopology::vertex_type`] column entry of a vertex whose `type`
-/// attribute is absent, not a string, or a string the value dictionary
-/// did not encode.
-pub const NO_TYPE: u32 = u32::MAX;
+/// The column code of an element that lacks the attribute.
+pub const ABSENT: u16 = u16::MAX;
 
-/// The type-column entry for a vertex whose `type` attribute is `ty`.
-pub(crate) fn type_entry(ty: Option<&Value>) -> u32 {
-    match ty {
-        Some(Value::Sym(sv)) => sv.sym().0,
-        _ => NO_TYPE,
+/// The column code of an element whose value the dictionary cannot
+/// decide exactly: its attribute map decides.
+pub const FALLBACK: u16 = u16::MAX - 1;
+
+/// The largest dictionary a `u8` column codes: 254 ranks below its two
+/// sentinels.
+const NARROW_MAX: usize = u8::MAX as usize - 1;
+
+/// Can a dictionary rank stand in for `v` in every predicate test? Not
+/// for NaN (it equals only itself and matches no range), an `Int` beyond
+/// 2^53 (equal to a float it rounds to, while that float's other equals
+/// differ from it), or a string not encoded by dictionary `dict`.
+fn codable(v: &Value, dict: u32) -> bool {
+    match v {
+        Value::Int(_) | Value::Float(_) => exact_number(v).is_some(),
+        Value::Sym(s) => s.dict_id() == dict,
+        Value::Str(_) => false,
+        Value::Bool(_) => true,
     }
+}
+
+/// `v` as an `f64`, when it is a number a rank can stand for.
+fn exact_number(v: &Value) -> Option<f64> {
+    match *v {
+        Value::Int(i) if i.unsigned_abs() <= 1 << 53 => Some(i as f64),
+        Value::Float(f) if !f.is_nan() => Some(f),
+        _ => None,
+    }
+}
+
+/// The per-element codes of one column, as narrow as its dictionary.
+#[derive(Debug, Clone)]
+enum Codes {
+    /// Ranks below 254; `0xFE` is [`FALLBACK`] and `0xFF` [`ABSENT`].
+    Narrow(Vec<u8>),
+    Wide(Vec<u16>),
+}
+
+impl Codes {
+    /// Store `code` for element `i`; a narrow column must hold its rank.
+    fn set(&mut self, i: u32, code: u16) {
+        match self {
+            // the sentinels truncate onto 0xFE / 0xFF
+            Codes::Narrow(c) => c[i as usize] = code as u8,
+            Codes::Wide(c) => c[i as usize] = code,
+        }
+    }
+}
+
+/// A narrow code as a wide one: ranks stay, the two sentinels are lifted.
+#[inline]
+fn widened(c: u8) -> u16 {
+    let c = u16::from(c);
+    if c >= NARROW_MAX as u16 {
+        c | 0xFF00
+    } else {
+        c
+    }
+}
+
+/// The sealed code column of one attribute on one side of the graph (see
+/// the [module docs](self)).
+#[derive(Debug, Clone)]
+pub struct AttrColumn {
+    dict: Vec<Value>,
+    /// `(symbol, rank)` of every string in `dict`, by symbol: a string
+    /// constant's code is found without reading any text.
+    strings: Box<[(Symbol, u16)]>,
+    /// The numeric block of `dict` as `f64`s (exact: codable numbers fit),
+    /// starting at rank `first_number`.
+    numbers: Box<[f64]>,
+    first_number: u16,
+    codes: Codes,
+}
+
+impl AttrColumn {
+    /// The dictionary: the distinct codable values stored under the
+    /// attribute when the column was built, sorted (booleans, then
+    /// numbers, then strings). Code `c` stands for `dict()[c]`.
+    pub fn dict(&self) -> &[Value] {
+        &self.dict
+    }
+
+    /// The code of element `i`: a dictionary rank, [`ABSENT`] or
+    /// [`FALLBACK`].
+    #[inline]
+    pub fn code(&self, i: u32) -> u16 {
+        match &self.codes {
+            Codes::Narrow(c) => widened(c[i as usize]),
+            Codes::Wide(c) => c[i as usize],
+        }
+    }
+
+    /// The rank of the dictionary value equal to `v`, if any.
+    pub fn rank(&self, v: &Value) -> Option<u16> {
+        if let Some(x) = exact_number(v) {
+            // the dictionary's numbers are exact too, and none is NaN
+            let r = self
+                .numbers
+                .binary_search_by(|n| n.partial_cmp(&x).expect("no NaN"))
+                .ok()?;
+            return Some(self.first_number + r as u16);
+        }
+        let r = self.dict.binary_search_by(|x| value_order(x, v)).ok()?;
+        Some(r as u16)
+    }
+
+    /// The rank of the dictionary string whose value-dictionary symbol is
+    /// `sym`, if any.
+    pub fn rank_of_sym(&self, sym: Symbol) -> Option<u16> {
+        let i = self.strings.binary_search_by_key(&sym, |&(s, _)| s).ok()?;
+        Some(self.strings[i].1)
+    }
+
+    /// The numeric dictionary values as `f64`s, in numeric order: the
+    /// values of the ranks `first..first + numbers().len()`, where
+    /// `first` is [`AttrColumn::first_number`].
+    pub fn numbers(&self) -> &[f64] {
+        &self.numbers
+    }
+
+    /// The rank of the smallest numeric dictionary value (booleans sort
+    /// before numbers).
+    pub fn first_number(&self) -> u16 {
+        self.first_number
+    }
+
+    /// The code `v` gets in this column: its rank, or [`FALLBACK`].
+    fn code_of(&self, v: &Value, dict: u32) -> u16 {
+        if !codable(v, dict) {
+            return FALLBACK;
+        }
+        self.rank(v).unwrap_or(FALLBACK)
+    }
+
+    /// Every code, widened ([`AttrColumn::code`] of each element).
+    pub(crate) fn codes(&self) -> impl Iterator<Item = u16> + '_ {
+        (0..self.len() as u32).map(|i| self.code(i))
+    }
+
+    fn len(&self) -> usize {
+        match &self.codes {
+            Codes::Narrow(c) => c.len(),
+            Codes::Wide(c) => c.len(),
+        }
+    }
+}
+
+/// What the columns know of one attribute symbol on one side.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum Slot {
+    /// No element of this side stored the attribute at sealing.
+    #[default]
+    Unused,
+    /// The attribute's column.
+    Coded(AttrColumn),
+    /// Some element stores the attribute, but no column codes it: the
+    /// dictionary overflowed, or the attribute first appeared after
+    /// sealing.
+    Uncoded,
+}
+
+/// The code columns of one side of the graph, indexed by attribute
+/// symbol.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Columns(Vec<Slot>);
+
+/// A column under construction: the distinct values met so far and each
+/// element's first-seen rank (or sentinel), one byte each until the 255th
+/// distinct value widens the codes.
+enum Building {
+    Open(Distinct, Codes),
+    Overflowed,
+}
+
+impl Columns {
+    /// Code every attribute of the `maps`, one per element; string values
+    /// are codable when dictionary `dict` encoded them.
+    pub(crate) fn build<'a>(maps: impl ExactSizeIterator<Item = &'a AttrMap>, dict: u32) -> Self {
+        let n = maps.len();
+        let mut building: Vec<Option<Building>> = Vec::new();
+        for (i, attrs) in maps.enumerate() {
+            for (sym, v) in attrs.iter() {
+                let s = sym.0 as usize;
+                if building.len() <= s {
+                    building.resize_with(s + 1, || None);
+                }
+                let col = building[s].get_or_insert_with(|| {
+                    Building::Open(Distinct::default(), Codes::Narrow(vec![ABSENT as u8; n]))
+                });
+                let Building::Open(distinct, codes) = col else {
+                    continue;
+                };
+                let code = if codable(v, dict) {
+                    let rank = distinct.rank(v);
+                    if rank >= u32::from(FALLBACK) {
+                        *col = Building::Overflowed;
+                        continue;
+                    }
+                    if let Codes::Narrow(narrow) = codes {
+                        if rank as usize >= NARROW_MAX {
+                            *codes = Codes::Wide(narrow.iter().map(|&c| widened(c)).collect());
+                        }
+                    }
+                    rank as u16
+                } else {
+                    FALLBACK
+                };
+                codes.set(i as u32, code);
+            }
+        }
+        Columns(
+            building
+                .into_iter()
+                .map(|b| match b {
+                    None => Slot::Unused,
+                    Some(Building::Overflowed) => Slot::Uncoded,
+                    Some(Building::Open(distinct, codes)) => Slot::Coded(seal(distinct, codes)),
+                })
+                .collect(),
+        )
+    }
+
+    /// The column of attribute `sym`, if it has one.
+    #[inline]
+    pub(crate) fn get(&self, sym: Symbol) -> Option<&AttrColumn> {
+        match self.0.get(sym.0 as usize) {
+            Some(Slot::Coded(col)) => Some(col),
+            _ => None,
+        }
+    }
+
+    /// What the columns know of attribute `sym`.
+    pub(crate) fn slot(&self, sym: Symbol) -> &Slot {
+        self.0.get(sym.0 as usize).unwrap_or(&Slot::Unused)
+    }
+
+    /// Element `i` now stores `v` under `sym`: patch its code, or record
+    /// that the attribute has uncoded values.
+    pub(crate) fn patch(&mut self, sym: Symbol, i: u32, v: &Value, dict: u32) {
+        let s = sym.0 as usize;
+        if self.0.len() <= s {
+            self.0.resize_with(s + 1, Slot::default);
+        }
+        match &mut self.0[s] {
+            Slot::Coded(col) => {
+                let code = col.code_of(v, dict);
+                col.codes.set(i, code);
+            }
+            slot => *slot = Slot::Uncoded,
+        }
+    }
+}
+
+/// Sort the distinct values into the dictionary and turn the first-seen
+/// ranks into dictionary ranks.
+fn seal(distinct: Distinct, mut codes: Codes) -> AttrColumn {
+    let (dict, first_seen) = distinct.sorted().unwrap_or_default();
+    let mut rank_of = vec![0u16; dict.len()];
+    for (rank, &seen) in first_seen.iter().enumerate() {
+        rank_of[seen as usize] = rank as u16;
+    }
+    // in place: the build already widened the codes a large dictionary needs
+    match &mut codes {
+        Codes::Narrow(c) => c
+            .iter_mut()
+            .filter(|c| usize::from(**c) < NARROW_MAX)
+            .for_each(|c| *c = rank_of[usize::from(*c)] as u8),
+        Codes::Wide(c) => c
+            .iter_mut()
+            .filter(|c| **c < FALLBACK)
+            .for_each(|c| *c = rank_of[usize::from(*c)]),
+    }
+    let mut strings: Box<[(Symbol, u16)]> = dict
+        .iter()
+        .enumerate()
+        .filter_map(|(rank, v)| Some((v.as_sym()?.sym(), rank as u16)))
+        .collect();
+    strings.sort_unstable();
+    let first_number = dict.partition_point(|x| x.as_bool().is_some());
+    let numbers = dict[first_number..]
+        .iter()
+        .map_while(Value::as_f64)
+        .collect();
+    AttrColumn {
+        dict,
+        strings,
+        numbers,
+        first_number: first_number as u16,
+        codes,
+    }
+}
+
+/// Source of fresh topology identities (see [`CsrTopology::id`]).
+static NEXT_TOPOLOGY_ID: AtomicU32 = AtomicU32::new(1);
+
+/// A fresh process-unique topology identity.
+pub(crate) fn fresh_topology_id() -> u32 {
+    NEXT_TOPOLOGY_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Parallel slices over one vertex's (possibly type-restricted) adjacency:
@@ -193,29 +505,40 @@ impl CsrDir {
 }
 
 /// The sealed, read-optimized adjacency of a graph: one CSR arena per
-/// direction, plus the dense vertex-type column (see the
+/// direction, plus the vertex and edge code columns (see the
 /// [module docs](self)). Obtained from [`crate::PropertyGraph::topology`]
 /// (built lazily and cached) or pinned permanently by
 /// [`crate::PropertyGraph::seal`]. Adding a vertex or an edge drops the
-/// whole view; [`crate::PropertyGraph::set_vertex_attr`] on `type`
-/// patches the one column entry it changes.
+/// whole view; [`crate::PropertyGraph::set_vertex_attr`] patches the one
+/// code it changes.
 #[derive(Debug, Clone, Default)]
 pub struct CsrTopology {
     pub(crate) out: CsrDir,
     pub(crate) inn: CsrDir,
-    /// Per vertex: the dictionary symbol of its `type` string, or
-    /// [`NO_TYPE`].
-    pub(crate) vertex_types: Vec<u32>,
+    pub(crate) vertex_cols: Columns,
+    pub(crate) edge_cols: Columns,
+    /// Process-unique identity of this build (0 for the empty default).
+    pub(crate) id: u32,
 }
 
 impl CsrTopology {
-    /// The value-dictionary symbol of `v`'s `type` attribute, or `None`
-    /// when `v` has no such attribute, a non-string one or an
-    /// un-encoded string — the caller then reads the attribute map.
+    /// The process-unique identity of this build. Its dictionaries never
+    /// change, so a code test derived from one of its columns holds for
+    /// every topology with the same id (a clone of the graph shares it);
+    /// a rebuild after a vertex or edge is added gets a fresh id.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// The code column of attribute `attr` over the vertices, or over the
+    /// edges when `on_edges` is set; `None` when it has none.
     #[inline]
-    pub fn vertex_type(&self, v: VertexId) -> Option<Symbol> {
-        let t = self.vertex_types[v.0 as usize];
-        (t != NO_TYPE).then_some(Symbol(t))
+    pub fn column(&self, attr: Symbol, on_edges: bool) -> Option<&AttrColumn> {
+        if on_edges {
+            self.edge_cols.get(attr)
+        } else {
+            self.vertex_cols.get(attr)
+        }
     }
 
     /// Outgoing entries of `v`, grouped in contiguous per-type runs.

@@ -27,8 +27,7 @@
 //! `in_edges_of`, …) serve from whichever representation is current.
 
 use crate::attrs::AttrMap;
-use crate::csr::{type_entry, CsrDir, CsrTopology};
-use crate::domains::TYPE_ATTR;
+use crate::csr::{fresh_topology_id, Columns, CsrDir, CsrTopology};
 use crate::error::GraphError;
 use crate::interner::{Interner, Symbol};
 use crate::value::Value;
@@ -227,10 +226,10 @@ impl PropertyGraph {
     // ------------------------------------------------------------------
 
     /// The sealed CSR view of the adjacency, built on first use and cached,
-    /// with the vertex-type column ([`CsrTopology::vertex_type`]).
+    /// with the attribute code columns ([`CsrTopology::column`]).
     ///
     /// Cheap after the first call; adding a vertex or an edge invalidates
-    /// the cache, and setting a vertex's `type` patches its column entry. Bulk
+    /// the cache, and setting a vertex attribute patches its code. Bulk
     /// readers (the matcher, traversals) should grab this once and scan
     /// through [`crate::csr::AdjSlice`]s instead of per-edge [`Self::edge`]
     /// lookups.
@@ -246,13 +245,12 @@ impl PropertyGraph {
                 &self.edges,
                 false,
             ),
-            vertex_types: {
-                let ty = self.attr_names.get(TYPE_ATTR);
-                self.vertices
-                    .iter()
-                    .map(|v| type_entry(ty.and_then(|ty| v.attrs.get(ty))))
-                    .collect()
-            },
+            vertex_cols: Columns::build(
+                self.vertices.iter().map(|v| &v.attrs),
+                self.values.dict_id(),
+            ),
+            edge_cols: Columns::build(self.edges.iter().map(|e| &e.attrs), self.values.dict_id()),
+            id: fresh_topology_id(),
         })
     }
 
@@ -355,8 +353,8 @@ impl PropertyGraph {
     /// An overwrite only widens the attribute's
     /// [numeric range](Self::numeric_range): the replaced value's bound
     /// stays, so the range may be wider than the data, never narrower.
-    /// Setting [`TYPE_ATTR`] patches the vertex's entry in the cached
-    /// topology's type column; the adjacency stays as it is.
+    /// The cached topology keeps its adjacency; the vertex's code in the
+    /// attribute's column is patched (see [`crate::csr`]).
     pub fn set_vertex_attr(
         &mut self,
         v: VertexId,
@@ -370,10 +368,9 @@ impl PropertyGraph {
             .get_mut(v.0 as usize)
             .ok_or(GraphError::VertexOutOfRange(v))?;
         widen(&mut self.vertex_ranges, sym, &value);
-        if key == TYPE_ATTR {
-            if let Some(csr) = self.csr.get_mut() {
-                csr.vertex_types[v.0 as usize] = type_entry(Some(&value));
-            }
+        if let Some(csr) = self.csr.get_mut() {
+            csr.vertex_cols
+                .patch(sym, v.0, &value, self.values.dict_id());
         }
         vertex.attrs.insert(sym, value);
         Ok(())
@@ -567,6 +564,7 @@ impl PropertyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{ABSENT, FALLBACK};
 
     fn tiny() -> (PropertyGraph, VertexId, VertexId, EdgeId) {
         let mut g = PropertyGraph::new();
@@ -835,26 +833,135 @@ mod tests {
         assert_eq!(g.topology().in_entries(a).others, &[a, b]);
     }
 
+    /// The values `vs` stand for in the column of `name` (vertex side, or
+    /// edge side with `on_edges`): the dictionary value of each code, or
+    /// the sentinel's name.
+    fn decoded(g: &PropertyGraph, name: &str, on_edges: bool, ids: &[u32]) -> Vec<String> {
+        let col = g
+            .topology()
+            .column(g.attr_symbol(name).unwrap(), on_edges)
+            .expect("coded");
+        ids.iter()
+            .map(|&i| match col.code(i) {
+                ABSENT => "absent".to_string(),
+                FALLBACK => "fallback".to_string(),
+                c => col.dict()[c as usize].to_string(),
+            })
+            .collect()
+    }
+
     #[test]
     fn type_column_holds_encoded_types_and_follows_writes() {
         let (mut g, a, b, _) = tiny();
         let c = g.add_vertex([("type", Value::Int(3))]);
         let d = g.add_vertex([("name", Value::str("Dora"))]);
         g.seal();
-        let sym = |name| g.value_symbol(name);
-        let types = |g: &PropertyGraph| [a, b, c, d].map(|v| g.topology().vertex_type(v));
-        assert_eq!(types(&g), [sym("person"), sym("city"), None, None]);
-        // a `type` write patches the column in place, on a sealed graph
+        let ids = [a, b, c, d].map(|v| v.0);
+        assert_eq!(
+            decoded(&g, "type", false, &ids),
+            ["\"person\"", "\"city\"", "3", "absent"]
+        );
+        // the dictionary sorts numbers before strings
+        let ty = g.attr_symbol("type").unwrap();
+        let dict = g.topology().column(ty, false).unwrap().dict().to_vec();
+        assert_eq!(
+            dict,
+            [Value::Int(3), Value::str("city"), Value::str("person")]
+        );
+        // a write patches the code in place, on a sealed graph: a value
+        // the dictionary holds gets its rank, any other value FALLBACK
         g.set_vertex_attr(a, "type", Value::str("city")).unwrap();
         g.set_vertex_attr(b, "type", Value::Float(0.5)).unwrap();
+        g.set_vertex_attr(c, "type", Value::Float(3.0)).unwrap();
         g.set_vertex_attr(d, "type", Value::str("robot")).unwrap();
-        g.set_vertex_attr(c, "age", Value::Int(4)).unwrap();
+        g.set_vertex_attr(c, "mood", Value::Int(4)).unwrap();
         assert!(g.is_sealed());
-        let (city, robot) = (g.value_symbol("city"), g.value_symbol("robot"));
-        assert_eq!(types(&g), [city, None, None, robot]);
-        // a melt and rebuild reads the same column from the attributes
+        assert_eq!(
+            decoded(&g, "type", false, &ids),
+            ["\"city\"", "fallback", "3", "fallback"]
+        );
+        // an attribute first set after sealing has no column
+        let mood = g.attr_symbol("mood").unwrap();
+        assert!(g.topology().column(mood, false).is_none());
+        // a melt and rebuild codes every value from the attributes again
         g.add_vertex([]);
-        assert_eq!(types(&g), [city, None, None, robot]);
+        assert_eq!(
+            decoded(&g, "type", false, &ids),
+            ["\"city\"", "0.5", "3", "\"robot\""]
+        );
+        assert!(g.topology().column(mood, false).is_some());
+    }
+
+    #[test]
+    fn columns_code_only_what_they_decide_exactly() {
+        let mut g = PropertyGraph::new();
+        let big = (1i64 << 53) + 1;
+        let vals = [
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Int(big),
+            Value::Bool(true),
+            Value::Int(1 << 53),
+        ];
+        let ids: Vec<u32> = vals
+            .iter()
+            .map(|x| g.add_vertex([("x", x.clone())]).0)
+            .collect();
+        let e = g.add_edge(VertexId(0), VertexId(1), "t", [("w", Value::Float(2.5))]);
+        g.seal();
+        // -0.0 and 0 are one value; NaN and the Int beyond 2^53 fall back
+        assert_eq!(
+            decoded(&g, "x", false, &ids),
+            [
+                "-0",
+                "-0",
+                "fallback",
+                "fallback",
+                "true",
+                "9007199254740992"
+            ]
+        );
+        assert_eq!(decoded(&g, "w", true, &[e.0]), ["2.5"]);
+        // vertex and edge sides keep their own columns
+        let w = g.attr_symbol("w").unwrap();
+        assert!(g.topology().column(w, false).is_none());
+        let x = g.attr_symbol("x").unwrap();
+        let col = g.topology().column(x, false).unwrap();
+        assert_eq!(
+            (col.first_number(), col.numbers()),
+            (1, &[-0.0, 9007199254740992.0][..])
+        );
+        assert_eq!(col.rank(&Value::Float(0.0)), Some(1));
+        assert_eq!(col.rank(&Value::Float(f64::NAN)), None);
+    }
+
+    #[test]
+    fn columns_widen_past_254_values() {
+        let mut g = PropertyGraph::new();
+        for i in 0..300 {
+            g.add_vertex([
+                ("n", Value::Int(i)),
+                ("s", Value::str(format!("s{}", i % 254))),
+            ]);
+        }
+        g.add_vertex([("o", Value::str("elsewhere"))]);
+        g.seal();
+        g.set_vertex_attr(VertexId(7), "n", Value::Int(1000))
+            .unwrap();
+        g.set_vertex_attr(VertexId(8), "s", Value::str("s3"))
+            .unwrap();
+        assert_eq!(
+            decoded(&g, "n", false, &[0, 7, 299]),
+            ["0", "fallback", "299"]
+        );
+        assert_eq!(decoded(&g, "s", false, &[8, 253]), ["\"s3\"", "\"s253\""]);
+        let s = g.attr_symbol("s").unwrap();
+        let col = g.topology().column(s, false).unwrap();
+        assert_eq!(col.dict().len(), 254);
+        assert_eq!(col.rank_of_sym(g.value_symbol("s10").unwrap()), Some(2));
+        // a string stored only under another attribute has no rank here
+        assert_eq!(col.rank_of_sym(g.value_symbol("elsewhere").unwrap()), None);
     }
 
     #[test]

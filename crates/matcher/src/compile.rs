@@ -34,15 +34,21 @@
 //! [`Compiled::unsatisfiable`] surfaces so the engine answers "no
 //! matches" before it builds a plan or scans a candidate.
 //!
-//! The result: the candidate loop of the engine evaluates a string
-//! equality like `type = "person"` as one `u32` comparison against the
-//! symbol carried by the stored [`whyq_graph::Value::Sym`] — no heap
-//! string is ever touched.
+//! Last, each resolved predicate derives its **code test** against the
+//! attribute's sealed code column on its side of the graph
+//! ([`CsrTopology::column`]): binary searches in the column's sorted
+//! dictionary give a span of codes for a range and a few codes for a
+//! disjunction, and a code passes exactly when the dictionary value it
+//! stands for satisfies the predicate. The engine's candidate loop then
+//! tests `type = "person"` or `birthYear >= 1984` on one or two bytes per
+//! element and reads the element's [`AttrMap`] only for the
+//! [`FALLBACK`] code, for an attribute without a column, and for a
+//! disjunction with an `Int` constant beyond 2^53 (no code test).
 
 use crate::index::AttrIndex;
 use std::sync::Arc;
-use whyq_graph::domains::TYPE_ATTR;
-use whyq_graph::{AttrMap, CsrTopology, EdgeData, PropertyGraph, Symbol, Value, VertexId};
+use whyq_graph::csr::{AttrColumn, FALLBACK};
+use whyq_graph::{AttrMap, CsrTopology, EdgeData, EdgeId, PropertyGraph, Symbol, Value, VertexId};
 use whyq_query::{Interval, PatternQuery, Predicate, QEid, QVid, QueryEdge, QueryVertex};
 
 /// A predicate interval with its string constants resolved against the
@@ -159,7 +165,7 @@ impl CompiledInterval {
 }
 
 /// A predicate with its attribute name and string constants resolved to
-/// graph symbols.
+/// graph symbols, and its test on the attribute's code column.
 #[derive(Debug, Clone)]
 pub struct ResolvedPredicate {
     /// `None` when the graph has no such attribute anywhere — the predicate
@@ -167,18 +173,41 @@ pub struct ResolvedPredicate {
     sym: Option<Symbol>,
     /// The interval, with string constants dictionary-resolved.
     interval: CompiledInterval,
+    /// The codes that pass, when the attribute has a column on this
+    /// predicate's side and the interval a code test.
+    codes: Option<CodeTest>,
 }
 
 impl ResolvedPredicate {
-    /// Resolve `p` against `g`'s name and value dictionaries and against
-    /// the observed numeric range of its attribute over `g`'s vertices, or
-    /// its edges when `on_edges` is set.
+    /// Resolve `p` against `g`'s name and value dictionaries, against the
+    /// observed numeric range of its attribute over `g`'s vertices, or its
+    /// edges when `on_edges` is set, and against that side's code column.
     pub fn resolve(g: &PropertyGraph, p: &Predicate, on_edges: bool) -> Self {
         let sym = g.attr_symbol(&p.attr);
         let observed = sym.and_then(|s| g.numeric_range(s, on_edges));
+        Self::with_interval(
+            g,
+            sym,
+            CompiledInterval::resolve(g, &p.interval, observed),
+            on_edges,
+        )
+    }
+
+    fn with_interval(
+        g: &PropertyGraph,
+        sym: Option<Symbol>,
+        interval: CompiledInterval,
+        on_edges: bool,
+    ) -> Self {
+        let topo = g.topology();
+        let codes = sym.and_then(|s| {
+            let col = topo.column(s, on_edges)?;
+            CodeTest::derive(topo.id(), s, on_edges, col, &interval)
+        });
         ResolvedPredicate {
             sym,
-            interval: CompiledInterval::resolve(g, &p.interval, observed),
+            interval,
+            codes,
         }
     }
 
@@ -191,6 +220,25 @@ impl ResolvedPredicate {
                 None => false,
             },
             None => false,
+        }
+    }
+
+    /// Check the predicate on element `i` of its side of `topo`'s graph,
+    /// whose attribute map `attrs` yields: from the element's code where
+    /// the column decides, from the map otherwise. Debug builds check
+    /// every decided code against the map.
+    #[inline(always)]
+    fn holds<'a>(&self, topo: &CsrTopology, i: u32, attrs: impl Fn() -> &'a AttrMap) -> bool {
+        match self.codes.as_ref().and_then(|codes| codes.decide(topo, i)) {
+            Some(verdict) => {
+                debug_assert_eq!(
+                    verdict,
+                    self.matches(attrs()),
+                    "code column and attribute map disagree on element {i}"
+                );
+                verdict
+            }
+            None => self.matches(attrs()),
         }
     }
 
@@ -211,60 +259,178 @@ impl ResolvedPredicate {
     }
 }
 
+/// The codes of one attribute column that satisfy a predicate: code `c`
+/// passes exactly when the predicate's interval holds for the dictionary
+/// value `c` stands for.
+#[derive(Debug, Clone)]
+struct CodeTest {
+    /// The [`CsrTopology::id`] of the column's build.
+    topo: u32,
+    attr: Symbol,
+    on_edges: bool,
+    pass: CodeSet,
+}
+
+#[derive(Debug, Clone)]
+enum CodeSet {
+    /// The codes `lo..hi`.
+    Span(u16, u16),
+    /// A few codes, not contiguous.
+    Set(Box<[u16]>),
+}
+
+impl CodeTest {
+    /// The code test of `interval` on `col`, found by binary search in
+    /// the dictionary: a range is a contiguous span of the numeric
+    /// codes, a disjunction the codes of its constants. `None` when the
+    /// codes cannot decide the interval: a disjunction with an `Int`
+    /// constant beyond 2^53, which the dictionary's representative of an
+    /// equal number may fail to equal.
+    fn derive(
+        topo: u32,
+        attr: Symbol,
+        on_edges: bool,
+        col: &AttrColumn,
+        interval: &CompiledInterval,
+    ) -> Option<Self> {
+        let pass = match interval {
+            CompiledInterval::Range(Interval::Range {
+                lo,
+                hi,
+                lo_incl,
+                hi_incl,
+            }) => {
+                let above = Interval::Range {
+                    lo: *lo,
+                    hi: None,
+                    lo_incl: *lo_incl,
+                    hi_incl: false,
+                };
+                let below = Interval::Range {
+                    lo: None,
+                    hi: *hi,
+                    lo_incl: false,
+                    hi_incl: *hi_incl,
+                };
+                let nums = col.numbers();
+                let start = nums.partition_point(|&x| !above.matches(&Value::Float(x)));
+                let end = nums
+                    .partition_point(|&x| below.matches(&Value::Float(x)))
+                    .max(start);
+                let first = col.first_number();
+                CodeSet::Span(first + start as u16, first + end as u16)
+            }
+            CompiledInterval::Range(Interval::OneOf(_)) => return None,
+            CompiledInterval::OneOf { syms, other } => {
+                if other
+                    .iter()
+                    .any(|v| v.as_int().is_some_and(|i| i.unsigned_abs() > 1 << 53))
+                {
+                    return None;
+                }
+                let mut codes = syms
+                    .iter()
+                    .filter_map(|&(sym, _)| col.rank_of_sym(sym))
+                    .chain(other.iter().filter_map(|v| col.rank(v)));
+                match (codes.next(), syms.len() + other.len()) {
+                    (None, _) => CodeSet::Span(0, 0),
+                    // the common equality: no set to collect
+                    (Some(c), 1) => CodeSet::Span(c, c + 1),
+                    (Some(c), _) => {
+                        let mut codes: Vec<u16> = std::iter::once(c).chain(codes).collect();
+                        codes.sort_unstable();
+                        codes.dedup();
+                        let (lo, hi) = (codes[0], codes[codes.len() - 1]);
+                        if usize::from(hi - lo) + 1 == codes.len() {
+                            CodeSet::Span(lo, hi + 1)
+                        } else {
+                            CodeSet::Set(codes.into())
+                        }
+                    }
+                }
+            }
+        };
+        debug_assert!(
+            col.dict()
+                .iter()
+                .enumerate()
+                .all(|(c, v)| pass.contains(c as u16) == interval.matches_stored(v)),
+            "inexact code test {pass:?} for {interval:?}"
+        );
+        Some(CodeTest {
+            topo,
+            attr,
+            on_edges,
+            pass,
+        })
+    }
+
+    /// The verdict element `i`'s code in `topo`'s column gives: `None`
+    /// when the map must decide — the code is [`FALLBACK`], or `topo` is
+    /// not the build the test was derived from.
+    #[inline(always)]
+    fn decide(&self, topo: &CsrTopology, i: u32) -> Option<bool> {
+        if topo.id() != self.topo {
+            return None;
+        }
+        // no sentinel is ever in a pass set: test the common pass first
+        let c = topo.column(self.attr, self.on_edges)?.code(i);
+        if self.pass.contains(c) {
+            Some(true)
+        } else {
+            (c != FALLBACK).then_some(false)
+        }
+    }
+}
+
+impl CodeSet {
+    #[inline(always)]
+    fn contains(&self, c: u16) -> bool {
+        match self {
+            CodeSet::Span(lo, hi) => *lo <= c && c < *hi,
+            CodeSet::Set(codes) => set_contains(codes, c),
+        }
+    }
+}
+
+/// Kept out of line: most code tests are spans, and inlining the
+/// vectorized scan would crowd the span test in the candidate loop.
+#[inline(never)]
+fn set_contains(codes: &[u16], c: u16) -> bool {
+    codes.contains(&c)
+}
+
 /// Compiled form of one query vertex.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledVertex {
     /// Resolved predicates; all must hold.
     pub preds: Vec<ResolvedPredicate>,
-    /// Index in `preds` of the first predicate on the `type` attribute
-    /// ([`TYPE_ATTR`]) whose interval is a string-only `OneOf`: the one
-    /// [`CompiledVertex::accepts_sealed`] decides from the topology's type
-    /// column.
-    type_pred: Option<usize>,
 }
 
 impl CompiledVertex {
     /// Compile the predicates of `qv` against `g`.
     pub fn compile(g: &PropertyGraph, qv: &QueryVertex) -> Self {
-        let preds = resolve(g, &qv.predicates, false);
-        let type_attr = g.attr_symbol(TYPE_ATTR);
-        let type_pred = preds.iter().position(|p| {
-            type_attr.is_some()
-                && p.sym == type_attr
-                && matches!(&p.interval, CompiledInterval::OneOf { other, .. } if other.is_empty())
-        });
-        CompiledVertex { preds, type_pred }
+        CompiledVertex {
+            preds: resolve(g, &qv.predicates, false),
+        }
     }
 
     /// Does data vertex `v` satisfy the vertex constraints? Reads only
-    /// `v`'s attribute map — the test of the reference matcher.
+    /// `v`'s attribute map.
     pub fn accepts(&self, g: &PropertyGraph, v: VertexId) -> bool {
         let attrs = &g.vertex(v).attrs;
         self.preds.iter().all(|p| p.matches(attrs))
     }
 
-    /// [`CompiledVertex::accepts`] as the engine runs it: a string-only
-    /// `type` disjunction is tested against `topo`'s type column first
-    /// ([`CsrTopology::vertex_type`]; `topo` must be `g`'s), and the
-    /// attribute map is read only for the remaining predicates. A vertex
-    /// the column has no symbol for falls back to the map, so the answer
-    /// equals [`CompiledVertex::accepts`] for every vertex.
+    /// [`CompiledVertex::accepts`] as the engine runs it: each predicate
+    /// reads `v`'s code in `topo`'s column of its attribute (`topo` must
+    /// be `g`'s), and the attribute map only where the code cannot decide.
+    /// The answer equals [`CompiledVertex::accepts`] for every vertex.
     #[inline]
-    pub fn accepts_sealed(&self, g: &PropertyGraph, topo: &CsrTopology, v: VertexId) -> bool {
-        if let Some(i) = self.type_pred {
-            if let (Some(ty), CompiledInterval::OneOf { syms, .. }) =
-                (topo.vertex_type(v), &self.preds[i].interval)
-            {
-                let attrs = &g.vertex(v).attrs;
-                return syms.iter().any(|(s, _)| *s == ty)
-                    && self
-                        .preds
-                        .iter()
-                        .enumerate()
-                        .all(|(j, p)| j == i || p.matches(attrs));
-            }
-        }
-        self.accepts(g, v)
+    pub fn accepts_coded(&self, g: &PropertyGraph, topo: &CsrTopology, v: VertexId) -> bool {
+        self.preds
+            .iter()
+            .all(|p| p.holds(topo, v.0, || &g.vertex(v).attrs))
     }
 
     /// True when no data vertex can satisfy this query vertex.
@@ -319,14 +485,19 @@ impl CompiledEdge {
 
     /// Attribute-predicate check alone, for scans that already know the
     /// edge type is admissible (the CSR engine iterates per-type runs, so
-    /// the type test is implied by the slice being scanned).
-    pub fn accepts_attrs(&self, attrs: &AttrMap) -> bool {
-        self.preds.iter().all(|p| p.matches(attrs))
+    /// the type test is implied by the slice being scanned). Reads `e`'s
+    /// codes in `topo`'s edge columns like
+    /// [`CompiledVertex::accepts_coded`].
+    #[inline]
+    pub fn accepts_attrs_coded(&self, g: &PropertyGraph, topo: &CsrTopology, e: EdgeId) -> bool {
+        self.preds
+            .iter()
+            .all(|p| p.holds(topo, e.0, || &g.edge(e).attrs))
     }
 
     /// True when matching an edge from an admissible-type adjacency run
-    /// requires loading its [`EdgeData`] at all (only attribute predicates
-    /// do — endpoints and type come straight from the CSR columns).
+    /// tests anything beyond its type (only attribute predicates do —
+    /// endpoints and type come straight from the CSR columns).
     pub fn needs_edge_data(&self) -> bool {
         !self.preds.is_empty()
     }
@@ -407,7 +578,9 @@ fn resolve(g: &PropertyGraph, preds: &[Predicate], on_edges: bool) -> Vec<Resolv
             );
         }
         if conj.is_some_and(|c| c.is_vacuous()) {
-            resolved[i].interval = CompiledInterval::refuted();
+            let sym = resolved[i].sym;
+            resolved[i] =
+                ResolvedPredicate::with_interval(g, sym, CompiledInterval::refuted(), on_edges);
         }
     }
     resolved
@@ -564,7 +737,7 @@ pub fn estimate_candidates(
         let mut hits = 0u64;
         for dv in g.vertex_ids().step_by(stride) {
             sampled += 1;
-            if cv.accepts_sealed(g, topo, dv) {
+            if cv.accepts_coded(g, topo, dv) {
                 hits += 1;
             }
         }

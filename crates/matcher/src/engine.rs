@@ -652,6 +652,23 @@ mod tests {
         assert_eq!(counts(&g), (1, 3));
     }
 
+    /// Adding a vertex rebuilds the code columns with new ranks ("animal"
+    /// sorts before "city" and "person"); a query compiled before keeps
+    /// its answer, because its code tests belong to the old build.
+    #[test]
+    fn a_compiled_query_survives_a_rebuild_of_the_columns() {
+        let mut g = social();
+        g.seal();
+        let q = QueryBuilder::new("t")
+            .vertex("v", [Predicate::eq("type", "person")])
+            .build();
+        let cq = Matcher::new(&g).compile_full(&q);
+        g.add_vertex([("type", Value::str("animal"))]);
+        let m = Matcher::new(&g);
+        let count = m.count_compiled(&q, &cq.compiled, &cq.program, MatchOptions::default());
+        assert_eq!(count, 3);
+    }
+
     #[test]
     fn edge_predicates_filter() {
         let g = social();

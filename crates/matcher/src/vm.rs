@@ -457,8 +457,8 @@ fn tick(cx: &VmCtx<'_>, st: &mut Scratch) -> bool {
 #[inline]
 fn test_filter(cx: &VmCtx<'_>, test: FilterTest, de: EdgeId, dv: VertexId) -> bool {
     match test {
-        FilterTest::VertexPreds(v) => cx.compiled.vertex(v).accepts_sealed(cx.g, cx.topo, dv),
-        FilterTest::EdgeAttrs(e) => cx.compiled.edge(e).accepts_attrs(&cx.g.edge(de).attrs),
+        FilterTest::VertexPreds(v) => cx.compiled.vertex(v).accepts_coded(cx.g, cx.topo, dv),
+        FilterTest::EdgeAttrs(e) => cx.compiled.edge(e).accepts_attrs_coded(cx.g, cx.topo, de),
     }
 }
 

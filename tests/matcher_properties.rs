@@ -334,97 +334,141 @@ proptest! {
     }
 }
 
-/// A `type` value drawn to reach every kind of type-column entry: none,
-/// an `Int`, a `Float`, or one of three strings.
-fn drawn_type(code: u8) -> Option<Value> {
-    match code % 6 {
+/// An attribute value drawn to reach every kind of column code: absent,
+/// `Int`s and `Float`s (equal pairs among them), `-0.0`, NaN, `Int`s
+/// beyond 2^53 with a `Float` equal to two of them, `Bool`s and strings.
+fn drawn_value(code: u8) -> Option<Value> {
+    let big = 1i64 << 53;
+    match code % 9 {
         0 => None,
-        1 => Some(Value::Int(i64::from(code % 3))),
-        2 => Some(Value::Float(0.5)),
-        c => Some(Value::str(["red", "green", "blue"][usize::from(c - 3)])),
+        1 => Some(Value::Int(i64::from(code % 4))),
+        2 => Some(Value::Float(f64::from(code % 8) / 2.0)),
+        3 => Some(Value::Float(-0.0)),
+        4 => Some(Value::Float(f64::NAN)),
+        5 => Some(Value::Int(big + i64::from(code % 3))),
+        6 => Some(Value::Float(big as f64)),
+        7 => Some(Value::Bool(code.is_multiple_of(2))),
+        _ => Some(Value::str(["a", "b", "c"][usize::from(code % 3)])),
     }
 }
 
-/// A `type` disjunction over the bits of `mask`: three stored strings, one
-/// string no vertex stores, and an `Int` (which makes the disjunction
-/// mixed, so the column does not decide it).
-fn type_disjunction(mask: u8) -> Predicate {
-    let all = [
-        Value::str("red"),
-        Value::str("green"),
-        Value::str("blue"),
-        Value::str("violet"),
-        Value::Int(1),
+/// A predicate on `attr` drawn from `code`: a `Range` whose bounds are
+/// open, closed, absent or NaN, or a `OneOf` whose constants are
+/// numbers, strings or both, some absent from every dictionary.
+fn column_predicate(attr: &str, code: u16) -> Predicate {
+    let bounds = [
+        None,
+        Some(-1.0),
+        Some(0.0),
+        Some(-0.0),
+        Some(1.0),
+        Some(1.5),
+        Some(3.0),
+        Some((1u64 << 53) as f64),
+        Some(f64::NAN),
+        Some(300.0),
     ];
-    let vals: Vec<Value> = (0..all.len())
-        .filter(|i| mask & (1 << i) != 0)
-        .map(|i| all[i].clone())
-        .collect();
-    Predicate {
-        attr: "type".into(),
-        interval: Interval::one_of(if vals.is_empty() {
-            vec![Value::str("red")]
+    let constants = [
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Float(-0.0),
+        Value::str("a"),
+        Value::str("zz"),
+        Value::Bool(true),
+        Value::Int((1 << 53) + 1),
+        Value::Float(f64::NAN),
+        Value::Int(270),
+        Value::Float(2.5),
+    ];
+    let interval = if code & 1 == 0 {
+        let c = usize::from(code >> 1);
+        Interval::Range {
+            lo: bounds[c % 10],
+            hi: bounds[(c / 10) % 10],
+            lo_incl: c & 0x100 != 0,
+            hi_incl: c & 0x200 != 0,
+        }
+    } else {
+        let mask = code >> 1;
+        let vals: Vec<Value> = (0..constants.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| constants[i].clone())
+            .collect();
+        Interval::OneOf(if vals.is_empty() {
+            vec![constants[usize::from(mask % 10)].clone()]
         } else {
             vals
-        }),
+        })
+    };
+    Predicate {
+        attr: attr.into(),
+        interval,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The engine's type column answers exactly what the attribute maps
-    /// do: on graphs whose `type` is absent, numeric or a string — some
-    /// set after sealing, which patches the column — queried with `type`
-    /// disjunctions (some mixed with a number, some beside an `x`
-    /// predicate), the session and the bare matcher count what the
-    /// reference counts, and `find` finds as many.
+    /// The engine's code columns answer exactly what the attribute maps
+    /// do. Vertices and edges store every kind of value (see
+    /// [`drawn_value`]); filler vertices give `k` a dictionary too large
+    /// for one-byte codes; some writes after sealing store a value the
+    /// dictionary holds, one it lacks, or a new attribute. Queried with
+    /// ranges and disjunctions of every shape on vertices and edges, the
+    /// bare matcher and the session count what the reference counts, and
+    /// `find` finds as many.
     #[test]
-    fn type_column_agrees_with_reference(
+    fn attribute_columns_agree_with_reference(
         n in 2usize..9,
-        types in prop::collection::vec(any::<u8>(), 9),
-        retypes in prop::collection::vec((any::<u8>(), any::<u8>()), 0..4),
-        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..14),
+        values in prop::collection::vec((any::<u8>(), any::<u8>()), 9),
+        writes in prop::collection::vec((any::<u8>(), 0u8..3, any::<u8>()), 0..4),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..14),
         qlen in 1usize..4,
-        masks in prop::collection::vec(0u8..64, 4),
+        vpreds in prop::collection::vec((0u8..4, any::<u16>(), 0u8..6, any::<u16>()), 3),
+        epreds in prop::collection::vec((any::<bool>(), any::<u16>()), 2),
         undirected in any::<bool>(),
     ) {
         let mut g = PropertyGraph::new();
         let vs: Vec<VertexId> = (0..n)
             .map(|i| {
-                let mut attrs = vec![("x", Value::Int((i % 3) as i64))];
-                attrs.extend(drawn_type(types[i % types.len()]).map(|t| ("type", t)));
+                let (x, k) = values[i];
+                let mut attrs: Vec<(&str, Value)> = Vec::new();
+                attrs.extend(drawn_value(x).map(|v| ("x", v)));
+                attrs.extend(drawn_value(k).map(|v| ("k", v)));
                 g.add_vertex(attrs)
             })
             .collect();
-        for &(a, b, fwd) in &pairs {
+        for i in 0..260 {
+            g.add_vertex([("k", Value::Int(i))]);
+        }
+        for &(a, b, w) in &pairs {
             let (a, b) = (vs[a as usize % n], vs[b as usize % n]);
-            g.add_edge(if fwd { a } else { b }, if fwd { b } else { a }, "link", []);
+            g.add_edge(a, b, "link", drawn_value(w).map(|v| ("w", v)));
         }
         g.seal();
-        for &(v, t) in &retypes {
-            if let Some(t) = drawn_type(t) {
-                g.set_vertex_attr(vs[v as usize % n], "type", t).expect("in range");
-            }
+        for &(v, attr, x) in &writes {
+            let val = drawn_value(x).unwrap_or(Value::Float(9.25));
+            g.set_vertex_attr(vs[v as usize % n], ["x", "k", "fresh"][usize::from(attr)], val)
+                .expect("in range");
         }
-        // bit 5 of a vertex's mask: no `type` predicate, an `x` one instead
-        // (with bits 0-4 also set: both)
+        // per query vertex: up to two predicates on its side's attributes;
+        // per query edge: none or one
+        let attrs = ["x", "k", "fresh"];
         let mut q = PatternQuery::new();
         let qv: Vec<QVid> = (0..qlen)
             .map(|i| {
-                let mask = masks[i % masks.len()];
-                let mut preds = Vec::new();
-                if mask & 31 != 0 || mask & 32 == 0 {
-                    preds.push(type_disjunction(mask & 31));
-                }
-                if mask & 32 != 0 {
-                    preds.push(Predicate::eq("x", i64::from(mask % 3)));
-                }
+                let (a, code, b, code2) = vpreds[i];
+                let preds = [(a, code), (b, code2)].into_iter().filter_map(|(a, code)| {
+                    attrs.get(usize::from(a)).map(|a| column_predicate(a, code))
+                });
                 q.add_vertex(QueryVertex::with(preds))
             })
             .collect();
-        for w in qv.windows(2) {
+        for (w, &(tested, code)) in qv.windows(2).zip(&epreds) {
             let mut e = QueryEdge::typed(w[0], w[1], "link");
+            if tested {
+                e.predicates.push(column_predicate("w", code));
+            }
             if undirected {
                 e.directions = DirectionSet::BOTH;
             }
