@@ -56,7 +56,7 @@ use crate::graph::{EdgeData, EdgeId, VertexId};
 use crate::interner::Symbol;
 use crate::value::Value;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The column code of an element that lacks the attribute.
 pub const ABSENT: u16 = u16::MAX;
@@ -195,38 +195,13 @@ impl AttrColumn {
         }
         self.rank(v).unwrap_or(FALLBACK)
     }
-
-    /// Every code, widened ([`AttrColumn::code`] of each element).
-    pub(crate) fn codes(&self) -> impl Iterator<Item = u16> + '_ {
-        (0..self.len() as u32).map(|i| self.code(i))
-    }
-
-    fn len(&self) -> usize {
-        match &self.codes {
-            Codes::Narrow(c) => c.len(),
-            Codes::Wide(c) => c.len(),
-        }
-    }
-}
-
-/// What the columns know of one attribute symbol on one side.
-#[derive(Debug, Clone, Default)]
-pub(crate) enum Slot {
-    /// No element of this side stored the attribute at sealing.
-    #[default]
-    Unused,
-    /// The attribute's column.
-    Coded(AttrColumn),
-    /// Some element stores the attribute, but no column codes it: the
-    /// dictionary overflowed, or the attribute first appeared after
-    /// sealing.
-    Uncoded,
 }
 
 /// The code columns of one side of the graph, indexed by attribute
-/// symbol.
+/// symbol; `None` where the attribute has no column (no element stored
+/// it at sealing, or its dictionary overflowed).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Columns(Vec<Slot>);
+pub(crate) struct Columns(Vec<Option<AttrColumn>>);
 
 /// A column under construction: the distinct values met so far and each
 /// element's first-seen rank (or sentinel), one byte each until the 255th
@@ -275,10 +250,9 @@ impl Columns {
         Columns(
             building
                 .into_iter()
-                .map(|b| match b {
-                    None => Slot::Unused,
-                    Some(Building::Overflowed) => Slot::Uncoded,
-                    Some(Building::Open(distinct, codes)) => Slot::Coded(seal(distinct, codes)),
+                .map(|b| match b? {
+                    Building::Overflowed => None,
+                    Building::Open(distinct, codes) => Some(seal(distinct, codes)),
                 })
                 .collect(),
         )
@@ -287,30 +261,15 @@ impl Columns {
     /// The column of attribute `sym`, if it has one.
     #[inline]
     pub(crate) fn get(&self, sym: Symbol) -> Option<&AttrColumn> {
-        match self.0.get(sym.0 as usize) {
-            Some(Slot::Coded(col)) => Some(col),
-            _ => None,
-        }
+        self.0.get(sym.0 as usize)?.as_ref()
     }
 
-    /// What the columns know of attribute `sym`.
-    pub(crate) fn slot(&self, sym: Symbol) -> &Slot {
-        self.0.get(sym.0 as usize).unwrap_or(&Slot::Unused)
-    }
-
-    /// Element `i` now stores `v` under `sym`: patch its code, or record
-    /// that the attribute has uncoded values.
+    /// Element `i` now stores `v` under `sym`: patch its code, if the
+    /// attribute has a column.
     pub(crate) fn patch(&mut self, sym: Symbol, i: u32, v: &Value, dict: u32) {
-        let s = sym.0 as usize;
-        if self.0.len() <= s {
-            self.0.resize_with(s + 1, Slot::default);
-        }
-        match &mut self.0[s] {
-            Slot::Coded(col) => {
-                let code = col.code_of(v, dict);
-                col.codes.set(i, code);
-            }
-            slot => *slot = Slot::Uncoded,
+        if let Some(Some(col)) = self.0.get_mut(sym.0 as usize) {
+            let code = col.code_of(v, dict);
+            col.codes.set(i, code);
         }
     }
 }
@@ -355,10 +314,12 @@ fn seal(distinct: Distinct, mut codes: Codes) -> AttrColumn {
 }
 
 /// Source of fresh topology identities (see [`CsrTopology::id`]).
-static NEXT_TOPOLOGY_ID: AtomicU32 = AtomicU32::new(1);
+static NEXT_TOPOLOGY_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A fresh process-unique topology identity.
-pub(crate) fn fresh_topology_id() -> u32 {
+/// A fresh process-unique topology identity. 64 bits never wrap in
+/// practice, so no two builds of one process (nor the empty default, id
+/// 0) share an id.
+pub(crate) fn fresh_topology_id() -> u64 {
     NEXT_TOPOLOGY_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -518,7 +479,7 @@ pub struct CsrTopology {
     pub(crate) vertex_cols: Columns,
     pub(crate) edge_cols: Columns,
     /// Process-unique identity of this build (0 for the empty default).
-    pub(crate) id: u32,
+    pub(crate) id: u64,
 }
 
 impl CsrTopology {
@@ -526,7 +487,7 @@ impl CsrTopology {
     /// change, so a code test derived from one of its columns holds for
     /// every topology with the same id (a clone of the graph shares it);
     /// a rebuild after a vertex or edge is added gets a fresh id.
-    pub fn id(&self) -> u32 {
+    pub fn id(&self) -> u64 {
         self.id
     }
 

@@ -16,15 +16,9 @@
 //!
 //! A database owns one catalog (`whyq_session::Database::domains`, built
 //! on first use) that the why-engine's rewriters borrow; callers without a
-//! database build their own with [`AttributeDomains::build`]. The build
-//! reads the sealed topology ([`crate::CsrTopology`]): each attribute's
-//! values come from its code column's dictionary, restricted to the
-//! values some element still codes, the vertex buckets from the `type`
-//! codes and the triples from the out-arena. The attribute maps are read
-//! in one pass only for what the columns cannot list — an attribute
-//! without a column, or with values its dictionary lacks — and there
-//! values are deduplicated as the pass meets them, so only distinct
-//! values are sorted.
+//! database build their own with [`AttributeDomains::build`]. The build is
+//! one pass over the vertices and one over the edges. Values are
+//! deduplicated as the pass meets them, so only distinct values are sorted.
 //!
 //! The catalog clones values straight out of the graph, so string entries
 //! stay **dictionary-encoded** (`Value::Sym` — the clone is an `Arc`
@@ -33,8 +27,7 @@
 //! the matcher's compiler recognizes as symbols of the same graph, keeping
 //! the whole relax loop's predicate evaluation on the integer fast path.
 
-use crate::csr::{Columns, Slot, ABSENT, FALLBACK};
-use crate::{AttrMap, EdgeId, PropertyGraph, Symbol, Value, VertexId};
+use crate::{PropertyGraph, Symbol, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
@@ -112,50 +105,72 @@ impl AttributeDomains {
     /// attribute (larger domains record only the numeric range).
     pub fn build(g: &PropertyGraph, cap: usize) -> Self {
         let names = g.attr_names();
-        let topo = g.topology();
         let type_sym = names.get(TYPE_ATTR);
-        let vertex_maps = |i: u32| &g.vertex(VertexId(i)).attrs;
-        let (vertex_values, bucket) = side_values(
-            names.len(),
-            &topo.vertex_cols,
-            g.num_vertices(),
-            vertex_maps,
-            type_sym,
-        );
-        let edge_maps = |i: u32| &g.edge(EdgeId(i)).attrs;
-        let (edge_values, _) =
-            side_values(names.len(), &topo.edge_cols, g.num_edges(), edge_maps, None);
-
-        let mut triples = HashSet::new();
+        let mut vertex_values: Vec<Distinct> =
+            (0..names.len()).map(|_| Distinct::default()).collect();
+        // per vertex, 1 + the first-seen rank of its `type` value; 0 if none
+        let mut vertex_type = Vec::with_capacity(g.num_vertices());
         for v in g.vertex_ids() {
-            let out = topo.out_entries(v);
-            let mut last = None;
-            for (&ty, &dst) in out.types.iter().zip(out.others) {
-                // an out-list runs one edge type at a time
-                let t = (bucket[v.0 as usize], ty.0, bucket[dst.0 as usize]);
-                if last != Some(t) {
-                    triples.insert(t);
-                    last = Some(t);
+            let mut ty = 0;
+            for (sym, val) in g.vertex(v).attrs.iter() {
+                let rank = vertex_values[sym.0 as usize].rank(val);
+                if Some(sym) == type_sym {
+                    ty = rank + 1;
                 }
+            }
+            vertex_type.push(ty);
+        }
+        let mut edge_values: Vec<Distinct> =
+            (0..names.len()).map(|_| Distinct::default()).collect();
+        let mut triples = HashSet::new();
+        let mut last = None;
+        for e in g.edge_ids() {
+            let ed = g.edge(e);
+            for (sym, val) in ed.attrs.iter() {
+                edge_values[sym.0 as usize].rank(val);
+            }
+            let t = (
+                vertex_type[ed.src.0 as usize],
+                ed.ty.0,
+                vertex_type[ed.dst.0 as usize],
+            );
+            // edges of one vertex and type tend to come in runs
+            if last != Some(t) {
+                triples.insert(t);
+                last = Some(t);
             }
         }
 
         // bucket 0 holds the untyped vertices, bucket 1 + i the i-th
         // smallest `type` value
         let mut type_buckets = vec![None];
-        if let Some(types) = type_sym.and_then(|s| vertex_values[s.0 as usize].as_ref()) {
-            type_buckets.extend(types.iter().cloned().map(Some));
+        let mut bucket_of = vec![0];
+        let mut vertex_attrs = HashMap::new();
+        for (sym, distinct) in vertex_values.into_iter().enumerate() {
+            let Some((values, ranks)) = distinct.sorted() else {
+                continue;
+            };
+            if type_sym == Some(Symbol(sym as u32)) {
+                bucket_of.resize(values.len() + 1, 0);
+                for (i, &rank) in ranks.iter().enumerate() {
+                    bucket_of[rank as usize + 1] = i as u32 + 1;
+                }
+                type_buckets.extend(values.iter().cloned().map(Some));
+            }
+            vertex_attrs.insert(
+                names.resolve(Symbol(sym as u32)).to_string(),
+                summarize(values, cap),
+            );
         }
-        let summarized = |values: Vec<Option<Vec<Value>>>| {
-            values
-                .into_iter()
-                .enumerate()
-                .filter_map(|(sym, values)| {
-                    let name = names.resolve(Symbol(sym as u32)).to_string();
-                    values.map(|values| (name, summarize(values, cap)))
-                })
-                .collect()
-        };
+        let edge_attrs = edge_values
+            .into_iter()
+            .enumerate()
+            .filter_map(|(sym, distinct)| {
+                let (values, _) = distinct.sorted()?;
+                let name = names.resolve(Symbol(sym as u32)).to_string();
+                Some((name, summarize(values, cap)))
+            })
+            .collect();
 
         let mut by_name: Vec<(&str, Symbol)> = g.edge_types().iter().map(|(s, n)| (n, s)).collect();
         by_name.sort_unstable();
@@ -165,12 +180,18 @@ impl AttributeDomains {
         }
         let mut type_triples: Vec<(u32, u32, u32)> = triples
             .into_iter()
-            .map(|(s, t, d)| (s, type_index[t as usize], d))
+            .map(|(s, t, d)| {
+                (
+                    bucket_of[s as usize],
+                    type_index[t as usize],
+                    bucket_of[d as usize],
+                )
+            })
             .collect();
         type_triples.sort_unstable();
         AttributeDomains {
-            vertex_attrs: summarized(vertex_values),
-            edge_attrs: summarized(edge_values),
+            vertex_attrs,
+            edge_attrs,
             edge_types: by_name.into_iter().map(|(n, _)| n.to_string()).collect(),
             type_buckets,
             type_triples,
@@ -223,95 +244,6 @@ impl AttributeDomains {
             .iter()
             .any(|&(s, t, d)| src[s as usize] && ty[t as usize] && dst[d as usize])
     }
-}
-
-/// The sorted distinct values of every attribute (indexed by symbol; `None`
-/// where no element stores one) over the `n` elements of one side of a
-/// graph, whose attribute maps are `maps(0..n)` and whose code columns
-/// are `cols`; and per element its bucket under attribute `bucketed`: 0
-/// without the attribute, else 1 + the rank of its value.
-///
-/// A column without [`FALLBACK`] codes gives its values straight from
-/// the dictionary, keeping those some element still codes. The maps are
-/// scanned once, for the attributes the columns cannot list: uncoded
-/// ones and those with values the dictionary lacks.
-fn side_values<'a>(
-    n_attrs: usize,
-    cols: &Columns,
-    n: usize,
-    maps: impl Fn(u32) -> &'a AttrMap,
-    bucketed: Option<Symbol>,
-) -> (Vec<Option<Vec<Value>>>, Vec<u32>) {
-    let mut values = vec![None; n_attrs];
-    let mut bucket = vec![0; n];
-    let mut scan = vec![false; n_attrs];
-    for (s, scan) in scan.iter_mut().enumerate() {
-        let sym = Symbol(s as u32);
-        let col = match cols.slot(sym) {
-            Slot::Unused => continue,
-            Slot::Uncoded => {
-                *scan = true;
-                continue;
-            }
-            Slot::Coded(col) => col,
-        };
-        let mut used = vec![false; col.dict().len()];
-        for code in col.codes() {
-            match code {
-                ABSENT => {}
-                FALLBACK => *scan = true,
-                c => used[c as usize] = true,
-            }
-        }
-        if *scan {
-            continue;
-        }
-        let mut vals = Vec::new();
-        let mut bucket_of = vec![0; used.len()];
-        for (c, v) in col.dict().iter().enumerate().filter(|&(c, _)| used[c]) {
-            vals.push(v.clone());
-            bucket_of[c] = vals.len() as u32;
-        }
-        if bucketed == Some(sym) {
-            for (b, code) in bucket.iter_mut().zip(col.codes()) {
-                if code != ABSENT {
-                    *b = bucket_of[code as usize];
-                }
-            }
-        }
-        values[s] = (!vals.is_empty()).then_some(vals);
-    }
-    if !scan.contains(&true) {
-        return (values, bucket);
-    }
-    let mut distinct: Vec<Distinct> = (0..n_attrs).map(|_| Distinct::default()).collect();
-    for (i, b) in bucket.iter_mut().enumerate() {
-        for (sym, val) in maps(i as u32).iter() {
-            if scan[sym.0 as usize] {
-                let rank = distinct[sym.0 as usize].rank(val);
-                if bucketed == Some(sym) {
-                    *b = rank + 1;
-                }
-            }
-        }
-    }
-    for (s, distinct) in distinct.into_iter().enumerate() {
-        let Some((vals, first_seen)) = distinct.sorted() else {
-            continue;
-        };
-        if bucketed == Some(Symbol(s as u32)) {
-            // first-seen ranks to sorted ranks
-            let mut bucket_of = vec![0; vals.len() + 1];
-            for (i, &rank) in first_seen.iter().enumerate() {
-                bucket_of[rank as usize + 1] = i as u32 + 1;
-            }
-            for b in &mut bucket {
-                *b = bucket_of[*b as usize];
-            }
-        }
-        values[s] = Some(vals);
-    }
-    (values, bucket)
 }
 
 /// The order of a domain's values: by value within a family, by family
@@ -500,56 +432,6 @@ mod tests {
                 prop_assert_eq!(shown(&AttributeDomains::build(&g, cap)), shown(&reference(&g, cap)));
             }
         }
-
-        /// Writes after the columns are built — a value the dictionary
-        /// holds, one it lacks, NaN, a new attribute, the last holder of a
-        /// value overwritten — leave the build equal to the reference, up
-        /// to which of two equal numbers represents a value.
-        #[test]
-        fn build_after_writes_equals_the_reference(
-            vertices in prop::collection::vec((0u8..4, any::<u8>()), 1..10),
-            edges in prop::collection::vec((any::<u8>(), any::<u8>()), 0..12),
-            writes in prop::collection::vec((any::<u8>(), 0u8..4, any::<u8>()), 1..5),
-        ) {
-            let mut g = PropertyGraph::new();
-            let ids: Vec<_> = vertices
-                .iter()
-                .map(|&(ty, x)| {
-                    let ty = Value::str(["p", "q", "r", "s"][usize::from(ty)]);
-                    g.add_vertex([(TYPE_ATTR, ty), ("x", pooled(x))])
-                })
-                .collect();
-            for &(a, b) in &edges {
-                let (a, b) = (ids[usize::from(a) % ids.len()], ids[usize::from(b) % ids.len()]);
-                g.add_edge(a, b, "knows", []);
-            }
-            let _ = g.topology();
-            for &(v, attr, x) in &writes {
-                let val = if x.is_multiple_of(7) { Value::Float(f64::NAN) } else { pooled(x) };
-                let val = if attr == 0 { Value::str(["p", "t"][usize::from(x % 2)]) } else { val };
-                g.set_vertex_attr(ids[usize::from(v) % ids.len()], [TYPE_ATTR, "x", "x", "z"][usize::from(attr)], val)
-                    .expect("in range");
-            }
-            prop_assert_eq!(
-                numbers_as_floats(&AttributeDomains::build(&g, 100)),
-                numbers_as_floats(&reference(&g, 100))
-            );
-        }
-    }
-
-    /// [`shown`] with every `Int` written as the equal `Float`.
-    fn numbers_as_floats(d: &AttributeDomains) -> String {
-        let float = |v: &mut Value| {
-            if let Value::Int(i) = v {
-                *v = Value::Float(*i as f64);
-            }
-        };
-        let mut d = d.clone();
-        for dom in d.vertex_attrs.values_mut().chain(d.edge_attrs.values_mut()) {
-            dom.values.iter_mut().for_each(float);
-        }
-        d.type_buckets.iter_mut().flatten().for_each(float);
-        shown(&d)
     }
 
     fn g() -> PropertyGraph {

@@ -265,7 +265,7 @@ impl ResolvedPredicate {
 #[derive(Debug, Clone)]
 struct CodeTest {
     /// The [`CsrTopology::id`] of the column's build.
-    topo: u32,
+    topo: u64,
     attr: Symbol,
     on_edges: bool,
     pass: CodeSet,
@@ -287,7 +287,7 @@ impl CodeTest {
     /// constant beyond 2^53, which the dictionary's representative of an
     /// equal number may fail to equal.
     fn derive(
-        topo: u32,
+        topo: u64,
         attr: Symbol,
         on_edges: bool,
         col: &AttrColumn,
