@@ -54,7 +54,8 @@ fn persona_query() -> PatternQuery {
 const REPEAT: usize = 100;
 
 fn bench_matcher(c: &mut Criterion) {
-    let g = ldbc_graph(LdbcConfig::default());
+    let mut g = ldbc_graph(LdbcConfig::default());
+    g.seal();
     let queries = ldbc_queries();
     let mut group = c.benchmark_group("matcher");
     group.sample_size(20);

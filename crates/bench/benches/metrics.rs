@@ -8,7 +8,8 @@ use whyq_matcher::{MatchOptions, Matcher};
 use whyq_metrics::{hungarian, result_set_distance, syntactic_distance};
 
 fn bench_metrics(c: &mut Criterion) {
-    let g = ldbc_graph(LdbcConfig::default());
+    let mut g = ldbc_graph(LdbcConfig::default());
+    g.seal();
     let q = &ldbc_queries()[2];
     let domains = AttributeDomains::build(&g, 128);
     let pool = random_explanations(

@@ -46,7 +46,8 @@ fn prefer(rng: &mut StdRng, pool: &[VertexId], all: &[VertexId]) -> VertexId {
     }
 }
 
-/// Generate the DBpedia-like graph.
+/// Generate the DBpedia-like graph, unsealed: `Database::open` seals it
+/// (a caller that reads it directly may seal it first).
 pub fn dbpedia_graph(config: DbpediaConfig) -> PropertyGraph {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.entities.max(100);
@@ -144,8 +145,6 @@ pub fn dbpedia_graph(config: DbpediaConfig) -> PropertyGraph {
         person_pool.push(author);
     }
 
-    // generated graphs are immutable workloads: seal into the CSR layout
-    g.seal();
     g
 }
 

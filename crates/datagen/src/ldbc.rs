@@ -74,7 +74,8 @@ const TAG_NAMES: [&str; 18] = [
     "databases",
 ];
 
-/// Generate the LDBC-like social network.
+/// Generate the LDBC-like social network, unsealed: `Database::open`
+/// seals it (a caller that reads it directly may seal it first).
 pub fn ldbc_graph(config: LdbcConfig) -> PropertyGraph {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.persons.max(10);
@@ -263,8 +264,6 @@ pub fn ldbc_graph(config: LdbcConfig) -> PropertyGraph {
         g.add_edge(c, creator, "hasCreator", []);
     }
 
-    // generated graphs are immutable workloads: seal into the CSR layout
-    g.seal();
     g
 }
 

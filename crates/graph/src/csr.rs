@@ -49,6 +49,16 @@
 //! A dictionary is never re-coded: a write after sealing patches the
 //! element's code to the value's rank, or to [`FALLBACK`], and an attribute
 //! that first appears after sealing has no column at all.
+//!
+//! Both layers also carry the **statistics** the planner estimates from,
+//! exact at all times:
+//!
+//! * per column, how many elements hold each code
+//!   ([`AttrColumn::counts`]), with the [`FALLBACK`] elements counted
+//!   apart ([`AttrColumn::fallbacks`]); a patch moves the element from its
+//!   old code's count to its new one;
+//! * per edge type and direction, how many entries the type's runs hold
+//!   and how many vertices have at least one ([`CsrTopology::type_runs`]).
 
 use crate::attrs::AttrMap;
 use crate::domains::{value_order, Distinct};
@@ -134,6 +144,10 @@ pub struct AttrColumn {
     numbers: Box<[f64]>,
     first_number: u16,
     codes: Codes,
+    /// How many elements hold each rank.
+    counts: Box<[u32]>,
+    /// How many elements hold [`FALLBACK`].
+    fallbacks: u32,
 }
 
 impl AttrColumn {
@@ -188,12 +202,32 @@ impl AttrColumn {
         self.first_number
     }
 
+    /// How many elements hold each code: `counts()[c]` elements hold
+    /// rank `c`.
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// How many elements hold [`FALLBACK`]: their maps decide.
+    pub fn fallbacks(&self) -> u32 {
+        self.fallbacks
+    }
+
     /// The code `v` gets in this column: its rank, or [`FALLBACK`].
     fn code_of(&self, v: &Value, dict: u32) -> u16 {
         if !codable(v, dict) {
             return FALLBACK;
         }
         self.rank(v).unwrap_or(FALLBACK)
+    }
+
+    /// The count that code `c` is tallied in; none for [`ABSENT`].
+    fn tally(&mut self, c: u16) -> Option<&mut u32> {
+        match c {
+            ABSENT => None,
+            FALLBACK => Some(&mut self.fallbacks),
+            rank => Some(&mut self.counts[usize::from(rank)]),
+        }
     }
 }
 
@@ -264,34 +298,48 @@ impl Columns {
         self.0.get(sym.0 as usize)?.as_ref()
     }
 
-    /// Element `i` now stores `v` under `sym`: patch its code, if the
-    /// attribute has a column.
+    /// Element `i` now stores `v` under `sym`: patch its code and the
+    /// counts, if the attribute has a column.
     pub(crate) fn patch(&mut self, sym: Symbol, i: u32, v: &Value, dict: u32) {
         if let Some(Some(col)) = self.0.get_mut(sym.0 as usize) {
-            let code = col.code_of(v, dict);
-            col.codes.set(i, code);
+            let (old, new) = (col.code(i), col.code_of(v, dict));
+            if let Some(n) = col.tally(old) {
+                *n -= 1;
+            }
+            if let Some(n) = col.tally(new) {
+                *n += 1;
+            }
+            col.codes.set(i, new);
         }
     }
 }
 
-/// Sort the distinct values into the dictionary and turn the first-seen
-/// ranks into dictionary ranks.
+/// Sort the distinct values into the dictionary, turn the first-seen
+/// ranks into dictionary ranks and count the elements of each code.
 fn seal(distinct: Distinct, mut codes: Codes) -> AttrColumn {
     let (dict, first_seen) = distinct.sorted().unwrap_or_default();
     let mut rank_of = vec![0u16; dict.len()];
     for (rank, &seen) in first_seen.iter().enumerate() {
         rank_of[seen as usize] = rank as u16;
     }
+    let mut counts = vec![0u32; dict.len()].into_boxed_slice();
+    let mut fallbacks = 0;
+    let mut recode = |c: u16| match c {
+        ABSENT => ABSENT,
+        FALLBACK => {
+            fallbacks += 1;
+            FALLBACK
+        }
+        seen => {
+            let rank = rank_of[usize::from(seen)];
+            counts[usize::from(rank)] += 1;
+            rank
+        }
+    };
     // in place: the build already widened the codes a large dictionary needs
     match &mut codes {
-        Codes::Narrow(c) => c
-            .iter_mut()
-            .filter(|c| usize::from(**c) < NARROW_MAX)
-            .for_each(|c| *c = rank_of[usize::from(*c)] as u8),
-        Codes::Wide(c) => c
-            .iter_mut()
-            .filter(|c| **c < FALLBACK)
-            .for_each(|c| *c = rank_of[usize::from(*c)]),
+        Codes::Narrow(c) => c.iter_mut().for_each(|c| *c = recode(widened(*c)) as u8),
+        Codes::Wide(c) => c.iter_mut().for_each(|c| *c = recode(*c)),
     }
     let mut strings: Box<[(Symbol, u16)]> = dict
         .iter()
@@ -310,6 +358,8 @@ fn seal(distinct: Distinct, mut codes: Codes) -> AttrColumn {
         numbers,
         first_number: first_number as u16,
         codes,
+        counts,
+        fallbacks,
     }
 }
 
@@ -360,6 +410,16 @@ impl<'a> AdjSlice<'a> {
     }
 }
 
+/// The runs of one edge type in one direction of the CSR: how many
+/// entries they hold, and how many vertices have at least one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TypeRuns {
+    /// Entries of the type in this direction (its edge count).
+    pub entries: u32,
+    /// Vertices with at least one entry of the type in this direction.
+    pub vertices: u32,
+}
+
 /// One direction (out or in) of the sealed adjacency.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CsrDir {
@@ -373,6 +433,8 @@ pub(crate) struct CsrDir {
     runs: Vec<(Symbol, u32)>,
     /// `run_offsets[v]..run_offsets[v + 1]` is vertex `v`'s extent in `runs`.
     run_offsets: Vec<u32>,
+    /// The [`TypeRuns`] of each edge type, indexed by type symbol.
+    type_runs: Vec<TypeRuns>,
 }
 
 impl CsrDir {
@@ -391,6 +453,7 @@ impl CsrDir {
             offsets: vec![0],
             runs: Vec::new(),
             run_offsets: vec![0],
+            type_runs: Vec::new(),
         };
         for (flat, runs) in lists {
             let base = dir.edges.len() as u32;
@@ -400,8 +463,16 @@ impl CsrDir {
                 dir.others.push(if take_dst { ed.dst } else { ed.src });
                 dir.types.push(ed.ty);
             }
+            let mut start = 0;
             for &(ty, end) in runs {
                 dir.runs.push((ty, base + end));
+                let t = ty.0 as usize;
+                if dir.type_runs.len() <= t {
+                    dir.type_runs.resize(t + 1, TypeRuns::default());
+                }
+                dir.type_runs[t].entries += end - start;
+                dir.type_runs[t].vertices += 1;
+                start = end;
             }
             dir.offsets.push(dir.edges.len() as u32);
             dir.run_offsets.push(dir.runs.len() as u32);
@@ -466,12 +537,12 @@ impl CsrDir {
 }
 
 /// The sealed, read-optimized adjacency of a graph: one CSR arena per
-/// direction, plus the vertex and edge code columns (see the
-/// [module docs](self)). Obtained from [`crate::PropertyGraph::topology`]
-/// (built lazily and cached) or pinned permanently by
-/// [`crate::PropertyGraph::seal`]. Adding a vertex or an edge drops the
-/// whole view; [`crate::PropertyGraph::set_vertex_attr`] patches the one
-/// code it changes.
+/// direction, plus the vertex and edge code columns and their statistics
+/// (see the [module docs](self)). Obtained from
+/// [`crate::PropertyGraph::topology`] (built lazily and cached) or pinned
+/// permanently by [`crate::PropertyGraph::seal`]. Adding a vertex or an
+/// edge drops the whole view; [`crate::PropertyGraph::set_vertex_attr`]
+/// patches the one code it changes and that code's counts.
 #[derive(Debug, Clone, Default)]
 pub struct CsrTopology {
     pub(crate) out: CsrDir,
@@ -500,6 +571,17 @@ impl CsrTopology {
         } else {
             self.vertex_cols.get(attr)
         }
+    }
+
+    /// The runs of edge type `ty` in the out arena, or the in arena when
+    /// `outgoing` is unset: the type's edge count, and how many vertices
+    /// have at least one such edge leaving (entering) them.
+    pub fn type_runs(&self, ty: Symbol, outgoing: bool) -> TypeRuns {
+        let dir = if outgoing { &self.out } else { &self.inn };
+        dir.type_runs
+            .get(ty.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Outgoing entries of `v`, grouped in contiguous per-type runs.

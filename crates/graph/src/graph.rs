@@ -354,7 +354,8 @@ impl PropertyGraph {
     /// [numeric range](Self::numeric_range): the replaced value's bound
     /// stays, so the range may be wider than the data, never narrower.
     /// The cached topology keeps its adjacency; the vertex's code in the
-    /// attribute's column is patched (see [`crate::csr`]).
+    /// attribute's column and the column's counts are patched (see
+    /// [`crate::csr`]).
     pub fn set_vertex_attr(
         &mut self,
         v: VertexId,

@@ -37,7 +37,7 @@ pub mod stats;
 pub mod value;
 
 pub use attrs::AttrMap;
-pub use csr::{AdjSlice, CsrTopology};
+pub use csr::{AdjSlice, CsrTopology, TypeRuns};
 pub use error::GraphError;
 pub use graph::{EdgeData, EdgeId, PropertyGraph, VertexData, VertexId};
 pub use interner::{Interner, Symbol};

@@ -4,10 +4,13 @@
 //! adjacency accessor must answer identically before and after `seal()`,
 //! the CSR SoA columns must agree with the `EdgeData` arena, and a
 //! mutation after sealing (the melt path) must land the graph back in a
-//! consistent build state.
+//! consistent build state. The planner's statistics — the per-code counts
+//! of every code column and the per-type run sizes — must equal a naive
+//! recount, before and after attribute writes.
 
 use proptest::prelude::*;
-use whyq_graph::{PropertyGraph, VertexId};
+use std::collections::HashSet;
+use whyq_graph::{AttrMap, PropertyGraph, TypeRuns, Value, VertexId};
 
 const TYPE_NAMES: [&str; 4] = ["knows", "livesIn", "worksAt", "self"];
 
@@ -150,5 +153,137 @@ proptest! {
         melted.seal();
         assert_adjacency_eq(&never_sealed, &melted);
         assert_columns_consistent(&melted);
+    }
+}
+
+/// Vertex and edge attribute names of the statistics properties; `fresh`
+/// is first written after sealing, so it never has a column.
+const ATTRS: [&str; 5] = ["a", "b", "serial", "w", "fresh"];
+
+/// A drawn attribute value: absent, a small number (an `Int` and an equal
+/// `Float` share a code), a string, a boolean, or one of the two values
+/// no code stands for (NaN, an `Int` beyond 2^53).
+fn drawn(k: u8) -> Option<Value> {
+    match k % 8 {
+        0 => None,
+        1 => Some(Value::Float(f64::NAN)),
+        2 => Some(Value::Int((1 << 53) + 1 + i64::from(k))),
+        3 | 4 => Some(Value::Int(i64::from(k % 5))),
+        5 => Some(Value::Float(2.0)),
+        6 => Some(Value::str(["x", "y", "z"][usize::from(k) % 3])),
+        _ => Some(Value::Bool(k.is_multiple_of(2))),
+    }
+}
+
+/// A graph with the drawn vertex attributes `a`/`b`, a `serial` number
+/// per vertex (distinct on every vertex when `wide`: with 260 extra
+/// vertices its column needs `u16` codes) and edges carrying `w`.
+fn attributed(vals: &[(u8, u8)], wide: bool, edges: &[(u8, u8, u8, u8)]) -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    let extra = if wide { 260 } else { 0 };
+    let n = vals.len() + extra;
+    for i in 0..n {
+        let (x, y) = vals.get(i).copied().unwrap_or((0, 0));
+        let serial = Value::Int(if wide { i as i64 } else { i as i64 % 7 });
+        let attrs = [("a", drawn(x)), ("b", drawn(y)), ("serial", Some(serial))];
+        g.add_vertex(attrs.into_iter().filter_map(|(k, v)| Some((k, v?))));
+    }
+    for &(s, d, t, w) in edges {
+        g.add_edge(
+            VertexId((s as usize % n) as u32),
+            VertexId((d as usize % n) as u32),
+            TYPE_NAMES[t as usize % TYPE_NAMES.len()],
+            drawn(w).map(|v| ("w", v)),
+        );
+    }
+    g
+}
+
+/// The per-code counts of every column, and the per-type run sizes of
+/// both arenas, recounted element by element from the attribute maps and
+/// the edge arena.
+fn assert_statistics_recount(g: &PropertyGraph) {
+    let topo = g.topology();
+    let vertex_maps: Vec<&AttrMap> = g.vertex_ids().map(|v| &g.vertex(v).attrs).collect();
+    let edge_maps: Vec<&AttrMap> = g.edge_ids().map(|e| &g.edge(e).attrs).collect();
+    for (on_edges, maps) in [(false, &vertex_maps), (true, &edge_maps)] {
+        for name in ATTRS {
+            let Some(col) = g.attr_symbol(name).and_then(|s| topo.column(s, on_edges)) else {
+                continue;
+            };
+            let sym = g.attr_symbol(name).unwrap();
+            let mut counts = vec![0u32; col.dict().len()];
+            let mut fallbacks = 0;
+            for v in maps.iter().filter_map(|m| m.get(sym)) {
+                let beyond = v.as_int().is_some_and(|i| i.unsigned_abs() > 1 << 53);
+                let nan = v.as_f64().is_some_and(f64::is_nan);
+                match col.dict().iter().position(|d| d == v) {
+                    Some(rank) if !beyond && !nan => counts[rank] += 1,
+                    _ => fallbacks += 1,
+                }
+            }
+            assert_eq!(col.counts(), &counts[..], "{name} counts, edges {on_edges}");
+            assert_eq!(
+                col.fallbacks(),
+                fallbacks,
+                "{name} fallbacks, edges {on_edges}"
+            );
+        }
+    }
+    for ty in TYPE_NAMES.iter().filter_map(|t| g.type_symbol(t)) {
+        let typed: Vec<_> = g
+            .edge_ids()
+            .map(|e| g.edge(e))
+            .filter(|ed| ed.ty == ty)
+            .collect();
+        let runs = |ends: HashSet<VertexId>| TypeRuns {
+            entries: typed.len() as u32,
+            vertices: ends.len() as u32,
+        };
+        assert_eq!(
+            topo.type_runs(ty, true),
+            runs(typed.iter().map(|ed| ed.src).collect())
+        );
+        assert_eq!(
+            topo.type_runs(ty, false),
+            runs(typed.iter().map(|ed| ed.dst).collect())
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The statistics equal a naive recount at sealing and after every
+    /// write of a held value, a value the dictionary lacks and a value
+    /// no code stands for — on narrow and wide columns, vertices and
+    /// edges, with absent attributes and uncodable values.
+    #[test]
+    fn statistics_equal_a_recount(
+        vals in prop::collection::vec((any::<u8>(), any::<u8>()), 1..40),
+        wide in any::<bool>(),
+        edges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..40),
+        writes in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..12),
+    ) {
+        let mut g = attributed(&vals, wide, &edges);
+        g.seal();
+        assert_statistics_recount(&g);
+        let n = g.num_vertices();
+        for &(v, attr, k) in &writes {
+            let name = ["a", "b", "serial", "fresh"][usize::from(attr) % 4];
+            let held = g
+                .attr_symbol(name)
+                .and_then(|s| g.topology().column(s, false))
+                .filter(|col| !col.dict().is_empty())
+                .map(|col| col.dict()[usize::from(k) % col.dict().len()].clone());
+            let value = match (k % 3, held) {
+                (0, Some(held)) => held,
+                (1, _) => Value::Int(1000 + i64::from(k)),
+                _ => drawn(1 + (k % 2)).unwrap(),
+            };
+            g.set_vertex_attr(VertexId(u32::from(v) % n as u32), name, value).unwrap();
+            prop_assert!(g.is_sealed());
+            assert_statistics_recount(&g);
+        }
     }
 }

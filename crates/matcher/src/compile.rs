@@ -248,6 +248,27 @@ impl ResolvedPredicate {
         self.sym.is_none() || self.interval.is_unsatisfiable()
     }
 
+    /// How many elements of its side of `topo`'s graph may satisfy the
+    /// predicate, read from its column's counts: the elements of passing
+    /// codes plus the [`FALLBACK`] ones. `None` without a code test
+    /// derived from `topo`'s build.
+    fn count(&self, topo: &CsrTopology) -> Option<u64> {
+        let test = self.codes.as_ref().filter(|t| t.topo == topo.id())?;
+        let col = topo.column(test.attr, test.on_edges)?;
+        let counts = col.counts();
+        let pass: u64 = match &test.pass {
+            CodeSet::Span(lo, hi) => counts[usize::from(*lo)..usize::from(*hi)]
+                .iter()
+                .map(|&c| u64::from(c))
+                .sum(),
+            CodeSet::Set(codes) => codes
+                .iter()
+                .map(|&c| u64::from(counts[usize::from(c)]))
+                .sum(),
+        };
+        Some(pass + u64::from(col.fallbacks()))
+    }
+
     /// The resolved attribute symbol, if the graph knows the attribute.
     pub fn attr_symbol(&self) -> Option<Symbol> {
         self.sym
@@ -638,17 +659,27 @@ impl ComponentPlan {
     }
 }
 
-/// Build greedy, selectivity-ordered plans for every weakly connected
-/// component of `q`, returned with the per-vertex selectivity estimates
-/// they were planned with (indexed by `QVid` slot).
+/// Build greedy, cost-ordered plans for every weakly connected component
+/// of `q`, returned with the per-vertex candidate estimates they were
+/// planned with (indexed by `QVid` slot).
 ///
-/// The seed of each component is the vertex with the fewest *estimated*
-/// candidate data vertices (see [`estimate_candidates`]); expansion prefers
-/// *closing* edges (both endpoints bound — cheap existence checks) and
-/// otherwise picks the edge whose new endpoint has the lowest estimate.
-/// The IR lowering ([`crate::plan_ir::lower`]) annotates its scan nodes
-/// with exactly these estimates, so seed selection reasons from the same
-/// signal the planner ordered by — without re-sampling the graph.
+/// Each component's plan is a greedy walk: from a seed vertex, a *closing*
+/// edge (both endpoints bound — a cheap existence check) is taken first,
+/// otherwise the frontier edge with the fewest estimated rows after it.
+/// The rows after expanding edge `e` from `from` to `to` are
+/// `rows × fan-out × min(1, est(to) / far)`, where the fan-out is the
+/// average number of entries of `e`'s types a vertex with at least one
+/// has in the walked direction, and `far` is how many distinct vertices
+/// those entries reach ([`CsrTopology::type_runs`]); an untyped edge fans
+/// out `|E| / |V|` to all `|V|` vertices, and a both-way edge adds both
+/// directions. The walk is run from every vertex of the component, and
+/// the seed whose walk scans the fewest estimated candidates wins: the
+/// seed's own estimate plus, per step, the entries it scans.
+///
+/// `est` comes from [`estimate_candidates`]. The IR lowering
+/// ([`crate::plan_ir::lower`]) annotates its scan nodes with exactly
+/// these estimates, so seed selection reasons from the same signal the
+/// planner ordered by.
 pub fn build_plans_est(
     g: &PropertyGraph,
     q: &PatternQuery,
@@ -656,104 +687,161 @@ pub fn build_plans_est(
     indexes: &[Arc<AttrIndex>],
 ) -> (Vec<ComponentPlan>, Vec<u64>) {
     let est = estimate_candidates(g, q, compiled, indexes);
+    let hops = Hops::new(g, q, compiled);
     let plans = q
         .weakly_connected_components()
         .into_iter()
-        .map(|comp| plan_component(q, &comp, &est))
+        .map(|comp| plan_component(q, &comp, &est, &hops))
         .collect();
     (plans, est)
 }
 
-/// How many vertices of the arena to test per query vertex when no index
-/// bucket count is available. Graphs up to this size get exact counts;
-/// larger ones an evenly spaced sample extrapolated to the full vertex
-/// set. Deliberately small: planning runs on every `find`/`count` call, so
-/// its cost must stay negligible next to the search itself.
-const ESTIMATE_SAMPLE: usize = 64;
-
 /// Estimate per-query-vertex candidate counts, indexed by `QVid` slot.
 ///
 /// This is planning input, not a correctness bound: the matcher works with
-/// any ordering, the estimates only decide which one. Three sources, from
-/// strongest to weakest:
+/// any ordering, the estimates only decide which one. A vertex's estimate
+/// is the least of:
 ///
-/// * an equality-shaped predicate (`OneOf` or degenerate point `Range`) on
-///   the indexed attribute — the sum of its index bucket sizes is an exact
-///   count for that predicate and an upper bound overall;
-/// * an evenly spaced sample of the vertex arena filtered through the
-///   compiled predicates, extrapolated by `|V| / sample` (exact when the
-///   graph has at most `ESTIMATE_SAMPLE` (64) vertices);
-/// * the total vertex count as the trivial fallback for an unconstrained
-///   vertex.
+/// * per predicate with a code test, the elements its column's counts
+///   ([`whyq_graph::csr::AttrColumn::counts`]) put in its passing codes,
+///   plus the column's [`FALLBACK`] elements, whose maps may pass — exact
+///   when the column has none;
+/// * per equality-shaped predicate (`OneOf` or degenerate point `Range`)
+///   on an indexed attribute, the sum of its index bucket sizes;
+/// * the vertex count, for a vertex with neither.
 ///
-/// A vertex with an unsatisfiable compiled predicate — including a string
-/// equality whose constant the value dictionary has never seen — estimates
-/// to zero outright.
+/// A predicate without a code test — its attribute has no column (it
+/// overflowed the dictionary, or was first set after sealing), or its
+/// disjunction holds an `Int` beyond 2^53 — counts nothing. A vertex with
+/// an unsatisfiable compiled predicate — including a string equality
+/// whose constant the value dictionary has never seen — estimates to zero
+/// outright. Nothing is sampled: the counts are kept exact by the CSR.
 pub fn estimate_candidates(
     g: &PropertyGraph,
     q: &PatternQuery,
     compiled: &Compiled,
     indexes: &[Arc<AttrIndex>],
 ) -> Vec<u64> {
-    let n = g.num_vertices();
+    let n = g.num_vertices() as u64;
     let topo = g.topology();
-    let stride = n.div_ceil(ESTIMATE_SAMPLE).max(1);
     let mut est: Vec<u64> = vec![0; q.vertex_slots()];
     for v in q.vertex_ids() {
         let cv = compiled.vertex(v);
-        let qv = q.vertex(v).expect("live");
-        let mut e = n as u64;
-        if cv.preds.is_empty() {
-            est[v.0 as usize] = e;
-            continue;
-        }
-        // structurally unsatisfiable predicates match nothing at all
         if cv.unsatisfiable() {
-            est[v.0 as usize] = 0;
             continue;
         }
-        // exact bucket counts for equality predicates on indexed attrs —
-        // every configured index contributes its own upper bound
-        for p in &qv.predicates {
-            let Some(attr) = g.attr_symbol(&p.attr) else {
-                continue;
-            };
-            let Some(idx) = indexes.iter().find(|i| i.attr() == attr) else {
-                continue;
-            };
-            if let Interval::OneOf(vals) = &p.interval {
-                let bucket_sum: u64 = vals.iter().map(|v| idx.lookup(g, v).len() as u64).sum();
-                e = e.min(bucket_sum);
-            } else if let Some(pv) = p.interval.point_value() {
-                // one probe covers Int and Float encodings: `Value`
-                // equates (and the index buckets) numeric family members
-                e = e.min(idx.lookup(g, &pv).len() as u64);
-            }
-        }
-        // sampled (or exact, for small graphs) selectivity across *all*
-        // predicates — the bucket count above only sees the indexed one, so
-        // take the minimum of both signals
-        let mut sampled = 0usize;
-        let mut hits = 0u64;
-        for dv in g.vertex_ids().step_by(stride) {
-            sampled += 1;
-            if cv.accepts_coded(g, topo, dv) {
-                hits += 1;
-            }
-        }
-        if sampled > 0 {
-            e = e.min(hits.saturating_mul(n as u64) / sampled as u64);
-        }
-        est[v.0 as usize] = e;
+        let coded = cv.preds.iter().filter_map(|p| p.count(topo));
+        let bucketed = q
+            .vertex(v)
+            .expect("live")
+            .predicates
+            .iter()
+            .filter_map(|p| bucket_count(g, p, indexes));
+        est[v.0 as usize] = coded.chain(bucketed).fold(n, u64::min);
     }
     est
 }
 
-fn plan_component(q: &PatternQuery, comp: &[QVid], cand_count: &[u64]) -> ComponentPlan {
-    let seed = *comp
-        .iter()
-        .min_by_key(|v| cand_count[v.0 as usize])
-        .expect("non-empty component");
+/// The summed index bucket sizes of an equality-shaped predicate on an
+/// indexed attribute: an exact count for that predicate.
+fn bucket_count(g: &PropertyGraph, p: &Predicate, indexes: &[Arc<AttrIndex>]) -> Option<u64> {
+    let attr = g.attr_symbol(&p.attr)?;
+    let idx = indexes.iter().find(|i| i.attr() == attr)?;
+    if let Interval::OneOf(vals) = &p.interval {
+        Some(vals.iter().map(|v| idx.lookup(g, v).len() as u64).sum())
+    } else {
+        // one probe covers Int and Float encodings: `Value` equates (and
+        // the index buckets) numeric family members
+        let pv = p.interval.point_value()?;
+        Some(idx.lookup(g, &pv).len() as u64)
+    }
+}
+
+/// Per query edge slot and walked-from endpoint (source, then target):
+/// the entries one bound row scans, and the distinct vertices they reach.
+struct Hops(Vec<[(f64, f64); 2]>);
+
+impl Hops {
+    fn new(g: &PropertyGraph, q: &PatternQuery, compiled: &Compiled) -> Self {
+        let mut hops = vec![[(0.0, 0.0); 2]; q.edge_slots()];
+        for e in q.edge_ids() {
+            let qe = q.edge(e).expect("live");
+            let types = compiled.edge(e).types.as_deref();
+            hops[e.0 as usize] = [hop(g, qe, types, true), hop(g, qe, types, false)];
+        }
+        Hops(hops)
+    }
+
+    /// `(fan-out, far endpoints)` of walking `qe` (slot `e`) from `from`.
+    fn from(&self, e: QEid, qe: &QueryEdge, from: QVid) -> (f64, f64) {
+        self.0[e.0 as usize][usize::from(from != qe.src)]
+    }
+}
+
+/// `(fan-out, far endpoints)` of walking `qe`, whose admissible types
+/// are `types` (`None`: any), from its source, or from its target when
+/// `from_src` is unset.
+fn hop(g: &PropertyGraph, qe: &QueryEdge, types: Option<&[Symbol]>, from_src: bool) -> (f64, f64) {
+    let topo = g.topology();
+    let n = g.num_vertices() as f64;
+    let (mut fan, mut far) = (0.0, 0.0);
+    let dirs = [
+        (qe.directions.forward, true),
+        (qe.directions.backward, false),
+    ];
+    for forward in dirs.into_iter().filter_map(|(on, fwd)| on.then_some(fwd)) {
+        // a forward data edge leaves the query edge's source
+        let outgoing = forward == from_src;
+        match types {
+            None if n > 0.0 => {
+                fan += g.num_edges() as f64 / n;
+                far += n;
+            }
+            None => {}
+            Some(tys) => {
+                for &ty in tys {
+                    let near = topo.type_runs(ty, outgoing);
+                    if near.vertices > 0 {
+                        fan += f64::from(near.entries) / f64::from(near.vertices);
+                    }
+                    far += f64::from(topo.type_runs(ty, !outgoing).vertices);
+                }
+            }
+        }
+    }
+    (fan, far.min(n))
+}
+
+/// The share of `far` distinct vertices that `est` candidates can be.
+fn kept(est: f64, far: f64) -> f64 {
+    if far > 0.0 {
+        (est / far).min(1.0)
+    } else {
+        0.0
+    }
+}
+
+/// The cheapest of the greedy walks from each vertex of `comp`.
+fn plan_component(q: &PatternQuery, comp: &[QVid], est: &[u64], hops: &Hops) -> ComponentPlan {
+    comp.iter()
+        .map(|&seed| walk(q, comp, est, hops, seed))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("non-empty component")
+        .0
+}
+
+/// The greedy walk of `comp` from `seed`, with the candidates it is
+/// estimated to scan.
+fn walk(
+    q: &PatternQuery,
+    comp: &[QVid],
+    est: &[u64],
+    hops: &Hops,
+    seed: QVid,
+) -> (ComponentPlan, f64) {
+    let est_of = |v: QVid| est[v.0 as usize] as f64;
+    let mut rows = est_of(seed);
+    let mut scanned = rows;
     let mut steps = vec![Step::Seed { vertex: seed }];
     let mut bound: Vec<QVid> = vec![seed];
     let mut remaining: Vec<QEid> = comp
@@ -764,36 +852,44 @@ fn plan_component(q: &PatternQuery, comp: &[QVid], cand_count: &[u64]) -> Compon
     remaining.dedup();
 
     while !remaining.is_empty() {
-        // prefer closing edges
+        // prefer closing edges: each row probes the shorter side's run
         if let Some(pos) = remaining.iter().position(|&e| {
             let ed = q.edge(e).expect("live");
             bound.contains(&ed.src) && bound.contains(&ed.dst)
         }) {
             let e = remaining.remove(pos);
+            let qe = q.edge(e).expect("live");
+            let (fan, far) = hops.from(e, qe, qe.src);
+            scanned += rows * fan.min(hops.from(e, qe, qe.dst).0);
+            rows *= kept(fan, far);
             steps.push(Step::Close { edge: e });
             continue;
         }
-        // otherwise the frontier edge with the cheapest new endpoint
-        let (pos, from, to) = remaining
+        // otherwise the frontier edge with the fewest rows after it
+        let (pos, from, to, fan, after) = remaining
             .iter()
             .enumerate()
             .filter_map(|(i, &e)| {
                 let ed = q.edge(e).expect("live");
-                if bound.contains(&ed.src) {
-                    Some((i, ed.src, ed.dst))
+                let (from, to) = if bound.contains(&ed.src) {
+                    (ed.src, ed.dst)
                 } else if bound.contains(&ed.dst) {
-                    Some((i, ed.dst, ed.src))
+                    (ed.dst, ed.src)
                 } else {
-                    None
-                }
+                    return None;
+                };
+                let (fan, far) = hops.from(e, ed, from);
+                Some((i, from, to, fan, rows * fan * kept(est_of(to), far)))
             })
-            .min_by_key(|&(_, _, to)| cand_count[to.0 as usize])
+            .min_by(|a, b| a.4.total_cmp(&b.4))
             .expect("component is connected");
         let e = remaining.remove(pos);
+        scanned += rows * fan;
+        rows = after;
         steps.push(Step::ExpandNew { edge: e, from, to });
         bound.push(to);
     }
-    ComponentPlan { steps }
+    (ComponentPlan { steps }, scanned)
 }
 
 #[cfg(test)]
@@ -1014,6 +1110,178 @@ mod tests {
         // the city vertex (1 candidate) beats the person vertex (2)
         assert_eq!(plans[0].steps[0], Step::Seed { vertex: QVid(1) });
         assert_eq!(plans[0].steps.len(), 2);
+    }
+
+    /// Two cities, 80 residents who each know the next three, and four
+    /// residents born in 1977.
+    fn hub_graph() -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let cities: Vec<VertexId> = (0..2)
+            .map(|_| g.add_vertex([("type", Value::str("city"))]))
+            .collect();
+        let persons: Vec<VertexId> = (0..80)
+            .map(|i| {
+                let year = if i % 20 == 7 { 1977 } else { 1980 + i % 15 };
+                g.add_vertex([
+                    ("type", Value::str("person")),
+                    ("birthYear", Value::Int(year)),
+                ])
+            })
+            .collect();
+        for (i, &p) in persons.iter().enumerate() {
+            g.add_edge(p, cities[i % 2], "isLocatedIn", []);
+            for k in 1..=3 {
+                g.add_edge(p, persons[(i + k) % 80], "knows", []);
+            }
+        }
+        g.seal();
+        g
+    }
+
+    #[test]
+    fn a_rare_person_seeds_before_a_city_hub() {
+        use whyq_query::Predicate;
+        let g = hub_graph();
+        let q = QueryBuilder::new("q")
+            .vertex(
+                "p",
+                [
+                    Predicate::eq("type", "person"),
+                    Predicate::eq("birthYear", 1977),
+                ],
+            )
+            .vertex("a", [])
+            .vertex("b", [])
+            .vertex("c", [Predicate::eq("type", "city")])
+            .edge("p", "a", "knows")
+            .edge("a", "b", "knows")
+            .edge("b", "c", "isLocatedIn")
+            .build();
+        let compiled = Compiled::new(&g, &q);
+        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
+        // the cities have the fewest candidates, but each reaches 40
+        // residents: walking from them scans 2 + 80 + 240 + 720 entries,
+        // from the four rare persons 4 + 12 + 36 + 36
+        assert_eq!(est, vec![4, 82, 82, 2]);
+        assert_eq!(plans[0].seed_vertex(), QVid(0));
+        let hops = Hops::new(&g, &q, &compiled);
+        let comp = q.vertex_ids().collect::<Vec<_>>();
+        let cost = |seed| walk(&q, &comp, &est, &hops, seed).1;
+        assert!((cost(QVid(3)) - 1042.0).abs() < 1e-6, "{}", cost(QVid(3)));
+        assert!((cost(QVid(0)) - 88.0).abs() < 1e-6, "{}", cost(QVid(0)));
+    }
+
+    /// 60 vertices over a few numbers, strings and booleans, no value a
+    /// code cannot stand for.
+    fn counted_graph() -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        for i in 0..60i64 {
+            g.add_vertex(
+                [
+                    ("age", Some(Value::Int(i % 13))),
+                    (
+                        "score",
+                        (i % 4 != 0).then(|| Value::Float((i % 9) as f64 / 2.0)),
+                    ),
+                    (
+                        "name",
+                        Some(Value::str(
+                            ["Anna", "Bert", "Cleo", "Dora"][(i % 7 % 4) as usize],
+                        )),
+                    ),
+                    ("ok", (i % 3 == 0).then_some(Value::Bool(i % 2 == 0))),
+                ]
+                .into_iter()
+                .filter_map(|(k, v)| Some((k, v?))),
+            );
+        }
+        g.seal();
+        g
+    }
+
+    #[test]
+    fn estimates_are_exact_counts_of_coded_predicates() {
+        use whyq_query::Predicate;
+        let g = counted_graph();
+        let preds = [
+            Predicate::eq("age", 4),
+            Predicate::eq("age", 4.0),
+            Predicate::one_of("age", [1, 5, 12]),
+            Predicate::at_least("age", 9.5),
+            Predicate::between("score", 1.0, 3.0),
+            Predicate::at_most("score", 0.0),
+            Predicate::eq("name", "Bert"),
+            Predicate::one_of("name", ["Anna", "Dora"]),
+            Predicate::eq("ok", true),
+            Predicate::eq("name", "Zed"),
+        ];
+        let admitted = |preds: Vec<Predicate>| {
+            let q = vertex_query(preds);
+            let c = Compiled::new(&g, &q);
+            let exact = g
+                .vertex_ids()
+                .filter(|&v| c.vertex(QVid(0)).accepts(&g, v))
+                .count() as u64;
+            (estimate_candidates(&g, &q, &c, &[])[0], exact)
+        };
+        let mut single = Vec::new();
+        for p in &preds {
+            let (est, exact) = admitted(vec![p.clone()]);
+            assert_eq!(est, exact, "{p:?}");
+            single.push(exact);
+        }
+        // several coded predicates: the least of their counts
+        for (i, p) in preds.iter().enumerate() {
+            for (j, o) in preds.iter().enumerate().skip(i + 1) {
+                if p.attr == o.attr {
+                    continue;
+                }
+                let (est, exact) = admitted(vec![p.clone(), o.clone()]);
+                assert_eq!(est, single[i].min(single[j]), "{p:?} and {o:?}");
+                assert!(est >= exact);
+            }
+        }
+    }
+
+    #[test]
+    fn predicates_without_a_code_test_count_nothing() {
+        use whyq_query::Predicate;
+        // 65,536 distinct serials overflow the dictionary: no column
+        let mut g = PropertyGraph::new();
+        for i in 0..65_536i64 {
+            let kind = if i % 10_000 == 3 { "rare" } else { "common" };
+            g.add_vertex([("serial", Value::Int(i)), ("kind", Value::str(kind))]);
+        }
+        g.seal();
+        let serial = g.attr_symbol("serial").unwrap();
+        assert!(g.topology().column(serial, false).is_none());
+        g.set_vertex_attr(VertexId(0), "late", Value::Int(1))
+            .unwrap();
+        let est = |g: &PropertyGraph, preds: Vec<Predicate>, indexes: &[Arc<AttrIndex>]| {
+            let q = vertex_query(preds);
+            estimate_candidates(g, &q, &Compiled::new(g, &q), indexes)[0]
+        };
+        let n = 65_536;
+        // the overflowed attribute alone: the vertex count
+        assert_eq!(est(&g, vec![Predicate::eq("serial", 7)], &[]), n);
+        // ... its other predicates
+        let rare = vec![Predicate::eq("serial", 7), Predicate::eq("kind", "rare")];
+        assert_eq!(est(&g, rare, &[]), 7);
+        // ... or its index bucket
+        let index = [Arc::new(AttrIndex::build(&g, "serial").unwrap())];
+        assert_eq!(est(&g, vec![Predicate::eq("serial", 7)], &index), 1);
+        // an attribute first set after sealing has no column either
+        assert_eq!(est(&g, vec![Predicate::eq("late", 1)], &[]), n);
+        // nor does a disjunction with an `Int` beyond 2^53
+        let mut small = counted_graph();
+        small
+            .set_vertex_attr(VertexId(0), "age", Value::Int(1 << 60))
+            .unwrap();
+        let big = vec![Predicate::one_of(
+            "age",
+            [Value::Int(1 << 60), Value::Int(3)],
+        )];
+        assert_eq!(est(&small, big, &[]), 60);
     }
 
     #[test]

@@ -428,7 +428,7 @@ impl Database {
 
     /// Look up or build the cached plan for `q`. The cache lock is held
     /// only to probe-or-reserve the signature's slot — compilation (which
-    /// samples the graph for selectivity estimates) runs outside it, so
+    /// resolves names and plans from the graph's statistics) runs outside it, so
     /// concurrent sessions never serialize on each other's compiles.
     /// Sessions racing on the *same* uncached signature serialize on that
     /// signature's slot alone: exactly one compiles, the rest share its
@@ -440,7 +440,7 @@ impl Database {
             // static analysis runs between validation and compilation
             // (prepare → analyze → compile). A provably unsatisfiable
             // query is never compiled at all: no name resolution, no
-            // selectivity sampling, no planning — executing it answers
+            // estimates, no planning — executing it answers
             // "no matches" with zero candidate scans, and the report's
             // conflict set names the predicates to relax first.
             let analysis = analyze_against(q, &self.g);
