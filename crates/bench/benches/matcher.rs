@@ -21,7 +21,7 @@ use whyq_matcher::{
     count_matches_naive, find_matches_naive, lower, optimize, AttrIndex, Budget, CancelToken,
     MatchOptions, Matcher, PassSet, QueryProgram,
 };
-use whyq_query::{PatternQuery, Predicate, QueryBuilder};
+use whyq_query::{DirectionSet, PatternQuery, Predicate, QueryBuilder};
 use whyq_session::{Database, DatabaseConfig, ParallelOpts};
 
 /// A string-equality-heavy persona scan over the LDBC person table: every
@@ -48,6 +48,44 @@ fn persona_query() -> PatternQuery {
         )
         .edge("p", "friend", "knows")
         .build()
+}
+
+/// The one-edge counts the coarse rewriter ranks candidates by (`path(1)`
+/// statistics): an untyped creator lookup, person pairs, and person pairs
+/// with an edge predicate. Each plan starts at the edge's type list; the
+/// rows time execution alone, as a session replaying a cached plan runs it.
+fn path1_queries() -> [(&'static str, PatternQuery); 3] {
+    let persons = |name, since: Option<i64>| {
+        let mut b = QueryBuilder::new(name)
+            .vertex("a", [Predicate::eq("type", "person")])
+            .vertex("b", [Predicate::eq("type", "person")]);
+        b = match since {
+            Some(year) => b.edge_full(
+                "a",
+                "b",
+                "knows",
+                DirectionSet::FORWARD,
+                [Predicate::eq("since", year)],
+            ),
+            None => b.edge("a", "b", "knows"),
+        };
+        b.build()
+    };
+    [
+        (
+            "hasCreator",
+            QueryBuilder::new("hasCreator")
+                .vertex("a", [])
+                .vertex("b", [])
+                .edge("a", "b", "hasCreator")
+                .build(),
+        ),
+        ("person-knows-person", persons("knows", None)),
+        (
+            "person-knows-since-person",
+            persons("knows since", Some(2007)),
+        ),
+    ]
 }
 
 /// Executions per iteration of the repeat-query benches.
@@ -77,6 +115,19 @@ fn bench_matcher(c: &mut Criterion) {
     group.bench_function("count-naive/PERSONA STRINGS", |b| {
         b.iter(|| black_box(count_matches_naive(&g, &persona, MatchOptions::default())));
     });
+    for (name, q) in path1_queries() {
+        let cq = plain.compile_full(&q);
+        group.bench_function(format!("count/path1/{name}"), |b| {
+            b.iter(|| {
+                black_box(plain.count_compiled(
+                    &q,
+                    &cq.compiled,
+                    &cq.program,
+                    MatchOptions::default(),
+                ))
+            });
+        });
+    }
 
     // governance overhead: the same count with a budget attached — a
     // generous deadline plus a cancel token, neither of which ever trips,

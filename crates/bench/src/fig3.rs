@@ -10,7 +10,7 @@
 //! plateaus.
 
 use crate::cells;
-use crate::util::{count, find};
+use crate::util::count;
 use crate::util::{series_summary, Table, CARDINALITY_FACTORS};
 use whyq_datagen::{ldbc_queries, random_explanations, MutationConfig};
 use whyq_graph::domains::AttributeDomains;
@@ -22,6 +22,35 @@ use whyq_session::Database;
 /// Cap on enumerated result graphs per query when computing the result
 /// distance (the assignment is O(n³)).
 const RESULT_SAMPLE: usize = 50;
+
+/// The `RESULT_SAMPLE` first result graphs of `q` in canonical order —
+/// by vertex bindings, then edge bindings — drawn from the whole result
+/// set, so no plan change can move the sample.
+fn sample(db: &Database, q: &PatternQuery) -> Vec<ResultGraph> {
+    type Key = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+    let key = |r: &ResultGraph| -> Key {
+        (
+            r.vertex_bindings()
+                .iter()
+                .map(|&(q, d)| (q.0, d.0))
+                .collect(),
+            r.edge_bindings().iter().map(|&(q, d)| (q.0, d.0)).collect(),
+        )
+    };
+    let session = db.session();
+    let prepared = session.prepare(q).expect("harness queries are valid");
+    let mut first: Vec<(Key, ResultGraph)> = Vec::with_capacity(RESULT_SAMPLE + 1);
+    for r in prepared.stream() {
+        let k = key(&r);
+        if first.len() == RESULT_SAMPLE && first.last().is_some_and(|(last, _)| k >= *last) {
+            continue;
+        }
+        let at = first.partition_point(|(x, _)| *x < k);
+        first.insert(at, (k, r));
+        first.truncate(RESULT_SAMPLE);
+    }
+    first.into_iter().map(|(_, r)| r).collect()
+}
 /// Explanations per (query, factor) combination.
 const POOL: usize = 120;
 
@@ -38,7 +67,7 @@ fn build_pools(db: &Database, seed: u64) -> Vec<Pool> {
         .into_iter()
         .map(|q| {
             let original_c = count(db, &q, None);
-            let original_results = find(db, &q, Some(RESULT_SAMPLE));
+            let original_results = sample(db, &q);
             let pool = random_explanations(
                 &q,
                 &domains,
@@ -131,7 +160,7 @@ pub fn fig3_8(db: &Database, tsv: bool) {
                 .explanations
                 .iter()
                 .map(|(eq, _, _)| {
-                    let results = find(db, eq, Some(RESULT_SAMPLE));
+                    let results = sample(db, eq);
                     result_set_distance(&p.original_results, &results)
                 })
                 .collect();
@@ -219,7 +248,7 @@ pub fn fig3_10(db: &Database, tsv: bool) {
         // bins of width 0.1 over the syntactic range
         let mut bins: Vec<(usize, f64)> = vec![(0, 0.0); 10];
         for (eq, _, syn) in &p.explanations {
-            let results = find(db, eq, Some(RESULT_SAMPLE));
+            let results = sample(db, eq);
             let rd = result_set_distance(&p.original_results, &results);
             let b = ((syn * 10.0) as usize).min(9);
             bins[b].0 += 1;

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 use whyq_datagen::{dbpedia_graph, ldbc_graph, DbpediaConfig, LdbcConfig};
 use whyq_graph::PropertyGraph;
-use whyq_matcher::{MatchOptions, ResultGraph};
+use whyq_matcher::MatchOptions;
 use whyq_query::PatternQuery;
 use whyq_session::Database;
 
@@ -41,20 +41,6 @@ pub fn dbpedia_db() -> Database {
 pub fn count(db: &Database, q: &PatternQuery, limit: Option<u64>) -> u64 {
     db.session()
         .count_opts(q, MatchOptions::counting(limit))
-        .expect("harness queries are valid")
-}
-
-/// Find through a throwaway session of `db` — see [`count`].
-pub fn find(db: &Database, q: &PatternQuery, limit: Option<usize>) -> Vec<ResultGraph> {
-    db.session()
-        .find_opts(
-            q,
-            MatchOptions {
-                injective: true,
-                limit,
-                ..Default::default()
-            },
-        )
         .expect("harness queries are valid")
 }
 

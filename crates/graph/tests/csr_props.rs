@@ -6,7 +6,8 @@
 //! mutation after sealing (the melt path) must land the graph back in a
 //! consistent build state. The planner's statistics — the per-code counts
 //! of every code column and the per-type run sizes — must equal a naive
-//! recount, before and after attribute writes.
+//! recount, before and after attribute writes, and each arena's per-type
+//! edge lists must hold every edge of the type once, in arena order.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -285,5 +286,69 @@ proptest! {
             prop_assert!(g.is_sealed());
             assert_statistics_recount(&g);
         }
+    }
+}
+
+/// Each arena's per-type edge lists, against a recount: a type's list in
+/// a direction is the concatenation, over the vertices in id order, of
+/// their runs of the type — so every edge of the type appears exactly
+/// once, in arena order — and its length is the type's `entries`.
+fn assert_type_edges_recount(g: &PropertyGraph) {
+    let topo = g.topology();
+    for ty in TYPE_NAMES.iter().filter_map(|t| g.type_symbol(t)) {
+        for outgoing in [true, false] {
+            let arena_order: Vec<_> = g
+                .vertex_ids()
+                .flat_map(|v| {
+                    if outgoing {
+                        topo.out_entries_of(v, ty).edges
+                    } else {
+                        topo.in_entries_of(v, ty).edges
+                    }
+                })
+                .copied()
+                .collect();
+            let list = topo.type_edges(ty, outgoing);
+            assert_eq!(list, &arena_order[..], "{ty:?} outgoing {outgoing}");
+            assert_eq!(list.len(), topo.type_runs(ty, outgoing).entries as usize);
+            let mut once: Vec<_> = list.to_vec();
+            once.sort_unstable();
+            let typed: Vec<_> = g.edge_ids().filter(|&e| g.edge(e).ty == ty).collect();
+            assert_eq!(once, typed, "every edge of {ty:?} exactly once");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The per-type edge lists equal a recount when sealed, stay as they
+    /// are under an attribute write, and are rebuilt after an edge or a
+    /// vertex is added.
+    #[test]
+    fn type_edge_lists_equal_a_recount(
+        n in 1usize..8,
+        edges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..32),
+        extra in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
+    ) {
+        let mut g = build(n, &edges);
+        g.seal();
+        assert_type_edges_recount(&g);
+        g.set_vertex_attr(VertexId(0), "mood", Value::str("calm")).unwrap();
+        prop_assert!(g.is_sealed());
+        assert_type_edges_recount(&g);
+        for &(s, d, t) in &extra {
+            g.add_edge(
+                VertexId((s as usize % n) as u32),
+                VertexId((d as usize % n) as u32),
+                TYPE_NAMES[t as usize % TYPE_NAMES.len()],
+                [],
+            );
+            // the lazily rebuilt topology of the melted graph
+            assert_type_edges_recount(&g);
+        }
+        g.add_vertex([]);
+        g.seal();
+        assert_type_edges_recount(&g);
     }
 }

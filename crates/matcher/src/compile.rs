@@ -229,17 +229,21 @@ impl ResolvedPredicate {
     /// every decided code against the map.
     #[inline(always)]
     fn holds<'a>(&self, topo: &CsrTopology, i: u32, attrs: impl Fn() -> &'a AttrMap) -> bool {
-        match self.codes.as_ref().and_then(|codes| codes.decide(topo, i)) {
-            Some(verdict) => {
-                debug_assert_eq!(
-                    verdict,
-                    self.matches(attrs()),
-                    "code column and attribute map disagree on element {i}"
-                );
-                verdict
-            }
-            None => self.matches(attrs()),
-        }
+        self.bind(topo).holds(i, attrs)
+    }
+
+    /// The predicate with its code column in `topo` looked up, for a
+    /// loop that tests many elements of `topo`'s graph against it: the
+    /// column decides only when the code test was derived from `topo`'s
+    /// build.
+    #[inline(always)]
+    pub(crate) fn bind<'a>(&'a self, topo: &'a CsrTopology) -> BoundPredicate<'a> {
+        let coded = self
+            .codes
+            .as_ref()
+            .filter(|t| t.topo == topo.id())
+            .and_then(|t| Some((topo.column(t.attr, t.on_edges)?, &t.pass)));
+        BoundPredicate { pred: self, coded }
     }
 
     /// True when the predicate can match nothing in this graph: unknown
@@ -277,6 +281,43 @@ impl ResolvedPredicate {
     /// The compiled interval.
     pub fn interval(&self) -> &CompiledInterval {
         &self.interval
+    }
+}
+
+/// A [`ResolvedPredicate`] bound to one topology's column
+/// ([`ResolvedPredicate::bind`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoundPredicate<'a> {
+    pred: &'a ResolvedPredicate,
+    /// The column and passing codes, when the codes can decide.
+    coded: Option<(&'a AttrColumn, &'a CodeSet)>,
+}
+
+impl BoundPredicate<'_> {
+    /// Check the predicate on element `i`, whose attribute map `attrs`
+    /// yields: from the element's code where the column decides, from
+    /// the map for a [`FALLBACK`] code or without a column. Debug builds
+    /// check every decided code against the map.
+    #[inline(always)]
+    pub(crate) fn holds<'m>(&self, i: u32, attrs: impl Fn() -> &'m AttrMap) -> bool {
+        let Some((col, pass)) = self.coded else {
+            return self.pred.matches(attrs());
+        };
+        // no sentinel is ever in a pass set: test the common pass first
+        let c = col.code(i);
+        let verdict = if pass.contains(c) {
+            true
+        } else if c != FALLBACK {
+            false
+        } else {
+            return self.pred.matches(attrs());
+        };
+        debug_assert_eq!(
+            verdict,
+            self.pred.matches(attrs()),
+            "code column and attribute map disagree on element {i}"
+        );
+        verdict
     }
 }
 
@@ -384,23 +425,6 @@ impl CodeTest {
             on_edges,
             pass,
         })
-    }
-
-    /// The verdict element `i`'s code in `topo`'s column gives: `None`
-    /// when the map must decide — the code is [`FALLBACK`], or `topo` is
-    /// not the build the test was derived from.
-    #[inline(always)]
-    fn decide(&self, topo: &CsrTopology, i: u32) -> Option<bool> {
-        if topo.id() != self.topo {
-            return None;
-        }
-        // no sentinel is ever in a pass set: test the common pass first
-        let c = topo.column(self.attr, self.on_edges)?.code(i);
-        if self.pass.contains(c) {
-            Some(true)
-        } else {
-            (c != FALLBACK).then_some(false)
-        }
     }
 }
 
@@ -638,23 +662,41 @@ pub enum Step {
         /// Query edge to bind.
         edge: QEid,
     },
+    /// Bind the first two vertices of the component and the edge between
+    /// them by scanning the edge's one type's list in the sealed CSR
+    /// ([`CsrTopology::type_edges`]) — in place of `Seed { from }` then
+    /// `ExpandNew { edge, from, to }`, whose candidates it meets in the
+    /// same order.
+    SeedEdge {
+        /// Query edge to bind; it has one type and one direction.
+        edge: QEid,
+        /// The endpoint the replaced seed bound.
+        from: QVid,
+        /// The endpoint the replaced expansion bound.
+        to: QVid,
+        /// Whether the data edges leave `from` (the out arena's list is
+        /// scanned) rather than enter it (the in arena's).
+        outgoing: bool,
+    },
 }
 
 /// Evaluation plan for one weakly connected query component.
 #[derive(Debug, Clone)]
 pub struct ComponentPlan {
-    /// Steps in execution order; the first is always [`Step::Seed`].
+    /// Steps in execution order; the first is always [`Step::Seed`] or
+    /// [`Step::SeedEdge`].
     pub steps: Vec<Step>,
 }
 
 impl ComponentPlan {
     /// The query vertex the component's search is seeded from — the
-    /// vertex whose candidate space parallel execution shards into
-    /// [`crate::work::WorkUnit`]s.
+    /// first vertex it binds. Parallel execution shards the candidate
+    /// space of the first step (this vertex's candidates, or the seed
+    /// edge's list) into [`crate::work::WorkUnit`]s.
     pub fn seed_vertex(&self) -> QVid {
         match self.steps.first() {
-            Some(&Step::Seed { vertex }) => vertex,
-            _ => unreachable!("plans start with a Seed step"),
+            Some(&(Step::Seed { vertex } | Step::SeedEdge { from: vertex, .. })) => vertex,
+            _ => unreachable!("plans start with a seed step"),
         }
     }
 }
@@ -676,6 +718,12 @@ impl ComponentPlan {
 /// the seed whose walk scans the fewest estimated candidates wins: the
 /// seed's own estimate plus, per step, the entries it scans.
 ///
+/// The chosen walk then starts at its first edge ([`Step::SeedEdge`])
+/// when that edge has one type and one direction and the type's list is
+/// no longer than what the walk's seed and first expansion would touch:
+/// the seed source (the smallest index bucket of the seed's equality
+/// predicates, else every vertex) plus the seed's estimate × fan-out.
+///
 /// `est` comes from [`estimate_candidates`]. The IR lowering
 /// ([`crate::plan_ir::lower`]) annotates its scan nodes with exactly
 /// these estimates, so seed selection reasons from the same signal the
@@ -686,14 +734,88 @@ pub fn build_plans_est(
     compiled: &Compiled,
     indexes: &[Arc<AttrIndex>],
 ) -> (Vec<ComponentPlan>, Vec<u64>) {
+    build_plans_with(g, q, compiled, indexes, true)
+}
+
+/// [`build_plans_est`], with edge seeds allowed or not
+/// ([`crate::optimize::PassSet::edge_seed`]): without them every plan
+/// seeds at a vertex.
+pub fn build_plans_with(
+    g: &PropertyGraph,
+    q: &PatternQuery,
+    compiled: &Compiled,
+    indexes: &[Arc<AttrIndex>],
+    edge_seeds: bool,
+) -> (Vec<ComponentPlan>, Vec<u64>) {
     let est = estimate_candidates(g, q, compiled, indexes);
     let hops = Hops::new(g, q, compiled);
     let plans = q
         .weakly_connected_components()
         .into_iter()
-        .map(|comp| plan_component(q, &comp, &est, &hops))
+        .map(|comp| {
+            let mut plan = plan_component(q, &comp, &est, &hops);
+            if edge_seeds {
+                seed_at_edge(g, q, compiled, indexes, &est, &hops, &mut plan);
+            }
+            plan
+        })
         .collect();
     (plans, est)
+}
+
+/// Start `plan` at its first edge when its list is the cheaper seed.
+///
+/// A plan that opens with `Seed { from }` then `ExpandNew { edge, from,
+/// to }` touches the seed source's candidates (the smallest index bucket
+/// among `from`'s equality predicates, else every vertex), then est(from)
+/// × fan-out entries. When `edge` has exactly one type and one direction,
+/// the type's list in the walked direction holds exactly the entries
+/// the pair could bind; if it is no longer than what the pair touches,
+/// the pair becomes one [`Step::SeedEdge`]. A both-way or multi-type edge
+/// keeps its vertex seed: per-type lists cannot reproduce the order in
+/// which one seed interleaves several runs.
+fn seed_at_edge(
+    g: &PropertyGraph,
+    q: &PatternQuery,
+    compiled: &Compiled,
+    indexes: &[Arc<AttrIndex>],
+    est: &[u64],
+    hops: &Hops,
+    plan: &mut ComponentPlan,
+) {
+    let [Step::Seed { vertex }, Step::ExpandNew { edge, from, to }, ..] = plan.steps[..] else {
+        return;
+    };
+    debug_assert_eq!(vertex, from);
+    let qe = q.edge(edge).expect("live");
+    let Some(&[ty]) = compiled.edge(edge).types.as_deref() else {
+        return;
+    };
+    if qe.directions.forward == qe.directions.backward {
+        return;
+    }
+    // a forward data edge leaves the query edge's source
+    let outgoing = qe.directions.forward == (from == qe.src);
+    let list = f64::from(g.topology().type_runs(ty, outgoing).entries);
+    let source = q
+        .vertex(from)
+        .expect("live")
+        .predicates
+        .iter()
+        .filter_map(|p| bucket_count(g, p, indexes))
+        .fold(g.num_vertices() as u64, u64::min);
+    let touched = source as f64 + est[from.0 as usize] as f64 * hops.from(edge, qe, from).0;
+    if list <= touched {
+        plan.steps.splice(
+            ..2,
+            [Step::SeedEdge {
+                edge,
+                from,
+                to,
+                outgoing,
+            }],
+        );
+    }
 }
 
 /// Estimate per-query-vertex candidate counts, indexed by `QVid` slot.
@@ -1105,11 +1227,89 @@ mod tests {
             .edge("p", "c", "livesIn")
             .build();
         let compiled = Compiled::new(&g, &q);
-        let (plans, _) = build_plans_est(&g, &q, &compiled, &[]);
+        let (plans, _) = build_plans_with(&g, &q, &compiled, &[], false);
         assert_eq!(plans.len(), 1);
         // the city vertex (1 candidate) beats the person vertex (2)
         assert_eq!(plans[0].steps[0], Step::Seed { vertex: QVid(1) });
         assert_eq!(plans[0].steps.len(), 2);
+        // with edge seeds, the one `livesIn` edge is cheaper still: the
+        // walk from the city starts at it, against the edge's direction
+        let (plans, _) = build_plans_est(&g, &q, &compiled, &[]);
+        assert_eq!(
+            plans[0].steps,
+            vec![Step::SeedEdge {
+                edge: QEid(0),
+                from: QVid(1),
+                to: QVid(0),
+                outgoing: false
+            }]
+        );
+    }
+
+    /// A 600-vertex line of `knows` edges, 300 of them from persons, a
+    /// few born in 1977, and one `likes` edge each way between two of them.
+    fn line_graph() -> (PropertyGraph, Vec<Arc<AttrIndex>>) {
+        let mut g = PropertyGraph::new();
+        let vs: Vec<VertexId> = (0..600)
+            .map(|i| {
+                let year = if i % 100 == 7 { 1977 } else { 1980 };
+                g.add_vertex([
+                    (
+                        "type",
+                        Value::str(if i % 2 == 0 { "person" } else { "post" }),
+                    ),
+                    ("birthYear", Value::Int(year)),
+                ])
+            })
+            .collect();
+        for w in vs.windows(2) {
+            g.add_edge(w[0], w[1], "knows", []);
+        }
+        g.add_edge(vs[0], vs[2], "likes", []);
+        g.add_edge(vs[2], vs[0], "likes", []);
+        g.seal();
+        let index = Arc::new(AttrIndex::build(&g, "type").unwrap());
+        (g, vec![index])
+    }
+
+    #[test]
+    fn an_edge_seeds_when_its_list_is_shorter_than_what_the_seed_touches() {
+        use whyq_query::{DirectionSet, Predicate};
+        let (g, indexes) = line_graph();
+        let first = |q: &PatternQuery, indexes: &[Arc<AttrIndex>]| {
+            build_plans_est(&g, q, &Compiled::new(&g, q), indexes).0[0].steps[0]
+        };
+        let pair = |a: Vec<Predicate>, ty: &str, dirs: DirectionSet| {
+            QueryBuilder::new("q")
+                .vertex("a", a)
+                .vertex("b", [])
+                .edge_full("a", "b", ty, dirs, [])
+                .build()
+        };
+        let person = || vec![Predicate::eq("type", "person")];
+        // 599 `knows` entries against 600 vertices + 600 × 1 expansions
+        let q = pair(vec![], "knows", DirectionSet::FORWARD);
+        assert!(matches!(
+            first(&q, &[]),
+            Step::SeedEdge { outgoing: true, .. }
+        ));
+        // ... and against the 300-person bucket + 300 expansions
+        let q = pair(person(), "knows", DirectionSet::FORWARD);
+        assert!(matches!(first(&q, &indexes), Step::SeedEdge { .. }));
+        // six rare persons found by a full scan: 600 + 6 touched still
+        // beats 599 listed, and with the bucket 300 + 6 does not
+        let mut rare = person();
+        rare.push(Predicate::eq("birthYear", 1977));
+        let q = pair(rare, "knows", DirectionSet::FORWARD);
+        assert!(matches!(first(&q, &[]), Step::SeedEdge { .. }));
+        assert!(matches!(first(&q, &indexes), Step::Seed { .. }));
+        // a both-way edge keeps its vertex seed
+        let q = pair(vec![], "likes", DirectionSet::BOTH);
+        assert!(matches!(first(&q, &[]), Step::Seed { .. }));
+        // as does an edge with two types
+        let mut q = pair(vec![], "likes", DirectionSet::FORWARD);
+        q.edge_mut(QEid(0)).unwrap().types.push("knows".into());
+        assert!(matches!(first(&q, &[]), Step::Seed { .. }));
     }
 
     /// Two cities, 80 residents who each know the next three, and four

@@ -25,7 +25,10 @@
 //! - **Seed selection never drops a test.** The seed scan runs its
 //!   `VertexPreds` filter whatever its source, so a seed source that
 //!   *over*-approximates the changed interval's candidates (up to
-//!   `FullScan`) changes cost, never results.
+//!   `FullScan`) changes cost, never results. An edge seed tests its
+//!   seed vertex inline the same way, and its type's list holds every
+//!   candidate edge whatever the interval, so a derived program keeps
+//!   the parent's edge seed.
 //!
 //! Row *order* of a derived program can differ from a fresh compile of
 //! the same query (the optimizer might have chosen a different seed); the
@@ -156,7 +159,9 @@ fn reseed(
         }
     };
     let spec = match prog.seed() {
-        SeedSpec::FullScan => SeedSpec::FullScan,
+        // the seed vertex's predicates are tested inline, and the edge
+        // list holds every candidate whatever they are
+        spec @ (SeedSpec::FullScan | SeedSpec::TypeEdges { .. }) => spec.clone(),
         SeedSpec::Bucket { index, key } if !on_changed_attr(*index) => SeedSpec::Bucket {
             index: *index,
             key: key.clone(),

@@ -27,8 +27,9 @@
 //! the VM counts them in place. All per-search storage lives in one reusable scratch arena
 //! owned by the [`Matcher`], so a matcher that is kept around — as the
 //! why-query relaxation loop does — performs no per-call setup allocations
-//! beyond query compilation and the candidate list of an index-seeded
-//! component ([`crate::work::SeedList`]).
+//! beyond query compilation, the candidate list of a component seeded at
+//! a union or intersection of index buckets ([`crate::work::SeedList`]),
+//! and the bound predicates of a one-edge count.
 
 use crate::budget::Budget;
 use crate::compile::Compiled;
@@ -38,6 +39,7 @@ use crate::result::ResultGraph;
 use crate::vm::{Program, QueryProgram, SeedSrc, VmCtx, VmState};
 use crate::work::{SeedList, WorkUnit};
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use whyq_graph::{CsrTopology, PropertyGraph, VertexId};
 use whyq_query::{PatternQuery, QVid};
@@ -290,11 +292,12 @@ impl<'g> Matcher<'g> {
         self.compile_with_passes(q, crate::optimize::PassSet::default())
     }
 
-    /// [`Matcher::compile_full`] with an explicit optimizer [`PassSet`] —
-    /// the tests pass `PassSet { seed_select: false }` through it to reach
-    /// full-scan seeding of an indexed vertex. Both settings yield a
-    /// program enumerating the same matches; in debug builds the plans
-    /// and the optimized IR are re-verified.
+    /// [`Matcher::compile_full`] with an explicit [`PassSet`] — the tests
+    /// switch `seed_select` off through it to reach full-scan seeding of
+    /// an indexed vertex, and `edge_seed` to reach the vertex-seeded plan
+    /// of a walk. Every setting yields a program enumerating the same
+    /// matches; in debug builds the plans and the optimized IR are
+    /// re-verified.
     pub fn compile_with_passes(&self, q: &PatternQuery, passes: PassSet) -> CompiledQuery {
         let compiled = Compiled::new(self.g, q);
         // compile-time pruning: an unknown attribute/type, a string
@@ -307,7 +310,8 @@ impl<'g> Matcher<'g> {
                 program: QueryProgram::default(),
             };
         }
-        let (plans, est) = crate::compile::build_plans_est(self.g, q, &compiled, &self.indexes);
+        let (plans, est) =
+            crate::compile::build_plans_with(self.g, q, &compiled, &self.indexes, passes.edge_seed);
         #[cfg(debug_assertions)]
         if let Err(violation) = crate::verify::verify_plans(q, &compiled, &plans) {
             panic!("compiled plan violates invariants: {violation}");
@@ -423,8 +427,43 @@ impl<'g> Matcher<'g> {
         seeds: &SeedList,
         opts: MatchOptions,
     ) -> Vec<ResultGraph> {
+        self.find_rows(q, compiled, program, unit, seeds, opts, None)
+    }
+
+    /// [`Matcher::find_unit`] for one of several units of a component
+    /// that share its `opts.limit`: `taken` counts the rows all of them
+    /// have kept, and each unit stops at its first row after the count
+    /// reaches the limit. Their rows together hold `min(limit, C)` or
+    /// more of the component's `C` matches — which ones depends on
+    /// scheduling — so the caller truncates the concatenation.
+    #[allow(clippy::too_many_arguments)]
+    pub fn find_shard(
+        &self,
+        q: &PatternQuery,
+        compiled: &Compiled,
+        program: &QueryProgram,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: MatchOptions,
+        taken: &AtomicUsize,
+    ) -> Vec<ResultGraph> {
+        self.find_rows(q, compiled, program, unit, seeds, opts, Some(taken))
+    }
+
+    /// [`Matcher::find_unit`], its limit shared through `taken` when set.
+    #[allow(clippy::too_many_arguments)]
+    fn find_rows(
+        &self,
+        q: &PatternQuery,
+        compiled: &Compiled,
+        program: &QueryProgram,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: MatchOptions,
+        taken: Option<&AtomicUsize>,
+    ) -> Vec<ResultGraph> {
         let cap = opts.limit.unwrap_or(usize::MAX);
-        if cap == 0 {
+        if taken.map_or(0, |t| t.load(Ordering::Relaxed)) >= cap {
             return Vec::new();
         }
         let mut results = Vec::new();
@@ -433,12 +472,15 @@ impl<'g> Matcher<'g> {
             q,
             compiled,
             prog,
-            seeds.view(&unit.range),
+            seeds.view(self.topo, &unit.range),
             &opts,
             |cx, st, vs| {
                 crate::vm::run_to_end(cx, st, vs, &mut |s| {
                     results.push(s.to_result());
-                    results.len() < cap
+                    match taken {
+                        Some(t) => t.fetch_add(1, Ordering::Relaxed) + 1 < cap,
+                        None => results.len() < cap,
+                    }
                 });
             },
         );
@@ -468,7 +510,7 @@ impl<'g> Matcher<'g> {
             q,
             compiled,
             prog,
-            seeds.view(&unit.range),
+            seeds.view(self.topo, &unit.range),
             &opts,
             |cx, st, vs| crate::vm::count_to_end(cx, st, vs, cap),
         )

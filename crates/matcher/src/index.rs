@@ -13,6 +13,7 @@
 //! hashing a single byte of it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use whyq_graph::{PropertyGraph, Symbol, Value, VertexId};
 
 /// Fixed-width bucket key. Numeric family members share a key through the
@@ -34,14 +35,16 @@ fn canonical_num_bits(f: f64) -> u64 {
 }
 
 /// Hash index from values of one attribute to the vertices carrying them.
+/// A bucket is shared ([`AttrIndex::shared`]), so a seed list drawn from
+/// one copies no vertex id.
 #[derive(Debug, Clone)]
 pub struct AttrIndex {
     attr: Symbol,
-    buckets: HashMap<IndexKey, Vec<VertexId>>,
+    buckets: HashMap<IndexKey, Arc<[VertexId]>>,
     /// Defensive fallback for stored strings that escaped the dictionary
     /// (impossible through the graph API; kept so the index never silently
     /// loses data). Probed by `&str` — no allocation on lookup.
-    str_buckets: HashMap<String, Vec<VertexId>>,
+    str_buckets: HashMap<String, Arc<[VertexId]>>,
 }
 
 impl AttrIndex {
@@ -63,8 +66,11 @@ impl AttrIndex {
         }
         Some(AttrIndex {
             attr: sym,
-            buckets,
-            str_buckets,
+            buckets: buckets.into_iter().map(|(k, b)| (k, b.into())).collect(),
+            str_buckets: str_buckets
+                .into_iter()
+                .map(|(k, b)| (k, b.into()))
+                .collect(),
         })
     }
 
@@ -93,6 +99,18 @@ impl AttrIndex {
     /// string of `g` itself probes by symbol directly. Either way no
     /// string is hashed or allocated.
     pub fn lookup(&self, g: &PropertyGraph, value: &Value) -> &[VertexId] {
+        self.bucket(g, value).map_or(&[], |b| b)
+    }
+
+    /// [`AttrIndex::lookup`] as a handle on the bucket itself: a
+    /// reference count, not a copy.
+    pub fn shared(&self, g: &PropertyGraph, value: &Value) -> Arc<[VertexId]> {
+        self.bucket(g, value)
+            .map_or_else(|| Arc::from([]), Arc::clone)
+    }
+
+    /// The bucket of `value`, if it has one.
+    fn bucket(&self, g: &PropertyGraph, value: &Value) -> Option<&Arc<[VertexId]>> {
         let key = match value {
             Value::Sym(s) if s.dict_id() == g.values().dict_id() => Some(IndexKey::Sym(s.sym().0)),
             Value::Sym(_) | Value::Str(_) => {
@@ -102,16 +120,13 @@ impl AttrIndex {
                     // the dictionary has never seen this string: no
                     // encoded bucket can hold it; fall through to the
                     // (normally empty) un-encoded fallback
-                    None => {
-                        return self.str_buckets.get(text).map_or(&[], Vec::as_slice);
-                    }
+                    None => return self.str_buckets.get(text),
                 }
             }
             Value::Bool(b) => Some(IndexKey::Bool(*b)),
             num => num.as_f64().map(|f| IndexKey::Num(canonical_num_bits(f))),
         };
         key.and_then(|k| self.buckets.get(&k))
-            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct indexed values.

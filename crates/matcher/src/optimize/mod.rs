@@ -24,18 +24,26 @@ use crate::plan_ir::PlanIr;
 use whyq_graph::PropertyGraph;
 use whyq_query::PatternQuery;
 
-/// Which optimizer passes to run. [`Default`] enables seed selection; the
-/// tests switch it off to reach full-scan seeding of an indexed vertex.
+/// Which planner and optimizer passes to run. [`Default`] enables both;
+/// the tests switch them off to reach full-scan seeding of an indexed
+/// vertex, or the vertex-seeded plan of a walk that starts at an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassSet {
     /// Replace seed full-scans with index bucket / union / intersection
     /// sources.
     pub seed_select: bool,
+    /// Let the planner start a component at one typed edge
+    /// ([`crate::compile::Step::SeedEdge`]) where its list is the cheaper
+    /// seed ([`crate::compile::build_plans_with`]).
+    pub edge_seed: bool,
 }
 
 impl Default for PassSet {
     fn default() -> Self {
-        PassSet { seed_select: true }
+        PassSet {
+            seed_select: true,
+            edge_seed: true,
+        }
     }
 }
 

@@ -16,7 +16,9 @@
 //! the VM walks only the admissible per-type CSR runs of an edge whose
 //! compiled form has one. Seed scans start from [`SeedSpec::FullScan`];
 //! the one optimizer pass, [`crate::optimize::seed_select`], swaps in a
-//! cheaper index-backed source.
+//! cheaper index-backed source. A plan that starts at an edge
+//! ([`Step::SeedEdge`]) lowers to an [`IrNode::EdgeSeed`] drawing from
+//! the edge type's list ([`SeedSpec::TypeEdges`]).
 //!
 //! Seed and expansion scans carry the selectivity estimate the planner
 //! ordered by ([`crate::compile::estimate_candidates`], threaded through
@@ -29,16 +31,19 @@
 //! lowering example are documented in `docs/plan-ir.md`.
 
 use crate::compile::{Compiled, ComponentPlan, Step};
-use whyq_graph::Value;
+use whyq_graph::{Symbol, Value};
 use whyq_query::{QEid, QVid};
 
-/// Where a seed scan draws its candidate vertices from.
+/// Where a seed scan draws its candidate vertices from, or an edge seed
+/// its candidate edges.
 ///
-/// All four sources enumerate candidates in ascending [`whyq_graph::VertexId`]
-/// order: index buckets are built by an ascending arena scan, and unions
-/// and intersections of ascending lists are kept ascending. Seed-source
-/// choice therefore never perturbs result order — only how many
-/// candidates the scan has to reject.
+/// The four vertex sources enumerate candidates in ascending
+/// [`whyq_graph::VertexId`] order: index buckets are built by an
+/// ascending arena scan, and unions and intersections of ascending lists
+/// are kept ascending. Seed-source choice therefore never perturbs result
+/// order — only how many candidates the scan has to reject. The edge
+/// source lists its edges by ascending seed vertex too, each vertex's run
+/// in arena order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SeedSpec {
     /// Scan the whole vertex arena.
@@ -67,6 +72,16 @@ pub enum SeedSpec {
     Intersect {
         /// `(index position, probe value)` pairs, smallest bucket first.
         probes: Vec<(usize, Value)>,
+    },
+    /// The edges of one type in one direction of the sealed CSR
+    /// ([`whyq_graph::CsrTopology::type_edges`]) — the source of an
+    /// [`IrNode::EdgeSeed`], and of no seed scan.
+    TypeEdges {
+        /// The edge type.
+        ty: Symbol,
+        /// The out arena's list (the seed vertex is each edge's source)
+        /// or the in arena's (its target).
+        outgoing: bool,
     },
 }
 
@@ -110,6 +125,24 @@ pub enum IrNode {
         /// Tests applied in order before a candidate is accepted.
         filters: Vec<FilterTest>,
     },
+    /// Produce the edges of a [`SeedSpec::TypeEdges`] list and bind each
+    /// accepted one with both its endpoints: the first node of a
+    /// component planned with [`Step::SeedEdge`].
+    EdgeSeed {
+        /// Query edge being bound.
+        edge: QEid,
+        /// Endpoint bound to each list edge's seed vertex.
+        from: QVid,
+        /// Endpoint bound to its other vertex.
+        to: QVid,
+        /// Candidate source: always [`SeedSpec::TypeEdges`].
+        spec: SeedSpec,
+        /// Tests of the seed vertex, applied once per run of edges
+        /// sharing it.
+        near: Vec<FilterTest>,
+        /// Tests of the edge and of `to`, in order.
+        filters: Vec<FilterTest>,
+    },
     /// Bind a query edge whose endpoints are both already bound,
     /// producing candidate edges between the two mapped data vertices.
     CloseRun {
@@ -126,7 +159,8 @@ pub enum IrNode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentIr {
     /// Nodes in execution order: one scan per plan step, the first a
-    /// [`IrNode::SeedScan`], then [`IrNode::Emit`].
+    /// [`IrNode::SeedScan`] or [`IrNode::EdgeSeed`], then
+    /// [`IrNode::Emit`].
     pub nodes: Vec<IrNode>,
     /// The component's seed vertex (copied out of the first node for
     /// cheap access).
@@ -184,6 +218,22 @@ pub fn lower(compiled: &Compiled, plans: &[ComponentPlan], est: &[u64]) -> PlanI
                         edge,
                         filters: edge_test(edge).into_iter().collect(),
                     },
+                    Step::SeedEdge {
+                        edge,
+                        from,
+                        to,
+                        outgoing,
+                    } => IrNode::EdgeSeed {
+                        edge,
+                        from,
+                        to,
+                        spec: SeedSpec::TypeEdges {
+                            ty: compiled.edge(edge).types.as_ref().expect("typed")[0],
+                            outgoing,
+                        },
+                        near: vertex_test(from).into_iter().collect(),
+                        filters: edge_test(edge).into_iter().chain(vertex_test(to)).collect(),
+                    },
                 });
             }
             nodes.push(IrNode::Emit);
@@ -199,7 +249,7 @@ pub fn lower(compiled: &Compiled, plans: &[ComponentPlan], est: &[u64]) -> PlanI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{build_plans_est, Compiled};
+    use crate::compile::{build_plans_est, build_plans_with, Compiled};
     use whyq_graph::{PropertyGraph, Value};
     use whyq_query::{Predicate, QueryBuilder};
 
@@ -218,7 +268,9 @@ mod tests {
             .edge("a", "b", "knows")
             .build();
         let compiled = Compiled::new(&g, &q);
-        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
+        let a = q.vertex_ids().next().unwrap();
+        // seeded at a vertex: the seed scan tests "a", the expansion nothing
+        let (plans, est) = build_plans_with(&g, &q, &compiled, &[], false);
         let ir = lower(&compiled, &plans, &est);
         assert_eq!(ir.components.len(), 1);
         let nodes = &ir.components[0].nodes;
@@ -237,11 +289,34 @@ mod tests {
                 IrNode::SeedScan { filters, .. }
                 | IrNode::ExpandRun { filters, .. }
                 | IrNode::CloseRun { filters, .. } => filters.clone(),
+                IrNode::EdgeSeed { near, filters, .. } => [&near[..], filters].concat(),
                 IrNode::Emit => Vec::new(),
             })
             .collect();
-        let a = q.vertex_ids().next().unwrap();
         assert_eq!(tests, vec![FilterTest::VertexPreds(a)]);
+        crate::verify::verify_ir(&q, &compiled, &ir, 0).unwrap();
+        // seeded at the edge (one entry against two vertices): one node
+        // binds all three elements and tests "a" as its seed vertex
+        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
+        let ir = lower(&compiled, &plans, &est);
+        let knows = g.type_symbol("knows").unwrap();
+        assert_eq!(
+            ir.components[0].nodes,
+            vec![
+                IrNode::EdgeSeed {
+                    edge: q.edge_ids().next().unwrap(),
+                    from: a,
+                    to: QVid(1),
+                    spec: SeedSpec::TypeEdges {
+                        ty: knows,
+                        outgoing: true
+                    },
+                    near: vec![FilterTest::VertexPreds(a)],
+                    filters: Vec::new(),
+                },
+                IrNode::Emit
+            ]
+        );
         crate::verify::verify_ir(&q, &compiled, &ir, 0).unwrap();
     }
 }

@@ -66,8 +66,9 @@ pub struct MatchStream<'g> {
     scratch: Scratch,
     /// Suspended VM frame stack of the component currently advancing.
     vs: VmState,
-    /// Seed candidates of that component, owned: the stream cannot
-    /// borrow an index bucket across `next()` calls.
+    /// Seed candidates of that component, viewed afresh on every
+    /// `next()` call: a bucket is held by a shared handle, an edge list
+    /// read from the topology.
     cur_seeds: SeedList,
 }
 
@@ -180,7 +181,7 @@ impl<'g> MatchStream<'g> {
             prog: &self.program.components()[comp],
             injective: self.injective,
             budget: &self.budget,
-            seeds: self.cur_seeds.view(&(0..self.cur_seeds.len())),
+            seeds: self.cur_seeds.view(self.topo, &(0..self.cur_seeds.len())),
         };
         f(&cx, &mut self.scratch, &mut self.vs)
     }

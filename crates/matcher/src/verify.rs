@@ -7,7 +7,9 @@
 //! * one plan per weakly connected component of the live query (or no
 //!   plans at all, exactly when the query is unsatisfiable or empty);
 //! * every plan starts with a single [`Step::Seed`] whose vertex belongs
-//!   to the component the plan covers;
+//!   to the component the plan covers, or a single [`Step::SeedEdge`]
+//!   binding both endpoints of an edge with exactly one type and one
+//!   direction, walked the way its `outgoing` flag says;
 //! * [`Step::ExpandNew`] traverses from a bound endpoint to an unbound one
 //!   and both are the compiled edge's endpoints;
 //! * [`Step::Close`] fires only when both endpoints are already bound;
@@ -80,6 +82,7 @@ pub fn verify_plans(
     for plan in plans {
         verify_component_plan(
             q,
+            compiled,
             plan,
             &components,
             &mut covered_vertices,
@@ -107,14 +110,17 @@ pub fn verify_plans(
 
 fn verify_component_plan(
     q: &PatternQuery,
+    compiled: &Compiled,
     plan: &ComponentPlan,
     components: &[Vec<QVid>],
     covered_vertices: &mut Vec<QVid>,
     covered_edges: &mut Vec<QEid>,
 ) -> Result<(), String> {
-    let Some(&Step::Seed { vertex: seed }) = plan.steps.first() else {
+    let Some(&(Step::Seed { vertex: seed } | Step::SeedEdge { from: seed, .. })) =
+        plan.steps.first()
+    else {
         return Err(format!(
-            "plan does not start with a Seed step: {:?}",
+            "plan does not start with a seed step: {:?}",
             plan.steps.first()
         ));
     };
@@ -130,6 +136,45 @@ fn verify_component_plan(
                     return Err(format!("Seed step for {vertex} at position {i} (> 0)"));
                 }
                 bound.push(vertex);
+            }
+            Step::SeedEdge {
+                edge,
+                from,
+                to,
+                outgoing,
+            } => {
+                if i != 0 {
+                    return Err(format!("SeedEdge step for {edge} at position {i} (> 0)"));
+                }
+                let Some(qe) = q.edge(edge) else {
+                    return Err(format!("SeedEdge binds dead query edge {edge}"));
+                };
+                if !(qe.src == from && qe.dst == to || qe.src == to && qe.dst == from) || from == to
+                {
+                    return Err(format!(
+                        "SeedEdge {edge} claims endpoints {from}->{to}, edge has {}->{}",
+                        qe.src, qe.dst
+                    ));
+                }
+                if qe.directions.forward == qe.directions.backward
+                    || compiled
+                        .edge(edge)
+                        .types
+                        .as_ref()
+                        .is_none_or(|t| t.len() != 1)
+                {
+                    return Err(format!(
+                        "SeedEdge {edge} needs exactly one type and one direction"
+                    ));
+                }
+                if outgoing != (qe.directions.forward == (from == qe.src)) {
+                    return Err(format!("SeedEdge {edge} walks its list the wrong way"));
+                }
+                bound.extend([from, to]);
+                if covered_edges.contains(&edge) {
+                    return Err(format!("query edge {edge} bound twice"));
+                }
+                covered_edges.push(edge);
             }
             Step::ExpandNew { edge, from, to } => {
                 let Some(qe) = q.edge(edge) else {
@@ -197,17 +242,22 @@ fn verify_component_plan(
 /// compiled as `compiled`, with `num_indexes` attribute indexes attached.
 /// Returns `Err` with a description of the first violation.
 ///
-/// Each component must be `SeedScan (ExpandRun | CloseRun)* Emit`; it is
-/// then checked as the plan its scans spell out, one [`Step`] per scan,
-/// so every [`verify_plans`] invariant holds on the IR (seed first,
-/// bound-to-unbound expansion, both-bound closes, exactly-once coverage,
-/// one component per weakly connected component). On top of that:
+/// Each component must be `(SeedScan | EdgeSeed) (ExpandRun | CloseRun)*
+/// Emit`; it is then checked as the plan its scans spell out, one
+/// [`Step`] per scan, so every [`verify_plans`] invariant holds on the IR
+/// (seed first, bound-to-unbound expansion, both-bound closes,
+/// exactly-once coverage, one component per weakly connected component).
+/// On top of that:
 ///
-/// * the component's recorded `seed_vertex` is the one its seed scans;
+/// * the component's recorded `seed_vertex` is the one its seed scans
+///   (an edge seed's `from`);
 /// * inline filters test only their own scan's elements — `VertexPreds`
-///   the vertex the scan binds, `EdgeAttrs` the edge it binds;
+///   the vertex the scan binds, `EdgeAttrs` the edge it binds; an edge
+///   seed's `near` tests only its `from`;
 /// * seed specs are well-formed: index positions within `num_indexes`,
-///   unions non-empty, intersections of at least two probes.
+///   unions non-empty, intersections of at least two probes, and an
+///   edge's list (`TypeEdges`) exactly on an edge seed, of its edge's
+///   one type.
 ///
 /// Run by [`crate::optimize::optimize`] on every compile in debug builds.
 pub fn verify_ir(
@@ -219,7 +269,7 @@ pub fn verify_ir(
     let plans = ir
         .components
         .iter()
-        .map(|comp| component_plan(comp, num_indexes))
+        .map(|comp| component_plan(compiled, comp, num_indexes))
         .collect::<Result<Vec<_>, _>>()?;
     verify_plans(q, compiled, &plans)
 }
@@ -252,13 +302,18 @@ fn verify_seed_spec(spec: &SeedSpec, num_indexes: usize) -> Result<(), String> {
             }
             probes.iter().try_for_each(|&(pos, _)| check_pos(pos))
         }
+        SeedSpec::TypeEdges { .. } => Err("a seed scan draws from an edge list".into()),
     }
 }
 
 /// Check what only the IR carries — the trailing `Emit`, the recorded
 /// seed vertex, seed specs and inline filters — and return the plan the
 /// component's scans spell out, for [`verify_plans`].
-fn component_plan(comp: &ComponentIr, num_indexes: usize) -> Result<ComponentPlan, String> {
+fn component_plan(
+    compiled: &Compiled,
+    comp: &ComponentIr,
+    num_indexes: usize,
+) -> Result<ComponentPlan, String> {
     let Some((IrNode::Emit, scans)) = comp.nodes.split_last() else {
         return Err("IR component does not end with Emit".into());
     };
@@ -294,6 +349,39 @@ fn component_plan(comp: &ComponentIr, num_indexes: usize) -> Result<ComponentPla
                 },
                 filters,
             ),
+            IrNode::EdgeSeed {
+                edge,
+                from,
+                to,
+                spec,
+                near,
+                filters,
+            } => {
+                if *from != comp.seed_vertex {
+                    return Err(format!(
+                        "component records seed {} but its edge seed binds {from}",
+                        comp.seed_vertex
+                    ));
+                }
+                let &SeedSpec::TypeEdges { ty, outgoing } = spec else {
+                    return Err(format!("edge seed draws from {spec:?}"));
+                };
+                if compiled.edge(*edge).types.as_deref() != Some(&[ty]) {
+                    return Err(format!("edge seed of {edge} scans the list of {ty:?}"));
+                }
+                if let Some(t) = near.iter().find(|&&t| t != FilterTest::VertexPreds(*from)) {
+                    return Err(format!(
+                        "edge seed at node {i} tests {t:?} on its seed vertex {from}"
+                    ));
+                }
+                let step = Step::SeedEdge {
+                    edge: *edge,
+                    from: *from,
+                    to: *to,
+                    outgoing,
+                };
+                (step, filters)
+            }
             IrNode::CloseRun { edge, filters } => (Step::Close { edge: *edge }, filters),
             IrNode::Emit => return Err(format!("Emit at node {i}, not last")),
         };
@@ -308,14 +396,20 @@ fn component_plan(comp: &ComponentIr, num_indexes: usize) -> Result<ComponentPla
 }
 
 /// Whether `test` tests an element that `step` binds.
+/// An edge seed's `filters` test its edge and `to`; its `near` tests are
+/// checked apart.
 fn tests_own_element(step: Step, test: FilterTest) -> bool {
     match (step, test) {
         (
-            Step::Seed { vertex: own } | Step::ExpandNew { to: own, .. },
+            Step::Seed { vertex: own }
+            | Step::ExpandNew { to: own, .. }
+            | Step::SeedEdge { to: own, .. },
             FilterTest::VertexPreds(v),
         ) => v == own,
         (
-            Step::ExpandNew { edge: own, .. } | Step::Close { edge: own },
+            Step::ExpandNew { edge: own, .. }
+            | Step::Close { edge: own }
+            | Step::SeedEdge { edge: own, .. },
             FilterTest::EdgeAttrs(e),
         ) => e == own,
         _ => false,
@@ -408,19 +502,18 @@ mod tests {
             crate::index::AttrIndex::build(&g, "type").expect("type is an attribute"),
         )];
         let compiled = Compiled::new(&g, &q);
-        let (plans, est) = build_plans_est(&g, &q, &compiled, &indexes);
-        for seed_select in [false, true] {
+        for (seed_select, edge_seed) in [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let (plans, est) =
+                crate::compile::build_plans_with(&g, &q, &compiled, &indexes, edge_seed);
             let mut ir = crate::plan_ir::lower(&compiled, &plans, &est);
-            crate::optimize::optimize(
-                &mut ir,
-                &g,
-                &q,
-                &compiled,
-                &indexes,
-                crate::optimize::PassSet { seed_select },
-            );
+            let passes = crate::optimize::PassSet {
+                seed_select,
+                edge_seed,
+            };
+            crate::optimize::optimize(&mut ir, &g, &q, &compiled, &indexes, passes);
             verify_ir(&q, &compiled, &ir, indexes.len())
-                .unwrap_or_else(|e| panic!("seed_select {seed_select}: {e}"));
+                .unwrap_or_else(|e| panic!("{passes:?}: {e}"));
         }
     }
 
@@ -429,14 +522,24 @@ mod tests {
         let g = graph();
         let q = query();
         let compiled = Compiled::new(&g, &q);
-        let (plans, est) = build_plans_est(&g, &q, &compiled, &[]);
-        let good = crate::plan_ir::lower(&compiled, &plans, &est);
+        let lowered = |edge_seed| {
+            let (plans, est) = crate::compile::build_plans_with(&g, &q, &compiled, &[], edge_seed);
+            crate::plan_ir::lower(&compiled, &plans, &est)
+        };
+        let (good, edged) = (lowered(false), lowered(true));
         verify_ir(&q, &compiled, &good, 0).unwrap();
-        let rejected = |edit: &dyn Fn(&mut Vec<IrNode>)| {
-            let mut bad = good.clone();
+        verify_ir(&q, &compiled, &edged, 0).unwrap();
+        assert!(matches!(
+            edged.components[0].nodes[0],
+            IrNode::EdgeSeed { .. }
+        ));
+        let rejected_in = |ir: &PlanIr, edit: &dyn Fn(&mut Vec<IrNode>)| {
+            let mut bad = ir.clone();
             edit(&mut bad.components[0].nodes);
+            assert_ne!(&bad, ir, "the edit changed nothing");
             verify_ir(&q, &compiled, &bad, 0).is_err()
         };
+        let rejected = |edit: &dyn Fn(&mut Vec<IrNode>)| rejected_in(&good, edit);
 
         // drop the trailing Emit
         assert!(rejected(&|nodes| {
@@ -457,6 +560,15 @@ mod tests {
                 };
             }
         }));
+        // a seed scan drawing from an edge list
+        assert!(rejected(&|nodes| {
+            if let IrNode::SeedScan { spec, .. } = &mut nodes[0] {
+                *spec = SeedSpec::TypeEdges {
+                    ty: g.type_symbol("knows").unwrap(),
+                    outgoing: true,
+                };
+            }
+        }));
         // a foreign inline filter: the seed scan testing an edge
         assert!(rejected(&|nodes| {
             if let IrNode::SeedScan { filters, .. } = &mut nodes[0] {
@@ -473,5 +585,45 @@ mod tests {
                 filters.push(FilterTest::VertexPreds(*from));
             }
         }));
+
+        // an edge seed whose seed-vertex tests test its other endpoint
+        assert!(rejected_in(&edged, &|nodes| {
+            if let IrNode::EdgeSeed { to, near, .. } = &mut nodes[0] {
+                near.push(FilterTest::VertexPreds(*to));
+            }
+        }));
+        // ... that scans another type's list, or the other direction's
+        assert!(rejected_in(&edged, &|nodes| {
+            if let IrNode::EdgeSeed {
+                spec: SeedSpec::TypeEdges { ty, .. },
+                ..
+            } = &mut nodes[0]
+            {
+                *ty = g
+                    .type_symbol(if *ty == g.type_symbol("knows").unwrap() {
+                        "livesIn"
+                    } else {
+                        "knows"
+                    })
+                    .unwrap();
+            }
+        }));
+        assert!(rejected_in(&edged, &|nodes| {
+            if let IrNode::EdgeSeed {
+                spec: SeedSpec::TypeEdges { outgoing, .. },
+                ..
+            } = &mut nodes[0]
+            {
+                *outgoing = !*outgoing;
+            }
+        }));
+        // ... or that draws from a vertex source
+        assert!(rejected_in(&edged, &|nodes| {
+            if let IrNode::EdgeSeed { spec, .. } = &mut nodes[0] {
+                *spec = SeedSpec::FullScan;
+            }
+        }));
+        // an edge seed in second place
+        assert!(rejected_in(&edged, &|nodes| nodes.swap(0, 1)));
     }
 }

@@ -42,6 +42,16 @@
 //! inline filters), so a leaf counts exactly the candidates its scan
 //! would bind.
 //!
+//! An `EdgeSeed` is the first scan of a component planned to start at an
+//! edge: it walks one edge type's list in the CSR
+//! ([`whyq_graph::CsrTopology::type_edges`]), tests each edge's seed
+//! vertex once per run of edges sharing it, then the edge and its other
+//! endpoint, and binds all three. It meets its candidates in the order
+//! `SeedScan` then `Expand` over the same edge would, under the same
+//! rules, so the two programs enumerate the same matches in the same
+//! order; only the budget ticks differ — one per accepted edge, none per
+//! seed vertex. A one-edge count is then one tight loop over the list.
+//!
 //! Candidate order and filter sequence are fixed (occupancy stamps
 //! before predicate checks, `EdgeData` loaded only when a filter needs
 //! it, the self-loop and duplicate-direction skip rules of undirected
@@ -57,11 +67,11 @@
 //! `docs/plan-ir.md`.
 
 use crate::budget::{Budget, CHECK_INTERVAL};
-use crate::compile::Compiled;
+use crate::compile::{BoundPredicate, Compiled};
 use crate::engine::Scratch;
 use crate::plan_ir::{FilterTest, IrNode, PlanIr, SeedSpec};
 use std::ops::ControlFlow;
-use whyq_graph::{AdjSlice, CsrTopology, EdgeId, PropertyGraph, Symbol, VertexId};
+use whyq_graph::{AdjSlice, AttrMap, CsrTopology, EdgeId, PropertyGraph, Symbol, VertexId};
 use whyq_query::{PatternQuery, QEid, QVid};
 
 /// A range into a [`Program`]'s pooled filter table.
@@ -99,6 +109,22 @@ pub enum Instruction {
         /// Endpoint slot the traversal reaches.
         to: u16,
         /// Inline filters.
+        filters: FilterRange,
+    },
+    /// Produce the edges of the program's [`SeedSpec::TypeEdges`] list,
+    /// test each one's seed vertex against `near` (once per run of edges
+    /// sharing it), the edge and its other endpoint against `filters`,
+    /// and bind `from`, `edge` and `to` for each accepted one.
+    EdgeSeed {
+        /// Query edge slot being bound.
+        edge: u16,
+        /// Endpoint slot bound to the seed vertex.
+        from: u16,
+        /// Endpoint slot bound to the other vertex.
+        to: u16,
+        /// Filters of the seed vertex.
+        near: FilterRange,
+        /// Filters of the edge and of `to`.
         filters: FilterRange,
     },
     /// Bind a query edge whose endpoints are both bound, scanning the
@@ -265,6 +291,23 @@ fn compile_component(comp: &crate::plan_ir::ComponentIr) -> Program {
                 to: slot16(to.0),
                 filters: pool(fs, &mut filters),
             },
+            IrNode::EdgeSeed {
+                edge,
+                from,
+                to,
+                spec,
+                near,
+                filters: fs,
+            } => {
+                seed = spec.clone();
+                Instruction::EdgeSeed {
+                    edge: slot16(edge.0),
+                    from: slot16(from.0),
+                    to: slot16(to.0),
+                    near: pool(near, &mut filters),
+                    filters: pool(fs, &mut filters),
+                }
+            }
             IrNode::CloseRun { edge, filters: fs } => Instruction::Close {
                 edge: slot16(edge.0),
                 filters: pool(fs, &mut filters),
@@ -290,6 +333,9 @@ pub(crate) enum SeedSrc<'a> {
     /// An explicit candidate list (index bucket, materialized union or
     /// intersection, or a work unit's slice).
     Slice(&'a [VertexId]),
+    /// A slice of one edge type's list, for an `EdgeSeed`: each edge's
+    /// seed vertex is its source when `outgoing`, else its target.
+    Edges { edges: &'a [EdgeId], outgoing: bool },
 }
 
 impl SeedSrc<'_> {
@@ -300,6 +346,17 @@ impl SeedSrc<'_> {
                 (v < end).then_some(VertexId(v))
             }
             SeedSrc::Slice(seeds) => seeds.get(pos).copied(),
+            SeedSrc::Edges { .. } => unreachable!("a seed scan draws vertices"),
+        }
+    }
+
+    /// The edge list of an `EdgeSeed`, and whether it is the out arena's.
+    fn edges(&self) -> (&[EdgeId], bool) {
+        match *self {
+            SeedSrc::Edges { edges, outgoing } => (edges, outgoing),
+            SeedSrc::Range { .. } | SeedSrc::Slice(_) => {
+                unreachable!("an edge seed draws from an edge list")
+            }
         }
     }
 }
@@ -321,6 +378,12 @@ pub(crate) struct VmCtx<'a> {
 enum Cursor {
     /// Position in the seed source.
     Seed { pos: usize },
+    /// Position in an edge seed's list, and the last seed vertex met
+    /// with its `near` verdict.
+    Edges {
+        pos: usize,
+        last: Option<(VertexId, bool)>,
+    },
     /// Adjacency walk of an expansion: the anchor data vertex, the
     /// direction phase (0 = forward, 1 = backward), the per-type run
     /// index and the position inside the current run. The admissible
@@ -729,6 +792,23 @@ fn run(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, mut sink: Sink<'_>) -
                 }
                 advance_expand(cx, st, &mut vs.frames[vs.depth - 1], edge, to, filters)
             }
+            Instruction::EdgeSeed {
+                edge,
+                from,
+                to,
+                near,
+                filters,
+            } => {
+                if fresh {
+                    let f = &mut vs.frames[vs.depth];
+                    f.pc = pc;
+                    f.bound = false;
+                    f.cur = Cursor::Edges { pos: 0, last: None };
+                    vs.depth += 1;
+                }
+                let f = &mut vs.frames[vs.depth - 1];
+                advance_edge_seed(cx, st, f, [from, edge, to], near, filters)
+            }
             Instruction::Close { edge, filters } => {
                 if fresh {
                     let qe = cx.q.edge(QEid(edge as u32)).expect("live");
@@ -790,9 +870,10 @@ fn run(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, mut sink: Sink<'_>) -
 
 /// The leaf kernel of a count run: count the accepted candidates of scan
 /// `ins`, binding nothing. It walks the candidates [`advance_seed`] /
-/// [`advance_expand`] / [`advance_close`] would, in their order and by
-/// their rules, and ticks once per accepted candidate as they do — so a
-/// trip lands on the same candidate, which is not counted. Returns
+/// [`advance_edge_seed`] / [`advance_expand`] / [`advance_close`] would,
+/// in their order and by their rules, and ticks once per accepted
+/// candidate as they do — so a trip lands on the same candidate, which
+/// is not counted. Returns
 /// [`Adv::Resume`] when the scan is exhausted, [`Adv::Stop`] once `n`
 /// reaches `cap`, [`Adv::Tripped`] on a trip.
 fn count_leaf(cx: &VmCtx<'_>, st: &mut Scratch, ins: Instruction, n: &mut u64, cap: u64) -> Adv {
@@ -822,6 +903,7 @@ fn count_leaf(cx: &VmCtx<'_>, st: &mut Scratch, ins: Instruction, n: &mut u64, c
             match cx.seeds {
                 SeedSrc::Range { start, end } => (start..end).map(VertexId).try_for_each(&mut seed),
                 SeedSrc::Slice(seeds) => seeds.iter().copied().try_for_each(&mut seed),
+                SeedSrc::Edges { .. } => unreachable!("a seed scan draws vertices"),
             }
         }
         Instruction::Expand {
@@ -855,6 +937,10 @@ fn count_leaf(cx: &VmCtx<'_>, st: &mut Scratch, ins: Instruction, n: &mut u64, c
                     }
                     ControlFlow::Continue(())
                 })
+        }
+        Instruction::EdgeSeed { near, filters, .. } => {
+            let (near, fs) = (filter_slice(cx.prog, near), filter_slice(cx.prog, filters));
+            return count_edge_seed(cx, st, near, fs, n, cap);
         }
         Instruction::Close { edge, filters } => {
             let qe = cx.q.edge(QEid(edge as u32)).expect("live");
@@ -890,6 +976,91 @@ fn count_leaf(cx: &VmCtx<'_>, st: &mut Scratch, ins: Instruction, n: &mut u64, c
     }
 }
 
+/// The leaf kernel of a one-edge program: count the edges of the seed
+/// list [`advance_edge_seed`] would accept, by [`edge_seed_accepts`]'
+/// rules, in one loop. The loop tests the filters' predicates bound to
+/// their columns once ([`BoundPredicate`]) and keeps the count and the
+/// tick counter in registers; ticks, charges and the return value are
+/// [`count_leaf`]'s.
+#[inline(never)]
+fn count_edge_seed(
+    cx: &VmCtx<'_>,
+    st: &mut Scratch,
+    near: &[FilterTest],
+    fs: &[FilterTest],
+    n: &mut u64,
+    cap: u64,
+) -> Adv {
+    let g = cx.g;
+    // the seed vertex's predicates, the edge's, then the other endpoint's
+    let preds = |tests: &[FilterTest], on_edges: bool| {
+        let mut bound = Vec::new();
+        for &t in tests {
+            match t {
+                FilterTest::VertexPreds(v) if !on_edges => {
+                    bound.extend(cx.compiled.vertex(v).preds.iter().map(|p| p.bind(cx.topo)));
+                }
+                FilterTest::EdgeAttrs(e) if on_edges => {
+                    bound.extend(cx.compiled.edge(e).preds.iter().map(|p| p.bind(cx.topo)));
+                }
+                FilterTest::VertexPreds(_) | FilterTest::EdgeAttrs(_) => {}
+            }
+        }
+        bound
+    };
+    let (near, on_edge, far) = (preds(near, false), preds(fs, true), preds(fs, false));
+    let (edges, outgoing) = cx.seeds.edges();
+    let (mut ticks, mut counted) = (st.ticks, *n);
+    let (mut last, mut near_ok) = (None, false);
+    let mut adv = Adv::Resume;
+    for &de in edges {
+        let (dn, df) = edge_ends(g, de, outgoing);
+        if last != Some(dn) {
+            last = Some(dn);
+            near_ok = all_hold(&near, dn.0, || &g.vertex(dn).attrs);
+        }
+        if !near_ok
+            || (cx.injective && df == dn)
+            || !all_hold(&on_edge, de.0, || &g.edge(de).attrs)
+            || !all_hold(&far, df.0, || &g.vertex(df).attrs)
+        {
+            continue;
+        }
+        ticks += 1;
+        if ticks.is_multiple_of(u64::from(CHECK_INTERVAL))
+            && cx.budget.charge(u64::from(CHECK_INTERVAL)).is_err()
+        {
+            adv = Adv::Tripped;
+            break;
+        }
+        #[cfg(feature = "fault-inject")]
+        crate::fault::on_seed_bound();
+        counted += 1;
+        if counted == cap {
+            adv = Adv::Stop;
+            break;
+        }
+    }
+    (st.ticks, *n) = (ticks, counted);
+    adv
+}
+
+/// Do all of `preds` hold on element `i`, whose attribute map `attrs`
+/// yields?
+#[inline(always)]
+fn all_hold<'m>(
+    preds: &[BoundPredicate<'_>],
+    i: u32,
+    attrs: impl Fn() -> &'m AttrMap + Copy,
+) -> bool {
+    for p in preds {
+        if !p.holds(i, attrs) {
+            return false;
+        }
+    }
+    true
+}
+
 /// Release every register the machine still holds and mark it done. Must
 /// run after a component run ends — exhausted, tripped or abandoned —
 /// so stale bindings never leak into a later component's
@@ -912,6 +1083,11 @@ fn unbind(cx: &VmCtx<'_>, st: &mut Scratch, f: &Frame) {
         Instruction::Expand { edge, to, .. } => {
             release_edge(cx, st, edge);
             release_vertex(cx, st, to);
+        }
+        Instruction::EdgeSeed { edge, from, to, .. } => {
+            release_edge(cx, st, edge);
+            release_vertex(cx, st, to);
+            release_vertex(cx, st, from);
         }
         Instruction::Close { edge, .. } => release_edge(cx, st, edge),
         Instruction::Emit => unreachable!("frames belong to scan instructions"),
@@ -977,6 +1153,96 @@ fn advance_seed(
         f.bound = true;
         return Adv::Found;
     }
+}
+
+/// The seed vertex and the other endpoint of edge `de` of an edge seed's
+/// list: its source and target in the out arena's list, its target and
+/// source in the in arena's.
+#[inline]
+fn edge_ends(g: &PropertyGraph, de: EdgeId, outgoing: bool) -> (VertexId, VertexId) {
+    let ed = g.edge(de);
+    if outgoing {
+        (ed.src, ed.dst)
+    } else {
+        (ed.dst, ed.src)
+    }
+}
+
+/// Does an edge seed accept edge `de` from seed vertex `dn` to `df`? The
+/// seed vertex's `near` filters first — their verdict is kept in `last`,
+/// since a list holds each seed vertex's edges in one run — then, in
+/// injective mode, the self-loop skip (the replaced seed scan bound `dn`
+/// before its expansion met `df`, and nothing else is bound yet), then
+/// the `filters` of the edge and of `df`.
+#[inline]
+fn edge_seed_accepts(
+    cx: &VmCtx<'_>,
+    near: &[FilterTest],
+    fs: &[FilterTest],
+    last: &mut Option<(VertexId, bool)>,
+    de: EdgeId,
+    dn: VertexId,
+    df: VertexId,
+) -> bool {
+    let near_ok = match *last {
+        Some((v, ok)) if v == dn => ok,
+        _ => {
+            let ok = inline_filters(cx, near, EdgeId(0), dn);
+            *last = Some((dn, ok));
+            ok
+        }
+    };
+    near_ok && !(cx.injective && df == dn) && inline_filters(cx, fs, de, df)
+}
+
+/// Advance an edge seed to its next accepted edge and bind the slots
+/// `[from, edge, to]`.
+fn advance_edge_seed(
+    cx: &VmCtx<'_>,
+    st: &mut Scratch,
+    f: &mut Frame,
+    [from, edge, to]: [u16; 3],
+    near: FilterRange,
+    filters: FilterRange,
+) -> Adv {
+    if f.bound {
+        release_edge(cx, st, edge);
+        release_vertex(cx, st, to);
+        release_vertex(cx, st, from);
+        f.bound = false;
+    }
+    let Cursor::Edges { pos, last } = &mut f.cur else {
+        unreachable!("edge seed frame carries an edge cursor")
+    };
+    let (near, fs) = (filter_slice(cx.prog, near), filter_slice(cx.prog, filters));
+    let (edges, outgoing) = cx.seeds.edges();
+    while let Some(&de) = edges.get(*pos) {
+        *pos += 1;
+        let (dn, df) = edge_ends(cx.g, de, outgoing);
+        if !edge_seed_accepts(cx, near, fs, last, de, dn, df) {
+            continue;
+        }
+        // one tick per accepted edge: the seed vertex is not a
+        // transition of its own
+        if !tick(cx, st) {
+            return Adv::Tripped;
+        }
+        #[cfg(feature = "fault-inject")]
+        crate::fault::on_seed_bound();
+        f.de = de;
+        f.dv = df;
+        st.vslots[from as usize] = Some(dn);
+        st.vslots[to as usize] = Some(df);
+        st.eslots[edge as usize] = Some(de);
+        if cx.injective {
+            st.set_vertex_used(dn, true);
+            st.set_vertex_used(df, true);
+            st.set_edge_used(de, true);
+        }
+        f.bound = true;
+        return Adv::Found;
+    }
+    Adv::Exhausted
 }
 
 fn advance_expand(

@@ -1,11 +1,11 @@
 //! The parallel work model: component × seed-subrange work units.
 //!
 //! The matcher evaluates each weakly connected query component by seeding
-//! its plan's first vertex and expanding. Those seed candidates are
-//! *independent*: the DFS below one seed never reads state bound under
-//! another, so any contiguous subrange of a component's seed list is an
-//! independently executable unit of work producing per-component partial
-//! bindings. A [`WorkUnit`] names such a slice — `(component, seed
+//! its plan's first vertex (or first edge) and expanding. Those seed
+//! candidates are *independent*: the DFS below one seed never reads state
+//! bound under another, so any contiguous subrange of a component's seed
+//! list is an independently executable unit of work producing
+//! per-component partial bindings. A [`WorkUnit`] names such a slice — `(component, seed
 //! range)` — and [`Matcher::find_unit`](crate::Matcher::find_unit) /
 //! [`Matcher::count_unit`](crate::Matcher::count_unit) execute one against
 //! a caller-owned scratch arena. The `whyq-session` executor shards a
@@ -23,27 +23,38 @@ use crate::plan_ir::SeedSpec;
 use crate::vm::{Program, SeedSrc};
 use std::ops::Range;
 use std::sync::Arc;
-use whyq_graph::{PropertyGraph, VertexId};
+use whyq_graph::{CsrTopology, PropertyGraph, Symbol, VertexId};
 
-/// The materialized seed candidate space of one component's `Seed` step.
+/// The seed candidate space of one component's first step.
 ///
-/// A full vertex scan is kept symbolic (`All`) so sharding a large arena
-/// never copies vertex ids; index-backed seed sources (`Bucket`/`Union`)
-/// own their candidate list in engine order.
+/// Only a union or intersection of index buckets is built: a full vertex
+/// scan is kept symbolic (`All`), an index bucket is shared with its
+/// index, and an edge seed's list is read in place from the CSR, so
+/// neither resolving nor sharding a seed list copies ids.
 #[derive(Debug, Clone)]
 pub enum SeedList {
     /// Full scan over the dense vertex arena `0..n`.
     All(usize),
-    /// An explicit candidate list (an index bucket copy, or the
-    /// deduplicated union of a multi-value disjunction's buckets).
-    List(Vec<VertexId>),
+    /// An explicit candidate list: an index bucket (shared with the
+    /// index), or the deduplicated union or the intersection of several.
+    List(Arc<[VertexId]>),
+    /// The `len` edges of type `ty` in the out arena's list (`outgoing`)
+    /// or the in arena's ([`CsrTopology::type_edges`]).
+    Edges {
+        /// The edge type.
+        ty: Symbol,
+        /// Whether the list is the out arena's.
+        outgoing: bool,
+        /// The list's length.
+        len: usize,
+    },
 }
 
 impl SeedList {
     /// Number of seed candidates.
     pub fn len(&self) -> usize {
         match self {
-            SeedList::All(n) => *n,
+            SeedList::All(n) | SeedList::Edges { len: n, .. } => *n,
             SeedList::List(v) => v.len(),
         }
     }
@@ -53,38 +64,40 @@ impl SeedList {
         self.len() == 0
     }
 
-    /// Candidate at position `i` (must be `< len`).
-    #[inline]
-    pub fn get(&self, i: usize) -> VertexId {
+    /// Clamp `range` onto the list and view it as a VM seed source;
+    /// `topo` is the topology of the graph the list was resolved on.
+    pub(crate) fn view<'a>(&'a self, topo: &'a CsrTopology, range: &Range<usize>) -> SeedSrc<'a> {
+        let clamp = |len: usize| {
+            let end = range.end.min(len);
+            range.start.min(end)..end
+        };
         match self {
-            SeedList::All(_) => VertexId(i as u32),
-            SeedList::List(v) => v[i],
-        }
-    }
-
-    /// Clamp `range` onto the list and view it as a VM seed source.
-    pub(crate) fn view(&self, range: &Range<usize>) -> SeedSrc<'_> {
-        match self {
-            SeedList::All(n) => SeedSrc::Range {
-                start: range.start.min(*n) as u32,
-                end: range.end.min(*n) as u32,
-            },
-            SeedList::List(v) => {
-                let end = range.end.min(v.len());
-                let start = range.start.min(end);
-                SeedSrc::Slice(&v[start..end])
+            SeedList::All(n) => {
+                let r = clamp(*n);
+                SeedSrc::Range {
+                    start: r.start as u32,
+                    end: r.end as u32,
+                }
+            }
+            SeedList::List(v) => SeedSrc::Slice(&v[clamp(v.len())]),
+            &SeedList::Edges { ty, outgoing, .. } => {
+                let edges = topo.type_edges(ty, outgoing);
+                SeedSrc::Edges {
+                    edges: &edges[clamp(edges.len())],
+                    outgoing,
+                }
             }
         }
     }
 }
 
 /// Resolve a component program's [`SeedSpec`] into its candidate list:
-/// the dense arena for a full scan, a copy of the index bucket of a point
+/// the dense arena for a full scan, the shared index bucket of a point
 /// probe, the sorted and deduplicated union of a multi-value
-/// disjunction's buckets (repeated values would repeat their buckets), or
-/// the intersection of several point probes. The single definition keeps
-/// eager, streamed and sharded execution drawing identical candidates in
-/// identical order.
+/// disjunction's buckets (repeated values would repeat their buckets),
+/// the intersection of several point probes, or an edge type's list. The
+/// single definition keeps eager, streamed and sharded execution drawing
+/// identical candidates in identical order.
 pub(crate) fn resolve_seeds(
     g: &PropertyGraph,
     indexes: &[Arc<AttrIndex>],
@@ -92,7 +105,7 @@ pub(crate) fn resolve_seeds(
 ) -> SeedList {
     match prog.seed() {
         SeedSpec::FullScan => SeedList::All(g.num_vertices()),
-        SeedSpec::Bucket { index, key } => SeedList::List(indexes[*index].lookup(g, key).to_vec()),
+        SeedSpec::Bucket { index, key } => SeedList::List(indexes[*index].shared(g, key)),
         SeedSpec::Union { index, keys } => {
             let mut seeds = Vec::new();
             for key in keys {
@@ -100,7 +113,7 @@ pub(crate) fn resolve_seeds(
             }
             seeds.sort_unstable();
             seeds.dedup();
-            SeedList::List(seeds)
+            SeedList::List(seeds.into())
         }
         SeedSpec::Intersect { probes } => {
             // `probes` is non-empty and optimizer-sorted smallest bucket
@@ -112,8 +125,13 @@ pub(crate) fn resolve_seeds(
                 let bucket = indexes[*idx].lookup(g, key);
                 seeds.retain(|v| bucket.binary_search(v).is_ok());
             }
-            SeedList::List(seeds)
+            SeedList::List(seeds.into())
         }
+        &SeedSpec::TypeEdges { ty, outgoing } => SeedList::Edges {
+            ty,
+            outgoing,
+            len: g.topology().type_edges(ty, outgoing).len(),
+        },
     }
 }
 
@@ -197,14 +215,21 @@ mod tests {
 
     #[test]
     fn seed_list_indexing() {
+        let topo = CsrTopology::default();
         let all = SeedList::All(3);
         assert_eq!(all.len(), 3);
-        assert_eq!(all.get(2), VertexId(2));
-        let list = SeedList::List(vec![VertexId(7), VertexId(9)]);
+        assert!(matches!(
+            all.view(&topo, &(2..9)),
+            SeedSrc::Range { start: 2, end: 3 }
+        ));
+        let list = SeedList::List(vec![VertexId(7), VertexId(9)].into());
         assert_eq!(list.len(), 2);
         assert!(!list.is_empty());
-        assert_eq!(list.get(1), VertexId(9));
-        assert!(SeedList::List(Vec::new()).is_empty());
+        assert!(matches!(
+            list.view(&topo, &(1..5)),
+            SeedSrc::Slice([VertexId(9)])
+        ));
+        assert!(SeedList::List(Vec::new().into()).is_empty());
         assert_eq!(WorkUnit::whole(1, &list).range, 0..2);
     }
 }

@@ -94,7 +94,7 @@ pub use sibling::SiblingStats;
 
 use cache::CachedPlan;
 use sibling::{CompKey, CompValue, SiblingCache};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use whyq_graph::domains::AttributeDomains;
 use whyq_graph::PropertyGraph;
@@ -792,7 +792,9 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// merged in range order; smaller components, and everything under a
     /// 1-thread configuration, run inline exactly as
     /// [`PreparedQuery::find_opts`] does. Sharded components read and
-    /// fill the sibling store like inline ones.
+    /// fill the sibling store like inline ones, except a find that
+    /// reached its `limit`: the shards share the limit and stop once they
+    /// hold it together, so their rows need not be the inline ones.
     ///
     /// Returns exactly the multiset [`PreparedQuery::find_opts`] returns.
     /// **Result order is unspecified in parallel mode** (the current
@@ -879,8 +881,8 @@ impl<'db> PreparedQuery<'_, 'db> {
                 part
             } else {
                 recomputed += 1;
-                let part = self.execute::<K>(i, &seed_lists[i], opts, par)?;
-                if budget.termination().is_complete() {
+                let (part, exact) = self.execute::<K>(i, &seed_lists[i], opts, par)?;
+                if exact && budget.termination().is_complete() {
                     db.lock_siblings()
                         .insert(key, K::to_cached(&part, opts.limit));
                 }
@@ -904,31 +906,37 @@ impl<'db> PreparedQuery<'_, 'db> {
 
     /// Execute one component: as seed-range shards across worker sessions
     /// when `par` was passed and says this component is worth splitting
-    /// ([`ParallelOpts::shard_ranges`]) — merged in range order, which
-    /// reproduces the inline result exactly — else inline as one
-    /// whole-component [`WorkUnit`].
+    /// ([`ParallelOpts::shard_ranges`]) — merged in range order — else
+    /// inline as one whole-component [`WorkUnit`]. The flag says whether
+    /// the part is the inline result itself, the only kind the sibling
+    /// store may keep: the shards of a find share its limit and stop once
+    /// they hold it together, so which rows survive a reached limit
+    /// depends on scheduling.
     fn execute<K: ResultKind>(
         &self,
         component: usize,
         seeds: &SeedList,
         opts: &MatchOptions,
         par: Option<&ParallelOpts>,
-    ) -> Result<K::Part, WhyqError> {
+    ) -> Result<(K::Part, bool), WhyqError> {
         let (query, plan) = (&*self.query, &*self.plan);
-        let run = |matcher: &Matcher<'_>, range| {
+        let taken = AtomicUsize::new(0);
+        let run = |matcher: &Matcher<'_>, range, taken| {
             let unit = WorkUnit { component, range };
-            K::run_unit(matcher, query, plan, &unit, seeds, opts.clone())
+            K::run_unit(matcher, query, plan, &unit, seeds, opts.clone(), taken)
         };
         let Some((par, ranges)) = par.and_then(|p| Some((p, p.shard_ranges(seeds.len())?))) else {
-            return Ok(run(&self.session.matcher, 0..seeds.len()));
+            return Ok((run(&self.session.matcher, 0..seeds.len(), None), true));
         };
         let db = self.session.db;
         let shards = Executor::new(par.clone()).dispatch(
             ranges.len(),
             || db.session(),
-            |session, j| run(&session.matcher, ranges[j].clone()),
+            |session, j| run(&session.matcher, ranges[j].clone(), Some(&taken)),
         )?;
-        Ok(K::merge(shards, opts.limit))
+        let part = K::merge(shards, opts.limit);
+        let exact = K::merged_exactly(&part, opts.limit);
+        Ok((part, exact))
     }
 
     /// Stream result graphs lazily (injective, unlimited): the backtracking
@@ -1016,6 +1024,8 @@ trait ResultKind {
     ) -> Option<(Option<usize>, u64)>;
     fn from_cached(value: CompValue) -> Option<Self::Part>;
     fn to_cached(part: &Self::Part, limit: Option<usize>) -> CompValue;
+    /// Run one unit; a shard of a sharded component counts the rows it
+    /// keeps in `taken`, shared with the other shards.
     fn run_unit(
         matcher: &Matcher<'_>,
         q: &PatternQuery,
@@ -1023,11 +1033,15 @@ trait ResultKind {
         unit: &WorkUnit,
         seeds: &SeedList,
         opts: MatchOptions,
+        taken: Option<&AtomicUsize>,
     ) -> Self::Part;
-    /// Merge one component's range-ordered shards. Every shard stops at
-    /// `limit` on its own, so re-capping the merge yields exactly what a
-    /// whole-component unit would have.
+    /// Merge one component's range-ordered shards, capped at `limit`. A
+    /// count shard stops at `limit` on its own, so the capped sum is what
+    /// a whole-component unit would have counted; find shards stop once
+    /// they hold `limit` rows together.
     fn merge(shards: Vec<Self::Part>, limit: Option<usize>) -> Self::Part;
+    /// Is `part`, merged from shards, the inline result itself?
+    fn merged_exactly(part: &Self::Part, limit: Option<usize>) -> bool;
     fn is_empty(part: &Self::Part) -> bool;
     /// Cartesian combination of all (non-empty) components, capped.
     fn combine(parts: Vec<Self::Part>, limit: Option<usize>) -> Self::Out;
@@ -1058,11 +1072,15 @@ impl ResultKind for Count {
         unit: &WorkUnit,
         seeds: &SeedList,
         opts: MatchOptions,
+        _: Option<&AtomicUsize>,
     ) -> u64 {
         matcher.count_unit(q, &plan.compiled, &plan.program, unit, seeds, opts)
     }
     fn merge(shards: Vec<u64>, limit: Option<usize>) -> u64 {
         capped(shards.into_iter().fold(0, u64::saturating_add), limit)
+    }
+    fn merged_exactly(_: &u64, _: Option<usize>) -> bool {
+        true
     }
     fn is_empty(part: &u64) -> bool {
         *part == 0
@@ -1108,13 +1126,22 @@ impl ResultKind for Rows {
         unit: &WorkUnit,
         seeds: &SeedList,
         opts: MatchOptions,
+        taken: Option<&AtomicUsize>,
     ) -> Self::Part {
-        Arc::new(matcher.find_unit(q, &plan.compiled, &plan.program, unit, seeds, opts))
+        let (compiled, program) = (&plan.compiled, &plan.program);
+        Arc::new(match taken {
+            Some(taken) => matcher.find_shard(q, compiled, program, unit, seeds, opts, taken),
+            None => matcher.find_unit(q, compiled, program, unit, seeds, opts),
+        })
     }
     fn merge(shards: Vec<Self::Part>, limit: Option<usize>) -> Self::Part {
         let mut rows: Vec<ResultGraph> = shards.into_iter().flat_map(unshare).collect();
         rows.truncate(limit.unwrap_or(usize::MAX));
         Arc::new(rows)
+    }
+    /// Short of the limit, every shard ran to its end.
+    fn merged_exactly(part: &Self::Part, limit: Option<usize>) -> bool {
+        limit.is_none_or(|l| part.len() < l)
     }
     fn is_empty(part: &Self::Part) -> bool {
         part.is_empty()

@@ -266,3 +266,67 @@ fn tripped_sharded_component_inserts_nothing() {
     assert_eq!(prepared.count().expect("count"), 12 * 11 * 10 * 9);
     assert_eq!(db.sibling_stats().insertions, 2, "one count, one row entry");
 }
+
+/// Sharded finds share their limit: on a component whose every seed
+/// roots matches, the shards stop once they hold `limit` rows together,
+/// and the merged answer is exactly `min(limit, C)` genuine matches. A
+/// find whose shards reached the limit is not memoized (which rows they
+/// kept depends on scheduling), so a later serial find still returns the
+/// serial rows; one short of its limit is complete, and memoized.
+#[test]
+fn sharded_finds_share_their_limit() {
+    let mut g = PropertyGraph::new();
+    let vs: Vec<_> = (0..12)
+        .map(|_| g.add_vertex([("type", Value::str("red"))]))
+        .collect();
+    for &a in &vs {
+        for &b in &vs {
+            if a != b {
+                g.add_edge(a, b, "link", []);
+            }
+        }
+    }
+    let q = build_query(3, &[0], &[true], false, false, "red");
+    let all = multiset(&Matcher::new(&g).find(&q, MatchOptions::default()));
+    let total = 12 * 11 * 10;
+    let serial_of = |limit| {
+        let db = Database::open(g.clone()).expect("open");
+        let session = db.session();
+        let prepared = session.prepare(&q).expect("valid query");
+        prepared
+            .find_opts(MatchOptions::limited(limit))
+            .expect("find")
+    };
+
+    let db = Database::open(g.clone()).expect("open");
+    let session = db.session();
+    let prepared = session.prepare(&q).expect("valid query");
+    let par = ParallelOpts::with_threads(4).min_seeds_per_split(1);
+    for limit in [1, 7, 200, total - 1] {
+        db.clear_sibling_cache();
+        let found = prepared
+            .find_par_opts(MatchOptions::limited(limit), &par)
+            .expect("find_par");
+        assert_eq!(found.len(), limit);
+        for (key, count) in multiset(&found) {
+            assert!(all.get(&key).is_some_and(|&c| c >= count), "{key:?}");
+        }
+        assert_eq!(
+            db.sibling_stats().len,
+            0,
+            "limit {limit}: capped shards memoized"
+        );
+        let serial = prepared.find_opts(MatchOptions::limited(limit));
+        assert_eq!(serial.expect("find"), serial_of(limit), "limit {limit}");
+    }
+    db.clear_sibling_cache();
+    let found = prepared
+        .find_par_opts(MatchOptions::limited(total + 1), &par)
+        .expect("find_par");
+    assert_eq!(multiset(&found), all);
+    assert_eq!(
+        db.sibling_stats().len,
+        1,
+        "a complete sharded find is memoized"
+    );
+}

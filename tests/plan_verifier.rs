@@ -10,9 +10,9 @@
 //! functional test happens to exercise the broken shape.
 //!
 //! The same loop pins the shape of every `compile_full` program: per
-//! component `SeedScan (Expand | Close)* Emit`, one scan per plan step,
-//! scan `i` binding plan step `i`'s element — so the first `k` scans of a
-//! program bind exactly the first `k` steps of its plan.
+//! component `(SeedScan | EdgeSeed) (Expand | Close)* Emit`, one scan per
+//! plan step, scan `i` binding plan step `i`'s elements — so the first `k`
+//! scans of a program bind exactly the first `k` steps of its plan.
 
 use whyquery::datagen::{
     dbpedia_failing_queries, dbpedia_graph, dbpedia_queries, ldbc_failing_queries, ldbc_graph,
@@ -70,6 +70,15 @@ fn check_program_shape(
                 (Instruction::Close { edge, .. }, Step::Close { edge: e }) => {
                     u32::from(edge) == e.0
                 }
+                (
+                    Instruction::EdgeSeed { edge, from, to, .. },
+                    Step::SeedEdge {
+                        edge: e,
+                        from: f,
+                        to: t,
+                        ..
+                    },
+                ) => u32::from(edge) == e.0 && u32::from(from) == f.0 && u32::from(to) == t.0,
                 _ => false,
             };
             if !binds_step {
