@@ -48,7 +48,7 @@
 use crate::index::AttrIndex;
 use std::sync::Arc;
 use whyq_graph::csr::{AttrColumn, FALLBACK};
-use whyq_graph::{AttrMap, CsrTopology, EdgeData, EdgeId, PropertyGraph, Symbol, Value, VertexId};
+use whyq_graph::{AttrMap, CsrTopology, EdgeData, PropertyGraph, Symbol, Value, VertexId};
 use whyq_query::{Interval, PatternQuery, Predicate, QEid, QVid, QueryEdge, QueryVertex};
 
 /// A predicate interval with its string constants resolved against the
@@ -223,27 +223,33 @@ impl ResolvedPredicate {
         }
     }
 
-    /// Check the predicate on element `i` of its side of `topo`'s graph,
-    /// whose attribute map `attrs` yields: from the element's code where
-    /// the column decides, from the map otherwise. Debug builds check
-    /// every decided code against the map.
-    #[inline(always)]
-    fn holds<'a>(&self, topo: &CsrTopology, i: u32, attrs: impl Fn() -> &'a AttrMap) -> bool {
-        self.bind(topo).holds(i, attrs)
-    }
-
-    /// The predicate with its code column in `topo` looked up, for a
-    /// loop that tests many elements of `topo`'s graph against it: the
-    /// column decides only when the code test was derived from `topo`'s
-    /// build.
-    #[inline(always)]
-    pub(crate) fn bind<'a>(&'a self, topo: &'a CsrTopology) -> BoundPredicate<'a> {
+    /// The predicate bound to `topo`'s column: the column decides only
+    /// when the code test was derived from `topo`'s build.
+    fn bind<'t>(&self, topo: &'t CsrTopology, at: PredAt) -> BoundPredicate<'t> {
         let coded = self
             .codes
             .as_ref()
             .filter(|t| t.topo == topo.id())
             .and_then(|t| Some((topo.column(t.attr, t.on_edges)?, &t.pass)));
-        BoundPredicate { pred: self, coded }
+        let (col, lo, hi, sparse) = match coded {
+            None => (None, 0, 0, false),
+            Some((col, &CodeSet::Span(lo, hi))) => (Some(col), lo, hi, false),
+            Some((col, CodeSet::Set(codes))) => {
+                (Some(col), codes[0], codes[codes.len() - 1] + 1, true)
+            }
+        };
+        BoundPredicate {
+            col,
+            lo,
+            hi,
+            sparse,
+            at,
+        }
+    }
+
+    /// Does code `c` pass the predicate's code test?
+    fn passes(&self, c: u16) -> bool {
+        self.codes.as_ref().is_some_and(|t| t.pass.contains(c))
     }
 
     /// True when the predicate can match nothing in this graph: unknown
@@ -284,39 +290,70 @@ impl ResolvedPredicate {
     }
 }
 
-/// A [`ResolvedPredicate`] bound to one topology's column
-/// ([`ResolvedPredicate::bind`]).
+/// A [`ResolvedPredicate`] bound to one topology's column for a program
+/// run ([`Compiled::bind`]): the topology id check and the column lookup
+/// are done, and the test of an element reads its code and nothing else
+/// unless the code cannot decide.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BoundPredicate<'a> {
-    pred: &'a ResolvedPredicate,
-    /// The column and passing codes, when the codes can decide.
-    coded: Option<(&'a AttrColumn, &'a CodeSet)>,
+pub(crate) struct BoundPredicate<'t> {
+    /// The column, when the predicate's code test was derived from its
+    /// build.
+    col: Option<&'t AttrColumn>,
+    /// The codes `lo..hi` that pass, or that bound the passing set.
+    lo: u16,
+    hi: u16,
+    /// The passing codes are a [`CodeSet::Set`] within `lo..hi`.
+    sparse: bool,
+    /// The predicate, for the map and the set.
+    at: PredAt,
+}
+
+/// Where a [`BoundPredicate`]'s predicate is in its [`Compiled`].
+#[derive(Debug, Clone, Copy)]
+struct PredAt {
+    on_edges: bool,
+    slot: u32,
+    idx: u32,
 }
 
 impl BoundPredicate<'_> {
     /// Check the predicate on element `i`, whose attribute map `attrs`
     /// yields: from the element's code where the column decides, from
-    /// the map for a [`FALLBACK`] code or without a column. Debug builds
+    /// the map for a [`FALLBACK`] code or without a column. `compiled`
+    /// is the compilation the predicate was bound from. Debug builds
     /// check every decided code against the map.
     #[inline(always)]
-    pub(crate) fn holds<'m>(&self, i: u32, attrs: impl Fn() -> &'m AttrMap) -> bool {
-        let Some((col, pass)) = self.coded else {
-            return self.pred.matches(attrs());
-        };
-        // no sentinel is ever in a pass set: test the common pass first
-        let c = col.code(i);
-        let verdict = if pass.contains(c) {
-            true
-        } else if c != FALLBACK {
-            false
-        } else {
-            return self.pred.matches(attrs());
-        };
-        debug_assert_eq!(
-            verdict,
-            self.pred.matches(attrs()),
-            "code column and attribute map disagree on element {i}"
-        );
+    pub(crate) fn holds<'m>(
+        &self,
+        compiled: &Compiled,
+        i: u32,
+        attrs: impl Fn() -> &'m AttrMap,
+    ) -> bool {
+        // no sentinel is ever in a pass set, and an absent column
+        // passes nothing
+        let c = self.col.map_or(FALLBACK, |col| col.code(i));
+        let in_span = self.lo <= c && c < self.hi;
+        if (in_span && !self.sparse) || (!in_span && c != FALLBACK) {
+            debug_assert_eq!(
+                in_span,
+                compiled.pred(self.at).matches(attrs()),
+                "code column and attribute map disagree on element {i}"
+            );
+            return in_span;
+        }
+        self.decide(compiled, c, attrs())
+    }
+
+    /// The verdicts the span cannot give, out of the candidate loops: a
+    /// code in the span of a set, or a [`FALLBACK`] code.
+    #[inline(never)]
+    fn decide(&self, compiled: &Compiled, c: u16, attrs: &AttrMap) -> bool {
+        let pred = compiled.pred(self.at);
+        if c == FALLBACK {
+            return pred.matches(attrs);
+        }
+        let verdict = pred.passes(c);
+        debug_assert_eq!(verdict, pred.matches(attrs), "inexact code set");
         verdict
     }
 }
@@ -467,17 +504,6 @@ impl CompiledVertex {
         self.preds.iter().all(|p| p.matches(attrs))
     }
 
-    /// [`CompiledVertex::accepts`] as the engine runs it: each predicate
-    /// reads `v`'s code in `topo`'s column of its attribute (`topo` must
-    /// be `g`'s), and the attribute map only where the code cannot decide.
-    /// The answer equals [`CompiledVertex::accepts`] for every vertex.
-    #[inline]
-    pub fn accepts_coded(&self, g: &PropertyGraph, topo: &CsrTopology, v: VertexId) -> bool {
-        self.preds
-            .iter()
-            .all(|p| p.holds(topo, v.0, || &g.vertex(v).attrs))
-    }
-
     /// True when no data vertex can satisfy this query vertex.
     pub fn unsatisfiable(&self) -> bool {
         self.preds.iter().any(ResolvedPredicate::is_unsatisfiable)
@@ -528,18 +554,6 @@ impl CompiledEdge {
         self.preds.iter().all(|p| p.matches(&ed.attrs))
     }
 
-    /// Attribute-predicate check alone, for scans that already know the
-    /// edge type is admissible (the CSR engine iterates per-type runs, so
-    /// the type test is implied by the slice being scanned). Reads `e`'s
-    /// codes in `topo`'s edge columns like
-    /// [`CompiledVertex::accepts_coded`].
-    #[inline]
-    pub fn accepts_attrs_coded(&self, g: &PropertyGraph, topo: &CsrTopology, e: EdgeId) -> bool {
-        self.preds
-            .iter()
-            .all(|p| p.holds(topo, e.0, || &g.edge(e).attrs))
-    }
-
     /// True when matching an edge from an admissible-type adjacency run
     /// tests anything beyond its type (only attribute predicates do —
     /// endpoints and type come straight from the CSR columns).
@@ -587,6 +601,39 @@ impl Compiled {
     /// Compiled edge by id.
     pub fn edge(&self, e: QEid) -> &CompiledEdge {
         self.edges[e.0 as usize].as_ref().expect("compiled")
+    }
+
+    /// Bind the predicates of query edge `slot`, or of query vertex `slot`
+    /// unless `on_edges`, to `topo`'s columns, in order, onto `out`: once
+    /// per program run, so that no candidate loop looks a column up.
+    pub(crate) fn bind<'t>(
+        &self,
+        topo: &'t CsrTopology,
+        on_edges: bool,
+        slot: u32,
+        out: &mut Vec<BoundPredicate<'t>>,
+    ) {
+        let preds = self.preds(on_edges, slot);
+        out.extend(preds.iter().enumerate().map(|(idx, p)| {
+            let at = PredAt {
+                on_edges,
+                slot,
+                idx: idx as u32,
+            };
+            p.bind(topo, at)
+        }));
+    }
+
+    fn preds(&self, on_edges: bool, slot: u32) -> &[ResolvedPredicate] {
+        if on_edges {
+            &self.edge(QEid(slot)).preds
+        } else {
+            &self.vertex(QVid(slot)).preds
+        }
+    }
+
+    fn pred(&self, at: PredAt) -> &ResolvedPredicate {
+        &self.preds(at.on_edges, at.slot)[at.idx as usize]
     }
 
     /// True when some query element can match nothing in this graph — an

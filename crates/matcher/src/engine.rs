@@ -36,7 +36,7 @@ use crate::compile::Compiled;
 use crate::index::AttrIndex;
 use crate::optimize::PassSet;
 use crate::result::ResultGraph;
-use crate::vm::{Program, QueryProgram, SeedSrc, VmCtx, VmState};
+use crate::vm::{Bound, Program, QueryProgram, SeedSrc, VmCtx, VmState};
 use crate::work::{SeedList, WorkUnit};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -489,9 +489,9 @@ impl<'g> Matcher<'g> {
 
     /// Count the partial bindings of one [`WorkUnit`] without
     /// materializing them, stopping early at `opts.limit` — the counting
-    /// twin of [`Matcher::find_unit`]. The VM counts the candidates of
-    /// each component's last scan in place ([`crate::vm`]'s leaf kernel),
-    /// so no match is ever bound, only counted.
+    /// twin of [`Matcher::find_unit`]. The VM runs each component's last
+    /// scan in count mode ([`crate::vm`]), so no match is ever bound,
+    /// only counted.
     pub fn count_unit(
         &self,
         q: &PatternQuery,
@@ -538,12 +538,15 @@ impl<'g> Matcher<'g> {
         }
         let mut st = self.scratch.borrow_mut();
         st.prepare(self.g, q);
+        let mut bound = Bound::default();
+        bound.bind(compiled, prog, self.topo);
         let cx = VmCtx {
             g: self.g,
             topo: self.topo,
             q,
             compiled,
             prog,
+            bound: &bound,
             injective: opts.injective,
             budget: &opts.budget,
             seeds,
@@ -705,10 +708,35 @@ mod tests {
             .vertex("v", [Predicate::eq("type", "person")])
             .build();
         let cq = Matcher::new(&g).compile_full(&q);
+        // a one-edge query seeded at its edge, with a vertex and an edge
+        // predicate: both sides of its binding go stale
+        let pair = QueryBuilder::new("old-friends")
+            .vertex("p1", [Predicate::eq("type", "person")])
+            .vertex("p2", [Predicate::eq("type", "person")])
+            .edge_full(
+                "p1",
+                "p2",
+                "knows",
+                DirectionSet::FORWARD,
+                [Predicate::at_most("since", 2005.0)],
+            )
+            .build();
+        let pcq = Matcher::new(&g).compile_full(&pair);
+        assert!(matches!(
+            pcq.program.components()[0].code(),
+            [crate::vm::Instruction::EdgeSeed { .. }, _]
+        ));
         g.add_vertex([("type", Value::str("animal"))]);
         let m = Matcher::new(&g);
         let count = m.count_compiled(&q, &cq.compiled, &cq.program, MatchOptions::default());
         assert_eq!(count, 3);
+        let opts = MatchOptions::default;
+        let count = m.count_compiled(&pair, &pcq.compiled, &pcq.program, opts());
+        assert_eq!(count, 1);
+        let rows = m.find_compiled(&pair, &pcq.compiled, &pcq.program, opts());
+        assert_eq!(rows.len(), 1);
+        let knows_2003 = (whyq_query::QEid(0), whyq_graph::EdgeId(0));
+        assert_eq!(rows[0].edge_bindings(), &[knows_2003]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::compile::Compiled;
 use crate::engine::{MatchOptions, Matcher, Scratch};
 use crate::index::AttrIndex;
 use crate::result::ResultGraph;
-use crate::vm::{self, QueryProgram, VmCtx, VmState};
+use crate::vm::{self, Bound, QueryProgram, VmCtx, VmState};
 use crate::work::{resolve_seeds, SeedList};
 use std::sync::Arc;
 use whyq_graph::{CsrTopology, PropertyGraph};
@@ -70,6 +70,8 @@ pub struct MatchStream<'g> {
     /// `next()` call: a bucket is held by a shared handle, an edge list
     /// read from the topology.
     cur_seeds: SeedList,
+    /// That component's predicates, bound to the topology once.
+    bound: Bound<'g>,
 }
 
 impl<'g> MatchStream<'g> {
@@ -103,6 +105,7 @@ impl<'g> MatchStream<'g> {
             scratch: Scratch::default(),
             vs: VmState::default(),
             cur_seeds: SeedList::All(0),
+            bound: Bound::default(),
         }
     }
 
@@ -163,7 +166,9 @@ impl<'g> MatchStream<'g> {
     /// Park a fresh VM at component `comp`'s seed scan.
     fn begin_component(&mut self, comp: usize) {
         self.vs.reset();
-        self.cur_seeds = resolve_seeds(self.g, &self.indexes, &self.program.components()[comp]);
+        let prog = &self.program.components()[comp];
+        self.cur_seeds = resolve_seeds(self.g, &self.indexes, prog);
+        self.bound.bind(&self.compiled, prog, self.topo);
     }
 
     /// Run `f` on component `comp`'s VM context over the stream's own
@@ -179,6 +184,7 @@ impl<'g> MatchStream<'g> {
             q: &self.q,
             compiled: &self.compiled,
             prog: &self.program.components()[comp],
+            bound: &self.bound,
             injective: self.injective,
             budget: &self.budget,
             seeds: self.cur_seeds.view(self.topo, &(0..self.cur_seeds.len())),

@@ -19,28 +19,29 @@
 //! One dispatch loop is the whole engine: a loop over a program counter
 //! and an explicit frame stack, one frame per active *scan* instruction —
 //! every instruction but the final `Emit` is a scan, one per plan step.
-//! A scan instruction pushes a frame on first entry and advances its
-//! cursor to the next acceptable candidate on re-entry: occupancy
-//! (injective mode) and its inline filters accept the candidate, and the
-//! scan commits it to the register file. What happens at `Emit` is the
-//! loop's one mode switch:
+//! Each scan kind has one body, its `advance_*` function, and every body
+//! walks its candidates through one loop (`walk`): occupancy (injective
+//! mode) and the scan's predicates accept a candidate, and each accepted
+//! one ticks the budget. A scan pushes a frame on first entry and
+//! resumes its cursor on re-entry. What happens to an accepted candidate
+//! and at `Emit` is the loop's one mode switch:
 //!
-//! * `next_match` suspends the machine and yields. Resumption re-enters
-//!   at the deepest frame's scan — exactly the suspension shape
-//!   [`crate::stream::MatchStream`] needs.
-//! * `run_to_end` hands the assignment to an inline callback and
-//!   backtracks; eager `find` (and its [`crate::work::WorkUnit`]s) runs
-//!   this way.
-//! * `count_to_end` never reaches `Emit`. When control enters the last
-//!   scan, that scan counts its accepted candidates in a tight loop
-//!   (`count_leaf`) and binds none of them, then backtracks. Every other
-//!   scan runs as above. Counts pay for what decides them: no binding,
-//!   occupancy stamp or dispatch per match.
+//! * `next_match` binds it and, at `Emit`, suspends the machine and
+//!   yields. Resumption re-enters at the deepest frame's scan — exactly
+//!   the suspension shape [`crate::stream::MatchStream`] needs.
+//! * `run_to_end` binds it and hands each complete assignment to an
+//!   inline callback, then backtracks; eager `find` (and its
+//!   [`crate::work::WorkUnit`]s) runs this way.
+//! * `count_to_end` runs the last scan in *count mode*: it counts every
+//!   accepted candidate, up to the cap, binds none and never reaches
+//!   `Emit`. Every other scan binds as above. Counts pay for what decides
+//!   them: no binding, occupancy stamp or dispatch per match.
 //!
-//! The resumable scans and the leaf counter share one set of candidate
-//! rules (run extents, direction passes, the self-loop skip, occupancy,
-//! inline filters), so a leaf counts exactly the candidates its scan
-//! would bind.
+//! The predicates are bound to the topology's code columns once per run
+//! (`Bound`, built by [`crate::engine::Matcher`] per work unit and by
+//! [`crate::stream::MatchStream`] per component): per scan, the lists of
+//! the vertex it binds, of its edge and — for an `EdgeSeed` — of its seed
+//! vertex. No candidate loop checks a topology id or looks a column up.
 //!
 //! An `EdgeSeed` is the first scan of a component planned to start at an
 //! edge: it walks one edge type's list in the CSR
@@ -50,17 +51,16 @@
 //! `SeedScan` then `Expand` over the same edge would, under the same
 //! rules, so the two programs enumerate the same matches in the same
 //! order; only the budget ticks differ — one per accepted edge, none per
-//! seed vertex. A one-edge count is then one tight loop over the list.
+//! seed vertex. A one-edge count is then one walk over the list.
 //!
 //! Candidate order and filter sequence are fixed (occupancy stamps
-//! before predicate checks, `EdgeData` loaded only when a filter needs
-//! it, the self-loop and duplicate-direction skip rules of undirected
-//! edges included), so programs compiled with or without
-//! [`crate::optimize::PassSet::seed_select`] enumerate the same matches;
-//! with identical seed sources they enumerate them in the same order. The
-//! budget is ticked once per accepted candidate — by a leaf count as by
-//! a binding scan — and charged every [`CHECK_INTERVAL`] ticks, so a
-//! governed run yields a prefix of the ungoverned one and a governed
+//! before predicate checks, the self-loop and duplicate-direction skip
+//! rules of undirected edges included), so programs compiled with or
+//! without [`crate::optimize::PassSet::seed_select`] enumerate the same
+//! matches; with identical seed sources they enumerate them in the same
+//! order. The budget is ticked once per accepted candidate — in count
+//! mode as when binding — and charged every [`CHECK_INTERVAL`] ticks, so
+//! a governed run yields a prefix of the ungoverned one and a governed
 //! count stops on the candidate a governed find stops on.
 //!
 //! Instruction encodings and the compilation scheme are documented in
@@ -70,8 +70,7 @@ use crate::budget::{Budget, CHECK_INTERVAL};
 use crate::compile::{BoundPredicate, Compiled};
 use crate::engine::Scratch;
 use crate::plan_ir::{FilterTest, IrNode, PlanIr, SeedSpec};
-use std::ops::ControlFlow;
-use whyq_graph::{AdjSlice, AttrMap, CsrTopology, EdgeId, PropertyGraph, Symbol, VertexId};
+use whyq_graph::{AdjSlice, CsrTopology, EdgeId, PropertyGraph, Symbol, VertexId};
 use whyq_query::{PatternQuery, QEid, QVid};
 
 /// A range into a [`Program`]'s pooled filter table.
@@ -84,9 +83,9 @@ pub struct FilterRange {
 }
 
 /// One VM instruction. Operands are query vertex/edge *slot numbers*
-/// (`u16` — a query with more than 65 535 slots is rejected at
-/// compilation), filter operands index the program's pooled filter
-/// table via [`FilterRange`].
+/// (`u16` — `whyq-session` rejects a query with more than 65 536 vertex
+/// or edge slots when it is prepared), filter operands index the
+/// program's pooled filter table via [`FilterRange`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instruction {
     /// Produce seed candidates from the program's [`SeedSpec`], test them
@@ -222,7 +221,7 @@ pub struct QueryProgram {
 
 impl QueryProgram {
     /// Compile verified IR into bytecode. Panics if a query slot exceeds
-    /// the `u16` operand range (65 535 slots — far beyond any real
+    /// the `u16` operand range (65 536 slots — far beyond any real
     /// pattern).
     pub fn from_ir(ir: &PlanIr) -> QueryProgram {
         QueryProgram {
@@ -339,17 +338,6 @@ pub(crate) enum SeedSrc<'a> {
 }
 
 impl SeedSrc<'_> {
-    fn get(&self, pos: usize) -> Option<VertexId> {
-        match *self {
-            SeedSrc::Range { start, end } => {
-                let v = start.checked_add(pos as u32)?;
-                (v < end).then_some(VertexId(v))
-            }
-            SeedSrc::Slice(seeds) => seeds.get(pos).copied(),
-            SeedSrc::Edges { .. } => unreachable!("a seed scan draws vertices"),
-        }
-    }
-
     /// The edge list of an `EdgeSeed`, and whether it is the out arena's.
     fn edges(&self) -> (&[EdgeId], bool) {
         match *self {
@@ -368,13 +356,73 @@ pub(crate) struct VmCtx<'a> {
     pub(crate) q: &'a PatternQuery,
     pub(crate) compiled: &'a Compiled,
     pub(crate) prog: &'a Program,
+    /// `prog`'s predicates bound to `topo` for this run.
+    pub(crate) bound: &'a Bound<'a>,
     pub(crate) injective: bool,
     pub(crate) budget: &'a Budget,
     pub(crate) seeds: SeedSrc<'a>,
 }
 
+/// The predicates of one program's scans bound to a topology's columns
+/// ([`Compiled::bind`]), once per run. Per scan instruction, three lists:
+/// *near* (the seed vertex of an `EdgeSeed`), *edge* (the scanned edge)
+/// and *far* (the vertex the scan binds).
+#[derive(Debug, Default)]
+pub(crate) struct Bound<'t> {
+    preds: Vec<BoundPredicate<'t>>,
+    /// Per scan instruction, where its near, edge and far lists start in
+    /// `preds`, and where its far list ends.
+    lists: Vec<[usize; 4]>,
+}
+
+impl<'t> Bound<'t> {
+    /// Bind the predicates `prog`'s filters name, compiled in
+    /// `compiled`, to `topo`'s columns, in place of the previous binding.
+    pub(crate) fn bind(&mut self, compiled: &Compiled, prog: &Program, topo: &'t CsrTopology) {
+        self.preds.clear();
+        self.lists.clear();
+        for &ins in &prog.code {
+            let (near, filters) = match ins {
+                Instruction::SeedScan { filters, .. }
+                | Instruction::Expand { filters, .. }
+                | Instruction::Close { filters, .. } => (FilterRange::default(), filters),
+                Instruction::EdgeSeed { near, filters, .. } => (near, filters),
+                Instruction::Emit => break,
+            };
+            let mut ends = [self.preds.len(); 4];
+            let lists = [(near, false), (filters, true), (filters, false)];
+            for (end, (range, on_edges)) in ends[1..].iter_mut().zip(lists) {
+                for &test in filter_slice(prog, range) {
+                    match test {
+                        FilterTest::EdgeAttrs(e) if on_edges => {
+                            compiled.bind(topo, true, e.0, &mut self.preds);
+                        }
+                        FilterTest::VertexPreds(v) if !on_edges => {
+                            compiled.bind(topo, false, v.0, &mut self.preds);
+                        }
+                        FilterTest::EdgeAttrs(_) | FilterTest::VertexPreds(_) => {}
+                    }
+                }
+                *end = self.preds.len();
+            }
+            self.lists.push(ends);
+        }
+    }
+
+    /// The near, edge and far lists of scan instruction `pc`.
+    #[inline(always)]
+    fn scan(&self, pc: usize) -> [&[BoundPredicate<'t>]; 3] {
+        let [near, edge, far, end] = self.lists[pc];
+        [
+            &self.preds[near..edge],
+            &self.preds[edge..far],
+            &self.preds[far..end],
+        ]
+    }
+}
+
 /// Resumable cursor of one active scan instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Cursor {
     /// Position in the seed source.
     Seed { pos: usize },
@@ -422,14 +470,11 @@ enum Cursor {
 }
 
 /// One active scan: the instruction it executes, whether its candidate
-/// is currently committed to the register file, the candidate itself and
-/// the scan cursor.
-#[derive(Debug, Clone)]
+/// is currently committed to the register file, and the scan cursor.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     pc: usize,
     bound: bool,
-    de: EdgeId,
-    dv: VertexId,
     cur: Cursor,
 }
 
@@ -460,19 +505,13 @@ impl VmState {
     /// Size the frame file for `prog` (one slot per scan instruction).
     /// Cheap after the first call: the file only ever grows.
     fn ensure_frames(&mut self, prog: &Program) {
-        let scans = prog
-            .code()
-            .iter()
-            .filter(|i| !matches!(i, Instruction::Emit))
-            .count();
+        let scans = prog.code().len() - 1;
         if self.frames.len() < scans {
             self.frames.resize(
                 scans,
                 Frame {
                     pc: 0,
                     bound: false,
-                    de: EdgeId(0),
-                    dv: VertexId(0),
                     cur: Cursor::Seed { pos: 0 },
                 },
             );
@@ -487,9 +526,8 @@ enum Adv {
     Found,
     /// The scan ran out of candidates: pop its frame and backtrack.
     Exhausted,
-    /// Backtrack into the deepest active scan without popping a frame —
-    /// after an emission was delivered, or after the last scan of a count
-    /// run counted its candidates in place.
+    /// Backtrack into the deepest active scan without popping a frame,
+    /// after an emission was delivered.
     Resume,
     /// The caller asked to stop (a declined emission, a count at its cap).
     Stop,
@@ -504,48 +542,109 @@ enum Sink<'a> {
     /// Hand each one to a callback, stopping when it declines
     /// ([`run_to_end`]).
     Emit(&'a mut dyn FnMut(&Scratch) -> bool),
-    /// Count them without binding the last scan ([`count_to_end`]):
-    /// `n` so far, stopping at `cap`. `Emit` is never reached.
-    Count { n: &'a mut u64, cap: u64 },
+    /// Count them: the last scan counts its accepted candidates into the
+    /// tally instead of binding them ([`count_to_end`]). `Emit` is never
+    /// reached.
+    Count(&'a mut Tally),
 }
 
-#[inline]
-fn tick(cx: &VmCtx<'_>, st: &mut Scratch) -> bool {
-    st.ticks += 1;
-    !(st.ticks.is_multiple_of(CHECK_INTERVAL as u64)
-        && cx.budget.charge(CHECK_INTERVAL as u64).is_err())
+/// A count run's tally: the matches counted so far and the cap it stops
+/// at.
+struct Tally {
+    n: u64,
+    cap: u64,
 }
 
-/// Apply one pooled filter to a candidate `(de, dv)`.
-#[inline]
-fn test_filter(cx: &VmCtx<'_>, test: FilterTest, de: EdgeId, dv: VertexId) -> bool {
-    match test {
-        FilterTest::VertexPreds(v) => cx.compiled.vertex(v).accepts_coded(cx.g, cx.topo, dv),
-        FilterTest::EdgeAttrs(e) => cx.compiled.edge(e).accepts_attrs_coded(cx.g, cx.topo, de),
-    }
-}
-
-/// Resolve a [`FilterRange`] into its slice of the pooled filter table —
-/// once per advance call, so the per-candidate loop tests a plain slice.
+/// Resolve a [`FilterRange`] into its slice of the pooled filter table.
 #[inline]
 fn filter_slice(prog: &Program, range: FilterRange) -> &[FilterTest] {
     &prog.filters[range.start as usize..(range.start + range.len) as usize]
 }
 
-#[inline]
-fn inline_filters(cx: &VmCtx<'_>, fs: &[FilterTest], de: EdgeId, dv: VertexId) -> bool {
-    fs.iter().all(|&t| test_filter(cx, t, de, dv))
+/// Do all of `preds` hold on data vertex `v`?
+#[inline(always)]
+fn vertex_holds(cx: &VmCtx<'_>, preds: &[BoundPredicate<'_>], v: VertexId) -> bool {
+    // a plain loop: `Iterator::all` is not inlined into the walks
+    for p in preds {
+        if !p.holds(cx.compiled, v.0, || &cx.g.vertex(v).attrs) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Do all of `preds` hold on data edge `e`?
+#[inline(always)]
+fn edge_holds(cx: &VmCtx<'_>, preds: &[BoundPredicate<'_>], e: EdgeId) -> bool {
+    for p in preds {
+        if !p.holds(cx.compiled, e.0, || &cx.g.edge(e).attrs) {
+            return false;
+        }
+    }
+    true
+}
+
+/// The one candidate walk every scan runs over candidates `range` of its
+/// current run. Each candidate `accepts` passes ticks the budget — and,
+/// when `seed` is set, calls the `fault-inject` build's seed hook. Without
+/// a tally the walk stops at the first accepted candidate and returns its
+/// index. With one (the last scan of a count run) it counts every
+/// accepted candidate instead and binds none, keeping the tick counter
+/// and the count in locals. `Err` says how the walk ended: the run is
+/// walked ([`Adv::Exhausted`]), the count reached its cap ([`Adv::Stop`])
+/// or the budget tripped ([`Adv::Tripped`]; the candidate it tripped on
+/// is not counted).
+#[inline(always)]
+fn walk(
+    cx: &VmCtx<'_>,
+    st: &mut Scratch,
+    range: std::ops::Range<usize>,
+    seed: bool,
+    tally: Option<&mut Tally>,
+    mut accepts: impl FnMut(&Scratch, usize) -> bool,
+) -> Result<usize, Adv> {
+    let counting = tally.is_some();
+    let (mut n, cap) = tally.as_deref().map_or((0, 0), |t| (t.n, t.cap));
+    let mut ticks = st.ticks;
+    let mut end = Err(Adv::Exhausted);
+    for i in range {
+        if !accepts(st, i) {
+            continue;
+        }
+        // one tick per accepted candidate — one per DFS transition
+        // (rejected candidates are plain scan work, charged via the
+        // transition that consumed them)
+        ticks += 1;
+        if ticks.is_multiple_of(u64::from(CHECK_INTERVAL))
+            && cx.budget.charge(u64::from(CHECK_INTERVAL)).is_err()
+        {
+            end = Err(Adv::Tripped);
+            break;
+        }
+        if seed {
+            #[cfg(feature = "fault-inject")]
+            crate::fault::on_seed_bound();
+        }
+        if !counting {
+            end = Ok(i);
+            break;
+        }
+        n += 1;
+        if n == cap {
+            end = Err(Adv::Stop);
+            break;
+        }
+    }
+    st.ticks = ticks;
+    if let Some(t) = tally {
+        t.n = n;
+    }
+    end
 }
 
 // ---------------------------------------------------------------------
-// candidate rules, shared by the resumable scans and the leaf counter
+// candidate runs
 // ---------------------------------------------------------------------
-
-/// The admissible type symbols of query edge slot `edge`, `None` = any.
-#[inline]
-fn edge_types<'a>(cx: &VmCtx<'a>, edge: u16) -> Option<&'a [Symbol]> {
-    cx.compiled.edge(QEid(edge as u32)).types.as_deref()
-}
 
 /// The absolute CSR extent of run `ty` of `v`'s out (`out`) or in
 /// adjacency: the `ty`-th admissible per-type run of a typed edge, the
@@ -589,48 +688,6 @@ fn run_slice(topo: &CsrTopology, out: bool, ext: (u32, u32)) -> AdjSlice<'_> {
     }
 }
 
-/// Does an expansion walk direction `phase` (0 = forward, 1 = backward)?
-#[inline]
-fn expand_dir_on(phase: u8, fwd: bool, bwd: bool) -> bool {
-    if phase == 0 {
-        fwd
-    } else {
-        bwd
-    }
-}
-
-/// Does an expansion accept candidate `(de, dv)` reached from `anchor`?
-/// `skip_self_loops` is set on the backward pass of an edge that also
-/// walks forward: a self-loop at the anchor sits in both adjacency lists,
-/// and forward already tried it. Then occupancy (injective mode), then
-/// the inline filters.
-#[inline]
-fn expand_accepts(
-    cx: &VmCtx<'_>,
-    st: &Scratch,
-    fs: &[FilterTest],
-    skip_self_loops: bool,
-    anchor: VertexId,
-    de: EdgeId,
-    dv: VertexId,
-) -> bool {
-    !(skip_self_loops && dv == anchor)
-        && !(cx.injective && (st.vertex_used(dv) || st.edge_used(de)))
-        && inline_filters(cx, fs, de, dv)
-}
-
-/// Does a close between `ms` and `mt` walk direction `phase`? When both
-/// endpoints map to one data vertex the forward pass already enumerated
-/// every self-loop there.
-#[inline]
-fn close_dir_on(phase: u8, fwd: bool, bwd: bool, ms: VertexId, mt: VertexId) -> bool {
-    if phase == 0 {
-        fwd
-    } else {
-        bwd && !(fwd && ms == mt)
-    }
-}
-
 /// Run `ty` of a close from `ends.0` to `ends.1`: whichever endpoint
 /// slice is shorter (the deterministic choice keeps resumption stable) —
 /// its extent, whether it is the out arena, and the opposite endpoint a
@@ -649,21 +706,6 @@ fn close_run(
     } else {
         (r_in, false, ends.0)
     })
-}
-
-/// Does a close accept candidate edge `de`, whose opposite endpoint in
-/// the scanned slice is `other`? Then occupancy (injective mode), then
-/// the inline (edge) filters.
-#[inline]
-fn close_accepts(
-    cx: &VmCtx<'_>,
-    st: &Scratch,
-    fs: &[FilterTest],
-    want: VertexId,
-    de: EdgeId,
-    other: VertexId,
-) -> bool {
-    other == want && !(cx.injective && st.edge_used(de)) && inline_filters(cx, fs, de, other)
 }
 
 // ---------------------------------------------------------------------
@@ -700,15 +742,15 @@ pub(crate) fn run_to_end(
 /// Count the program's matches, up to `cap` (at least 1), without
 /// materializing or even binding the last one: every scan but the last
 /// runs as in [`run_to_end`], and the last scan — the instruction before
-/// `Emit` — counts its accepted candidates in place ([`count_leaf`]) and
-/// backtracks. Candidate order, acceptance rules and budget ticks are
+/// `Emit` — runs in count mode: it counts its accepted candidates and
+/// binds none. Candidate order, acceptance rules and budget ticks are
 /// those of [`run_to_end`], so a tripped count equals the number of
 /// matches a tripped [`run_to_end`] emits. Call [`unwind`] afterwards.
 pub(crate) fn count_to_end(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, cap: u64) -> u64 {
     debug_assert!(cap > 0, "a zero cap counts nothing and needs no run");
-    let mut n = 0;
-    run(cx, st, vs, Sink::Count { n: &mut n, cap });
-    n
+    let mut tally = Tally { n: 0, cap };
+    run(cx, st, vs, Sink::Count(&mut tally));
+    tally.n
 }
 
 /// The dispatch loop behind [`next_match`], [`run_to_end`] and
@@ -719,9 +761,9 @@ fn run(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, mut sink: Sink<'_>) -
     }
     let code = cx.prog.code();
     vs.ensure_frames(cx.prog);
-    // a count run never binds its last scan: entering it counts instead
-    let leaf = match sink {
-        Sink::Count { .. } => code.len() - 2,
+    // the scan a count run counts in: its last
+    let counted = match sink {
+        Sink::Count(_) => code.len() - 2,
         Sink::Yield | Sink::Emit(_) => usize::MAX,
     };
     // `fresh` distinguishes the two ways control reaches a scan
@@ -743,98 +785,13 @@ fn run(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, mut sink: Sink<'_>) -
         vs.frames[vs.depth - 1].pc
     };
     // No budget tick here: every candidate a scan produces is ticked
-    // inside its advance loop, and the O(1) Emit step rides on the tick
-    // of the candidate that reached it — charging per dispatch as well
-    // would double-count each transition.
+    // inside its walk, and the O(1) Emit step rides on the tick of the
+    // candidate that reached it — charging per dispatch as well would
+    // double-count each transition.
     loop {
-        let adv = match code[pc] {
-            ins if fresh && pc == leaf => {
-                let Sink::Count { n, cap } = &mut sink else {
-                    unreachable!("only a count run has a leaf")
-                };
-                count_leaf(cx, st, ins, n, *cap)
-            }
-            Instruction::SeedScan { vertex, filters } => {
-                if fresh {
-                    let f = &mut vs.frames[vs.depth];
-                    f.pc = pc;
-                    f.bound = false;
-                    f.cur = Cursor::Seed { pos: 0 };
-                    vs.depth += 1;
-                }
-                advance_seed(cx, st, &mut vs.frames[vs.depth - 1], vertex, filters)
-            }
-            Instruction::Expand {
-                edge,
-                from,
-                to,
-                filters,
-            } => {
-                if fresh {
-                    let anchor =
-                        st.vslots[from as usize].expect("program binds `from` before Expand");
-                    let qe = cx.q.edge(QEid(edge as u32)).expect("live");
-                    let f = &mut vs.frames[vs.depth];
-                    f.pc = pc;
-                    f.bound = false;
-                    f.cur = Cursor::Expand {
-                        anchor,
-                        phase: 0,
-                        ty: 0,
-                        pos: 0,
-                        fwd: qe.directions.forward,
-                        bwd: qe.directions.backward,
-                        from_is_src: QVid(from as u32) == qe.src,
-                        ext: (0, 0),
-                        resolved: false,
-                    };
-                    vs.depth += 1;
-                }
-                advance_expand(cx, st, &mut vs.frames[vs.depth - 1], edge, to, filters)
-            }
-            Instruction::EdgeSeed {
-                edge,
-                from,
-                to,
-                near,
-                filters,
-            } => {
-                if fresh {
-                    let f = &mut vs.frames[vs.depth];
-                    f.pc = pc;
-                    f.bound = false;
-                    f.cur = Cursor::Edges { pos: 0, last: None };
-                    vs.depth += 1;
-                }
-                let f = &mut vs.frames[vs.depth - 1];
-                advance_edge_seed(cx, st, f, [from, edge, to], near, filters)
-            }
-            Instruction::Close { edge, filters } => {
-                if fresh {
-                    let qe = cx.q.edge(QEid(edge as u32)).expect("live");
-                    let ms = st.vslots[qe.src.0 as usize].expect("bound");
-                    let mt = st.vslots[qe.dst.0 as usize].expect("bound");
-                    let f = &mut vs.frames[vs.depth];
-                    f.pc = pc;
-                    f.bound = false;
-                    f.cur = Cursor::Close {
-                        ms,
-                        mt,
-                        phase: 0,
-                        ty: 0,
-                        pos: 0,
-                        fwd: qe.directions.forward,
-                        bwd: qe.directions.backward,
-                        ext: (0, 0),
-                        scan_out: true,
-                        want: VertexId(0),
-                        resolved: false,
-                    };
-                    vs.depth += 1;
-                }
-                advance_close(cx, st, &mut vs.frames[vs.depth - 1], edge, filters)
-            }
-            Instruction::Emit => match &mut sink {
+        let ins = code[pc];
+        let adv = if ins == Instruction::Emit {
+            match &mut sink {
                 Sink::Yield => return true,
                 Sink::Emit(e) => {
                     if e(st) {
@@ -843,8 +800,36 @@ fn run(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, mut sink: Sink<'_>) -
                         Adv::Stop
                     }
                 }
-                Sink::Count { .. } => unreachable!("a count run counts its leaf in place"),
-            },
+                Sink::Count(_) => unreachable!("a count run counts in its last scan"),
+            }
+        } else {
+            if fresh {
+                vs.frames[vs.depth] = Frame {
+                    pc,
+                    bound: false,
+                    cur: enter(cx, st, ins),
+                };
+                vs.depth += 1;
+            }
+            let tally = match &mut sink {
+                Sink::Count(t) if pc == counted => Some(&mut **t),
+                _ => None,
+            };
+            let f = &mut vs.frames[vs.depth - 1];
+            if f.bound {
+                release(cx, st, ins);
+            }
+            let adv = match ins {
+                Instruction::SeedScan { vertex, .. } => advance_seed(cx, st, f, vertex, tally),
+                Instruction::Expand { edge, to, .. } => advance_expand(cx, st, f, edge, to, tally),
+                Instruction::EdgeSeed { edge, from, to, .. } => {
+                    advance_edge_seed(cx, st, f, [from, edge, to], tally)
+                }
+                Instruction::Close { edge, .. } => advance_close(cx, st, f, edge, tally),
+                Instruction::Emit => unreachable!("handled above"),
+            };
+            f.bound = matches!(adv, Adv::Found);
+            adv
         };
         match adv {
             Adv::Found => {
@@ -868,197 +853,43 @@ fn run(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState, mut sink: Sink<'_>) -
     }
 }
 
-/// The leaf kernel of a count run: count the accepted candidates of scan
-/// `ins`, binding nothing. It walks the candidates [`advance_seed`] /
-/// [`advance_edge_seed`] / [`advance_expand`] / [`advance_close`] would,
-/// in their order and by their rules, and ticks once per accepted
-/// candidate as they do — so a trip lands on the same candidate, which
-/// is not counted. Returns
-/// [`Adv::Resume`] when the scan is exhausted, [`Adv::Stop`] once `n`
-/// reaches `cap`, [`Adv::Tripped`] on a trip.
-fn count_leaf(cx: &VmCtx<'_>, st: &mut Scratch, ins: Instruction, n: &mut u64, cap: u64) -> Adv {
-    // count one accepted candidate whose tick went through
-    let mut count = || {
-        *n += 1;
-        if *n == cap {
-            ControlFlow::Break(Adv::Stop)
-        } else {
-            ControlFlow::Continue(())
-        }
-    };
-    let flow = match ins {
-        Instruction::SeedScan { filters, .. } => {
-            let fs = filter_slice(cx.prog, filters);
-            let mut seed = |dv: VertexId| {
-                if !inline_filters(cx, fs, EdgeId(0), dv) {
-                    return ControlFlow::Continue(());
-                }
-                if !tick(cx, st) {
-                    return ControlFlow::Break(Adv::Tripped);
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::on_seed_bound();
-                count()
-            };
-            match cx.seeds {
-                SeedSrc::Range { start, end } => (start..end).map(VertexId).try_for_each(&mut seed),
-                SeedSrc::Slice(seeds) => seeds.iter().copied().try_for_each(&mut seed),
-                SeedSrc::Edges { .. } => unreachable!("a seed scan draws vertices"),
+/// The cursor of a new activation of scan `ins`.
+fn enter(cx: &VmCtx<'_>, st: &Scratch, ins: Instruction) -> Cursor {
+    match ins {
+        Instruction::SeedScan { .. } => Cursor::Seed { pos: 0 },
+        Instruction::EdgeSeed { .. } => Cursor::Edges { pos: 0, last: None },
+        Instruction::Expand { edge, from, .. } => {
+            let qe = cx.q.edge(QEid(edge as u32)).expect("live");
+            Cursor::Expand {
+                anchor: st.vslots[from as usize].expect("program binds `from` before Expand"),
+                phase: 0,
+                ty: 0,
+                pos: 0,
+                fwd: qe.directions.forward,
+                bwd: qe.directions.backward,
+                from_is_src: QVid(from as u32) == qe.src,
+                ext: (0, 0),
+                resolved: false,
             }
         }
-        Instruction::Expand {
-            edge,
-            from,
-            filters,
-            ..
-        } => {
-            let anchor = st.vslots[from as usize].expect("program binds `from` before Expand");
+        Instruction::Close { edge, .. } => {
             let qe = cx.q.edge(QEid(edge as u32)).expect("live");
-            let (fwd, bwd) = (qe.directions.forward, qe.directions.backward);
-            let from_is_src = QVid(from as u32) == qe.src;
-            let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
-            (0..2u8)
-                .filter(|&phase| expand_dir_on(phase, fwd, bwd))
-                .try_for_each(|phase| {
-                    let along_src = (phase == 0) == from_is_src;
-                    let skip_self_loops = phase == 1 && fwd;
-                    let mut ty = 0;
-                    while let Some(ext) = run_extent(cx.topo, tys, anchor, along_src, ty) {
-                        let list = run_slice(cx.topo, along_src, ext);
-                        for (&de, &dv) in list.edges.iter().zip(list.others) {
-                            if expand_accepts(cx, st, fs, skip_self_loops, anchor, de, dv) {
-                                if !tick(cx, st) {
-                                    return ControlFlow::Break(Adv::Tripped);
-                                }
-                                count()?;
-                            }
-                        }
-                        ty += 1;
-                    }
-                    ControlFlow::Continue(())
-                })
-        }
-        Instruction::EdgeSeed { near, filters, .. } => {
-            let (near, fs) = (filter_slice(cx.prog, near), filter_slice(cx.prog, filters));
-            return count_edge_seed(cx, st, near, fs, n, cap);
-        }
-        Instruction::Close { edge, filters } => {
-            let qe = cx.q.edge(QEid(edge as u32)).expect("live");
-            let ms = st.vslots[qe.src.0 as usize].expect("bound");
-            let mt = st.vslots[qe.dst.0 as usize].expect("bound");
-            let (fwd, bwd) = (qe.directions.forward, qe.directions.backward);
-            let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
-            (0..2u8)
-                .filter(|&phase| close_dir_on(phase, fwd, bwd, ms, mt))
-                .try_for_each(|phase| {
-                    let ends = if phase == 0 { (ms, mt) } else { (mt, ms) };
-                    let mut ty = 0;
-                    while let Some((ext, scan_out, want)) = close_run(cx.topo, tys, ends, ty) {
-                        let list = run_slice(cx.topo, scan_out, ext);
-                        for (&de, &other) in list.edges.iter().zip(list.others) {
-                            if close_accepts(cx, st, fs, want, de, other) {
-                                if !tick(cx, st) {
-                                    return ControlFlow::Break(Adv::Tripped);
-                                }
-                                count()?;
-                            }
-                        }
-                        ty += 1;
-                    }
-                    ControlFlow::Continue(())
-                })
-        }
-        Instruction::Emit => unreachable!("a leaf is a scan"),
-    };
-    match flow {
-        ControlFlow::Break(adv) => adv,
-        ControlFlow::Continue(()) => Adv::Resume,
-    }
-}
-
-/// The leaf kernel of a one-edge program: count the edges of the seed
-/// list [`advance_edge_seed`] would accept, by [`edge_seed_accepts`]'
-/// rules, in one loop. The loop tests the filters' predicates bound to
-/// their columns once ([`BoundPredicate`]) and keeps the count and the
-/// tick counter in registers; ticks, charges and the return value are
-/// [`count_leaf`]'s.
-#[inline(never)]
-fn count_edge_seed(
-    cx: &VmCtx<'_>,
-    st: &mut Scratch,
-    near: &[FilterTest],
-    fs: &[FilterTest],
-    n: &mut u64,
-    cap: u64,
-) -> Adv {
-    let g = cx.g;
-    // the seed vertex's predicates, the edge's, then the other endpoint's
-    let preds = |tests: &[FilterTest], on_edges: bool| {
-        let mut bound = Vec::new();
-        for &t in tests {
-            match t {
-                FilterTest::VertexPreds(v) if !on_edges => {
-                    bound.extend(cx.compiled.vertex(v).preds.iter().map(|p| p.bind(cx.topo)));
-                }
-                FilterTest::EdgeAttrs(e) if on_edges => {
-                    bound.extend(cx.compiled.edge(e).preds.iter().map(|p| p.bind(cx.topo)));
-                }
-                FilterTest::VertexPreds(_) | FilterTest::EdgeAttrs(_) => {}
+            Cursor::Close {
+                ms: st.vslots[qe.src.0 as usize].expect("bound"),
+                mt: st.vslots[qe.dst.0 as usize].expect("bound"),
+                phase: 0,
+                ty: 0,
+                pos: 0,
+                fwd: qe.directions.forward,
+                bwd: qe.directions.backward,
+                ext: (0, 0),
+                scan_out: true,
+                want: VertexId(0),
+                resolved: false,
             }
         }
-        bound
-    };
-    let (near, on_edge, far) = (preds(near, false), preds(fs, true), preds(fs, false));
-    let (edges, outgoing) = cx.seeds.edges();
-    let (mut ticks, mut counted) = (st.ticks, *n);
-    let (mut last, mut near_ok) = (None, false);
-    let mut adv = Adv::Resume;
-    for &de in edges {
-        let (dn, df) = edge_ends(g, de, outgoing);
-        if last != Some(dn) {
-            last = Some(dn);
-            near_ok = all_hold(&near, dn.0, || &g.vertex(dn).attrs);
-        }
-        if !near_ok
-            || (cx.injective && df == dn)
-            || !all_hold(&on_edge, de.0, || &g.edge(de).attrs)
-            || !all_hold(&far, df.0, || &g.vertex(df).attrs)
-        {
-            continue;
-        }
-        ticks += 1;
-        if ticks.is_multiple_of(u64::from(CHECK_INTERVAL))
-            && cx.budget.charge(u64::from(CHECK_INTERVAL)).is_err()
-        {
-            adv = Adv::Tripped;
-            break;
-        }
-        #[cfg(feature = "fault-inject")]
-        crate::fault::on_seed_bound();
-        counted += 1;
-        if counted == cap {
-            adv = Adv::Stop;
-            break;
-        }
+        Instruction::Emit => unreachable!("Emit is not a scan"),
     }
-    (st.ticks, *n) = (ticks, counted);
-    adv
-}
-
-/// Do all of `preds` hold on element `i`, whose attribute map `attrs`
-/// yields?
-#[inline(always)]
-fn all_hold<'m>(
-    preds: &[BoundPredicate<'_>],
-    i: u32,
-    attrs: impl Fn() -> &'m AttrMap + Copy,
-) -> bool {
-    for p in preds {
-        if !p.holds(i, attrs) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Release every register the machine still holds and mark it done. Must
@@ -1068,17 +899,18 @@ fn all_hold<'m>(
 pub(crate) fn unwind(cx: &VmCtx<'_>, st: &mut Scratch, vs: &mut VmState) {
     while vs.depth > 0 {
         vs.depth -= 1;
-        let f = vs.frames[vs.depth].clone();
+        let f = vs.frames[vs.depth];
         if f.bound {
-            unbind(cx, st, &f);
+            release(cx, st, cx.prog.code()[f.pc]);
         }
     }
     vs.done = true;
 }
 
-/// Release one frame's registers (slot `take` + occupancy unstamp).
-fn unbind(cx: &VmCtx<'_>, st: &mut Scratch, f: &Frame) {
-    match cx.prog.code()[f.pc] {
+/// Release the registers scan `ins` bound (slot `take` + occupancy
+/// unstamp).
+fn release(cx: &VmCtx<'_>, st: &mut Scratch, ins: Instruction) {
+    match ins {
         Instruction::SeedScan { vertex, .. } => release_vertex(cx, st, vertex),
         Instruction::Expand { edge, to, .. } => {
             release_edge(cx, st, edge);
@@ -1114,45 +946,63 @@ fn release_edge(cx: &VmCtx<'_>, st: &mut Scratch, slot: u16) {
     }
 }
 
+/// Commit vertex `dv` to slot `slot` (stamped in injective mode).
+#[inline]
+fn bind_vertex(cx: &VmCtx<'_>, st: &mut Scratch, slot: u16, dv: VertexId) {
+    st.vslots[slot as usize] = Some(dv);
+    if cx.injective {
+        st.set_vertex_used(dv, true);
+    }
+}
+
+/// Commit edge `de` to slot `slot` (stamped in injective mode).
+#[inline]
+fn bind_edge(cx: &VmCtx<'_>, st: &mut Scratch, slot: u16, de: EdgeId) {
+    st.eslots[slot as usize] = Some(de);
+    if cx.injective {
+        st.set_edge_used(de, true);
+    }
+}
+
+// ---------------------------------------------------------------------
+// the scans: each walks its candidates with [`walk`], and binds the one
+// it returns or, with a tally, counts them
+// ---------------------------------------------------------------------
+
+/// Advance a seed scan: candidates from the seed source that pass the
+/// far list.
 fn advance_seed(
     cx: &VmCtx<'_>,
     st: &mut Scratch,
     f: &mut Frame,
     vertex: u16,
-    filters: FilterRange,
+    tally: Option<&mut Tally>,
 ) -> Adv {
-    if f.bound {
-        release_vertex(cx, st, vertex);
-        f.bound = false;
-    }
+    let [_, _, far] = cx.bound.scan(f.pc);
     let Cursor::Seed { pos } = &mut f.cur else {
         unreachable!("seed frame carries a seed cursor")
     };
-    let fs = filter_slice(cx.prog, filters);
-    loop {
-        let Some(dv) = cx.seeds.get(*pos) else {
-            return Adv::Exhausted;
-        };
-        *pos += 1;
-        if !inline_filters(cx, fs, EdgeId(0), dv) {
-            continue;
+    let walked = match cx.seeds {
+        SeedSrc::Range { start, end } => {
+            let at = |i: usize| VertexId(start + i as u32);
+            walk(cx, st, *pos..(end - start) as usize, true, tally, |_, i| {
+                vertex_holds(cx, far, at(i))
+            })
+            .map(|i| (i, at(i)))
         }
-        // one budget tick per accepted candidate — one per DFS
-        // transition (rejected candidates are plain scan work, charged
-        // via the transition that consumed them)
-        if !tick(cx, st) {
-            return Adv::Tripped;
-        }
-        f.dv = dv;
-        #[cfg(feature = "fault-inject")]
-        crate::fault::on_seed_bound();
-        st.vslots[vertex as usize] = Some(dv);
-        if cx.injective {
-            st.set_vertex_used(dv, true);
-        }
-        f.bound = true;
-        return Adv::Found;
-    }
+        SeedSrc::Slice(seeds) => walk(cx, st, *pos..seeds.len(), true, tally, |_, i| {
+            vertex_holds(cx, far, seeds[i])
+        })
+        .map(|i| (i, seeds[i])),
+        SeedSrc::Edges { .. } => unreachable!("a seed scan draws vertices"),
+    };
+    let (i, dv) = match walked {
+        Ok(hit) => hit,
+        Err(adv) => return adv,
+    };
+    *pos = i + 1;
+    bind_vertex(cx, st, vertex, dv);
+    Adv::Found
 }
 
 /// The seed vertex and the other endpoint of edge `de` of an edge seed's
@@ -1168,96 +1018,73 @@ fn edge_ends(g: &PropertyGraph, de: EdgeId, outgoing: bool) -> (VertexId, Vertex
     }
 }
 
-/// Does an edge seed accept edge `de` from seed vertex `dn` to `df`? The
-/// seed vertex's `near` filters first — their verdict is kept in `last`,
-/// since a list holds each seed vertex's edges in one run — then, in
-/// injective mode, the self-loop skip (the replaced seed scan bound `dn`
-/// before its expansion met `df`, and nothing else is bound yet), then
-/// the `filters` of the edge and of `df`.
-#[inline]
-fn edge_seed_accepts(
-    cx: &VmCtx<'_>,
-    near: &[FilterTest],
-    fs: &[FilterTest],
-    last: &mut Option<(VertexId, bool)>,
-    de: EdgeId,
-    dn: VertexId,
-    df: VertexId,
-) -> bool {
-    let near_ok = match *last {
-        Some((v, ok)) if v == dn => ok,
-        _ => {
-            let ok = inline_filters(cx, near, EdgeId(0), dn);
-            *last = Some((dn, ok));
-            ok
-        }
-    };
-    near_ok && !(cx.injective && df == dn) && inline_filters(cx, fs, de, df)
-}
-
-/// Advance an edge seed to its next accepted edge and bind the slots
-/// `[from, edge, to]`.
+/// Advance an edge seed and bind the slots `[from, edge, to]`. An edge
+/// `de` from seed vertex `dn` to `df` passes the near list on `dn` —
+/// its verdict is kept in the cursor, since a list holds each seed
+/// vertex's edges in one run — then, in injective mode, the self-loop
+/// skip (the replaced seed scan bound `dn` before its expansion met
+/// `df`, and nothing else is bound yet), then the edge list on `de` and
+/// the far list on `df`. Kept out of line: a one-edge count is this
+/// walk alone, and inside the dispatch loop it runs short of registers.
+#[inline(never)]
 fn advance_edge_seed(
     cx: &VmCtx<'_>,
     st: &mut Scratch,
     f: &mut Frame,
     [from, edge, to]: [u16; 3],
-    near: FilterRange,
-    filters: FilterRange,
+    tally: Option<&mut Tally>,
 ) -> Adv {
-    if f.bound {
-        release_edge(cx, st, edge);
-        release_vertex(cx, st, to);
-        release_vertex(cx, st, from);
-        f.bound = false;
-    }
+    let [near, on_edge, far] = cx.bound.scan(f.pc);
     let Cursor::Edges { pos, last } = &mut f.cur else {
         unreachable!("edge seed frame carries an edge cursor")
     };
-    let (near, fs) = (filter_slice(cx.prog, near), filter_slice(cx.prog, filters));
     let (edges, outgoing) = cx.seeds.edges();
-    while let Some(&de) = edges.get(*pos) {
-        *pos += 1;
+    let mut seen = *last;
+    let walked = walk(cx, st, *pos..edges.len(), true, tally, |_, i| {
+        let de = edges[i];
         let (dn, df) = edge_ends(cx.g, de, outgoing);
-        if !edge_seed_accepts(cx, near, fs, last, de, dn, df) {
-            continue;
-        }
-        // one tick per accepted edge: the seed vertex is not a
-        // transition of its own
-        if !tick(cx, st) {
-            return Adv::Tripped;
-        }
-        #[cfg(feature = "fault-inject")]
-        crate::fault::on_seed_bound();
-        f.de = de;
-        f.dv = df;
-        st.vslots[from as usize] = Some(dn);
-        st.vslots[to as usize] = Some(df);
-        st.eslots[edge as usize] = Some(de);
-        if cx.injective {
-            st.set_vertex_used(dn, true);
-            st.set_vertex_used(df, true);
-            st.set_edge_used(de, true);
-        }
-        f.bound = true;
-        return Adv::Found;
-    }
-    Adv::Exhausted
+        let near_ok = match seen {
+            Some((v, ok)) if v == dn => ok,
+            _ => {
+                let ok = vertex_holds(cx, near, dn);
+                seen = Some((dn, ok));
+                ok
+            }
+        };
+        near_ok
+            && !(cx.injective && df == dn)
+            && edge_holds(cx, on_edge, de)
+            && vertex_holds(cx, far, df)
+    });
+    *last = seen;
+    let i = match walked {
+        Ok(i) => i,
+        Err(adv) => return adv,
+    };
+    *pos = i + 1;
+    let de = edges[i];
+    let (dn, df) = edge_ends(cx.g, de, outgoing);
+    bind_vertex(cx, st, from, dn);
+    bind_vertex(cx, st, to, df);
+    bind_edge(cx, st, edge, de);
+    Adv::Found
 }
 
+/// Advance an expansion from its anchor: the admissible runs of each
+/// walked direction in turn. A candidate `(de, dv)` passes unless it is
+/// a self-loop met again on the backward pass of an edge that also walks
+/// forward (a self-loop at the anchor sits in both adjacency lists), or
+/// occupied (injective mode), then the edge list on `de` and the far list
+/// on `dv`.
 fn advance_expand(
     cx: &VmCtx<'_>,
     st: &mut Scratch,
     f: &mut Frame,
     edge: u16,
     to: u16,
-    filters: FilterRange,
+    mut tally: Option<&mut Tally>,
 ) -> Adv {
-    if f.bound {
-        release_edge(cx, st, edge);
-        release_vertex(cx, st, to);
-        f.bound = false;
-    }
+    let [_, on_edge, far] = cx.bound.scan(f.pc);
     let Cursor::Expand {
         anchor,
         phase,
@@ -1273,13 +1100,14 @@ fn advance_expand(
         unreachable!("expand frame carries an expand cursor")
     };
     let (anchor, fwd, bwd, from_is_src) = (*anchor, *fwd, *bwd, *from_is_src);
-    let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
+    let tys = cx.compiled.edge(QEid(edge as u32)).types.as_deref();
     while *phase < 2 {
         // forward pass: the anchor plays the data edge's source role iff
         // it is the query edge's source; the backward pass mirrors it
         let along_src = (*phase == 0) == from_is_src;
         if !*resolved {
-            let run = expand_dir_on(*phase, fwd, bwd)
+            let walks = if *phase == 0 { fwd } else { bwd };
+            let run = walks
                 .then(|| run_extent(cx.topo, tys, anchor, along_src, *ty))
                 .flatten();
             let Some(run) = run else {
@@ -1293,44 +1121,52 @@ fn advance_expand(
         }
         let skip_self_loops = *phase == 1 && fwd;
         let list = run_slice(cx.topo, along_src, *ext);
-        let mut p = *pos;
-        for (&de, &dv) in list.edges[p..].iter().zip(&list.others[p..]) {
-            p += 1;
-            if !expand_accepts(cx, st, fs, skip_self_loops, anchor, de, dv) {
-                continue;
+        let (edges, others) = (list.edges, &list.others[..list.edges.len()]);
+        let walked = walk(
+            cx,
+            st,
+            *pos..edges.len(),
+            false,
+            tally.as_deref_mut(),
+            |st, i| {
+                let (de, dv) = (edges[i], others[i]);
+                !(skip_self_loops && dv == anchor)
+                    && !(cx.injective && (st.vertex_used(dv) || st.edge_used(de)))
+                    && edge_holds(cx, on_edge, de)
+                    && vertex_holds(cx, far, dv)
+            },
+        );
+        match walked {
+            Ok(i) => {
+                *pos = i + 1;
+                bind_vertex(cx, st, to, others[i]);
+                bind_edge(cx, st, edge, edges[i]);
+                return Adv::Found;
             }
-            *pos = p;
-            if !tick(cx, st) {
-                return Adv::Tripped;
+            Err(Adv::Exhausted) => {
+                *ty += 1;
+                *resolved = false;
             }
-            f.de = de;
-            f.dv = dv;
-            st.vslots[to as usize] = Some(dv);
-            st.eslots[edge as usize] = Some(de);
-            if cx.injective {
-                st.set_vertex_used(dv, true);
-                st.set_edge_used(de, true);
-            }
-            f.bound = true;
-            return Adv::Found;
+            Err(adv) => return adv,
         }
-        *ty += 1;
-        *resolved = false;
     }
     Adv::Exhausted
 }
 
+/// Advance a close between the mapped endpoints: the admissible runs of
+/// each walked direction in turn, skipping the backward pass when both
+/// endpoints map to one data vertex and the forward pass already met
+/// every self-loop there. A candidate edge passes when it reaches the
+/// wanted endpoint, is unoccupied (injective mode) and passes the edge
+/// list.
 fn advance_close(
     cx: &VmCtx<'_>,
     st: &mut Scratch,
     f: &mut Frame,
     edge: u16,
-    filters: FilterRange,
+    mut tally: Option<&mut Tally>,
 ) -> Adv {
-    if f.bound {
-        release_edge(cx, st, edge);
-        f.bound = false;
-    }
+    let [_, on_edge, _] = cx.bound.scan(f.pc);
     let Cursor::Close {
         ms,
         mt,
@@ -1348,13 +1184,16 @@ fn advance_close(
         unreachable!("close frame carries a close cursor")
     };
     let (ms, mt, fwd, bwd) = (*ms, *mt, *fwd, *bwd);
-    let (fs, tys) = (filter_slice(cx.prog, filters), edge_types(cx, edge));
+    let tys = cx.compiled.edge(QEid(edge as u32)).types.as_deref();
     while *phase < 2 {
         if !*resolved {
             let ends = if *phase == 0 { (ms, mt) } else { (mt, ms) };
-            let run = close_dir_on(*phase, fwd, bwd, ms, mt)
-                .then(|| close_run(cx.topo, tys, ends, *ty))
-                .flatten();
+            let walks = if *phase == 0 {
+                fwd
+            } else {
+                bwd && !(fwd && ms == mt)
+            };
+            let run = walks.then(|| close_run(cx.topo, tys, ends, *ty)).flatten();
             let Some(run) = run else {
                 *phase += 1;
                 *ty = 0;
@@ -1365,27 +1204,33 @@ fn advance_close(
             *pos = 0;
         }
         let list = run_slice(cx.topo, *scan_out, *ext);
+        let (edges, others) = (list.edges, &list.others[..list.edges.len()]);
         let want = *want;
-        let mut p = *pos;
-        for (&de, &other) in list.edges[p..].iter().zip(&list.others[p..]) {
-            p += 1;
-            if !close_accepts(cx, st, fs, want, de, other) {
-                continue;
+        let walked = walk(
+            cx,
+            st,
+            *pos..edges.len(),
+            false,
+            tally.as_deref_mut(),
+            |st, i| {
+                let de = edges[i];
+                others[i] == want
+                    && !(cx.injective && st.edge_used(de))
+                    && edge_holds(cx, on_edge, de)
+            },
+        );
+        match walked {
+            Ok(i) => {
+                *pos = i + 1;
+                bind_edge(cx, st, edge, edges[i]);
+                return Adv::Found;
             }
-            *pos = p;
-            if !tick(cx, st) {
-                return Adv::Tripped;
+            Err(Adv::Exhausted) => {
+                *ty += 1;
+                *resolved = false;
             }
-            f.de = de;
-            st.eslots[edge as usize] = Some(de);
-            if cx.injective {
-                st.set_edge_used(de, true);
-            }
-            f.bound = true;
-            return Adv::Found;
+            Err(adv) => return adv,
         }
-        *ty += 1;
-        *resolved = false;
     }
     Adv::Exhausted
 }

@@ -327,32 +327,53 @@ proptest! {
     }
 
     /// Limits behave identically under every pass set:
-    /// `min(C(Q), limit)` counts and capped find sizes.
+    /// `min(C(Q), limit)` counts and capped find sizes. The queries reach
+    /// every scan kind as the last one — the scan a count runs in count
+    /// mode, where the cap stops it: a seed scan (one vertex), an edge
+    /// seed (one typed one-way edge), an expansion (a longer chain, or a
+    /// both-way edge) and a close (a cycle), injective and homomorphic.
     #[test]
     fn limits_are_pass_independent(
-        n in 2usize..5,
+        n in 2usize..8,
         vtypes in prop::collection::vec(0u8..3, 6),
-        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..8),
-        qlen in 1usize..3,
-        qtypes in prop::collection::vec(0u8..3, 4),
+        pairs in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..24),
+        qlen in 1usize..5,
+        // most query vertices untyped: their walks tend to seed at an
+        // edge, and match often
+        qtypes in prop::collection::vec(0u8..8, 4),
+        qetypes in prop::collection::vec(any::<bool>(), 4),
+        // one chain in four both-way, one in three closed: mostly
+        // one-way chains, which an edge seed needs
+        both_ways in 0u8..4,
+        shape in (any::<bool>(), any::<bool>()),
+        cycle in 0u8..3,
+        injective in any::<bool>(),
         limit in 1usize..4,
     ) {
         let g = build_graph(n, &vtypes, &pairs);
-        let shape = EdgeShape { undirected: false, backward: false, weighted: false };
-        let q = build_query(qlen, &qtypes, &[true], shape, false, false, 0);
+        let shape = EdgeShape { undirected: both_ways == 0, backward: shape.0, weighted: shape.1 };
+        let q = build_query(qlen, &qtypes, &qetypes, shape, false, cycle == 0, 0);
         let indexes = indexes_for(&g);
         let mut m = Matcher::new(&g);
         for idx in &indexes {
             m.attach_index(Arc::clone(idx));
         }
-        let full = m.count(&q, MatchOptions::default());
+        let opts = MatchOptions { injective, ..MatchOptions::default() };
+        let full = m.count(&q, opts.clone());
+        let capped_opts = MatchOptions { limit: Some(limit), ..opts };
         for passes in PASS_SETS {
             let cq = m.compile_with_passes(&q, passes);
-            let capped = m.count_compiled(&q, &cq.compiled, &cq.program,
-                MatchOptions::counting(Some(limit as u64)));
+            let capped = m.count_compiled(&q, &cq.compiled, &cq.program, capped_opts.clone());
             prop_assert_eq!(capped, full.min(limit as u64));
-            let found = m.find_compiled(&q, &cq.compiled, &cq.program,
-                MatchOptions::limited(limit));
+            // the one component's count stops at the cap inside the VM
+            if let Some(prog) = cq.program.components().first() {
+                let seeds = m.seed_list_for(prog);
+                let unit = WorkUnit::whole(0, &seeds);
+                let counted = m.count_unit(&q, &cq.compiled, &cq.program, &unit, &seeds,
+                    capped_opts.clone());
+                prop_assert_eq!(counted, full.min(limit as u64));
+            }
+            let found = m.find_compiled(&q, &cq.compiled, &cq.program, capped_opts.clone());
             prop_assert_eq!(found.len() as u64, full.min(limit as u64));
         }
     }

@@ -505,6 +505,13 @@ impl Database {
 /// Structural validation applied at prepare time — the panics the
 /// pre-facade API reserved for misuse become [`WhyqError::InvalidQuery`].
 fn validate(q: &PatternQuery) -> Result<(), WhyqError> {
+    // the VM's operands are `u16` slot numbers
+    const MAX_SLOTS: usize = 1 << 16;
+    if q.vertex_slots() > MAX_SLOTS || q.edge_slots() > MAX_SLOTS {
+        return Err(WhyqError::InvalidQuery {
+            reason: format!("query has more than {MAX_SLOTS} vertex or edge slots"),
+        });
+    }
     for e in q.edge_ids() {
         let ed = q.edge(e).expect("live");
         if ed.directions.is_empty() {
@@ -1244,6 +1251,17 @@ mod tests {
             .unwrap()
             .directions
             .remove(whyq_query::Direction::Forward);
+        let err = session.prepare(&q).unwrap_err();
+        assert!(matches!(err, WhyqError::InvalidQuery { .. }));
+        // a vertex slot beyond the VM's `u16` operands: the last of
+        // 65,537 vertices, the others removed
+        let mut q = PatternQuery::new();
+        let vs: Vec<_> = (0..=1 << 16)
+            .map(|_| q.add_vertex(whyq_query::QueryVertex::any()))
+            .collect();
+        for &v in &vs[..vs.len() - 1] {
+            q.remove_vertex(v);
+        }
         let err = session.prepare(&q).unwrap_err();
         assert!(matches!(err, WhyqError::InvalidQuery { .. }));
     }
